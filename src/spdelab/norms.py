@@ -7,15 +7,30 @@ powers of the node distance are formed afterwards, and grid suprema are
 taken last.  Grid suprema are lower bounds of the continuum norms; the
 refinement studies track their stability instead of claiming exactness.
 
-Pair sets for difference quotients come in three policies: exhaustive
-enumeration (default up to a node budget), dyadic index offsets along
-each axis (plus unit diagonals and parabolically balanced time-space
-offsets), and seeded random sampling.  Every policy enumerates pairs in
-a deterministic order, so argmax reporting and reruns are stable.
+Difference quotients run over a stencil of lattice offsets set by one of
+two pair policies (``auto``: exhaustive up to ``exhaustive_limit`` nodes,
+dyadic beyond).  ``exhaustive`` takes every offset whose first nonzero
+component is positive, without wrapping: exactly the C-order node pairs
+qa < qb of ``np.triu_indices``.  ``dyadic`` takes powers of two along each
+axis, unit diagonals between space axes and parabolically balanced
+offsets (4^j steps against 2^j cells), wrapping on periodic axes, so the
+n/2 offset of an even periodic axis meets each pair in both orientations
+and counts both in ``pairs``.  All pairs of one offset are one difference
+of two slices of the field, reduced by the path moment and divided by one
+denominator |x - y|^alpha + |t - s|^{alpha/2} (periodic distance on
+periodic axes).  The field is copied once with paths as the contiguous
+axis after the grid axes, so paths are summed in the order a gathered
+pair list would sum them, bit for bit.
+
+Ties are broken deterministically: dyadic keeps the earliest offset, then
+the earliest base node in C-order (strict ``>``); exhaustive keeps the
+smallest (qa, qb) in triu order; the space seminorm takes the earliest
+time level first.  If every quotient vanishes the argmax is ``()``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,8 +51,6 @@ __all__ = [
     "report_rows",
 ]
 
-_CHUNK_ELEMS = 2**23  # cap on paths x pairs doubles held at once
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -47,15 +60,13 @@ class NormSpec:
     gamma: float = 2.0
     pair_policy: str = "auto"
     exhaustive_limit: int = 20000
-    n_random_pairs: int = 50000
-    pair_seed: int = 20260821
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.gamma < 2.0:
             raise ValueError(f"gamma must be at least 2, got {self.gamma}")
-        if self.pair_policy not in ("auto", "exhaustive", "dyadic", "random"):
+        if self.pair_policy not in ("auto", "exhaustive", "dyadic"):
             raise ValueError(f"unknown pair policy {self.pair_policy!r}")
 
 
@@ -77,35 +88,15 @@ def _multi_indices(dim, order):
     return [(order - k, k) for k in range(order + 1)]
 
 
-def _moment(x, gamma, has_modes):
-    """L^gamma over paths of the (mode-ell2) magnitude; axis 0 is paths."""
+def _moment(x, gamma, has_modes, axis=0):
+    """L^gamma over the paths axis of the (mode-ell2) magnitude; modes are last."""
     a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else np.abs(x)
     if gamma == 2.0:
-        return np.sqrt(np.mean(a * a, axis=0))
-    return np.mean(a**gamma, axis=0) ** (1.0 / gamma)
+        return np.sqrt(np.mean(a * a, axis=axis))
+    return np.mean(a**gamma, axis=axis) ** (1.0 / gamma)
 
 
-# -- pair enumeration -------------------------------------------------
-
-
-def _offset_pairs(shape, periodic, off):
-    """Index pairs (qa, qb) for one lattice offset, flattened C-order."""
-    ranges = []
-    for n, per, o in zip(shape, periodic, off):
-        if per:
-            ranges.append(np.arange(n))
-        elif o >= 0:
-            ranges.append(np.arange(0, n - o))
-        else:
-            ranges.append(np.arange(-o, n))
-    if any(r.size == 0 for r in ranges):
-        return None
-    grids = np.meshgrid(*ranges, indexing="ij")
-    ia = [g.ravel() for g in grids]
-    ib = []
-    for g, (n, per, o) in zip(ia, zip(shape, periodic, off)):
-        ib.append((g + o) % n if per else g + o)
-    return np.ravel_multi_index(ia, shape), np.ravel_multi_index(ib, shape)
+# -- offset stencil ---------------------------------------------------
 
 
 def _dyadic_offsets(shape, periodic, time_axis):
@@ -141,84 +132,114 @@ def _dyadic_offsets(shape, periodic, time_axis):
     return offs
 
 
-def _pairs(shape, periodic, time_axis, spec: NormSpec):
-    n_pts = int(np.prod(shape))
+def _exhaustive_offsets(shape):
+    """Offsets whose first nonzero component is positive: the triu pairs."""
+    n = np.array(shape)
+    offs = np.indices(2 * n - 1).reshape(n.size, -1).T - (n - 1)
+    return offs[offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)] > 0]
+
+
+@dataclass
+class _Stencil:
+    """Offset i joins node start[i] + k, k over base[i] in C-order, to that
+    node plus offsets[i], wrapped on the wrap axes; slices[i] are the two
+    ends in the batched, wrap-padded field."""
+
+    policy: str
+    shape: tuple
+    wrap: tuple
+    pad: list
+    offsets: np.ndarray
+    base: np.ndarray
+    start: np.ndarray
+    slices: list
+    pairs: int
+
+    def pair(self, i, k):
+        """Node pair (a, b) of flat base index k of offset i."""
+        ia = tuple(self.start[i] + np.unravel_index(k, tuple(self.base[i])))
+        ib = (a + o for a, o in zip(ia, self.offsets[i]))
+        return ia, tuple(b % n if w else b for b, n, w in zip(ib, self.shape, self.wrap))
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
+    """The stencil of one grid and policy; shared between calls, never modified."""
+    if policy == "exhaustive":
+        offs, wrap = _exhaustive_offsets(shape), (False,) * len(shape)
+    else:
+        offs = np.array(_dyadic_offsets(shape, periodic, time_axis), int).reshape(-1, len(shape))
+        wrap = periodic
+    n, w = np.array(shape), np.array(wrap)
+    lo = np.where(w, -offs.min(axis=0, initial=0), 0)
+    pad = [(int(a), int(b)) for a, b in zip(lo, np.where(w, offs.max(axis=0, initial=0), 0))]
+    base = np.where(w, n, n - np.abs(offs))
+    # drop offsets without base nodes and those joining every node to itself
+    keep = (base > 0).all(axis=1) & ~np.where(w, offs % n == 0, offs == 0).all(axis=1)
+    offs, base = offs[keep], base[keep]
+    start = np.where(w, 0, np.maximum(0, -offs))
+    a0, b0 = start + lo, start + lo + offs
+    slices = [
+        ((slice(None), *map(slice, a, a1)), (slice(None), *map(slice, b, b1)))
+        for a, a1, b, b1 in zip(*(e.tolist() for e in (a0, a0 + base, b0, b0 + base)))
+    ]
+    pairs = int(np.prod(base, axis=1).sum())
+    return _Stencil(policy, shape, wrap, pad, offs, base, start, slices, pairs)
+
+
+def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
+    """Largest pair quotient of a field over a batch of copies of the grid.
+
+    values: (paths, batch, *shape[, modes]).  Returns the stencil, the
+    largest quotient, the first batch entry attaining it and its pair, ()
+    if every quotient vanishes.
+    """
+    n_pts = math.prod(shape)
     policy = spec.pair_policy
     if policy == "auto":
         policy = "exhaustive" if n_pts <= spec.exhaustive_limit else "dyadic"
-    if policy == "exhaustive":
-        if n_pts > spec.exhaustive_limit:
-            raise ValueError(
-                f"{n_pts} nodes exceed the exhaustive budget {spec.exhaustive_limit}"
-            )
-        qa, qb = np.triu_indices(n_pts, k=1)
-        return qa.astype(np.int64), qb.astype(np.int64), "exhaustive"
-    if policy == "dyadic":
-        parts = []
-        for off in _dyadic_offsets(shape, periodic, time_axis):
-            pair = _offset_pairs(shape, periodic, off)
-            if pair is not None:
-                parts.append(pair)
-        qa = np.concatenate([p[0] for p in parts])
-        qb = np.concatenate([p[1] for p in parts])
-        keep = qa != qb
-        return qa[keep], qb[keep], "dyadic"
-    # random: seeded, rejection-free draw of ordered pairs
-    gen = np.random.Generator(np.random.PCG64(spec.pair_seed))
-    qa = gen.integers(0, n_pts, spec.n_random_pairs)
-    qb = gen.integers(0, n_pts - 1, spec.n_random_pairs)
-    qb = np.where(qb >= qa, qb + 1, qb)
-    return qa.astype(np.int64), qb.astype(np.int64), "random"
+    if policy == "exhaustive" and n_pts > spec.exhaustive_limit:
+        raise ValueError(f"{n_pts} nodes exceed the exhaustive budget {spec.exhaustive_limit}")
+    st = _stencil(shape, periodic, time_axis, policy)
 
-
-def _denominators(shape, spacings, periodic, time_axis, alpha, qa, qb):
-    ia = np.unravel_index(qa, shape)
-    ib = np.unravel_index(qb, shape)
-    space_sq = np.zeros(qa.shape)
-    dt_term = np.zeros(qa.shape)
+    d = np.abs(st.offsets)
+    space_sq, dt_term = np.zeros(len(d)), np.zeros(len(d))
     for a, (n, h, per) in enumerate(zip(shape, spacings, periodic)):
-        d = np.abs(ia[a].astype(np.int64) - ib[a].astype(np.int64))
-        if per:
-            d = np.minimum(d, n - d)
+        da = np.minimum(d[:, a], n - d[:, a]) if per else d[:, a]
         if a == time_axis:
-            dt_term = (d * h) ** (alpha / 2.0)
+            dt_term = (da * h) ** (spec.alpha / 2.0)
         else:
-            space_sq = space_sq + (d * h) ** 2
-    return np.sqrt(space_sq) ** alpha + dt_term
+            space_sq = space_sq + (da * h) ** 2
+    denom = np.sqrt(space_sq) ** spec.alpha + dt_term
 
-
-def _max_quotient(flat, qa, qb, denom, gamma, has_modes):
-    """Running max over pair chunks of moment(difference) / denominator.
-
-    flat: (paths, n_pts[, modes]).  Returns (max, argmax pair index).
-    """
-    n_paths = flat.shape[0]
-    step = max(1, _CHUNK_ELEMS // max(n_paths, 1))
-    best, best_at = 0.0, -1
-    for lo in range(0, qa.size, step):
-        sl = slice(lo, lo + step)
-        diff = flat[:, qa[sl], ...] - flat[:, qb[sl], ...]
-        q = _moment(diff, gamma, has_modes) / denom[sl]
-        k = int(np.argmax(q))
-        if q[k] > best:
-            best, best_at = float(q[k]), lo + k
-    return best, best_at
+    x = np.moveaxis(values, 0, 1 + len(shape))
+    # the one copy: C-contiguous, paths after the grid axes, periodic wrap
+    x = np.pad(x, [(0, 0)] + st.pad + [(0, 0)] * (x.ndim - 1 - len(shape)), mode="wrap")
+    nb = x.shape[0]
+    vmax, kmax = np.zeros((len(denom), nb)), np.zeros((len(denom), nb), dtype=np.intp)
+    for i, (sa, sb) in enumerate(st.slices):
+        q = _moment(x[sa] - x[sb], spec.gamma, n_modes > 0, axis=-1).reshape(nb, -1) / denom[i]
+        kmax[i] = q.argmax(axis=1)
+        vmax[i] = q[np.arange(nb), kmax[i]]
+    best = vmax.max(initial=0.0)
+    if not math.isfinite(best):
+        raise ValueError("field values must be finite")
+    if best == 0.0:
+        return st, 0.0, 0, ()
+    j = int(np.argmax((vmax == best).any(axis=0)))
+    ties = np.flatnonzero(vmax[:, j] == best)
+    # dyadic order is the tie order; exhaustive offsets interleave in triu order
+    i = ties[0] if policy == "dyadic" else min(ties, key=lambda i: st.pair(i, kmax[i, j]))
+    return st, float(best), j, st.pair(i, kmax[i, j])
 
 
 def _grid_geometry(grid, with_time):
-    shape, spacings, periodic = [], [], []
-    if with_time:
-        shape.append(grid.steps + 1)
-        spacings.append(grid.dt)
-        periodic.append(False)
-    shape.append(grid.n_x1)
-    spacings.append(grid.dx1)
-    periodic.append(grid.periodic_x1)
+    """(shape, spacings, periodic) of the node lattice, time axis first."""
+    axes = [(grid.steps + 1, grid.dt, False)] if with_time else []
+    axes.append((grid.n_x1, grid.dx1, grid.periodic_x1))
     if grid.dim == 2:
-        shape.append(grid.n_xp)
-        spacings.append(grid.dxp)
-        periodic.append(True)
-    return tuple(shape), tuple(spacings), tuple(periodic)
+        axes.append((grid.n_xp, grid.dxp, True))
+    return tuple(zip(*axes))
 
 
 def sup_norm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
@@ -240,53 +261,34 @@ def sup_norm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
 def space_seminorm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
     """max over |beta| = m, times, and node pairs of the space quotient."""
     shape, spacings, periodic = _grid_geometry(f.grid, with_time=False)
-    qa, qb, policy = _pairs(shape, periodic, None, spec)
-    denom = _denominators(shape, spacings, periodic, None, spec.alpha, qa, qb)
-    n_pts = int(np.prod(shape))
-    best = NormResult(f"space_seminorm[{policy}]", 0.0, m, spec.alpha, spec.gamma)
-    best.pairs = qa.size * (f.grid.steps + 1)
+    best = NormResult("space_seminorm", 0.0, m, spec.alpha, spec.gamma)
     for beta in _multi_indices(f.grid.dim, m):
         g = finite_diff(f, beta) if m else f
-        nt = f.grid.steps + 1
-        vals = g.values.reshape((g.n_paths, nt, n_pts) + ((f.n_modes,) if f.n_modes else ()))
-        for j in range(nt):
-            v, at = _max_quotient(vals[:, j], qa, qb, denom, spec.gamma, f.n_modes > 0)
-            if v > best.value:
-                best.value = v
-                best.beta = beta
-                best.argmax = (
-                    j,
-                    np.unravel_index(qa[at], shape),
-                    np.unravel_index(qb[at], shape),
-                )
+        st, v, j, arg = _stencil_max(g.values, f.n_modes, shape, spacings, periodic, None, spec)
+        best.kind = f"space_seminorm[{st.policy}]"
+        best.pairs = st.pairs * (f.grid.steps + 1)
+        if v > best.value:
+            best.value = v
+            best.beta = beta
+            best.argmax = (j,) + arg
     return best
-
-
-def _parabolic_core(values, n_modes, shape, spacings, periodic, spec):
-    n_pts = int(np.prod(shape))
-    qa, qb, policy = _pairs(shape, periodic, 0, spec)
-    denom = _denominators(shape, spacings, periodic, 0, spec.alpha, qa, qb)
-    flat = values.reshape((values.shape[0], n_pts) + ((n_modes,) if n_modes else ()))
-    v, at = _max_quotient(flat, qa, qb, denom, spec.gamma, n_modes > 0)
-    arg = (np.unravel_index(qa[at], shape), np.unravel_index(qb[at], shape))
-    return v, arg, qa.size, policy
 
 
 def parabolic_seminorm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
     """max over |beta| = m of the space-time quotient seminorm.
 
-    Denominator |x - y|^alpha + |t - s|^{alpha/2} over all enumerated
+    Denominator |x - y|^alpha + |t - s|^{alpha/2} over all stencil
     space-time node pairs.
     """
     shape, spacings, periodic = _grid_geometry(f.grid, with_time=True)
     best = NormResult("parabolic_seminorm", 0.0, m, spec.alpha, spec.gamma)
     for beta in _multi_indices(f.grid.dim, m):
         g = finite_diff(f, beta) if m else f
-        v, arg, pairs, policy = _parabolic_core(
-            g.values, f.n_modes, shape, spacings, periodic, spec
+        st, v, _, arg = _stencil_max(
+            g.values[:, None], f.n_modes, shape, spacings, periodic, 0, spec
         )
-        best.kind = f"parabolic_seminorm[{policy}]"
-        best.pairs = pairs
+        best.kind = f"parabolic_seminorm[{st.policy}]"
+        best.pairs = st.pairs
         if v > best.value:
             best.value = v
             best.beta = beta
@@ -300,20 +302,13 @@ def trace_parabolic_norm(f: FieldEnsemble, spec: NormSpec) -> tuple:
     On a dim-1 grid the trace lives on a single spatial point and the
     seminorm reduces to the pure time quotient.
     """
-    trace = f.values[:, :, f.grid.wall_index, ...]
-    shape = [f.grid.steps + 1]
-    spacings = [f.grid.dt]
-    periodic = [False]
-    if f.grid.dim == 2:
-        shape.append(f.grid.n_xp)
-        spacings.append(f.grid.dxp)
-        periodic.append(True)
+    g = f.grid
+    trace = f.values[:, :, g.wall_index, ...]
     sup = float(np.max(_moment(trace, spec.gamma, f.n_modes > 0)))
-    v, arg, pairs, policy = _parabolic_core(
-        trace, f.n_modes, tuple(shape), tuple(spacings), tuple(periodic), spec
-    )
-    semi = NormResult(f"trace_parabolic[{policy}]", v, 0, spec.alpha, spec.gamma)
-    semi.argmax, semi.pairs = arg, pairs
+    geometry = (g.steps + 1, g.n_xp)[: g.dim], (g.dt, g.dxp)[: g.dim], (False, True)[: g.dim]
+    st, v, _, arg = _stencil_max(trace[:, None], f.n_modes, *geometry, 0, spec)
+    semi = NormResult(f"trace_parabolic[{st.policy}]", v, 0, spec.alpha, spec.gamma)
+    semi.argmax, semi.pairs = arg, st.pairs
     return sup, semi
 
 

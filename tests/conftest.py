@@ -1,6 +1,9 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block."""
+"""Shared pytest plumbing: the acceptance-criteria summary block and the
+Hypothesis profile."""
 
 from __future__ import annotations
+
+from hypothesis import settings
 
 CRITERION_LINES: list[str] = []
 
@@ -19,3 +22,9 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in sorted(CRITERION_LINES):
         terminalreporter.write_line(line)
+
+
+# Property tests run a fixed example sequence without time limits, so a
+# slow or loaded machine neither flakes nor changes what is tested.
+settings.register_profile("spdelab", derandomize=True, deadline=None)
+settings.load_profile("spdelab")

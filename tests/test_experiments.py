@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +159,25 @@ def test_different_seed_changes_the_random_rows():
     a = run_study(tiny_config()).canonical_csv()
     b = run_study(cfg2).canonical_csv()
     assert a != b
+
+
+def test_schauder_ratio_output_bytes_are_pinned():
+    # levels 2 and 2 draws of the checked-in config at its default seed;
+    # _norms.csv carries the argmax pairs and pair counts of every norm
+    config = Path(__file__).resolve().parent.parent / "configs" / "schauder_ratio.json"
+    raw = json.loads(config.read_text())
+    raw["levels"] = 2
+    raw["data"]["draws"] = 2
+    rep = run_study(ExperimentConfig.from_dict(raw))
+    assert all(v.passed for v in rep.verdicts)
+    digest = {
+        "csv": hashlib.sha256(rep.canonical_csv().encode()).hexdigest(),
+        "norms": hashlib.sha256(rep.norms_csv().encode()).hexdigest(),
+    }
+    assert digest == {
+        "csv": "bcd011fc76c523ce7e578a05ab45fd873b84d5643e1459c78acf94af1d143c95",
+        "norms": "7322e684770b09568a9463dd0592a5b6481a44f72fa9f0d328224fb1788da40a",
+    }
 
 
 def test_csv_layout_is_canonical():

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spdelab import (
     FieldEnsemble,
@@ -18,7 +21,8 @@ from spdelab import (
     time_seminorm,
     trace_parabolic_norm,
 )
-from spdelab.norms import report_rows
+from spdelab.fields import finite_diff
+from spdelab.norms import _dyadic_offsets, _grid_geometry, _moment, _multi_indices, report_rows
 
 SPEC = NormSpec(alpha=0.5)
 
@@ -43,6 +47,8 @@ def test_spec_validation():
         NormSpec(alpha=0.5, gamma=1.5)
     with pytest.raises(ValueError):
         NormSpec(alpha=0.5, pair_policy="sparse")
+    with pytest.raises(ValueError):
+        NormSpec(alpha=0.5, pair_policy="random")
 
 
 def test_constant_field_has_zero_seminorms():
@@ -152,6 +158,17 @@ def test_schauder_ratio_zero_data_sentinel():
     assert rep.sentinel == "0/0"
     assert math.isnan(rep.ratio)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
+    # a vanishing seminorm has no maximizing pair, the trace norm included
+    assert [r.argmax for r in rep.results if r.kind != "sup"] == [(), (), ()]
+
+
+def test_non_finite_field_is_rejected():
+    g = grid1(cells=4, steps=2)
+    vals = np.zeros((1, g.steps + 1, g.n_x1))
+    vals[0, 1, 2] = np.nan
+    for fn in (space_seminorm, parabolic_seminorm):
+        with pytest.raises(ValueError, match="finite"):
+            fn(FieldEnsemble(vals, g), SPEC)
 
 
 def test_schauder_ratio_parts_sum_to_sides():
@@ -195,3 +212,135 @@ def test_report_rows_carry_the_canonical_columns():
             "seed",
         }
     assert rows[0]["field_id"] == "u" and rows[0]["seed"] == 42
+
+
+# -- brute-force reference: gathered pair lists with per-pair denominators --
+
+
+def _oracle_pairs(shape, periodic, time_axis, policy):
+    n_pts = int(np.prod(shape))
+    if policy == "exhaustive":
+        return np.triu_indices(n_pts, k=1)
+    qa, qb = [], []
+    for off in _dyadic_offsets(shape, periodic, time_axis):
+        ranges = [
+            np.arange(n) if per else np.arange(max(0, -o), n - max(0, o))
+            for n, per, o in zip(shape, periodic, off)
+        ]
+        ia = [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")]
+        ib = [(g + o) % n if per else g + o for g, n, per, o in zip(ia, shape, periodic, off)]
+        qa.append(np.ravel_multi_index(ia, shape))
+        qb.append(np.ravel_multi_index(ib, shape))
+    qa, qb = np.concatenate(qa), np.concatenate(qb)
+    keep = qa != qb
+    return qa[keep], qb[keep]
+
+
+def _oracle_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
+    """(max quotient, argmax pair or (), pair count) over the gathered list."""
+    qa, qb = _oracle_pairs(shape, periodic, time_axis, spec.pair_policy)
+    ia, ib = np.unravel_index(qa, shape), np.unravel_index(qb, shape)
+    space_sq, dt_term = np.zeros(qa.shape), np.zeros(qa.shape)
+    for a, (n, h, per) in enumerate(zip(shape, spacings, periodic)):
+        d = np.abs(ia[a].astype(np.int64) - ib[a].astype(np.int64))
+        if per:
+            d = np.minimum(d, n - d)
+        if a == time_axis:
+            dt_term = (d * h) ** (spec.alpha / 2.0)
+        else:
+            space_sq = space_sq + (d * h) ** 2
+    denom = np.sqrt(space_sq) ** spec.alpha + dt_term
+    modes = (n_modes,) if n_modes else ()
+    flat = values.reshape((values.shape[0], int(np.prod(shape))) + modes)
+    q = _moment(flat[:, qa] - flat[:, qb], spec.gamma, n_modes > 0) / denom
+    k = int(np.argmax(q))
+    if q[k] == 0.0:
+        return 0.0, (), qa.size
+    return float(q[k]), (np.unravel_index(qa[k], shape), np.unravel_index(qb[k], shape)), qa.size
+
+
+def _oracle_parabolic(f, spec, m):
+    shape, spacings, periodic = _grid_geometry(f.grid, with_time=True)
+    value, arg, pairs = 0.0, (), 0
+    for beta in _multi_indices(f.grid.dim, m):
+        g = finite_diff(f, beta) if m else f
+        v, a, pairs = _oracle_max(g.values, f.n_modes, shape, spacings, periodic, 0, spec)
+        if v > value:
+            value, arg = v, a
+    return value, arg, pairs
+
+
+def _oracle_space(f, spec, m):
+    shape, spacings, periodic = _grid_geometry(f.grid, with_time=False)
+    value, arg, pairs = 0.0, (), 0
+    for beta in _multi_indices(f.grid.dim, m):
+        g = finite_diff(f, beta) if m else f
+        for j in range(f.grid.steps + 1):
+            v, a, n = _oracle_max(g.values[:, j], f.n_modes, shape, spacings, periodic, None, spec)
+            pairs = n * (f.grid.steps + 1)
+            if v > value:
+                value, arg = v, (j,) + a
+    return value, arg, pairs
+
+
+def _oracle_trace(f, spec):
+    g = f.grid
+    shape, spacings = (g.steps + 1, g.n_xp)[: g.dim], (g.dt, g.dxp)[: g.dim]
+    trace = f.values[:, :, g.wall_index, ...]
+    return _oracle_max(trace, f.n_modes, shape, spacings, (False, True)[: g.dim], 0, spec)
+
+
+def _assert_matches_oracle(f, spec, m):
+    def same(result, oracle):
+        value, arg, pairs = oracle
+        assert (result.value, result.argmax, result.pairs) == (value, arg, pairs)
+        assert str(result.argmax) == str(arg)  # numpy scalar types included
+        assert result.kind.endswith(f"[{spec.pair_policy}]")
+
+    same(parabolic_seminorm(f, spec, m), _oracle_parabolic(f, spec, m))
+    same(space_seminorm(f, spec, m), _oracle_space(f, spec, m))
+    if not f.grid.periodic_x1:
+        same(trace_parabolic_norm(f, spec)[1], _oracle_trace(f, spec))
+
+
+@st.composite
+def stencil_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    grid = SpaceTimeGrid(
+        dim=dim,
+        x1_max=1.0,
+        x1_cells=draw(st.integers(2, 4)),
+        t_max=draw(st.sampled_from([0.25, 1.0])),
+        steps=draw(st.integers(1, 5)),
+        xp_max=1.0 if dim == 2 else 0.0,
+        xp_cells=draw(st.integers(4, 5)) if dim == 2 else 0,
+        periodic_x1=draw(st.booleans()),
+    )
+    n_modes = draw(st.sampled_from([0, 2]))
+    modes = (n_modes,) if n_modes else ()
+    shape = (draw(st.integers(1, 3)), grid.steps + 1) + grid.space_shape + modes
+    # small integers, so equal quotients (ties) are common
+    vals = draw(arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
+    spec = NormSpec(
+        alpha=draw(st.sampled_from([0.25, 0.5])),
+        gamma=draw(st.sampled_from([2.0, 3.0])),
+        pair_policy=draw(st.sampled_from(["exhaustive", "dyadic"])),
+    )
+    return FieldEnsemble(vals, grid, n_modes=n_modes), spec, draw(st.integers(0, 1))
+
+
+@given(stencil_cases())
+def test_stencil_engine_matches_pair_list_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
+@pytest.mark.parametrize("n_modes", [0, 2])
+def test_stencil_engine_is_bit_identical_on_float_fields(policy, n_modes):
+    # 8 and more paths reach numpy's pairwise summation in the path moment
+    g = SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=8, xp_max=1.0, xp_cells=6)
+    for paths in (8, 11):
+        shape = (paths, g.steps + 1) + g.space_shape + ((n_modes,) if n_modes else ())
+        vals = np.random.default_rng(paths).normal(size=shape)
+        f = FieldEnsemble(vals, g, n_modes=n_modes)
+        _assert_matches_oracle(f, NormSpec(alpha=0.5, pair_policy=policy), 1)
