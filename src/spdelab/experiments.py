@@ -402,7 +402,7 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
         for j, g in enumerate(grids[-2:], start=len(grids) - 2):
             data = BoundaryData.from_callable(
                 lambda t, _e=expo: t**_e,
-                lambda t, _e=expo: _e * t ** (_e - 1.0) if t > 0 else 0.0,
+                lambda t, _e=expo: _e * t ** (_e - 1.0),  # 0 at t = 0 since _e > 1
                 g.times,
                 smooth=False,
                 label=f"t^{expo}",
