@@ -10,15 +10,10 @@ the operator continuation argument.
 from .fields import (
     FieldEnsemble,
     GridMismatch,
-    ParityViolation,
     SpaceTimeGrid,
     finite_diff,
-    linear_combine,
-    load_field,
     restrict_to_boundary,
-    save_field,
 )
-from .extension import even_extend, odd_extend, translated_forcing
 from .halfline import (
     BoundaryData,
     KernelQuadrature,
@@ -54,7 +49,6 @@ from .solver import (
     continuity_step,
     interpolate_coefficients,
     laplace_coefficients,
-    solve_additive_heat,
     solve_model_halfspace,
     solve_periodic_line,
 )
@@ -66,15 +60,8 @@ __all__ = [
     "SpaceTimeGrid",
     "FieldEnsemble",
     "GridMismatch",
-    "ParityViolation",
     "finite_diff",
-    "linear_combine",
     "restrict_to_boundary",
-    "save_field",
-    "load_field",
-    "odd_extend",
-    "even_extend",
-    "translated_forcing",
     "poisson_kernel",
     "kernel_dy",
     "kernel_mass",
@@ -110,7 +97,6 @@ __all__ = [
     "interpolate_coefficients",
     "solve_model_halfspace",
     "solve_periodic_line",
-    "solve_additive_heat",
     "continuity_step",
     "PipelineOutput",
     "decompose_pipeline",

@@ -438,6 +438,27 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
 # -- study 2: stability constant --------------------------------------
 
 
+def _stability_pairs(grid, seed, n_paths) -> dict:
+    """The stability study's data pairs, keyed by name."""
+    xi = standard_normals(seed, np.arange(n_paths), np.array([0]), np.array([0]))[:, 0, 0]
+    return {
+        "deterministic": (
+            BoundaryData.from_callable(lambda t: t**2, lambda t: 2 * t, grid.times, label="t^2"),
+            BoundaryData.from_callable(
+                lambda t: t**3, lambda t: 3 * t * t, grid.times, label="t^3"
+            ),
+        ),
+        "random": (
+            BoundaryData.from_callable(
+                lambda t: t**2, lambda t: 2 * t, grid.times, scales=xi, label="xi t^2"
+            ),
+            BoundaryData.from_callable(
+                lambda t: t**2, lambda t: 2 * t, grid.times, scales=0.9 * xi, label="0.9 xi t^2"
+            ),
+        ),
+    }
+
+
 def run_stability(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     """Comparison bound for the kernel solver: lhs <= 1.05 rhs.
 
@@ -450,25 +471,10 @@ def run_stability(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     grid = config.base_grid()
     gamma = float(config.block("data").get("gamma", 2.0))
     seed = config.seed_spec()
-    n_paths = config.paths()
     rows, verdicts = [], []
     study = "stability"
 
-    pairs = {}
-    pairs["deterministic"] = (
-        BoundaryData.from_callable(lambda t: t**2, lambda t: 2 * t, grid.times, label="t^2"),
-        BoundaryData.from_callable(lambda t: t**3, lambda t: 3 * t * t, grid.times, label="t^3"),
-    )
-    xi = standard_normals(seed, np.arange(n_paths), np.array([0]), np.array([0]))[:, 0, 0]
-    pairs["random"] = (
-        BoundaryData.from_callable(
-            lambda t: t**2, lambda t: 2 * t, grid.times, scales=xi, label="xi t^2"
-        ),
-        BoundaryData.from_callable(
-            lambda t: t**2, lambda t: 2 * t, grid.times, scales=0.9 * xi, label="0.9 xi t^2"
-        ),
-    )
-    for name, (d1, d2) in pairs.items():
+    for name, (d1, d2) in _stability_pairs(grid, seed, config.paths()).items():
         rep = stability_gap(d1, d2, grid, quad=quad, gamma=gamma, workers=workers)
         rows.append(_row(study, "lhs", param=name, value=rep.lhs))
         rows.append(_row(study, "rhs", param=name, value=rep.rhs))

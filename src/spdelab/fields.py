@@ -5,16 +5,11 @@ grid, Dirichlet wall) with an optional periodic tangential direction x'
 of period xp_max, and times 0 = t_0 < ... < t_steps = T.  A field
 ensemble stores one value per (path, time node, space node), path-major,
 so a single path's trajectory is contiguous in memory.
-
-Mirrored grids (x1_min = -x1_max) carry odd/even extensions; they are
-produced by the extension module, never by solvers directly.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,12 +17,8 @@ __all__ = [
     "SpaceTimeGrid",
     "FieldEnsemble",
     "GridMismatch",
-    "ParityViolation",
     "finite_diff",
     "restrict_to_boundary",
-    "linear_combine",
-    "save_field",
-    "load_field",
 ]
 
 
@@ -35,13 +26,9 @@ class GridMismatch(ValueError):
     """Two objects live on incompatible grids."""
 
 
-class ParityViolation(ValueError):
-    """A field violates the symmetry its extension requires."""
-
-
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Uniform tensor grid on [x1_min, x1_max] x (periodic x') x [0, T].
+    """Uniform tensor grid on [0, x1_max] x (periodic x') x [0, T].
 
     dim is the number of space dimensions (1 or 2).  x1 is the normal
     direction; for dim == 2 the tangential direction is periodic with
@@ -58,29 +45,24 @@ class SpaceTimeGrid:
     steps: int
     xp_max: float = 0.0
     xp_cells: int = 0
-    x1_min: float = 0.0
     periodic_x1: bool = False
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.x1_max <= self.x1_min:
-            raise ValueError("x1_max must exceed x1_min")
+        if self.x1_max <= 0:
+            raise ValueError("x1_max must be positive")
         if self.x1_cells < 2 or self.steps < 1:
             raise ValueError("need x1_cells >= 2 and steps >= 1")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
         if self.dim == 2 and (self.xp_cells < 4 or self.xp_max <= 0):
             raise ValueError("dim == 2 needs xp_cells >= 4 and xp_max > 0")
-        if self.periodic_x1 and self.x1_min != 0.0:
-            raise ValueError("periodic_x1 grids are not mirrored")
-        if not self.periodic_x1 and not (self.x1_min == 0.0 or self.x1_min == -self.x1_max):
-            raise ValueError("x1_min must be 0 or -x1_max")
 
     # -- spacings -----------------------------------------------------
     @property
     def dx1(self) -> float:
-        return (self.x1_max - self.x1_min) / self.x1_cells
+        return self.x1_max / self.x1_cells
 
     @property
     def dxp(self) -> float:
@@ -102,7 +84,7 @@ class SpaceTimeGrid:
 
     @property
     def x1_nodes(self) -> np.ndarray:
-        return self.x1_min + self.dx1 * np.arange(self.n_x1)
+        return self.dx1 * np.arange(self.n_x1)
 
     @property
     def xp_nodes(self) -> np.ndarray:
@@ -121,7 +103,7 @@ class SpaceTimeGrid:
         """Index of the x1 = 0 node."""
         if self.periodic_x1:
             raise GridMismatch("periodic_x1 grid has no wall")
-        return 0 if self.x1_min == 0.0 else round(-self.x1_min / self.dx1)
+        return 0
 
     def refine(self, space_factor=2, time_factor=4) -> "SpaceTimeGrid":
         return replace(
@@ -147,7 +129,6 @@ class FieldEnsemble:
     values: np.ndarray
     grid: SpaceTimeGrid
     n_modes: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         expect = (self.grid.steps + 1,) + self.grid.space_shape
@@ -243,97 +224,10 @@ def finite_diff(f: FieldEnsemble, beta) -> FieldEnsemble:
         else:
             out = _diff1(out, h, axis, periodic)
             out = _diff1(out, h, axis, periodic)
-    return FieldEnsemble(out, f.grid, f.n_modes, dict(f.meta, derivative=beta))
+    return FieldEnsemble(out, f.grid, f.n_modes)
 
 
 def restrict_to_boundary(f: FieldEnsemble) -> np.ndarray:
     """Trace on the x1 = 0 wall: shape (paths, steps+1[, n_xp][, modes])."""
     idx = f.grid.wall_index
     return f.values[:, :, idx, ...]
-
-
-def linear_combine(coeffs, fields) -> FieldEnsemble:
-    """Pointwise sum(c_k * field_k) on a shared grid."""
-    if len(coeffs) != len(fields) or not fields:
-        raise ValueError("need equally many coefficients and fields, at least one")
-    first = fields[0]
-    for g in fields[1:]:
-        if not first.grid.compatible(g.grid) or g.n_modes != first.n_modes:
-            raise GridMismatch("linear_combine requires identical grids and mode counts")
-        if g.values.shape != first.values.shape:
-            raise GridMismatch("linear_combine requires identical ensemble shapes")
-    acc = coeffs[0] * fields[0].values
-    for c, g in zip(coeffs[1:], fields[1:]):
-        acc = acc + c * g.values
-    return FieldEnsemble(acc, first.grid, first.n_modes)
-
-
-# -- persistence ------------------------------------------------------
-#
-# Flat binary layout, little-endian throughout:
-#   magic(8s) version(u32) dim(u32) n_modes(u32) periodic_x1(u32)
-#   x1_cells(u64) xp_cells(u64) steps(u64) ndim(u32) shape(u64 * ndim)
-#   x1_min(f64) x1_max(f64) xp_max(f64) t_max(f64)
-# followed by the raw value array in C order, float64.  A JSON sidecar
-# (path + ".json") carries the free-form meta dict.
-
-_MAGIC = b"SPDLFLD1"
-_VERSION = 1
-
-
-def save_field(f: FieldEnsemble, path) -> None:
-    path = str(path)
-    shape = f.values.shape
-    header = struct.pack(
-        "<8sIIII",
-        _MAGIC,
-        _VERSION,
-        f.grid.dim,
-        f.n_modes,
-        1 if f.grid.periodic_x1 else 0,
-    )
-    header += struct.pack("<QQQ", f.grid.x1_cells, f.grid.xp_cells, f.grid.steps)
-    header += struct.pack("<I", len(shape))
-    header += struct.pack(f"<{len(shape)}Q", *shape)
-    header += struct.pack(
-        "<dddd", f.grid.x1_min, f.grid.x1_max, f.grid.xp_max, f.grid.t_max
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    with open(path + ".json", "w") as fh:
-        json.dump({"meta": f.meta, "shape": list(shape)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_field(path) -> FieldEnsemble:
-    path = str(path)
-    with open(path, "rb") as fh:
-        magic, version, dim, n_modes, per_x1 = struct.unpack("<8sIIII", fh.read(24))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field file (magic {magic!r})")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        x1_cells, xp_cells, steps = struct.unpack("<QQQ", fh.read(24))
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        x1_min, x1_max, xp_max, t_max = struct.unpack("<dddd", fh.read(32))
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(shape).copy()
-    grid = SpaceTimeGrid(
-        dim=dim,
-        x1_max=x1_max,
-        x1_cells=x1_cells,
-        t_max=t_max,
-        steps=steps,
-        xp_max=xp_max,
-        xp_cells=xp_cells,
-        x1_min=x1_min,
-        periodic_x1=bool(per_x1),
-    )
-    meta = {}
-    try:
-        with open(path + ".json") as fh:
-            meta = json.load(fh).get("meta", {})
-    except FileNotFoundError:
-        pass
-    return FieldEnsemble(values, grid, n_modes, meta)

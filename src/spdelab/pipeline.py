@@ -25,7 +25,7 @@ the finite-difference profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -38,7 +38,7 @@ from .solver import (
     ModelCoefficients,
     ModelError,
     check_compatibility,
-    solve_additive_heat,
+    laplace_coefficients,
     solve_model_halfspace,
 )
 
@@ -79,7 +79,6 @@ class PipelineOutput:
     remainder: FieldEnsemble | None = None
     forcing_tilde: FieldEnsemble | None = None
     residual_forcing: FieldEnsemble | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def halfline_heat_dirichlet(wall_values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
@@ -198,7 +197,8 @@ def decompose_pipeline(
             n_modes=coeffs.n_modes,
         )
         del du_t, parts
-        big_u = solve_additive_heat(g_tilde, grid, noise, route="direct")
+        heat = laplace_coefficients(grid.dim, n_modes=coeffs.n_modes)
+        big_u = solve_model_halfspace(heat, Forcing(g=g_tilde), grid, noise)
         del g_tilde
     else:
         big_u = FieldEnsemble(np.zeros_like(u.values), grid)
@@ -296,11 +296,6 @@ def decompose_pipeline(
         b=b,
         c=c,
         cap_h=cap_h,
-        meta={
-            "dim": grid.dim,
-            "paths": n_paths,
-            "keep": keep,
-        },
     )
     if keep == "all":
         out.u = u

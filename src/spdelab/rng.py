@@ -9,13 +9,12 @@ over paths are reproducible regardless of scheduling.
 
 The index tuple is absorbed into a 64-bit state with a splitmix64-style
 finalizer chain and mapped to a standard normal through the inverse CDF
-(one 64-bit word per draw, no Box-Muller pairing).  The method name is
-recorded on the batch so reports can echo it.
+(one 64-bit word per draw, no Box-Muller pairing).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -28,8 +27,6 @@ __all__ = [
     "partial_sums",
     "coarsen",
 ]
-
-GAUSSIAN_METHOD = "inverse-cdf"
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -75,8 +72,6 @@ class WienerBatch:
     increments: np.ndarray
     dt: float
     seed: SeedSpec
-    gaussian_method: str = GAUSSIAN_METHOD
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_paths(self) -> int:
@@ -152,10 +147,4 @@ def coarsen(batch: WienerBatch, factor: int) -> WienerBatch:
         raise ValueError(f"factor {factor} must divide n_steps {batch.n_steps}")
     inc = batch.increments
     agg = inc.reshape(inc.shape[0], inc.shape[1] // factor, factor, inc.shape[2]).sum(axis=2)
-    return WienerBatch(
-        increments=agg,
-        dt=batch.dt * factor,
-        seed=batch.seed,
-        gaussian_method=batch.gaussian_method,
-        meta=dict(batch.meta, coarsened_by=factor),
-    )
+    return WienerBatch(increments=agg, dt=batch.dt * factor, seed=batch.seed)

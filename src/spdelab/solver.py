@@ -3,8 +3,7 @@
 The model equation couples an implicit diffusion drift with explicit
 gradient noise:
 
-    du = (a^{ij}(t) D_ij u + b^i D_i u + c u + f) dt
-       + (sigma^{ik}(t) D_i u + nu^k u + g^k) dw^k,
+    du = (a^{ij}(t) D_ij u + f) dt + (sigma^{ik}(t) D_i u + g^k) dw^k,
     u = 0 on the wall x1 = 0 (and at the truncation plane x1 = x1_max),
     u(0) = 0,
 
@@ -30,7 +29,6 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from .extension import odd_extend
 from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, finite_diff
 from .rng import WienerBatch
 
@@ -47,7 +45,6 @@ __all__ = [
     "interpolate_coefficients",
     "solve_model_halfspace",
     "solve_periodic_line",
-    "solve_additive_heat",
     "continuity_step",
 ]
 
@@ -83,30 +80,22 @@ class ModelCoefficients:
     """Time-dependent model coefficients with admissibility bounds.
 
     a(t): (dim, dim) symmetric diffusion; sigma(t): (dim, n_modes)
-    gradient-noise matrix; lower-order b(t): (dim,), c(t): scalar,
-    nu(t): (n_modes,) are accepted and default to zero (the model
-    studies never switch them on).  kappa and bound are the recorded
-    two-sided ellipticity constants.
+    gradient-noise matrix.  The model problem has no lower-order terms.
+    kappa and bound are the recorded two-sided ellipticity constants.
     """
 
     dim: int
     n_modes: int
     a_fn: object
     sigma_fn: object
-    b_fn: object
-    c_fn: object
-    nu_fn: object
     kappa: float
     bound: float
     constant: bool = True
 
     @classmethod
-    def make(cls, dim, a, sigma, *, n_modes=1, b=0.0, c=0.0, nu=0.0, kappa=1.0, bound=4.0):
+    def make(cls, dim, a, sigma, *, n_modes=1, kappa=1.0, bound=4.0):
         a_fn, a_const = _as_fn(a, (dim, dim), "a")
         sg_fn, s_const = _as_fn(sigma, (dim, n_modes), "sigma")
-        b_fn, b_const = _as_fn(b, (dim,), "b")
-        c_fn, c_const = _as_fn(c, (), "c")
-        nu_fn, n_const = _as_fn(nu, (n_modes,), "nu")
         if not np.allclose(a_fn(0.0), np.asarray(a_fn(0.0)).T, rtol=0, atol=1e-14):
             raise ModelError("a must be symmetric")
         if kappa <= 0 or bound <= 0:
@@ -116,12 +105,9 @@ class ModelCoefficients:
             n_modes=n_modes,
             a_fn=a_fn,
             sigma_fn=sg_fn,
-            b_fn=b_fn,
-            c_fn=c_fn,
-            nu_fn=nu_fn,
             kappa=kappa,
             bound=bound,
-            constant=a_const and s_const and b_const and c_const and n_const,
+            constant=a_const and s_const,
         )
 
     def a_at(self, t):
@@ -130,20 +116,6 @@ class ModelCoefficients:
     def sigma_at(self, t):
         return np.asarray(self.sigma_fn(t), dtype=float)
 
-    def b_at(self, t):
-        return np.asarray(self.b_fn(t), dtype=float)
-
-    def c_at(self, t):
-        return float(self.c_fn(t))
-
-    def nu_at(self, t):
-        return np.asarray(self.nu_fn(t), dtype=float)
-
-    @property
-    def has_lower_order(self) -> bool:
-        return bool(
-            np.any(self.b_at(0.0)) or self.c_at(0.0) or np.any(self.nu_at(0.0))
-        ) or not self.constant
 
 
 def laplace_coefficients(dim, n_modes=1) -> ModelCoefficients:
@@ -340,24 +312,15 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
     f_vals = forcing.f.values if forcing.f is not None else None
     g_vals = forcing.g.values if forcing.g is not None else None
     cached = _implicit_matrix(coeffs, grid, 0.5 * dt, dt) if coeffs.constant else None
-    lower_order = coeffs.has_lower_order
+    times = grid.times  # a property that rebuilds the array on every read
     for j in range(grid.steps):
-        t_j = grid.times[j]
+        t_j = times[j]
         sig = coeffs.sigma_at(t_j)
-        nu = coeffs.nu_at(t_j)
         dw = noise.increments[:, j, :]
-        # explicit part: forcing, lower-order drift, Euler-Maruyama noise
+        # explicit part: forcing and Euler-Maruyama noise
         expl = u.copy()
         if f_vals is not None:
             expl += dt * _slot(f_vals, j, paths)
-        if lower_order:
-            b = coeffs.b_at(t_j)
-            cc = coeffs.c_at(t_j)
-            if np.any(b) or cc:
-                d1 = _d1_wall(u, grid.dx1) if not grid.periodic_x1 else _d1_periodic(u, grid.dx1, 1)
-                expl += dt * (b[0] * d1 + cc * u)
-                if grid.dim == 2 and b[1]:
-                    expl += dt * b[1] * _d1_periodic(u, grid.dxp, 2)
         need_grad = np.any(sig)
         if need_grad:
             du1 = (
@@ -372,8 +335,6 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
                 term = sig[0, k] * du1
             if grid.dim == 2 and need_grad and sig[1, k]:
                 term = sig[1, k] * du2 if term is None else term + sig[1, k] * du2
-            if nu[k]:
-                term = nu[k] * u if term is None else term + nu[k] * u
             if g_vals is not None:
                 gk = _slot(g_vals[..., k], j, paths)
                 term = gk if term is None else term + gk
@@ -395,7 +356,7 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
         if out is not None:
             out[:, j + 1] = u
         if observer is not None:
-            observer(j + 1, grid.times[j + 1], u)
+            observer(j + 1, times[j + 1], u)
     if store == "full":
         return out
     return u
@@ -439,16 +400,7 @@ def solve_model_halfspace(
     result = _step_loop(coeffs, forcing, grid, noise, u0, store, observer)
     if store == "final":
         return result
-    return FieldEnsemble(
-        result,
-        grid,
-        meta={
-            "kind": "halfspace-solution",
-            "scheme": "imex-midpoint-implicit",
-            "c_cfl": c_cfl,
-            "gaussian_method": noise.gaussian_method,
-        },
-    )
+    return FieldEnsemble(result, grid)
 
 
 def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, c_cfl=DEFAULT_CFL, store="final"):
@@ -469,38 +421,7 @@ def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, c_cfl=DEFAULT_
     result = _step_loop(coeffs, forcing, grid, noise, u0, store, None)
     if store == "final":
         return result
-    return FieldEnsemble(result, grid, meta={"kind": "periodic-surrogate"})
-
-
-def solve_additive_heat(g: FieldEnsemble, grid, noise, *, route="direct"):
-    """Additive-noise heat solve dU = Lap U dt + g^k dw^k, U = 0 on walls.
-
-    route="direct" solves on the half-space grid; route="odd" solves on
-    the mirrored line after odd extension (valid because g vanishes on
-    the wall) and restricts back; route="both" returns the pair plus
-    their maximal discrepancy, which refines away at O(dx^2 + dt).
-    """
-    if route not in ("direct", "odd", "both"):
-        raise ValueError(f"unknown route {route!r}")
-    coeffs = laplace_coefficients(grid.dim, n_modes=g.n_modes)
-    direct = None
-    if route in ("direct", "both"):
-        direct = solve_model_halfspace(coeffs, Forcing(g=g), grid, noise)
-        direct.meta["kind"] = "additive-heat-direct"
-    if route == "direct":
-        return direct
-    g_odd = odd_extend(g)
-    mirrored = solve_model_halfspace(coeffs, Forcing(g=g_odd), g_odd.grid, noise)
-    wall = g_odd.grid.wall_index
-    restricted = FieldEnsemble(
-        mirrored.values[:, :, wall:, ...].copy(),
-        grid,
-        meta={"kind": "additive-heat-odd-extension"},
-    )
-    if route == "odd":
-        return restricted
-    gap = float(np.max(np.abs(direct.values - restricted.values)))
-    return direct, restricted, gap
+    return FieldEnsemble(result, grid)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:
@@ -513,23 +434,11 @@ def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoeffi
     def sigma_fn(t, _s=s):
         return _s * coeffs.sigma_at(t)
 
-    def b_fn(t, _s=s):
-        return _s * coeffs.b_at(t)
-
-    def c_fn(t, _s=s):
-        return _s * coeffs.c_at(t)
-
-    def nu_fn(t, _s=s):
-        return _s * coeffs.nu_at(t)
-
     return ModelCoefficients(
         dim=coeffs.dim,
         n_modes=coeffs.n_modes,
         a_fn=a_fn,
         sigma_fn=sigma_fn,
-        b_fn=b_fn,
-        c_fn=c_fn,
-        nu_fn=nu_fn,
         # convexity with the Laplacian keeps the family uniformly admissible
         kappa=min(coeffs.kappa, 2.0),
         bound=max(coeffs.bound, 2.0),
@@ -558,8 +467,8 @@ def continuity_step(
     Solves the s0 problem with the operator increment applied to the
     previous iterate v as extra forcing:
 
-        f_eff = f + (s - s0) [ (a - I):D^2 v + b . D v + c v ],
-        g_eff = g + (s - s0) [ sigma . D v + nu v ].
+        f_eff = f + (s - s0) (a - I):D^2 v,
+        g_eff = g + (s - s0) sigma . D v.
 
     At s = s0 the increment vanishes and the output is the plain s0
     solve regardless of v.
@@ -576,20 +485,10 @@ def continuity_step(
         f_extra += _tmul(a_dev[:, 0, 0], finite_diff(v, (2, 0)).values, grid, 0)
         f_extra += _tmul(a_dev[:, 1, 1], finite_diff(v, (0, 2)).values, grid, 0)
         f_extra += 2.0 * _tmul(a_dev[:, 0, 1], finite_diff(v, (1, 1)).values, grid, 0)
-    b_s = np.stack([coeffs.b_at(t) for t in times])
-    c_s = np.asarray([coeffs.c_at(t) for t in times])
-    if np.any(b_s) or np.any(c_s):
-        if grid.dim == 1:
-            f_extra += _tmul(b_s[:, 0], finite_diff(v, (1,)).values, grid, 0)
-        else:
-            f_extra += _tmul(b_s[:, 0], finite_diff(v, (1, 0)).values, grid, 0)
-            f_extra += _tmul(b_s[:, 1], finite_diff(v, (0, 1)).values, grid, 0)
-        f_extra += _tmul(c_s, v.values, grid, 0)
 
     sig = np.stack([coeffs.sigma_at(t) for t in times])  # (nt, dim, K)
-    nu = np.stack([coeffs.nu_at(t) for t in times])  # (nt, K)
     g_extra = None
-    if np.any(sig) or np.any(nu):
+    if np.any(sig):
         d1 = finite_diff(v, (1,) if grid.dim == 1 else (1, 0)).values
         d2 = finite_diff(v, (0, 1)).values if grid.dim == 2 else None
         parts = []
@@ -597,7 +496,6 @@ def continuity_step(
             term = _tmul(sig[:, 0, k], d1, grid, 0)
             if grid.dim == 2:
                 term = term + _tmul(sig[:, 1, k], d2, grid, 0)
-            term = term + _tmul(nu[:, k], v.values, grid, 0)
             parts.append(term)
         g_extra = np.stack(parts, axis=-1)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdelab import dt_v, stability_gap
 from spdelab.cli import main
 from spdelab.experiments import (
     EXPERIMENTS,
@@ -17,6 +18,7 @@ from spdelab.experiments import (
     StudyReport,
     run_stability,
     run_study,
+    _stability_pairs,
 )
 
 TINY_STABILITY = {
@@ -141,6 +143,21 @@ def test_stability_report_shape():
     assert rep.wall_clock > 0.0
 
 
+def test_stability_gap_holds_at_interior_nodes():
+    # criterion 5 takes its sup over the wall column too, where dt_v is
+    # h' exactly and lhs == rhs; the interior nodes must obey the bound
+    # on their own (ratio about 0.75 and 0.87, both at node (64, 1))
+    config = Path(__file__).resolve().parent.parent / "configs" / "stability.json"
+    cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
+    grid, quad = cfg.base_grid(), cfg.quadrature()
+    gamma = float(cfg.block("data")["gamma"])
+    for name, (d1, d2) in _stability_pairs(grid, cfg.seed_spec(), cfg.paths()).items():
+        rep = stability_gap(d1, d2, grid, quad=quad, gamma=gamma)
+        gap = dt_v(d1, grid, quad).values - dt_v(d2, grid, quad).values
+        interior = np.mean(np.abs(gap[:, :, 1:]) ** gamma, axis=0)
+        assert np.max(interior) <= rep.rhs, name
+
+
 def test_rerun_is_byte_identical():
     a = run_study(tiny_config()).canonical_csv()
     b = run_study(tiny_config()).canonical_csv()
@@ -178,6 +195,33 @@ def test_schauder_ratio_output_bytes_are_pinned():
         "csv": "bcd011fc76c523ce7e578a05ab45fd873b84d5643e1459c78acf94af1d143c95",
         "norms": "7322e684770b09568a9463dd0592a5b6481a44f72fa9f0d328224fb1788da40a",
     }
+
+
+@pytest.mark.parametrize(
+    "study, grid, digest",
+    [
+        # the 1-D step loop with time-dependent coefficients and continuity_step
+        (
+            "continuity",
+            {"x1_cells": 9, "steps": 1512},
+            "d6002805ddd6d626f730067c236da594d9aa99e1a574aa9b50a2102752fd7c32",
+        ),
+        # 2-D solves, the additive heat solve and the decomposition
+        (
+            "pipeline",
+            {"t_max": 0.0125, "steps": 32},
+            "6bc91daafd183120fc909ec71dd824fd5d634ab9707b86c847e4ca7f4682d842",
+        ),
+    ],
+)
+def test_reduced_study_output_bytes_are_pinned(study, grid, digest):
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{study}.json"
+    raw = json.loads(config.read_text())
+    raw["grid"].update(grid)
+    raw["ensemble"]["master_seed"] = 20260821
+    rep = run_study(ExperimentConfig.from_dict(raw))
+    assert all(v.passed for v in rep.verdicts)
+    assert hashlib.sha256(rep.canonical_csv().encode()).hexdigest() == digest
 
 
 def test_csv_layout_is_canonical():

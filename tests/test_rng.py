@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spdelab import (
     SeedSpec,
@@ -117,6 +119,28 @@ def test_coarsen_sums_consecutive_increments():
     w_fine = partial_sums(fine)
     w_coarse = partial_sums(coarse)
     assert np.allclose(w_coarse, w_fine[:, 3::4], atol=1e-12)
+
+
+@given(
+    p=st.integers(1, 5),
+    q=st.integers(1, 5),
+    coarse_steps=st.integers(1, 4),
+    paths=st.integers(1, 3),
+    n_modes=st.integers(1, 2),
+    master=st.integers(0, 2**64 - 1),
+)
+def test_coarsen_telescopes(p, q, coarse_steps, paths, n_modes, master):
+    # the two summation orders differ, so the match is to rounding only
+    fine = wiener_increments(
+        SeedSpec(master), paths, p * q * coarse_steps, n_modes=n_modes, dt=0.01
+    )
+    twice = coarsen(coarsen(fine, p), q)
+    once = coarsen(fine, p * q)
+    assert twice.n_steps == once.n_steps == coarse_steps
+    assert twice.dt == pytest.approx(once.dt, rel=1e-14, abs=0.0)
+    blocks = np.abs(fine.increments).reshape(paths, coarse_steps, p * q, n_modes)
+    bound = 1e-14 * blocks.sum(axis=2)
+    assert np.all(np.abs(twice.increments - once.increments) <= bound)
 
 
 def test_coarsen_rejects_nondivisor():

@@ -19,7 +19,6 @@ from spdelab import (
     continuity_step,
     interpolate_coefficients,
     laplace_coefficients,
-    solve_additive_heat,
     solve_model_halfspace,
     solve_periodic_line,
     wiener_increments,
@@ -179,12 +178,16 @@ def test_forcing_validation():
 
 
 def test_zero_order_blowup_is_detected():
-    g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=4, t_max=0.15, steps=150)
-    co = ModelCoefficients.make(1, np.array([[1.0]]), np.array([[0.0]]), c=1e6)
-    f = FieldEnsemble(np.ones((1, g.steps + 1, g.n_x1)), g)
-    with pytest.raises(BlowUpError) as err, np.errstate(over="ignore"):
-        solve_model_halfspace(co, Forcing(f=f), g, noise_for(g, 2))
-    assert err.value.step >= 1
+    # one non-finite forcing value at (path 2, slice j) poisons the
+    # explicit part of step j + 1, before the direct solve sees it
+    g = wallgrid()
+    vals = np.ones((3, g.steps + 1, g.n_x1))
+    j = 5
+    vals[2, j, 3] = np.inf
+    f = FieldEnsemble(vals, g)
+    with pytest.raises(BlowUpError) as err:
+        solve_model_halfspace(laplace_coefficients(1), Forcing(f=f), g, noise_for(g, 3))
+    assert (err.value.path, err.value.step) == (2, j + 1)
 
 
 # -- oracles ----------------------------------------------------------
@@ -201,20 +204,6 @@ def test_periodic_mode_moment_matches_closed_form():
     u_end = solve_periodic_line(co, Forcing(), g, noise, u0=u0)
     mode = np.abs(np.fft.rfft(u_end, axis=1)[:, 1] / g.n_x1) ** 2
     assert float(mode.mean()) == pytest.approx(MODE_MOMENT, rel=0.05)
-
-
-def test_additive_heat_routes_agree():
-    g = wallgrid(cells=16, steps=64, t_max=0.004)
-    gf = mode_field(g, lambda x: np.sin(np.pi * x), paths=1)
-    noise = noise_for(g, paths=8)
-    direct, mirrored, gap = solve_additive_heat(gf, g, noise, route="both")
-    scale = float(np.max(np.abs(direct.values)))
-    assert gap < 0.05 * scale
-    assert np.all(direct.values[:, :, 0] == 0.0)
-    # the mirror route keeps the wall antisymmetric only to roundoff
-    assert np.max(np.abs(mirrored.values[:, :, 0])) < 1e-12 * scale
-    with pytest.raises(ValueError):
-        solve_additive_heat(gf, g, noise, route="spectral")
 
 
 def test_coupled_noise_strong_convergence():
