@@ -1,7 +1,7 @@
 """Numerical laboratory for stochastic parabolic Dirichlet problems.
 
-Half-space model equations with time-dependent coefficients and
-gradient noise: kernel-based one-dimensional boundary profiles,
+Half-space model equations with constant coefficients and gradient
+noise: kernel-based one-dimensional boundary profiles,
 ensemble finite-difference solves, stochastic parabolic Holder norms,
 and the studies that probe wall regularity, noise compatibility and
 the operator continuation argument.

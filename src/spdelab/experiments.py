@@ -245,6 +245,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"coefficients block is missing {exc}") from exc
+        except ValueError as exc:  # ModelError included
+            raise ConfigError(f"bad coefficients block: {exc}") from exc
 
     def seed_spec(self, override_seed=None, override_salt=None) -> SeedSpec:
         e = self.block("ensemble")
@@ -288,7 +290,7 @@ class ExperimentConfig:
                     )
                 out[key] = rep
             if self.experiment in ("schauder_ratio", "pipeline"):
-                comp = check_compatibility(self.coefficients(), grid.times)
+                comp = check_compatibility(self.coefficients())
                 if not comp.passed:
                     raise ConfigError(
                         "normal noise component "
@@ -543,8 +545,8 @@ def run_compatibility(config: ExperimentConfig, workers: int = 1) -> StudyReport
     )
     co_tan = config.coefficients(sigma_key="sigma_tangential")
     co_bad = config.coefficients(sigma_key="sigma_violating")
-    comp_tan = check_compatibility(co_tan, grid.times)
-    comp_bad = check_compatibility(co_bad, grid.times)
+    comp_tan = check_compatibility(co_tan)
+    comp_bad = check_compatibility(co_bad)
     if not comp_tan.passed or comp_bad.passed:
         raise ConfigError("variants must be one tangential and one violating")
     noise = wiener_increments(

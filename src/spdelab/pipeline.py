@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
 
 from .fields import FieldEnsemble, SpaceTimeGrid, finite_diff, restrict_to_boundary
 from .halfline import BoundaryData, KernelQuadrature, solve_halfline
@@ -37,6 +36,7 @@ from .solver import (
     Forcing,
     ModelCoefficients,
     ModelError,
+    _DirichletLine,
     check_compatibility,
     laplace_coefficients,
     solve_model_halfspace,
@@ -96,10 +96,7 @@ def halfline_heat_dirichlet(wall_values: np.ndarray, grid: SpaceTimeGrid) -> np.
     paths = wall_values.shape[0]
     n_i = grid.n_x1 - 2
     r = grid.dt / grid.dx1**2
-    ab = np.zeros((3, n_i))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
+    line = _DirichletLine(n_i, r)
     tail = wall_values.shape[2:]  # () in dim 1, (n_xp,) in dim 2
     out = np.zeros((paths, grid.steps + 1, grid.n_x1) + tail)
     state = np.zeros((paths, grid.n_x1) + tail)
@@ -107,22 +104,13 @@ def halfline_heat_dirichlet(wall_values: np.ndarray, grid: SpaceTimeGrid) -> np.
         rhs = state[:, 1:-1, ...].copy()
         rhs[:, 0, ...] += r * wall_values[:, j + 1, ...]
         cols = np.moveaxis(rhs, 1, 0).reshape(n_i, -1)
-        sol = solve_banded((1, 1), ab, cols)
+        sol = line.solve(cols)
         state = state.copy()
         state[:, 1:-1, ...] = np.moveaxis(sol.reshape((n_i, paths) + tail), 0, 1)
         state[:, 0, ...] = wall_values[:, j + 1, ...]
         state[:, -1, ...] = 0.0
         out[:, j + 1] = state
     return out
-
-
-def _coef_series(coeffs, times, pick):
-    return np.asarray([pick(coeffs.a_at(t)) for t in times])
-
-
-def _tline(samples, values, dim):
-    """Broadcast a per-time-node series onto field values."""
-    return samples.reshape((1, -1) + (1,) * dim) * values
 
 
 def _kernel_check(cap_h, b, c, w0, grid, probes):
@@ -174,7 +162,7 @@ def decompose_pipeline(
     """
     if keep not in ("all", "light"):
         raise ValueError(f"unknown keep mode {keep!r}")
-    comp = check_compatibility(coeffs, grid.times)
+    comp = check_compatibility(coeffs)
     if not comp.passed:
         raise ModelError(
             f"normal noise component {comp.max_normal_component:.3e} "
@@ -185,12 +173,10 @@ def decompose_pipeline(
     times = grid.times
 
     # noise part: additive heat solve forced by sigma . grad u, same paths
-    sig = np.stack([coeffs.sigma_at(t) for t in times])  # (nt, dim, K)
+    sig = coeffs.sigma
     if grid.dim == 2 and np.any(sig):
         du_t = finite_diff(u, (0, 1)).values
-        parts = [
-            _tline(sig[:, 1, k], du_t, grid.dim) for k in range(coeffs.n_modes)
-        ]
+        parts = [sig[1, k] * du_t for k in range(coeffs.n_modes)]
         g_tilde = FieldEnsemble(
             np.ascontiguousarray(np.stack(parts, axis=-1)),
             grid,
@@ -206,25 +192,23 @@ def decompose_pipeline(
     u_tilde = FieldEnsemble(u.values - big_u.values, grid)
 
     # translated forcing: freeze every second-order term except a11 D11
-    a11 = _coef_series(coeffs, times, lambda a: a[0, 0])
+    a11 = coeffs.a[0, 0]
     f_vals = np.broadcast_to(
         f.values, (u.values.shape[0],) + f.values.shape[1:]
     ).copy()
     if grid.dim == 1:
-        f_vals += _tline(a11 - 1.0, finite_diff(big_u, (2,)).values, 1)
+        f_vals += (a11 - 1.0) * finite_diff(big_u, (2,)).values
     else:
-        a22 = _coef_series(coeffs, times, lambda a: a[1, 1])
-        a12 = _coef_series(coeffs, times, lambda a: a[0, 1])
-        f_vals += _tline(a11 - 1.0, finite_diff(big_u, (2, 0)).values, 2)
-        f_vals += _tline(a22 - 1.0, finite_diff(big_u, (0, 2)).values, 2)
-        f_vals += 2.0 * _tline(a12, finite_diff(big_u, (1, 1)).values, 2)
-        f_vals += _tline(a22, finite_diff(u_tilde, (0, 2)).values, 2)
-        f_vals += 2.0 * _tline(a12, finite_diff(u_tilde, (1, 1)).values, 2)
+        a22 = coeffs.a[1, 1]
+        a12 = coeffs.a[0, 1]
+        f_vals += (a11 - 1.0) * finite_diff(big_u, (2, 0)).values
+        f_vals += (a22 - 1.0) * finite_diff(big_u, (0, 2)).values
+        f_vals += 2.0 * (a12 * finite_diff(big_u, (1, 1)).values)
+        f_vals += a22 * finite_diff(u_tilde, (0, 2)).values
+        f_vals += 2.0 * (a12 * finite_diff(u_tilde, (1, 1)).values)
     f_tilde = FieldEnsemble(f_vals, grid)
 
-    b = restrict_to_boundary(f_tilde) / a11.reshape(
-        (1, -1) + (1,) * (grid.dim - 1)
-    )
+    b = restrict_to_boundary(f_tilde) / a11
     c = b[:, 0, ...].copy()
     cap_h = cumulative_trapezoid(
         b - c[:, None, ...], dx=grid.dt, axis=1, initial=0.0
@@ -263,10 +247,7 @@ def decompose_pipeline(
     # residual forcing felt by the remainder; its wall trace is the metric
     beta2 = (2,) if grid.dim == 1 else (2, 0)
     d11_v = finite_diff(FieldEnsemble(v_vals, grid), beta2).values
-    if grid.dim == 2:
-        res_vals = _tline(a11 - 1.0, d11_v, 2) + f_tilde.values - b[:, :, None, :]
-    else:
-        res_vals = _tline(a11 - 1.0, d11_v, 1) + f_tilde.values - b[:, :, None]
+    res_vals = (a11 - 1.0) * d11_v + f_tilde.values - b[:, :, None, ...]
     del d11_v, v_vals
     residual_forcing = FieldEnsemble(res_vals, grid)
     if keep == "light":

@@ -3,16 +3,15 @@
 The model equation couples an implicit diffusion drift with explicit
 gradient noise:
 
-    du = (a^{ij}(t) D_ij u + f) dt + (sigma^{ik}(t) D_i u + g^k) dw^k,
+    du = (a^{ij} D_ij u + f) dt + (sigma^{ik} D_i u + g^k) dw^k,
     u = 0 on the wall x1 = 0 (and at the truncation plane x1 = x1_max),
     u(0) = 0,
 
-stepped by backward-Euler diffusion (direct banded/sparse solves, the
-implicit matrix sampled at step midpoints for second-order consistency
-of the deterministic part) and explicit Euler-Maruyama noise evaluated
-at the left time point.  All paths advance through identical linear
-algebra, so results are independent of how paths are blocked across
-workers.
+with constant coefficients a and sigma, stepped by backward-Euler
+diffusion (the implicit matrix is factored once per solve) and explicit
+Euler-Maruyama noise evaluated at the left time point.  All paths
+advance through identical linear algebra, so results are independent of
+how paths are blocked across workers.
 
 Coefficient admissibility is the two-sided parabolicity condition
 kappa |xi|^2 + sigma sigma^T <= 2 a <= K |xi|^2; the boundary theory
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, finite_diff
@@ -64,58 +63,34 @@ class BlowUpError(RuntimeError):
         self.step = step
 
 
-def _as_fn(value, shape, name):
-    """Wrap a constant array (or scalar) as a function of time."""
-    if callable(value):
-        probe = np.asarray(value(0.0), dtype=float)
-        if probe.shape != shape:
-            raise ModelError(f"{name}(t) must have shape {shape}, got {probe.shape}")
-        return value, False
-    arr = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-    return (lambda t, _a=arr: _a), True
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelCoefficients:
-    """Time-dependent model coefficients with admissibility bounds.
+    """Constant model coefficients with admissibility bounds.
 
-    a(t): (dim, dim) symmetric diffusion; sigma(t): (dim, n_modes)
+    a: (dim, dim) symmetric diffusion; sigma: (dim, n_modes)
     gradient-noise matrix.  The model problem has no lower-order terms.
     kappa and bound are the recorded two-sided ellipticity constants.
     """
 
     dim: int
     n_modes: int
-    a_fn: object
-    sigma_fn: object
+    a: np.ndarray
+    sigma: np.ndarray
     kappa: float
     bound: float
-    constant: bool = True
 
     @classmethod
     def make(cls, dim, a, sigma, *, n_modes=1, kappa=1.0, bound=4.0):
-        a_fn, a_const = _as_fn(a, (dim, dim), "a")
-        sg_fn, s_const = _as_fn(sigma, (dim, n_modes), "sigma")
-        if not np.allclose(a_fn(0.0), np.asarray(a_fn(0.0)).T, rtol=0, atol=1e-14):
+        a = np.array(a, dtype=float)
+        sigma = np.array(sigma, dtype=float)
+        for name, arr, shape in (("a", a, (dim, dim)), ("sigma", sigma, (dim, n_modes))):
+            if arr.shape != shape:
+                raise ModelError(f"{name} must have shape {shape}, got {arr.shape}")
+        if not np.allclose(a, a.T, rtol=0, atol=1e-14):
             raise ModelError("a must be symmetric")
         if kappa <= 0 or bound <= 0:
             raise ModelError("kappa and bound must be positive")
-        return cls(
-            dim=dim,
-            n_modes=n_modes,
-            a_fn=a_fn,
-            sigma_fn=sg_fn,
-            kappa=kappa,
-            bound=bound,
-            constant=a_const and s_const,
-        )
-
-    def a_at(self, t):
-        return np.asarray(self.a_fn(t), dtype=float)
-
-    def sigma_at(self, t):
-        return np.asarray(self.sigma_fn(t), dtype=float)
-
+        return cls(dim=dim, n_modes=n_modes, a=a, sigma=sigma, kappa=kappa, bound=bound)
 
 
 def laplace_coefficients(dim, n_modes=1) -> ModelCoefficients:
@@ -140,32 +115,26 @@ class CompatibilityReport:
 
 
 def check_parabolicity(coeffs: ModelCoefficients, times=(0.0,)) -> ParabolicityReport:
-    """Eigenvalue margins of kappa I + sigma sigma^T <= 2a <= K I."""
-    lower = np.inf
-    upper = np.inf
-    worst = float(times[0])
-    for t in times:
-        a2 = 2.0 * coeffs.a_at(t)
-        s = coeffs.sigma_at(t)
-        lo = float(np.min(np.linalg.eigvalsh(a2 - s @ s.T - coeffs.kappa * np.eye(coeffs.dim))))
-        up = float(np.min(np.linalg.eigvalsh(coeffs.bound * np.eye(coeffs.dim) - a2)))
-        if min(lo, up) < min(lower, upper):
-            worst = float(t)
-        lower = min(lower, lo)
-        upper = min(upper, up)
+    """Eigenvalue margins of kappa I + sigma sigma^T <= 2a <= K I.
+
+    The coefficients are constant, so the margins hold at every time
+    node alike and worst_time reports the first one.
+    """
+    a2 = 2.0 * coeffs.a
+    s = coeffs.sigma
+    lower = float(np.min(np.linalg.eigvalsh(a2 - s @ s.T - coeffs.kappa * np.eye(coeffs.dim))))
+    upper = float(np.min(np.linalg.eigvalsh(coeffs.bound * np.eye(coeffs.dim) - a2)))
     return ParabolicityReport(
         passed=bool(lower >= -1e-12 and upper >= -1e-12),
         lower_margin=lower,
         upper_margin=upper,
-        worst_time=worst,
+        worst_time=float(times[0]),
     )
 
 
-def check_compatibility(coeffs: ModelCoefficients, times=(0.0,)) -> CompatibilityReport:
+def check_compatibility(coeffs: ModelCoefficients) -> CompatibilityReport:
     """The boundary theory needs the normal noise row to vanish."""
-    worst = 0.0
-    for t in times:
-        worst = max(worst, float(np.max(np.abs(coeffs.sigma_at(t)[0, :]))))
+    worst = float(np.max(np.abs(coeffs.sigma[0, :])))
     return CompatibilityReport(passed=worst == 0.0, max_normal_component=worst)
 
 
@@ -232,21 +201,42 @@ def _sp_periodic_d1(n, h):
     return (m / (2.0 * h)).tocsr()
 
 
-def _implicit_matrix(coeffs, grid, t_mid, dt):
-    """I - dt * a(t):D^2 over the unknown nodes, ready for a direct solve."""
-    a = coeffs.a_at(t_mid)
+class _DirichletLine:
+    """I - r D^2 on n interior nodes of a Dirichlet line, factored once.
+
+    dgttrf once, dgttrs per solve.  scipy's dgttrf wrapper rejects n < 3,
+    so a short line is padded with decoupled identity rows: the coupling
+    across the seam is zero, no pivot crosses it, and the real rows factor
+    and solve exactly as they would unpadded.
+    """
+
+    def __init__(self, n, r):
+        m = max(n, 3)
+        off = np.zeros(m - 1)
+        off[: n - 1] = -r
+        diag = np.ones(m)
+        diag[:n] = 1.0 + 2.0 * r
+        self.n = n
+        self.factors = dgttrf(off, diag, off)[:5]
+
+    def solve(self, cols):
+        """Solution for each column of cols, shape (n, k)."""
+        pad = self.factors[1].size - self.n
+        if pad:
+            cols = np.concatenate([cols, np.zeros((pad, cols.shape[1]))])
+        return dgttrs(*self.factors, cols)[0][: self.n]
+
+
+def _implicit_matrix(coeffs, grid):
+    """I - dt * a:D^2 over the unknown nodes, factored for repeated solves."""
+    a = coeffs.a
+    dt = grid.dt
     if grid.dim == 1:
         if grid.periodic_x1:
             n = grid.n_x1
             m = sp.identity(n, format="csr") - dt * a[0, 0] * _sp_periodic_d2(n, grid.dx1)
             return splu(m.tocsc())
-        n = grid.n_x1 - 2
-        r = dt * a[0, 0] / grid.dx1**2
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-1] = -r
-        return ab
+        return _DirichletLine(grid.n_x1 - 2, dt * a[0, 0] / grid.dx1**2)
     n1 = grid.n_x1 - 2
     n2 = grid.n_xp
     eye1 = sp.identity(n1, format="csr")
@@ -261,22 +251,17 @@ def _implicit_matrix(coeffs, grid, t_mid, dt):
     return splu(m.tocsc())
 
 
-def _interior_solve(matrix, rhs_interior, grid):
+def _interior_solve(matrix, rhs_interior):
     """Direct solve over the unknown nodes; rhs (paths, *interior shape)."""
     paths = rhs_interior.shape[0]
-    if grid.dim == 1 and not grid.periodic_x1:
-        sol = solve_banded((1, 1), matrix, rhs_interior.reshape(paths, -1).T)
-        return sol.T.reshape(rhs_interior.shape)
     sol = matrix.solve(rhs_interior.reshape(paths, -1).T)
     return sol.T.reshape(rhs_interior.shape)
 
 
 def _cfl_check(coeffs, grid, c_cfl):
-    norms = [
-        float(np.max(np.abs(np.linalg.eigvalsh(coeffs.a_at(t))))) for t in grid.times
-    ]
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(coeffs.a))))
     dx = grid.dx1 if grid.dim == 1 else min(grid.dx1, grid.dxp)
-    limit = c_cfl * dx * dx / (2.0 * max(norms))
+    limit = c_cfl * dx * dx / (2.0 * norm)
     if grid.dt > limit * (1.0 + 1e-12):
         raise ModelError(
             f"time step {grid.dt:.3e} violates the noise stability restriction "
@@ -311,17 +296,16 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
         out[:, 0] = u
     f_vals = forcing.f.values if forcing.f is not None else None
     g_vals = forcing.g.values if forcing.g is not None else None
-    cached = _implicit_matrix(coeffs, grid, 0.5 * dt, dt) if coeffs.constant else None
+    matrix = _implicit_matrix(coeffs, grid)
+    sig = coeffs.sigma
+    need_grad = np.any(sig)
     times = grid.times  # a property that rebuilds the array on every read
     for j in range(grid.steps):
-        t_j = times[j]
-        sig = coeffs.sigma_at(t_j)
         dw = noise.increments[:, j, :]
         # explicit part: forcing and Euler-Maruyama noise
         expl = u.copy()
         if f_vals is not None:
             expl += dt * _slot(f_vals, j, paths)
-        need_grad = np.any(sig)
         if need_grad:
             du1 = (
                 _d1_periodic(u, grid.dx1, 1)
@@ -344,11 +328,8 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
         if not np.all(np.isfinite(expl)):
             bad = np.argwhere(~np.isfinite(expl))
             raise BlowUpError(path=int(bad[0][0]), step=j + 1)
-        matrix = cached
-        if matrix is None:
-            matrix = _implicit_matrix(coeffs, grid, t_j + 0.5 * dt, dt)
         u_new = np.zeros_like(u)
-        u_new[interior] = _interior_solve(matrix, expl[interior], grid)
+        u_new[interior] = _interior_solve(matrix, expl[interior])
         if not np.all(np.isfinite(u_new)):
             bad = np.argwhere(~np.isfinite(u_new))
             raise BlowUpError(path=int(bad[0][0]), step=j + 1)
@@ -362,25 +343,8 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
     return u
 
 
-def solve_model_halfspace(
-    coeffs: ModelCoefficients,
-    forcing: Forcing,
-    grid: SpaceTimeGrid,
-    noise: WienerBatch,
-    *,
-    c_cfl: float = DEFAULT_CFL,
-    u0: np.ndarray | None = None,
-    store: str = "full",
-    observer=None,
-):
-    """Run the semi-implicit scheme on the Dirichlet half-space grid.
-
-    Returns a FieldEnsemble for store="full"; store="final" returns the
-    terminal state array (paths, *space) for studies that accumulate
-    statistics through an observer instead of materializing trajectories.
-    """
-    if grid.periodic_x1:
-        raise ModelError("use solve_periodic_line for the surrogate grid")
+def _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer):
+    """Preconditions shared by both solvers, then the step loop."""
     if grid.dim != coeffs.dim:
         raise ModelError(f"grid dim {grid.dim} != coefficient dim {coeffs.dim}")
     if noise.n_steps != grid.steps or noise.n_modes != coeffs.n_modes:
@@ -403,6 +367,28 @@ def solve_model_halfspace(
     return FieldEnsemble(result, grid)
 
 
+def solve_model_halfspace(
+    coeffs: ModelCoefficients,
+    forcing: Forcing,
+    grid: SpaceTimeGrid,
+    noise: WienerBatch,
+    *,
+    c_cfl: float = DEFAULT_CFL,
+    u0: np.ndarray | None = None,
+    store: str = "full",
+    observer=None,
+):
+    """Run the semi-implicit scheme on the Dirichlet half-space grid.
+
+    Returns a FieldEnsemble for store="full"; store="final" returns the
+    terminal state array (paths, *space) for studies that accumulate
+    statistics through an observer instead of materializing trajectories.
+    """
+    if grid.periodic_x1:
+        raise ModelError("use solve_periodic_line for the surrogate grid")
+    return _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer)
+
+
 def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, c_cfl=DEFAULT_CFL, store="final"):
     """Whole-line surrogate: dim-1 periodic grid, no Dirichlet wall.
 
@@ -411,45 +397,20 @@ def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, c_cfl=DEFAULT_
     """
     if not (grid.periodic_x1 and grid.dim == 1):
         raise ModelError("solve_periodic_line needs a periodic dim-1 grid")
-    if noise.n_steps != grid.steps or noise.n_modes != coeffs.n_modes:
-        raise ModelError("noise batch does not match grid steps / mode count")
-    rep = check_parabolicity(coeffs, grid.times)
-    if not rep.passed:
-        raise ModelError("coefficients are not admissible")
-    forcing.validate(grid, coeffs.n_modes)
-    _cfl_check(coeffs, grid, c_cfl)
-    result = _step_loop(coeffs, forcing, grid, noise, u0, store, None)
-    if store == "final":
-        return result
-    return FieldEnsemble(result, grid)
+    return _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, None)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:
     """Operator family L_s = s L + (1-s) Laplacian, noise scaled by s."""
-    eye = np.eye(coeffs.dim)
-
-    def a_fn(t, _s=s):
-        return _s * coeffs.a_at(t) + (1.0 - _s) * eye
-
-    def sigma_fn(t, _s=s):
-        return _s * coeffs.sigma_at(t)
-
     return ModelCoefficients(
         dim=coeffs.dim,
         n_modes=coeffs.n_modes,
-        a_fn=a_fn,
-        sigma_fn=sigma_fn,
+        a=s * coeffs.a + (1.0 - s) * np.eye(coeffs.dim),
+        sigma=s * coeffs.sigma,
         # convexity with the Laplacian keeps the family uniformly admissible
         kappa=min(coeffs.kappa, 2.0),
         bound=max(coeffs.bound, 2.0),
-        constant=coeffs.constant,
     )
-
-
-def _tmul(samples, values, grid, n_modes):
-    """Multiply a per-time coefficient array onto field values."""
-    shape = (1, grid.steps + 1) + (1,) * grid.dim + ((1,) if n_modes else ())
-    return samples.reshape(shape) * values
 
 
 def continuity_step(
@@ -470,32 +431,32 @@ def continuity_step(
         f_eff = f + (s - s0) (a - I):D^2 v,
         g_eff = g + (s - s0) sigma . D v.
 
-    At s = s0 the increment vanishes and the output is the plain s0
-    solve regardless of v.
+    The coefficients are constant, so each increment term is one scalar
+    times a finite difference of v.  At s = s0 the increment vanishes
+    and the output is the plain s0 solve regardless of v.
     """
     if not grid.compatible(v.grid):
         raise GridMismatch("iterate v lives on a different grid")
     ds = s - s0
-    times = grid.times
-    a_dev = np.stack([coeffs.a_at(t) - np.eye(coeffs.dim) for t in times])
+    a_dev = coeffs.a - np.eye(coeffs.dim)
     f_extra = np.zeros_like(v.values)
     if grid.dim == 1:
-        f_extra += _tmul(a_dev[:, 0, 0], finite_diff(v, (2,)).values, grid, 0)
+        f_extra += a_dev[0, 0] * finite_diff(v, (2,)).values
     else:
-        f_extra += _tmul(a_dev[:, 0, 0], finite_diff(v, (2, 0)).values, grid, 0)
-        f_extra += _tmul(a_dev[:, 1, 1], finite_diff(v, (0, 2)).values, grid, 0)
-        f_extra += 2.0 * _tmul(a_dev[:, 0, 1], finite_diff(v, (1, 1)).values, grid, 0)
+        f_extra += a_dev[0, 0] * finite_diff(v, (2, 0)).values
+        f_extra += a_dev[1, 1] * finite_diff(v, (0, 2)).values
+        f_extra += 2.0 * (a_dev[0, 1] * finite_diff(v, (1, 1)).values)
 
-    sig = np.stack([coeffs.sigma_at(t) for t in times])  # (nt, dim, K)
+    sig = coeffs.sigma
     g_extra = None
     if np.any(sig):
         d1 = finite_diff(v, (1,) if grid.dim == 1 else (1, 0)).values
         d2 = finite_diff(v, (0, 1)).values if grid.dim == 2 else None
         parts = []
         for k in range(coeffs.n_modes):
-            term = _tmul(sig[:, 0, k], d1, grid, 0)
+            term = sig[0, k] * d1
             if grid.dim == 2:
-                term = term + _tmul(sig[:, 1, k], d2, grid, 0)
+                term = term + sig[1, k] * d2
             parts.append(term)
         g_extra = np.stack(parts, axis=-1)
 

@@ -67,6 +67,17 @@ def test_missing_coefficient_key_is_rejected():
         cfg.coefficients()
 
 
+@pytest.mark.parametrize(
+    "a, expected",
+    [([[1.9, 0.0]], r"a must have shape \(1, 1\)"), ([[1.9], [0.0, 1.0]], "inhomogeneous")],
+)
+def test_misshapen_coefficients_are_a_config_error(a, expected):
+    cfg = tiny_config()
+    cfg.raw["coefficients"] = {"a": a, "sigma": [[0.5]]}
+    with pytest.raises(ConfigError, match=expected):
+        cfg.coefficients()
+
+
 def test_validate_runs_parabolicity_gate():
     cfg = tiny_config()
     cfg.raw["coefficients"] = {"a": [[0.4]], "sigma": [[1.0]], "kappa": 1.0}
@@ -200,7 +211,7 @@ def test_schauder_ratio_output_bytes_are_pinned():
 @pytest.mark.parametrize(
     "study, grid, digest",
     [
-        # the 1-D step loop with time-dependent coefficients and continuity_step
+        # the 1-D step loop with constant coefficients and continuity_step
         (
             "continuity",
             {"x1_cells": 9, "steps": 1512},

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from spdelab import (
     BlowUpError,
@@ -17,12 +18,14 @@ from spdelab import (
     check_parabolicity,
     coarsen,
     continuity_step,
+    halfline_heat_dirichlet,
     interpolate_coefficients,
     laplace_coefficients,
     solve_model_halfspace,
     solve_periodic_line,
     wiener_increments,
 )
+from spdelab.solver import _DirichletLine
 
 SEED = SeedSpec(master_seed=31415, stream_salt=2)
 
@@ -79,11 +82,25 @@ def test_compatibility_flags_normal_noise():
 def test_interpolated_family_endpoints():
     co = ModelCoefficients.make(1, np.array([[2.0]]), np.array([[1.0]]), kappa=0.5)
     at1 = interpolate_coefficients(co, 1.0)
-    assert at1.a_at(0.3)[0, 0] == pytest.approx(2.0)
-    assert at1.sigma_at(0.3)[0, 0] == pytest.approx(1.0)
+    assert at1.a[0, 0] == pytest.approx(2.0)
+    assert at1.sigma[0, 0] == pytest.approx(1.0)
     at0 = interpolate_coefficients(co, 0.0)
-    assert at0.a_at(0.7)[0, 0] == pytest.approx(1.0)  # plain Laplacian
-    assert at0.sigma_at(0.7)[0, 0] == 0.0
+    assert at0.a[0, 0] == pytest.approx(1.0)  # plain Laplacian
+    assert at0.sigma[0, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "dim, a, sigma, expected",
+    [
+        (2, 2.0, np.zeros((2, 1)), r"a must have shape \(2, 2\)"),
+        (1, np.array([[1.9, 0.0]]), np.zeros((1, 1)), r"a must have shape \(1, 1\)"),
+        (2, np.eye(2), np.zeros(2), r"sigma must have shape \(2, 1\)"),
+    ],
+)
+def test_coefficient_shapes_are_exact(dim, a, sigma, expected):
+    # a scalar or a short row is refused rather than broadcast
+    with pytest.raises(ModelError, match=expected):
+        ModelCoefficients.make(dim, a, sigma)
 
 
 # -- scheme guards ----------------------------------------------------
@@ -144,6 +161,15 @@ def test_noise_shape_mismatches_are_rejected():
         solve_model_halfspace(laplace_coefficients(1), Forcing(), g, wrong_modes)
 
 
+def test_periodic_line_checks_the_noise_variance():
+    per = SpaceTimeGrid(
+        dim=1, x1_max=1.0, x1_cells=8, t_max=0.002, steps=2, periodic_x1=True
+    )
+    wrong_dt = wiener_increments(SEED, 2, per.steps, dt=2.0 * per.dt)
+    with pytest.raises(ModelError, match="variance"):
+        solve_periodic_line(laplace_coefficients(1), Forcing(), per, wrong_dt)
+
+
 def test_grid_kind_routing():
     per = SpaceTimeGrid(
         dim=1, x1_max=1.0, x1_cells=8, t_max=0.002, steps=2, periodic_x1=True
@@ -188,6 +214,57 @@ def test_zero_order_blowup_is_detected():
     with pytest.raises(BlowUpError) as err:
         solve_model_halfspace(laplace_coefficients(1), Forcing(f=f), g, noise_for(g, 3))
     assert (err.value.path, err.value.step) == (2, j + 1)
+
+
+# -- the factored Dirichlet line ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, r, columns",
+    [
+        (1, 0.25, 1),
+        (1, 3.0, 5),
+        (2, 0.25, 3),
+        (2, 1e-3, 1),
+        (3, 0.7, 2),
+        (8, 0.25, 64),
+        (127, 40.0, 7),
+    ],
+)
+def test_dirichlet_line_matches_solve_banded_bitwise(n, r, columns):
+    rng = np.random.default_rng(n * 1000 + columns)
+    rhs = rng.normal(size=(n, columns)) * 10.0 ** rng.integers(-4, 5, size=(n, columns))
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    expected = solve_banded((1, 1), ab, rhs)
+    line = _DirichletLine(n, r)
+    # the solver hands over a transposed (Fortran-ordered) view
+    for cols in (rhs, np.ascontiguousarray(rhs.T).T):
+        got = line.solve(cols)
+        assert got.shape == (n, columns)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+def test_solvers_run_on_the_smallest_wall_grids(cells):
+    # one or two interior unknowns, where a bare dgttrf call is refused
+    g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=cells, t_max=0.02, steps=4)
+    gf = mode_field(g, lambda x: np.sin(np.pi * x))
+    u = solve_model_halfspace(laplace_coefficients(1), Forcing(g=gf), g, noise_for(g, 2))
+    assert np.all(np.isfinite(u.values))
+    assert np.all(u.values[:, :, [0, -1]] == 0.0)
+    assert np.any(u.values[:, 1:, 1:-1] != 0.0)
+    wall = np.broadcast_to(g.times**2, (2, g.steps + 1)).copy()
+    out = halfline_heat_dirichlet(wall, g)
+    assert np.all(out[:, :, 0] == wall) and np.all(out[:, :, -1] == 0.0)
+    if cells == 2:
+        # a single unknown: each backward-Euler step is one division
+        r = g.dt / g.dx1**2
+        for j in range(g.steps):
+            step = (out[:, j, 1] + r * wall[:, j + 1]) / (1.0 + 2.0 * r)
+            assert np.array_equal(out[:, j + 1, 1], step)
 
 
 # -- oracles ----------------------------------------------------------
