@@ -38,7 +38,7 @@ from .norms import (
     trace_parabolic_norm,
 )
 from .pipeline import PipelineOutput, decompose_pipeline, halfline_heat_dirichlet
-from .rng import SeedSpec, WienerBatch, coarsen, partial_sums, standard_normals, wiener_increments
+from .rng import SeedSpec, WienerBatch, coarsen, standard_normals, wiener_increments
 from .solver import (
     BlowUpError,
     Forcing,
@@ -46,7 +46,7 @@ from .solver import (
     ModelError,
     check_compatibility,
     check_parabolicity,
-    continuity_step,
+    continuity_iterates,
     interpolate_coefficients,
     laplace_coefficients,
     solve_model_halfspace,
@@ -85,7 +85,6 @@ __all__ = [
     "WienerBatch",
     "standard_normals",
     "wiener_increments",
-    "partial_sums",
     "coarsen",
     "ModelCoefficients",
     "Forcing",
@@ -97,7 +96,7 @@ __all__ = [
     "interpolate_coefficients",
     "solve_model_halfspace",
     "solve_periodic_line",
-    "continuity_step",
+    "continuity_iterates",
     "PipelineOutput",
     "decompose_pipeline",
     "halfline_heat_dirichlet",

@@ -110,7 +110,11 @@ def main(argv=None) -> int:
         )
         return 1
 
-    report = run_study(config, workers=args.workers)
+    try:
+        report = run_study(config, workers=args.workers)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     report.flags = {
         "config": os.path.abspath(args.config),
         "seed": args.seed,

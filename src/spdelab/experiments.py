@@ -37,7 +37,7 @@ from .solver import (
     ModelCoefficients,
     check_compatibility,
     check_parabolicity,
-    continuity_step,
+    continuity_iterates,
     solve_model_halfspace,
 )
 
@@ -830,9 +830,10 @@ def run_pipeline(config: ExperimentConfig, workers: int = 1) -> StudyReport:
 def run_continuity(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     """Contraction factors of the operator-continuation iteration.
 
-    Iterates v_{m+1} = step(v_m) from v_0 = 0 under a fixed noise batch;
-    the successive-difference norms sup_node E|.|^2 must shrink
-    geometrically with a roughly constant factor over iterations 2..6.
+    Advances the iterates v_1..v_n of v_{m+1} = step(v_m), v_0 = 0, in
+    one time loop under a fixed noise batch (`continuity_iterates`); the
+    successive-difference norms sup_node E|.|^2 must shrink geometrically
+    with a roughly constant factor over iterations 2..6.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -854,16 +855,10 @@ def run_continuity(config: ExperimentConfig, workers: int = 1) -> StudyReport:
         (1, grid.steps + 1) + grid.space_shape, float(data_block.get("f_amplitude", 1.0))
     )
     forcing = Forcing(f=FieldEnsemble(f_vals, grid))
-    v = FieldEnsemble(np.zeros((n_paths, grid.steps + 1) + grid.space_shape), grid)
-    diffs = []
-    for m in range(1, n_iter + 1):
-        v_next = continuity_step(coeffs, s, s0, v, forcing, grid, noise)
-        if m >= 2:
-            gap = v_next.values - v.values
-            d = float(np.max(np.mean(gap * gap, axis=0)))
-            diffs.append(d)
-            rows.append(_row(study, "diff", index=m - 1, value=d))
-        v = v_next
+    diffs, _ = continuity_iterates(coeffs, s, s0, forcing, grid, noise, n_iter)
+    diffs = [float(d) for d in diffs]
+    for m, d in enumerate(diffs, start=1):
+        rows.append(_row(study, "diff", index=m, value=d))
     ratios = [diffs[i] / diffs[i - 1] for i in range(1, len(diffs))]
     for i, r in enumerate(ratios, start=2):
         rows.append(_row(study, "ratio", index=i, value=r))

@@ -24,7 +24,6 @@ __all__ = [
     "WienerBatch",
     "standard_normals",
     "wiener_increments",
-    "partial_sums",
     "coarsen",
 ]
 
@@ -129,11 +128,6 @@ def wiener_increments(seed, n_paths, n_steps, n_modes=1, *, dt, path_indices=Non
             raise ValueError("path_indices length must equal n_paths")
     z = standard_normals(seed, path_indices, np.arange(n_steps), np.arange(n_modes))
     return WienerBatch(increments=np.sqrt(dt) * z, dt=float(dt), seed=seed)
-
-
-def partial_sums(batch: WienerBatch) -> np.ndarray:
-    """Pathwise Wiener values at grid times: cumulative sums over steps."""
-    return np.cumsum(batch.increments, axis=1)
 
 
 def coarsen(batch: WienerBatch, factor: int) -> WienerBatch:

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
-from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, finite_diff
+from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid
 from .rng import WienerBatch
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "interpolate_coefficients",
     "solve_model_halfspace",
     "solve_periodic_line",
-    "continuity_step",
+    "continuity_iterates",
 ]
 
 DEFAULT_CFL = 0.25
@@ -185,19 +185,15 @@ def _sp_dirichlet_d1(n, h):
 
 
 def _sp_periodic_d2(n, h):
-    m = sp.lil_matrix((n, n))
-    for i in range(n):
-        m[i, i] = -2.0
-        m[i, (i - 1) % n] = 1.0
-        m[i, (i + 1) % n] = 1.0
+    # the diagonals at offsets -(n-1) and n-1 are the two wrap corners
+    one = np.ones(n - 1)
+    m = sp.diags([[1.0], one, np.full(n, -2.0), one, [1.0]], [1 - n, -1, 0, 1, n - 1])
     return (m / h**2).tocsr()
 
 
 def _sp_periodic_d1(n, h):
-    m = sp.lil_matrix((n, n))
-    for i in range(n):
-        m[i, (i + 1) % n] = 1.0
-        m[i, (i - 1) % n] = -1.0
+    one = np.ones(n - 1)
+    m = sp.diags([[1.0], -one, one, [-1.0]], [1 - n, -1, 1, n - 1])
     return (m / (2.0 * h)).tocsr()
 
 
@@ -279,6 +275,12 @@ def _slot(values, j, paths):
     raise ModelError(f"forcing has {v.shape[0]} paths, noise has {paths}")
 
 
+def _check_finite(values, step, path_axis=0):
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))
+        raise BlowUpError(path=int(bad[0][path_axis]), step=step)
+
+
 def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
     paths = noise.n_paths
     dt = grid.dt
@@ -325,14 +327,10 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
             if term is not None:
                 expl += term * dw[:, k].reshape((paths,) + (1,) * grid.dim)
         # detect divergence before the direct solver rejects the array
-        if not np.all(np.isfinite(expl)):
-            bad = np.argwhere(~np.isfinite(expl))
-            raise BlowUpError(path=int(bad[0][0]), step=j + 1)
+        _check_finite(expl, j + 1)
         u_new = np.zeros_like(u)
         u_new[interior] = _interior_solve(matrix, expl[interior])
-        if not np.all(np.isfinite(u_new)):
-            bad = np.argwhere(~np.isfinite(u_new))
-            raise BlowUpError(path=int(bad[0][0]), step=j + 1)
+        _check_finite(u_new, j + 1)
         u = u_new
         if out is not None:
             out[:, j + 1] = u
@@ -343,16 +341,14 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
     return u
 
 
-def _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer):
-    """Preconditions shared by both solvers, then the step loop."""
+def _check_inputs(coeffs, forcing, grid, noise, c_cfl):
+    """Preconditions shared by every solver entry point."""
     if grid.dim != coeffs.dim:
         raise ModelError(f"grid dim {grid.dim} != coefficient dim {coeffs.dim}")
     if noise.n_steps != grid.steps or noise.n_modes != coeffs.n_modes:
         raise ModelError("noise batch does not match grid steps / mode count")
     if abs(noise.dt - grid.dt) > 1e-12 * grid.dt:
         raise ModelError("noise increment variance does not match the grid step")
-    if store not in ("full", "final"):
-        raise ValueError(f"unknown store mode {store!r}")
     rep = check_parabolicity(coeffs, grid.times)
     if not rep.passed:
         raise ModelError(
@@ -361,6 +357,13 @@ def _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer):
         )
     forcing.validate(grid, coeffs.n_modes)
     _cfl_check(coeffs, grid, c_cfl)
+
+
+def _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer):
+    """Preconditions, then the step loop."""
+    if store not in ("full", "final"):
+        raise ValueError(f"unknown store mode {store!r}")
+    _check_inputs(coeffs, forcing, grid, noise, c_cfl)
     result = _step_loop(coeffs, forcing, grid, noise, u0, store, observer)
     if store == "final":
         return result
@@ -413,68 +416,63 @@ def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoeffi
     )
 
 
-def continuity_step(
+def continuity_iterates(
     coeffs: ModelCoefficients,
     s: float,
     s0: float,
-    v: FieldEnsemble,
     forcing: Forcing,
     grid: SpaceTimeGrid,
     noise: WienerBatch,
-    **solver_kw,
+    n_iter: int,
+    *,
+    c_cfl: float = DEFAULT_CFL,
 ):
-    """One step of the continuity iteration toward the operator at s.
+    """The continuity iteration toward the operator at s, all iterates at once.
 
-    Solves the s0 problem with the operator increment applied to the
-    previous iterate v as extra forcing:
+    Iterate m solves the s0 problem with the operator increment applied
+    to iterate m - 1 as extra forcing (iterate 0 is zero):
 
-        f_eff = f + (s - s0) (a - I):D^2 v,
-        g_eff = g + (s - s0) sigma . D v.
+        f_eff = f + (s - s0) (a - I) D^2 v_{m-1},
+        g_eff = g + (s - s0) sigma D v_{m-1}.
 
-    The coefficients are constant, so each increment term is one scalar
-    times a finite difference of v.  At s = s0 the increment vanishes
-    and the output is the plain s0 solve regardless of v.
+    Iterate m at step j needs only iterate m - 1 at time j, so one time
+    loop advances every iterate and one tridiagonal solve covers them
+    all.  One-dimensional Dirichlet grids only.
+
+    Returns (diffs, states): diffs[m - 2] = sup_t max_x E|v_m - v_{m-1}|^2
+    for m = 2..n_iter, and the final states (n_iter, paths, n_x1).
     """
-    if not grid.compatible(v.grid):
-        raise GridMismatch("iterate v lives on a different grid")
-    ds = s - s0
-    a_dev = coeffs.a - np.eye(coeffs.dim)
-    f_extra = np.zeros_like(v.values)
-    if grid.dim == 1:
-        f_extra += a_dev[0, 0] * finite_diff(v, (2,)).values
-    else:
-        f_extra += a_dev[0, 0] * finite_diff(v, (2, 0)).values
-        f_extra += a_dev[1, 1] * finite_diff(v, (0, 2)).values
-        f_extra += 2.0 * (a_dev[0, 1] * finite_diff(v, (1, 1)).values)
-
-    sig = coeffs.sigma
-    g_extra = None
-    if np.any(sig):
-        d1 = finite_diff(v, (1,) if grid.dim == 1 else (1, 0)).values
-        d2 = finite_diff(v, (0, 1)).values if grid.dim == 2 else None
-        parts = []
-        for k in range(coeffs.n_modes):
-            term = sig[0, k] * d1
-            if grid.dim == 2:
-                term = term + sig[1, k] * d2
-            parts.append(term)
-        g_extra = np.stack(parts, axis=-1)
-
-    f_vals = ds * f_extra
-    if forcing.f is not None:
-        f_vals = forcing.f.values + f_vals
-    f_eff = FieldEnsemble(f_vals, grid)
-    g_eff = None
-    if g_extra is not None or forcing.g is not None:
-        g_vals = 0.0
-        if g_extra is not None:
-            g_vals = ds * g_extra
-        if forcing.g is not None:
-            g_vals = forcing.g.values + g_vals
-        if np.isscalar(g_vals):
-            g_eff = None
-        else:
-            g_eff = FieldEnsemble(np.ascontiguousarray(g_vals), grid, n_modes=coeffs.n_modes)
-
+    if grid.dim != 1 or grid.periodic_x1:
+        raise ModelError("the continuity iteration runs on a 1-D Dirichlet grid")
+    if n_iter < 1:
+        raise ModelError(f"n_iter must be >= 1, got {n_iter}")
     frozen = interpolate_coefficients(coeffs, s0)
-    return solve_model_halfspace(frozen, Forcing(f=f_eff, g=g_eff), grid, noise, **solver_kw)
+    _check_inputs(frozen, forcing, grid, noise, c_cfl)
+    ds = s - s0
+    a_dev = coeffs.a[0, 0] - 1.0
+    sig, sig0 = coeffs.sigma[0], frozen.sigma[0]
+    paths, h, dt = noise.n_paths, grid.dx1, grid.dt
+    line = _implicit_matrix(frozen, grid)
+    # slot 0 holds the zero iterate; the wall columns stay zero
+    u = np.zeros((n_iter + 1, paths, grid.n_x1))
+    diffs = np.zeros(n_iter - 1)
+    for j in range(grid.steps):
+        v, w = u[:-1], u[1:]
+        f_eff = ds * (a_dev * ((v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)))
+        if forcing.f is not None:
+            f_eff = _slot(forcing.f.values, j, paths)[:, 1:-1] + f_eff
+        expl = w[..., 1:-1] + dt * f_eff
+        dv = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+        du = (w[..., 2:] - w[..., :-2]) / (2.0 * h)
+        for k in range(coeffs.n_modes):
+            term = ds * (sig[k] * dv)
+            if forcing.g is not None:
+                term = _slot(forcing.g.values[..., k], j, paths)[:, 1:-1] + term
+            expl += (sig0[k] * du + term) * noise.increments[:, j, k, None]
+        _check_finite(expl, j + 1, path_axis=1)
+        sol = line.solve(expl.reshape(-1, expl.shape[-1]).T).T.reshape(expl.shape)
+        _check_finite(sol, j + 1, path_axis=1)
+        w[..., 1:-1] = sol
+        gap = w[1:, :, 1:-1] - w[:-1, :, 1:-1]
+        np.maximum(diffs, np.max(np.mean(gap * gap, axis=1), axis=-1), out=diffs)
+    return diffs, u[1:]

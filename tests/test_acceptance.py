@@ -7,6 +7,7 @@ the checked-in configuration files.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -301,3 +302,27 @@ def test_criterion_12_norm_unit_suite():
         f"zero: {zero_semis}, homogeneity: {homogeneous}, "
         f"pair monotone: {monotone}, scaling: {scaling}",
     )
+
+
+# Canonical-CSV SHA-256 of the checked-in studies that run in seconds;
+# read from the session fixtures above, so no study runs twice.
+@pytest.mark.parametrize(
+    "fixture, digest",
+    [
+        (
+            "continuity_report",
+            "15800119831b7490a5613e60b8d16c942eae9995313a252da140c15951698702",
+        ),
+        (
+            "stability_report",
+            "e735df51af452aa51a0092d907c570f6aca4e94d656d63f3dedec018573f2ce3",
+        ),
+        (
+            "halfline_report",
+            "943b755622ad76837dea1ed0054acb00386f9c9f1289652a712ef57629f84128",
+        ),
+    ],
+)
+def test_checked_in_study_bytes_are_pinned(request, fixture, digest):
+    report, _ = request.getfixturevalue(fixture)
+    assert hashlib.sha256(report.canonical_csv().encode()).hexdigest() == digest

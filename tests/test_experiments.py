@@ -211,7 +211,7 @@ def test_schauder_ratio_output_bytes_are_pinned():
 @pytest.mark.parametrize(
     "study, grid, digest",
     [
-        # the 1-D step loop with constant coefficients and continuity_step
+        # the lockstep continuation loop (continuity_iterates) on a 1-D wall grid
         (
             "continuity",
             {"x1_cells": 9, "steps": 1512},
@@ -306,6 +306,19 @@ def test_cli_validate_subcommand(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     assert main(["validate", "--config", str(p)]) == 1
+
+
+def test_cli_reports_a_config_error_raised_inside_the_study(tmp_path, capsys):
+    # loading accepts the file; building the coefficients rejects the shape
+    config = Path(__file__).resolve().parent.parent / "configs" / "continuity.json"
+    raw = json.loads(config.read_text())
+    raw["coefficients"]["a"] = [[1.9, 0.0]]
+    p = tmp_path / "continuity.json"
+    p.write_text(json.dumps(raw))
+    assert main(["continuity", "--config", str(p), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "(1, 1)" in err
+    assert not (tmp_path / "continuity.csv").exists()
 
 
 def test_cli_kernel_subcommand(capsys):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from spdelab import (
     SeedSpec,
-    WienerBatch,
     coarsen,
-    partial_sums,
     standard_normals,
     wiener_increments,
 )
@@ -80,7 +78,7 @@ def test_wiener_increment_variance_matches_dt():
     assert batch.increments.shape == (400, 250, 1)
     assert batch.dt == dt
     assert batch.increments.var() == pytest.approx(dt, rel=0.05)
-    w_end = partial_sums(batch)[:, -1, 0]
+    w_end = np.cumsum(batch.increments, axis=1)[:, -1, 0]
     # Var(w_T) = T
     assert w_end.var() == pytest.approx(250 * dt, rel=0.15)
 
@@ -98,16 +96,6 @@ def test_path_indices_shape_is_validated():
         wiener_increments(SEED, 3, 10, dt=0.1, path_indices=np.arange(4))
 
 
-def test_partial_sums_is_cumulative_sum():
-    inc = np.arange(24, dtype=float).reshape(2, 4, 3)
-    batch = WienerBatch(increments=inc, dt=0.5, seed=SEED)
-    w = partial_sums(batch)
-    assert w.shape == (2, 4, 3)
-    assert np.array_equal(w[:, 0], inc[:, 0])
-    assert np.array_equal(w[:, -1], inc.sum(axis=1))
-    assert np.array_equal(np.diff(w, axis=1), inc[:, 1:])
-
-
 def test_coarsen_sums_consecutive_increments():
     fine = wiener_increments(SEED, 6, 32, dt=0.25, n_modes=2)
     coarse = coarsen(fine, 4)
@@ -116,8 +104,8 @@ def test_coarsen_sums_consecutive_increments():
     expect = fine.increments.reshape(6, 8, 4, 2).sum(axis=2)
     assert np.array_equal(coarse.increments, expect)
     # Wiener values agree exactly at the shared time nodes
-    w_fine = partial_sums(fine)
-    w_coarse = partial_sums(coarse)
+    w_fine = np.cumsum(fine.increments, axis=1)
+    w_coarse = np.cumsum(coarse.increments, axis=1)
     assert np.allclose(w_coarse, w_fine[:, 3::4], atol=1e-12)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from spdelab import (
@@ -17,7 +18,8 @@ from spdelab import (
     check_compatibility,
     check_parabolicity,
     coarsen,
-    continuity_step,
+    continuity_iterates,
+    finite_diff,
     halfline_heat_dirichlet,
     interpolate_coefficients,
     laplace_coefficients,
@@ -25,7 +27,7 @@ from spdelab import (
     solve_periodic_line,
     wiener_increments,
 )
-from spdelab.solver import _DirichletLine
+from spdelab.solver import _DirichletLine, _sp_periodic_d1, _sp_periodic_d2
 
 SEED = SeedSpec(master_seed=31415, stream_salt=2)
 
@@ -216,6 +218,30 @@ def test_zero_order_blowup_is_detected():
     assert (err.value.path, err.value.step) == (2, j + 1)
 
 
+# -- periodic stencil matrices -------------------------------------------
+
+
+def lil_periodic(n, h, order):
+    """Reference: the periodic stencil filled row by row with wrap indices."""
+    m = sp.lil_matrix((n, n))
+    for i in range(n):
+        if order == 2:
+            m[i, i] = -2.0
+            m[i, (i - 1) % n] = 1.0
+            m[i, (i + 1) % n] = 1.0
+        else:
+            m[i, (i + 1) % n] = 1.0
+            m[i, (i - 1) % n] = -1.0
+    return (m / (h**2 if order == 2 else 2.0 * h)).tocsr()
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_periodic_stencils_match_the_row_by_row_construction(n):
+    h = 0.3 / n
+    assert np.array_equal(_sp_periodic_d2(n, h).toarray(), lil_periodic(n, h, 2).toarray())
+    assert np.array_equal(_sp_periodic_d1(n, h).toarray(), lil_periodic(n, h, 1).toarray())
+
+
 # -- the factored Dirichlet line ----------------------------------------
 
 
@@ -304,33 +330,103 @@ def test_coupled_noise_strong_convergence():
 # -- continuity map ---------------------------------------------------
 
 
-def test_continuity_step_at_the_base_point():
+def full_history_continuation(co, s, s0, forcing, g, noise, n_iter):
+    """Reference: one full-horizon s0 solve per iterate, fed the previous
+    iterate's whole history through finite_diff (1-D, one noise mode)."""
+    ds = s - s0
+    frozen = interpolate_coefficients(co, s0)
+    a_dev = co.a - np.eye(1)
+    v = FieldEnsemble(np.zeros((noise.n_paths, g.steps + 1, g.n_x1)), g)
+    diffs = []
+    for m in range(1, n_iter + 1):
+        f_extra = np.zeros_like(v.values)
+        f_extra += a_dev[0, 0] * finite_diff(v, (2,)).values
+        g_extra = np.stack([co.sigma[0, 0] * finite_diff(v, (1,)).values], axis=-1)
+        f_eff = FieldEnsemble(forcing.f.values + ds * f_extra, g)
+        g_vals = ds * g_extra
+        if forcing.g is not None:
+            g_vals = forcing.g.values + g_vals
+        g_eff = FieldEnsemble(np.ascontiguousarray(g_vals), g, n_modes=1)
+        v_next = solve_model_halfspace(frozen, Forcing(f=f_eff, g=g_eff), g, noise)
+        if m >= 2:
+            gap = v_next.values - v.values
+            diffs.append(float(np.max(np.mean(gap * gap, axis=0))))
+        v = v_next
+    return diffs, v.values[:, -1]
+
+
+def sine_forcing(g, paths=1):
+    profile = np.sin(np.pi * g.x1_nodes / g.x1_max)
+    values = np.broadcast_to(profile, (paths, g.steps + 1, g.n_x1)).copy()
+    return Forcing(f=FieldEnsemble(values, g))
+
+
+@pytest.mark.parametrize(
+    "grid, a, s, s0, paths, n_iter, f_paths, with_g",
+    [
+        (dict(cells=8, steps=16, t_max=0.016), 1.7, 1.0, 0.9, 3, 4, 1, False),
+        (dict(cells=6, steps=40, t_max=0.02, x1_max=0.8), 1.9, 0.7, 0.4, 5, 5, 5, True),
+    ],
+)
+def test_continuity_iterates_match_the_full_history_iteration(
+    grid, a, s, s0, paths, n_iter, f_paths, with_g
+):
+    g = wallgrid(**grid)
+    co = ModelCoefficients.make(1, np.array([[a]]), np.array([[0.5]]), kappa=0.5)
+    noise = noise_for(g, paths=paths)
+    forcing = sine_forcing(g, f_paths)
+    if f_paths > 1:
+        forcing.f.values[:] *= np.random.default_rng(3).normal(size=(f_paths, g.steps + 1, 1))
+    if with_g:
+        forcing.g = mode_field(g, lambda x: np.cos(3.0 * x))
+    diffs, states = continuity_iterates(co, s, s0, forcing, g, noise, n_iter)
+    ref_diffs, ref_last = full_history_continuation(co, s, s0, forcing, g, noise, n_iter)
+    assert states.shape == (n_iter, paths, g.n_x1)
+    assert all(d > 0.0 for d in ref_diffs)
+    assert list(diffs) == ref_diffs
+    assert np.array_equal(states[-1], ref_last)
+
+
+def test_continuity_iterates_at_the_base_point():
+    # at s = s0 the operator increment vanishes, so every iterate is the
+    # base solve and every successive difference is exactly zero
+    g = wallgrid()
+    co = ModelCoefficients.make(1, np.array([[1.5]]), np.array([[0.5]]), kappa=0.5)
+    diffs, states = continuity_iterates(co, 0.5, 0.5, sine_forcing(g), g, noise_for(g, 2), 4)
+    assert diffs.shape == (3,) and np.all(diffs == 0.0)
+    assert np.any(states[0] != 0.0)
+
+
+def test_continuity_iterates_first_is_base_solve():
     g = wallgrid()
     co = ModelCoefficients.make(1, np.array([[1.5]]), np.array([[0.5]]), kappa=0.5)
     noise = noise_for(g, paths=2)
-    f = FieldEnsemble(
-        np.broadcast_to(np.sin(np.pi * g.x1_nodes), (1, g.steps + 1, g.n_x1)).copy(), g
-    )
-    rng = np.random.default_rng(4)
-    v_any = FieldEnsemble(rng.normal(size=(2, g.steps + 1, g.n_x1)), g)
-    v_zero = FieldEnsemble(np.zeros((2, g.steps + 1, g.n_x1)), g)
-    s0 = 0.5
-    a = continuity_step(co, s0, s0, v_any, Forcing(f=f), g, noise)
-    b = continuity_step(co, s0, s0, v_zero, Forcing(f=f), g, noise)
-    # at s = s0 the operator increment vanishes, so the iterate is inert
-    assert np.allclose(a.values, b.values, atol=1e-14)
-
-
-def test_continuity_step_from_zero_iterate_is_base_solve():
-    g = wallgrid()
-    co = ModelCoefficients.make(1, np.array([[1.5]]), np.array([[0.5]]), kappa=0.5)
-    noise = noise_for(g, paths=2)
-    f = FieldEnsemble(
-        np.broadcast_to(np.sin(np.pi * g.x1_nodes), (1, g.steps + 1, g.n_x1)).copy(), g
-    )
-    v_zero = FieldEnsemble(np.zeros((2, g.steps + 1, g.n_x1)), g)
-    stepped = continuity_step(co, 0.75, 0.0, v_zero, Forcing(f=f), g, noise)
+    forcing = sine_forcing(g)
+    _, states = continuity_iterates(co, 0.75, 0.3, forcing, g, noise, 3)
     base = solve_model_halfspace(
-        interpolate_coefficients(co, 0.0), Forcing(f=f), g, noise
+        interpolate_coefficients(co, 0.3), forcing, g, noise, store="final"
     )
-    assert np.allclose(stepped.values, base.values, atol=1e-14)
+    assert np.array_equal(states[0], base)
+
+
+def test_continuity_iterates_report_a_blowup_path_and_step():
+    g = wallgrid()
+    co = ModelCoefficients.make(1, np.array([[1.5]]), np.array([[0.5]]), kappa=0.5)
+    forcing = sine_forcing(g, paths=3)
+    j = 5
+    forcing.f.values[2, j, 3] = np.inf
+    with pytest.raises(BlowUpError) as err:
+        continuity_iterates(co, 1.0, 0.9, forcing, g, noise_for(g, 3), 3)
+    assert (err.value.path, err.value.step) == (2, j + 1)
+
+
+def test_continuity_iterates_need_a_one_dimensional_wall_grid():
+    co = ModelCoefficients.make(1, np.array([[1.5]]), np.array([[0.5]]), kappa=0.5)
+    per = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=8, t_max=0.002, steps=2, periodic_x1=True)
+    with pytest.raises(ModelError, match="1-D Dirichlet"):
+        continuity_iterates(co, 1.0, 0.9, Forcing(), per, noise_for(per), 2)
+    # the frozen operator L_s0 goes through the shared precondition block
+    g = wallgrid(steps=2, t_max=0.002)
+    wrong_dt = wiener_increments(SEED, 2, g.steps, dt=2.0 * g.dt)
+    with pytest.raises(ModelError, match="variance"):
+        continuity_iterates(co, 1.0, 0.9, Forcing(), g, wrong_dt, 2)
