@@ -9,18 +9,23 @@ refinement studies track their stability instead of claiming exactness.
 
 Difference quotients run over a stencil of lattice offsets set by one of
 two pair policies (``auto``: exhaustive up to ``exhaustive_limit`` nodes,
-dyadic beyond).  ``exhaustive`` takes every offset whose first nonzero
-component is positive, without wrapping: exactly the C-order node pairs
-qa < qb of ``np.triu_indices``.  ``dyadic`` takes powers of two along each
-axis, unit diagonals between space axes and parabolically balanced
-offsets (4^j steps against 2^j cells), wrapping on periodic axes, so the
-n/2 offset of an even periodic axis meets each pair in both orientations
-and counts both in ``pairs``.  All pairs of one offset are one difference
-of two slices of the field, reduced by the path moment and divided by one
-denominator |x - y|^alpha + |t - s|^{alpha/2} (periodic distance on
-periodic axes).  The field is copied once with paths as the contiguous
-axis after the grid axes, so paths are summed in the order a gathered
-pair list would sum them, bit for bit.
+dyadic beyond).  ``exhaustive`` takes the C-order node pairs qa < qb of
+``np.triu_indices``, without wrapping, grouped by the first component o
+of their offset: one broadcast difference joins every node of row r to
+every node of row r + o (at o = 0 only the later ones).  ``dyadic`` takes
+powers of two along each axis, unit diagonals between space axes and
+parabolically balanced offsets (4^j steps against 2^j cells), wrapping on
+periodic axes, so the n/2 offset of an even periodic axis meets each pair
+in both orientations and counts both in ``pairs``; all pairs of one
+offset are one difference of two slices of the field.  Denominators
+|x - y|^alpha + |t - s|^{alpha/2} (periodic distance on periodic axes)
+are looked up by |offset|.  The field is copied once with paths as the
+contiguous axis after the grid axes, so paths are summed in the order a
+gathered pair list would sum them, bit for bit.  Differences pass through
+one reused buffer in blocks of leading rows of about 2^18 bytes, at least
+one row of every batch entry (an exhaustive row holds (trailing nodes)^2
+x paths values); for gamma = 2 without modes a block is squared in place
+and summed over paths by ``np.add.reduce``, the arithmetic of ``np.mean``.
 
 Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
@@ -88,12 +93,27 @@ def _multi_indices(dim, order):
     return [(order - k, k) for k in range(order + 1)]
 
 
+# values per block of the difference buffer: 2^18 bytes of float64
+_BLOCK = 2**15
+
+
 def _moment(x, gamma, has_modes, axis=0):
     """L^gamma over the paths axis of the (mode-ell2) magnitude; modes are last."""
     a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else np.abs(x)
     if gamma == 2.0:
         return np.sqrt(np.mean(a * a, axis=axis))
     return np.mean(a**gamma, axis=axis) ** (1.0 / gamma)
+
+
+def _difference_moment(a, b, buf, gamma, has_modes):
+    """``_moment(a - b, gamma, has_modes, axis=-1)`` bit for bit, a - b in buf."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    d = np.subtract(a, b, out=buf[: math.prod(shape)].reshape(shape))
+    if gamma != 2.0 or has_modes:
+        return _moment(d, gamma, has_modes, axis=-1)
+    q = np.add.reduce(np.multiply(d, d, out=d), axis=-1)
+    q /= shape[-1]
+    return np.sqrt(q, out=q)
 
 
 # -- offset stencil ---------------------------------------------------
@@ -132,31 +152,31 @@ def _dyadic_offsets(shape, periodic, time_axis):
     return offs
 
 
-def _exhaustive_offsets(shape):
-    """Offsets whose first nonzero component is positive: the triu pairs."""
-    n = np.array(shape)
-    offs = np.indices(2 * n - 1).reshape(n.size, -1).T - (n - 1)
-    return offs[offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)] > 0]
-
-
 @dataclass
 class _Stencil:
-    """Offset i joins node start[i] + k, k over base[i] in C-order, to that
-    node plus offsets[i], wrapped on the wrap axes; slices[i] are the two
-    ends in the batched, wrap-padded field."""
+    """Dyadic: offset i joins node start[i] + k, k over base[i] in C-order, to
+    that node plus offsets[i], wrapped on the wrap axes; slices[i] are the
+    two ends in the batched, wrap-padded field.  Exhaustive: term o joins
+    trailing node p of row r to node q of row r + o (p < q at o = 0), at
+    offset offsets[o * m + didx[p, q]], m the number of trailing nodes."""
 
     policy: str
     shape: tuple
     wrap: tuple
     pad: list
     offsets: np.ndarray
-    base: np.ndarray
-    start: np.ndarray
-    slices: list
     pairs: int
+    base: np.ndarray = None
+    start: np.ndarray = None
+    slices: list = ()
+    didx: np.ndarray = None
 
     def pair(self, i, k):
-        """Node pair (a, b) of flat base index k of offset i."""
+        """Node pair (a, b) of flat index k of term i."""
+        if self.didx is not None:
+            (n0, *tail), m = self.shape, len(self.offsets) // self.shape[0]
+            r, p, q = np.unravel_index(k, (n0 - i, m, m))
+            return (r, *np.unravel_index(p, tail)), (r + i, *np.unravel_index(q, tail))
         ia = tuple(self.start[i] + np.unravel_index(k, tuple(self.base[i])))
         ib = (a + o for a, o in zip(ia, self.offsets[i]))
         return ia, tuple(b % n if w else b for b, n, w in zip(ib, self.shape, self.wrap))
@@ -165,12 +185,14 @@ class _Stencil:
 @functools.lru_cache(maxsize=16)
 def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
     """The stencil of one grid and policy; shared between calls, never modified."""
+    ndim, n = len(shape), math.prod(shape)
     if policy == "exhaustive":
-        offs, wrap = _exhaustive_offsets(shape), (False,) * len(shape)
-    else:
-        offs = np.array(_dyadic_offsets(shape, periodic, time_axis), int).reshape(-1, len(shape))
-        wrap = periodic
-    n, w = np.array(shape), np.array(wrap)
+        tail = np.indices(shape[1:]).reshape(ndim - 1, n // shape[0])
+        didx = np.ravel_multi_index(tuple(abs(tail[:, :, None] - tail[:, None, :])), shape[1:])
+        offs = np.indices(shape).reshape(ndim, n).T
+        return _Stencil(policy, shape, (), [(0, 0)] * ndim, offs, n * (n - 1) // 2, didx=didx)
+    offs = np.array(_dyadic_offsets(shape, periodic, time_axis), int).reshape(-1, ndim)
+    n, w = np.array(shape), np.array(periodic)
     lo = np.where(w, -offs.min(axis=0, initial=0), 0)
     pad = [(int(a), int(b)) for a, b in zip(lo, np.where(w, offs.max(axis=0, initial=0), 0))]
     base = np.where(w, n, n - np.abs(offs))
@@ -184,7 +206,7 @@ def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
         for a, a1, b, b1 in zip(*(e.tolist() for e in (a0, a0 + base, b0, b0 + base)))
     ]
     pairs = int(np.prod(base, axis=1).sum())
-    return _Stencil(policy, shape, wrap, pad, offs, base, start, slices, pairs)
+    return _Stencil(policy, shape, periodic, pad, offs, pairs, base, start, slices)
 
 
 def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
@@ -215,12 +237,27 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     x = np.moveaxis(values, 0, 1 + len(shape))
     # the one copy: C-contiguous, paths after the grid axes, periodic wrap
     x = np.pad(x, [(0, 0)] + st.pad + [(0, 0)] * (x.ndim - 1 - len(shape)), mode="wrap")
-    nb = x.shape[0]
-    vmax, kmax = np.zeros((len(denom), nb)), np.zeros((len(denom), nb), dtype=np.intp)
-    for i, (sa, sb) in enumerate(st.slices):
-        q = _moment(x[sa] - x[sb], spec.gamma, n_modes > 0, axis=-1).reshape(nb, -1) / denom[i]
-        kmax[i] = q.argmax(axis=1)
-        vmax[i] = q[np.arange(nb), kmax[i]]
+    nb, m = x.shape[0], n_pts // shape[0]
+    if policy == "dyadic":
+        ends = [(x[sa], x[sb]) for sa, sb in st.slices]
+    else:  # term o: every node of row r against every node of row r + o
+        x = x.reshape(nb, shape[0], m, *x.shape[1 + len(shape) :])
+        ends = [(x[:, : shape[0] - o, :, None], x[:, o:, None, :]) for o in range(shape[0])]
+        tab, low = denom.reshape(shape[0], m), np.tri(m, dtype=bool)
+    vmax, kmax = np.full((len(ends), nb), -1.0), np.zeros((len(ends), nb), dtype=np.intp)
+    buf = np.empty(_BLOCK)
+    for i, (a, b) in enumerate(ends):
+        # an infinite denominator drops the pairs qa >= qb of exhaustive term 0
+        den = denom[i] if policy == "dyadic" else np.where(low & (i == 0), np.inf, tab[i][st.didx])
+        row = nb * math.prod(np.broadcast_shapes(a.shape, b.shape)[2:])  # every batch entry
+        buf, rows = buf if buf.size >= row else np.empty(row), max(1, _BLOCK // row)
+        for rs in (slice(lo, lo + rows) for lo in range(0, a.shape[1], rows)):
+            q = _difference_moment(a[:, rs], b[:, rs], buf, spec.gamma, n_modes > 0)
+            q /= den
+            k = q.reshape(nb, -1).argmax(axis=1)
+            v = q.reshape(nb, -1)[np.arange(nb), k]
+            new = (v > vmax[i]) | np.isnan(v)  # strict: the earliest maximum stays
+            vmax[i, new], kmax[i, new] = v[new], k[new] + rs.start * math.prod(q.shape[2:])
     best = vmax.max(initial=0.0)
     if not math.isfinite(best):
         raise ValueError("field values must be finite")
@@ -228,7 +265,7 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
         return st, 0.0, 0, ()
     j = int(np.argmax((vmax == best).any(axis=0)))
     ties = np.flatnonzero(vmax[:, j] == best)
-    # dyadic order is the tie order; exhaustive offsets interleave in triu order
+    # dyadic order is the tie order; exhaustive terms interleave in triu order
     i = ties[0] if policy == "dyadic" else min(ties, key=lambda i: st.pair(i, kmax[i, j]))
     return st, float(best), j, st.pair(i, kmax[i, j])
 

@@ -345,6 +345,9 @@ def _check_inputs(coeffs, forcing, grid, noise, c_cfl):
     """Preconditions shared by every solver entry point."""
     if grid.dim != coeffs.dim:
         raise ModelError(f"grid dim {grid.dim} != coefficient dim {coeffs.dim}")
+    if grid.periodic_x1 and grid.n_x1 < 3:
+        # the wrap and the direct neighbour would be one node
+        raise ModelError(f"a periodic line needs at least 3 nodes, got {grid.n_x1}")
     if noise.n_steps != grid.steps or noise.n_modes != coeffs.n_modes:
         raise ModelError("noise batch does not match grid steps / mode count")
     if abs(noise.dt - grid.dt) > 1e-12 * grid.dt:

@@ -304,8 +304,8 @@ def test_criterion_12_norm_unit_suite():
     )
 
 
-# Canonical-CSV SHA-256 of the checked-in studies that run in seconds;
-# read from the session fixtures above, so no study runs twice.
+# Canonical-CSV SHA-256 of the checked-in studies; read from the session
+# fixtures above, so no study runs twice.
 @pytest.mark.parametrize(
     "fixture, digest",
     [
@@ -321,8 +321,27 @@ def test_criterion_12_norm_unit_suite():
             "halfline_report",
             "943b755622ad76837dea1ed0054acb00386f9c9f1289652a712ef57629f84128",
         ),
+        (
+            "schauder_report",
+            "27a00a35cfc12b90620fd084202a5457b9cb335683082e32961393dd2cedff36",
+        ),
+        (
+            "compatibility_report",
+            "2c8916a1f2b31e7545b9cd152ce205d936f6643cfa8270e5ab593a58be8525a2",
+        ),
+        (
+            "pipeline_report",
+            "df28f1689c759d029c406e88e83f531f8e9d18b2834bbfd02078bb4e1d5e6c85",
+        ),
     ],
 )
 def test_checked_in_study_bytes_are_pinned(request, fixture, digest):
     report, _ = request.getfixturevalue(fixture)
     assert hashlib.sha256(report.canonical_csv().encode()).hexdigest() == digest
+
+
+def test_checked_in_schauder_norm_rows_are_pinned(schauder_report):
+    # every norm value, argmax pair and pair count of the full-size study
+    report, _ = schauder_report
+    digest = hashlib.sha256(report.norms_csv().encode()).hexdigest()
+    assert digest == "c4a2da1271dc4037d4d4f46b696dcd77717ef2c0270406b96e49c944b6a6afa3"

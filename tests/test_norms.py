@@ -21,6 +21,7 @@ from spdelab import (
     time_seminorm,
     trace_parabolic_norm,
 )
+from spdelab import norms
 from spdelab.fields import finite_diff
 from spdelab.norms import _dyadic_offsets, _grid_geometry, _moment, _multi_indices, report_rows
 
@@ -344,3 +345,106 @@ def test_stencil_engine_is_bit_identical_on_float_fields(policy, n_modes):
         vals = np.random.default_rng(paths).normal(size=shape)
         f = FieldEnsemble(vals, g, n_modes=n_modes)
         _assert_matches_oracle(f, NormSpec(alpha=0.5, pair_policy=policy), 1)
+
+
+@pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
+@pytest.mark.parametrize("n_modes", [0, 2])
+def test_blocked_reduction_is_bit_identical_across_block_boundaries(monkeypatch, policy, n_modes):
+    # 1024 values hold a few rows: slices span several blocks, the last one
+    # partial, and the spy below sees both
+    monkeypatch.setattr(norms, "_BLOCK", 1024)
+    moment, rows = norms._difference_moment, []
+
+    def spy(a, b, *args):
+        rows.append(a.shape[1])
+        return moment(a, b, *args)
+
+    monkeypatch.setattr(norms, "_difference_moment", spy)
+    modes = (n_modes,) if n_modes else ()
+    grids = [
+        # (t, x1, x') with a periodic x' wrap; batch > 1 in the space seminorm
+        SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=8, xp_max=1.0, xp_cells=5),
+        SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=9, t_max=0.5, steps=12, periodic_x1=True),
+    ]
+    for g in grids:
+        for paths in (8, 11):
+            rng = np.random.default_rng(paths)
+            shape = (paths, g.steps + 1) + g.space_shape + modes
+            # integer values tie often; a ramp in x1 ties across every time row,
+            # so the earliest maximum must survive the later blocks
+            ramp = np.arange(g.n_x1).reshape((1, 1, -1) + (1,) * (len(shape) - 3))
+            for vals, m in (
+                (rng.normal(size=shape), 1),
+                (rng.integers(-2, 3, shape) * 1.0, 0),
+                (np.broadcast_to(ramp * 1.0, shape), 0),
+            ):
+                spec = NormSpec(alpha=0.5, pair_policy=policy)
+                _assert_matches_oracle(FieldEnsemble(vals, g, n_modes=n_modes), spec, m)
+    assert max(rows) > 1
+    assert any(1 <= b < a for a, b in zip(rows, rows[1:]))
+
+
+@st.composite
+def homogeneity_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    grid = SpaceTimeGrid(
+        dim=dim,
+        x1_max=1.0,
+        x1_cells=draw(st.integers(2, 4)),
+        t_max=0.5,
+        steps=draw(st.integers(1, 4)),
+        xp_max=1.0 if dim == 2 else 0.0,
+        xp_cells=4 if dim == 2 else 0,
+        periodic_x1=draw(st.booleans()),
+    )
+    n_modes = draw(st.sampled_from([0, 2]))
+    shape = (draw(st.integers(1, 9)), grid.steps + 1) + grid.space_shape
+    shape += (n_modes,) if n_modes else ()
+    vals = draw(arrays(np.float64, shape, elements=st.floats(-4.0, 4.0, width=32)))
+    spec = NormSpec(
+        alpha=draw(st.sampled_from([0.25, 0.5, 0.75])),
+        gamma=draw(st.sampled_from([2.0, 3.0])),
+        pair_policy=draw(st.sampled_from(["exhaustive", "dyadic"])),
+    )
+    c = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(-6, 6))
+    return FieldEnsemble(vals, grid, n_modes=n_modes), spec, c
+
+
+@given(homogeneity_cases())
+def test_seminorms_are_homogeneous_under_powers_of_two(case):
+    f, spec, c = case
+    scaled = FieldEnsemble(c * f.values, f.grid, n_modes=f.n_modes)
+    for fn in (parabolic_seminorm, space_seminorm):
+        a, b = fn(f, spec), fn(scaled, spec)
+        assert b.pairs == a.pairs
+        if spec.gamma == 2.0:
+            # a power of two scales every square, sum, mean and sqrt exactly
+            assert (b.value, str(b.argmax)) == (abs(c) * a.value, str(a.argmax))
+        else:
+            # the 1/gamma power of 2^(gamma k) x is not 2^k x^(1/gamma) bit for bit
+            assert b.value == pytest.approx(abs(c) * a.value, rel=1e-15, abs=0.0)
+
+
+@given(
+    homogeneity_cases(),
+    st.floats(0.25, 4.0, allow_nan=False),
+)
+def test_seminorms_obey_the_parabolic_scaling_law(case, lam):
+    # the same nodal values on a grid dilated by lam in space and lam^2 in
+    # time divide every denominator, hence the seminorms, by lam^alpha
+    f, spec, _ = case
+    g = f.grid
+    dilated = SpaceTimeGrid(
+        dim=g.dim,
+        x1_max=lam * g.x1_max,
+        x1_cells=g.x1_cells,
+        t_max=lam * lam * g.t_max,
+        steps=g.steps,
+        xp_max=lam * g.xp_max,
+        xp_cells=g.xp_cells,
+        periodic_x1=g.periodic_x1,
+    )
+    scaled = FieldEnsemble(f.values, dilated, n_modes=f.n_modes)
+    for fn in (parabolic_seminorm, space_seminorm):
+        a, b = fn(f, spec).value, fn(scaled, spec).value
+        assert b == pytest.approx(a / lam**spec.alpha, rel=1e-12, abs=0.0)

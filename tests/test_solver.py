@@ -183,6 +183,12 @@ def test_grid_kind_routing():
         solve_periodic_line(laplace_coefficients(1), Forcing(), wall, noise_for(wall))
 
 
+def test_periodic_line_needs_three_nodes():
+    per = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=2, t_max=0.002, steps=2, periodic_x1=True)
+    with pytest.raises(ModelError, match="at least 3 nodes, got 2"):
+        solve_periodic_line(laplace_coefficients(1), Forcing(), per, noise_for(per))
+
+
 def test_inadmissible_coefficients_are_refused():
     g = wallgrid()
     bad = ModelCoefficients.make(1, np.array([[0.6]]), np.array([[1.0]]), kappa=1.0)
