@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .fields import FieldEnsemble, SpaceTimeGrid, finite_diff, restrict_to_boundary
-from .halfline import BoundaryData, KernelQuadrature, solve_halfline
+from .halfline import BoundaryData, solve_halfline
 from .solver import (
     Forcing,
     ModelCoefficients,
@@ -114,10 +114,8 @@ def halfline_heat_dirichlet(wall_values: np.ndarray, grid: SpaceTimeGrid) -> np.
 
 
 def _kernel_check(cap_h, b, c, w0, grid, probes):
-    """Re-solve a few W0 columns through the kernel quadrature."""
-    # the gap is dominated by FD discretization error, so modest quadrature
-    # accuracy is enough here
-    quad = KernelQuadrature(rel_tol=1e-7)
+    """Largest gap between a few W0 columns and the exact kernel solve of
+    the spline through their -H samples."""
     worst = 0.0
     for path, col in probes:
         if grid.dim == 2:
@@ -138,7 +136,7 @@ def _kernel_check(cap_h, b, c, w0, grid, probes):
             t_max=grid.t_max,
             steps=grid.steps,
         )
-        kern = solve_halfline(data, line, quad=quad)
+        kern = solve_halfline(data, line)
         worst = max(worst, float(np.max(np.abs(kern.values[0] - ref))))
     return worst
 

@@ -331,7 +331,7 @@ def test_criterion_12_norm_unit_suite():
         ),
         (
             "pipeline_report",
-            "df28f1689c759d029c406e88e83f531f8e9d18b2834bbfd02078bb4e1d5e6c85",
+            "187f60c37013da074304165011007a2b95b59755873318a3322db7eb8c4a9979",
         ),
     ],
 )

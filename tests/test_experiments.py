@@ -217,11 +217,11 @@ def test_schauder_ratio_output_bytes_are_pinned():
             {"x1_cells": 9, "steps": 1512},
             "d6002805ddd6d626f730067c236da594d9aa99e1a574aa9b50a2102752fd7c32",
         ),
-        # 2-D solves, the additive heat solve and the decomposition
+        # 2-D solves, the additive heat solve, the decomposition and its kernel check
         (
             "pipeline",
             {"t_max": 0.0125, "steps": 32},
-            "6bc91daafd183120fc909ec71dd824fd5d634ab9707b86c847e4ca7f4682d842",
+            "15407d19f76cad6737b346bcf89f6054c6a6854dd66c04e390c74d8eebcf781d",
         ),
     ],
 )

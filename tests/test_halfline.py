@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import erfc, gamma, pbdv
 
 from spdelab import (
@@ -139,8 +137,6 @@ def test_quadrature_tolerance_window():
         KernelQuadrature(rel_tol=0.0)
     with pytest.raises(ValueError):
         KernelQuadrature(rel_tol=2e-4)
-    with pytest.raises(ValueError):
-        KernelQuadrature(max_subdiv=5)
 
 
 # -- boundary data ----------------------------------------------------
@@ -206,13 +202,14 @@ def test_solve_zero_data_gives_zero_field():
 def test_solve_sampled_matches_analytic():
     # a cubic spline through t^2 samples reproduces the profile exactly,
     # so the sampled route must land on the analytic values
-    g = vgrid()
-    va = solve_halfline(t2_data(g.times), g)
-    data = BoundaryData.from_samples(
-        (g.times**2)[None, :], (2.0 * g.times)[None, :], g.times
-    )
-    vs = solve_halfline(data, g, KernelQuadrature(rel_tol=1e-9))
-    assert np.allclose(vs.values, va.values, rtol=0.0, atol=5e-8)
+    for steps in (4, 16, 128):
+        g = vgrid(steps=steps)
+        va = solve_halfline(t2_data(g.times), g)
+        data = BoundaryData.from_samples(
+            (g.times**2)[None, :], (2.0 * g.times)[None, :], g.times
+        )
+        vs = solve_halfline(data, g)
+        assert np.allclose(vs.values, va.values, rtol=0.0, atol=1e-14)
 
 
 def test_solve_requires_compatible_grid_and_zero_start():
@@ -329,39 +326,109 @@ def test_node_blocking_does_not_change_values(monkeypatch):
     assert all(np.array_equal(runs[0], r) for r in runs[1:])
 
 
-def _knot_mesh_loop(t, y, knots, max_width=0.5):
-    """Reference: the panel-by-panel loop that `_knot_mesh` vectorizes."""
+# -- sampled data: closed form against the knot-mesh quadrature -------
+
+
+def _knot_mesh(t, y, knots, max_width=0.5):
+    """Panel edges in u on [u0, u0 + 8], with an edge at every knot's kink
+    u = y / (2 sqrt(t - t_k)) and no panel wider than max_width."""
     u0 = y / (2.0 * math.sqrt(t))
     hi = u0 + halfline._U_WINDOW
-    inner = []
-    for tk in knots:
-        if 0.0 < tk < t:
-            uk = y / (2.0 * math.sqrt(t - tk))
-            if u0 < uk < hi:
-                inner.append(uk)
-    edges = np.unique(np.concatenate([[u0, hi], inner]))
-    out = [edges[0]]
+    tk = np.asarray(knots, dtype=float)
+    uk = y / (2.0 * np.sqrt(t - tk[(tk > 0.0) & (tk < t)]))
+    edges = np.unique(np.concatenate([[u0, hi], uk[(uk > u0) & (uk < hi)]]))
+    out = [edges[:1]]
     for e0, e1 in zip(edges[:-1], edges[1:]):
         n = max(1, int(math.ceil((e1 - e0) / max_width)))
-        out.extend(np.linspace(e0, e1, n + 1)[1:].tolist())
-    return np.asarray(out)
+        out.append(np.linspace(e0, e1, n + 1)[1:])
+    return np.concatenate(out)
 
 
-@given(
-    steps=st.integers(1, 64),
-    j=st.integers(0, 64),
-    y=st.floats(1e-4, 4.0),
-    width=st.sampled_from([0.5, 0.3, 2.0]),
-    jitter=st.integers(0, 2**32 - 1),
-)
-def test_knot_mesh_matches_panel_loop(steps, j, y, width, jitter):
-    knots = np.linspace(0.0, 1.0, steps + 1)
-    if jitter % 2:  # irregular knots
-        knots = np.sort(np.random.default_rng(jitter).uniform(0.0, 1.0, steps + 1))
-    t = float(knots[min(j, steps)]) or 0.5
-    fast = halfline._knot_mesh(t, y, knots, width)
-    assert np.array_equal(fast, _knot_mesh_loop(t, y, knots, width))
-    assert np.array_equal(halfline._knot_mesh(t, y, ()), _knot_mesh_loop(t, y, ()))
+def _quadrature_point(spline, t, y, knots, rel_tol, data_scale, max_panels=1600):
+    """Reference: 12-point Gauss-Legendre of the substituted convolution on a
+    knot-aligned mesh, bisected until two estimates agree to rel_tol of
+    max(|value|, data_scale).  Returns the values of all paths at (t, y)."""
+    edges = _knot_mesh(t, y, knots)
+
+    def estimate(edges):
+        u, wt = halfline._panel_rule(edges, 12)
+        tau = np.clip(t - y * y / (4.0 * u * u), 0.0, t)
+        wt = halfline._TWO_OVER_SQRTPI * wt * np.exp(-u * u)
+        return (wt[:, None] * spline(tau)).sum(axis=0)
+
+    prev = estimate(edges)
+    while 2 * (len(edges) - 1) <= max_panels:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        cur = estimate(edges)
+        scale = max(float(np.max(np.abs(cur))), data_scale)
+        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale + 1e-15:
+            return cur
+        prev = cur
+    raise AssertionError(f"reference quadrature did not settle at (t={t}, y={y})")
+
+
+def quadrature_solve(data, grid, derivative=False, rel_tol=1e-12):
+    """The reference on every interior node, shaped (paths, nt - 1, ny - 1)."""
+    spline = data.spline(derivative=derivative)
+    samples = data.h_prime if derivative else data.h
+    scale = float(np.max(np.abs(samples)))
+    rows = [
+        [_quadrature_point(spline, t, y, data.times, rel_tol, scale) for y in grid.x1_nodes[1:]]
+        for t in grid.times[1:]
+    ]
+    return np.moveaxis(np.array(rows), -1, 0)
+
+
+def smooth_sampled(times, paths, seed):
+    """Sums of sin(w t) - w t, t^2 and t^3 with random weights, so that
+    h(0) = h'(0) = 0; h and h' are divided by max |h| (unit data scale)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (4, paths, 1))
+    w = rng.uniform(0.5, 6.0, (2, paths, 1))
+    t = times[None, :]
+    h = a[0] * (np.sin(w[0] * t) - w[0] * t) + a[1] * (np.sin(w[1] * t) - w[1] * t)
+    hp = a[0] * w[0] * (np.cos(w[0] * t) - 1.0) + a[1] * w[1] * (np.cos(w[1] * t) - 1.0)
+    h, hp = h + a[2] * t**2 + a[3] * t**3, hp + 2.0 * a[2] * t + 3.0 * a[3] * t**2
+    scale = np.max(np.abs(h))
+    return BoundaryData.from_samples(h / scale, hp / scale, times)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 8])
+def test_sampled_solve_matches_knot_mesh_quadrature(steps):
+    # 1 and 2 steps give the 2- and 3-knot splines (a line, a parabola)
+    g = SpaceTimeGrid(dim=1, x1_max=2.0, x1_cells=8, t_max=1.0, steps=steps)
+    for seed in (0, 1, 2):
+        data = smooth_sampled(g.times, 3, seed)
+        v = solve_halfline(data, g).values[:, 1:, 1:]
+        assert np.allclose(v, quadrature_solve(data, g), rtol=0.0, atol=1e-13)
+        d = dt_v(data, g).values[:, 1:, 1:]
+        ref = quadrature_solve(data, g, derivative=True)
+        assert np.allclose(d, ref, rtol=0.0, atol=1e-13 * float(np.max(np.abs(data.h_prime))))
+
+
+def test_sampled_cubic_matches_oracle_where_exp_underflows():
+    # z = y / 2 sqrt(s) reaches 64, far past exp(-z^2) underflowing near
+    # z = 27; the oracle takes i^6 erfc from the parabolic cylinder function,
+    # not from the upward recurrence the solve uses
+    g = SpaceTimeGrid(dim=1, x1_max=64.0, x1_cells=256, t_max=1.0, steps=4)
+    data = BoundaryData.from_samples((g.times**3)[None, :], (3.0 * g.times**2)[None, :], g.times)
+    v = solve_halfline(data, g).values[0, 1:, 1:]
+    assert np.allclose(v, power_oracle(g, 3, lambda z: frac_ierfc(6.0, z)), rtol=0.0, atol=1e-13)
+    assert np.all(v[:, -1] == 0.0)
+
+
+def test_sampled_solve_of_a_rough_path_stays_within_the_old_tolerance():
+    # on a random walk the cubic jumps are ~3e5 times the data scale and
+    # the truncated-power sum cancels: its error is ~1.5e-10 of the scale,
+    # far above rounding but inside the 1e-7 of scale that the pipeline's
+    # kernel check asked of the quadrature
+    g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=4, t_max=1.0, steps=128)
+    walk = 1e-3 * np.cumsum(np.random.default_rng(5).normal(size=g.steps))
+    h = np.concatenate([[0.0], walk])[None, :]
+    data = BoundaryData.from_samples(h, np.zeros_like(h), g.times)
+    v = solve_halfline(data, g).values[:, 1:, 1:]
+    ref = quadrature_solve(data, g, rel_tol=1e-10)
+    assert float(np.max(np.abs(v - ref))) <= 1e-7 * float(np.max(np.abs(h)))
 
 
 # -- stability gap ----------------------------------------------------
