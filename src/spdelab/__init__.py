@@ -16,7 +16,6 @@ from .fields import (
 )
 from .halfline import (
     BoundaryData,
-    KernelQuadrature,
     QuadratureError,
     StabilityReport,
     dt_v,
@@ -65,7 +64,6 @@ __all__ = [
     "poisson_kernel",
     "kernel_dy",
     "kernel_mass",
-    "KernelQuadrature",
     "QuadratureError",
     "BoundaryData",
     "solve_halfline",

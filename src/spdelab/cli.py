@@ -3,7 +3,7 @@
     lab <experiment> --config cfg.json [--seed N --salt N --out DIR
                                         --levels K --paths N --workers W
                                         --plot]
-    lab kernel --s S --y Y
+    lab kernel --s S --y Y [--rel-tol R]
     lab validate --config cfg.json
 
 Experiments write their canonical CSV (plus sidecar JSON, and a
@@ -20,7 +20,7 @@ import os
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_study
-from .halfline import KernelQuadrature, kernel_dy, kernel_mass, poisson_kernel
+from .halfline import kernel_dy, kernel_mass, poisson_kernel
 
 _OUT_ENV = "SPDELAB_OUT"
 
@@ -33,7 +33,7 @@ def _study_parser(sub, name, runner):
     p.add_argument("--out", default=None, help=f"output directory (default ${_OUT_ENV} or .)")
     p.add_argument("--levels", type=int, default=None, help="override the refinement level count")
     p.add_argument("--paths", type=int, default=None, help="override the ensemble path count")
-    p.add_argument("--workers", type=int, default=1, help="quadrature worker threads")
+    p.add_argument("--workers", type=int, default=1, help="kernel-solve worker threads")
     p.add_argument("--plot", action="store_true", help="also write the long-format plot CSV")
     return p
 
@@ -75,11 +75,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "kernel":
-        quad = KernelQuadrature(rel_tol=args.rel_tol)
-        print(f"P(s={args.s}, y={args.y}) = {poisson_kernel(args.s, args.y)!r}")
-        print(f"dP/dy(s={args.s}, y={args.y}) = {kernel_dy(args.s, args.y)!r}")
-        if args.y > 0:
-            mass = kernel_mass(args.y, quad)
+        try:
+            p = poisson_kernel(args.s, args.y)
+            dp = kernel_dy(args.s, args.y)
+            mass = kernel_mass(args.y, rel_tol=args.rel_tol) if args.y > 0 else None
+        except ValueError as exc:
+            print(f"invalid: {exc}", file=sys.stderr)
+            return 1
+        print(f"P(s={args.s}, y={args.y}) = {p!r}")
+        print(f"dP/dy(s={args.s}, y={args.y}) = {dp!r}")
+        if mass is not None:
             print(f"mass(y={args.y}) = {mass!r}  (defect {abs(mass - 1.0):.3e})")
         return 0
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .fields import FieldEnsemble, SpaceTimeGrid, finite_diff
-from .halfline import BoundaryData, KernelQuadrature, dt_v, solve_halfline, stability_gap
+from .halfline import BoundaryData, dt_v, solve_halfline, stability_gap
 from .norms import NormSpec, parabolic_seminorm, report_rows, schauder_ratio, time_seminorm
 from .pipeline import decompose_pipeline
 from .rng import SeedSpec, coarsen, standard_normals, wiener_increments
@@ -190,7 +190,7 @@ class ExperimentConfig:
     """Parsed study configuration.
 
     The on-disk form is JSON with blocks: experiment, grid,
-    coefficients, data, ensemble, levels, quadrature.  Studies read the
+    coefficients, data, ensemble, levels.  Studies read the
     blocks they need; validate() runs the admissibility checks shared
     by all of them.
     """
@@ -264,10 +264,6 @@ class ExperimentConfig:
             return int(override)
         return int(self.raw.get("levels", 1))
 
-    def quadrature(self) -> KernelQuadrature:
-        q = self.block("quadrature")
-        return KernelQuadrature(rel_tol=float(q.get("rel_tol", 1e-10)))
-
     def validate(self):
         """Admissibility gate: run before any compute.
 
@@ -334,7 +330,6 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     """
     t0 = time.perf_counter()
     config.validate()
-    quad = config.quadrature()
     data_block = config.block("data")
     alphas = [float(a) for a in data_block.get("alpha", [0.25, 0.5, 0.75])]
     gamma = float(data_block.get("gamma", 2.0))
@@ -348,9 +343,9 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     # part 1: identity residual under refinement, quadratic wall data
     residuals = []
     for j, g in enumerate(grids):
-        data = BoundaryData.from_callable(lambda t: t * t, lambda t: 2.0 * t, g.times, label="t^2")
-        v = solve_halfline(data, g, quad=quad, workers=workers)
-        vt = dt_v(data, g, quad=quad, workers=workers)
+        data = BoundaryData.from_power(2, g.times, label="t^2")
+        v = solve_halfline(data, g, workers=workers)
+        vt = dt_v(data, g, workers=workers)
         res = float(np.max(np.abs(finite_diff(v, (2,)).values - vt.values)))
         residuals.append(res)
         rows.append(_row(study, "heat_residual", level=j, value=res))
@@ -378,10 +373,8 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
         probe = SpaceTimeGrid(
             dim=1, x1_max=2.0 * y, x1_cells=2, t_max=grids[-1].t_max, steps=grids[-1].steps
         )
-        data = BoundaryData.from_callable(
-            lambda t: t * t, lambda t: 2.0 * t, fine_times, label="t^2"
-        )
-        v = solve_halfline(data, probe, quad=quad, workers=workers)
+        data = BoundaryData.from_power(2, fine_times, label="t^2")
+        v = solve_halfline(data, probe, workers=workers)
         err = float(np.max(np.abs(v.values[0, :, 1] - fine_times**2)))
         errors.append(err)
         rows.append(_row(study, "boundary_error", level=j, param=y, value=err))
@@ -402,14 +395,8 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
         expo = 1.0 + alpha / 2.0
         ratios = []
         for j, g in enumerate(grids[-2:], start=len(grids) - 2):
-            data = BoundaryData.from_callable(
-                lambda t, _e=expo: t**_e,
-                lambda t, _e=expo: _e * t ** (_e - 1.0),  # 0 at t = 0 since _e > 1
-                g.times,
-                smooth=False,
-                label=f"t^{expo}",
-            )
-            vt = dt_v(data, g, quad=quad, workers=workers)
+            data = BoundaryData.from_power(expo, g.times, label=f"t^{expo}")
+            vt = dt_v(data, g, workers=workers)
             num = parabolic_seminorm(vt, spec).value
             den = time_seminorm(data.h_prime, g.times, alpha / 2.0, gamma)
             ratios.append(num / den)
@@ -445,18 +432,12 @@ def _stability_pairs(grid, seed, n_paths) -> dict:
     xi = standard_normals(seed, np.arange(n_paths), np.array([0]), np.array([0]))[:, 0, 0]
     return {
         "deterministic": (
-            BoundaryData.from_callable(lambda t: t**2, lambda t: 2 * t, grid.times, label="t^2"),
-            BoundaryData.from_callable(
-                lambda t: t**3, lambda t: 3 * t * t, grid.times, label="t^3"
-            ),
+            BoundaryData.from_power(2, grid.times, label="t^2"),
+            BoundaryData.from_power(3, grid.times, label="t^3"),
         ),
         "random": (
-            BoundaryData.from_callable(
-                lambda t: t**2, lambda t: 2 * t, grid.times, scales=xi, label="xi t^2"
-            ),
-            BoundaryData.from_callable(
-                lambda t: t**2, lambda t: 2 * t, grid.times, scales=0.9 * xi, label="0.9 xi t^2"
-            ),
+            BoundaryData.from_power(2, grid.times, scales=xi, label="xi t^2"),
+            BoundaryData.from_power(2, grid.times, scales=0.9 * xi, label="0.9 xi t^2"),
         ),
     }
 
@@ -469,7 +450,6 @@ def run_stability(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     """
     t0 = time.perf_counter()
     config.validate()
-    quad = config.quadrature()
     grid = config.base_grid()
     gamma = float(config.block("data").get("gamma", 2.0))
     seed = config.seed_spec()
@@ -477,7 +457,7 @@ def run_stability(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     study = "stability"
 
     for name, (d1, d2) in _stability_pairs(grid, seed, config.paths()).items():
-        rep = stability_gap(d1, d2, grid, quad=quad, gamma=gamma, workers=workers)
+        rep = stability_gap(d1, d2, grid, gamma=gamma, workers=workers)
         rows.append(_row(study, "lhs", param=name, value=rep.lhs))
         rows.append(_row(study, "rhs", param=name, value=rep.rhs))
         rows.append(_row(study, "ratio", param=name, value=rep.ratio))

@@ -3,23 +3,19 @@
 The kernel P(s, y) = y / (2 sqrt(pi) s^{3/2}) * exp(-y^2 / (4 s)) pushes
 Dirichlet boundary data h (h(0) = 0) into the interior:
 
-    v(t, y) = integral_0^t P(s, y) h(t - s) ds,
+    v(t, y) = integral_0^t P(s, y) h(t - s) ds.
 
-and after the Gaussian substitution u = y / (2 sqrt(s)) every evaluation
-becomes an integral of (2/sqrt(pi)) exp(-u^2) times a time-shifted copy
-of h, which the analytic route integrates.  With h(0) = 0 and h'(0) = 0
-the time derivative has the same representation driven by h',
-and it coincides with the second space derivative of v; that identity is
-the workhorse the stability and refinement studies lean on.
+With h(0) = 0 and h'(0) = 0 the time derivative has the same
+representation driven by h', and it coincides with the second space
+derivative of v; that identity is the workhorse the stability and
+refinement studies lean on.
 
-An analytic profile (a numpy-vectorized callable, optionally carrying
-per-path amplitudes) is integrated for blocks of (t, y) nodes at once by
-one composite Gauss-Legendre rule, graded toward tau -> 0 where data
-such as t^{alpha/2} is rough and checked against its bisection at every
-node.  Per-path samples are interpolated by a cubic spline, which is a
-finite sum of truncated powers (t - t_k)_+^n, n <= 3, one group per knot;
-each has a closed-form solve, so that route sums terms and integrates
-nothing.
+Every kind of wall data is a sum of truncated powers c (t - t_k)_+^nu,
+and the solve of each is c Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)),
+s = t - t_k, so one routine sums these terms and integrates nothing.
+Power data c_p t^nu is one term at t_0 = 0.  Per-path samples are
+interpolated by a cubic spline, which is one group of terms nu = 0..3
+per knot.
 """
 
 from __future__ import annotations
@@ -27,18 +23,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
 from scipy.interpolate import CubicSpline
-from scipy.special import erfc
+from scipy.special import erfc, pbdv
 
 from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid
 
 __all__ = [
     "QuadratureError",
-    "KernelQuadrature",
     "BoundaryData",
     "poisson_kernel",
     "kernel_dy",
@@ -50,8 +44,9 @@ __all__ = [
 ]
 
 _TWO_OVER_SQRTPI = 2.0 / math.sqrt(math.pi)
-# exp(-u^2) beyond u0 + 8 contributes below erfc(8) ~ 1.1e-29 of scale
-_U_WINDOW = 8.0
+# i^k erfc(z) <= exp(-z^2) is below the least double past z ~ 27.3;
+# pbdv returns NaN past z ~ 1467, so it is not called beyond this point
+_Z_UNDERFLOW = 30.0
 # subinterval budget of kernel_mass's adaptive quadrature
 _MASS_LIMIT = 200
 STABILITY_MARGIN = 1.05
@@ -65,22 +60,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class KernelQuadrature:
-    """Tolerance of the kernel integrals of analytic data.
-
-    rel_tol, in (0, 1e-4], bounds the graded rule's gap to its bisection
-    at every node (absolute floor 1e-14) and is kernel_mass's epsrel.
-    Sampled data is solved in closed form and does not read it.
-    """
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-4):
-            raise ValueError(f"rel_tol must be in (0, 1e-4], got {self.rel_tol}")
 
 
 def poisson_kernel(s, y):
@@ -108,22 +87,25 @@ def kernel_dy(s, y):
     )
 
 
-def kernel_mass(y, quad: KernelQuadrature | None = None) -> float:
+def kernel_mass(y, rel_tol: float = 1e-10) -> float:
     """Total kernel mass integral_0^inf P(s, y) ds, equal to 1.
 
     Computed through the Gaussian substitution, which maps the mass onto
     (2/sqrt(pi)) * integral_0^inf exp(-u^2) du; the integrand below still
     evaluates the kernel itself so the test exercises the real formula.
+    rel_tol, in (0, 1e-4], is the adaptive quadrature's epsrel; a miss
+    raises QuadratureError.
     """
+    if not (0.0 < rel_tol <= 1e-4):
+        raise ValueError(f"rel_tol must be in (0, 1e-4], got {rel_tol}")
     if y <= 0:
         raise ValueError("kernel_mass requires y > 0")
-    quad = quad or KernelQuadrature()
 
     def integrand(u):
         s = y * y / (4.0 * u * u)
         return float(poisson_kernel(s, y)) * y * y / (2.0 * u**3)
 
-    val, err, *info = _scipy_quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=quad.rel_tol,
+    val, err, *info = _scipy_quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=rel_tol,
                                   limit=_MASS_LIMIT, full_output=1)
     if len(info) > 1:
         msg = info[1].splitlines()[0]
@@ -133,20 +115,17 @@ def kernel_mass(y, quad: KernelQuadrature | None = None) -> float:
 
 # -- boundary data ----------------------------------------------------
 
-_CONSISTENCY_SAFETY = 8.0
-
 
 @dataclass
 class BoundaryData:
     """Wall data h and its time derivative on the grid times.
 
-    Samples have shape (paths, len(times)).  When an analytic profile
-    (h_fn, hp_fn) is attached, sample row p equals
-    path_scales[p] * h_fn(times), and quadrature evaluates the profile
-    exactly instead of interpolating; h_fn and hp_fn must accept numpy
-    arrays and act elementwise.  h0_zero / hp0_zero record whether
-    the compatibility conditions h(0) = 0 and h'(0) = 0 hold; the kernel
-    representation requires the first, the time-derivative route both.
+    Samples have shape (paths, len(times)).  Power data (from_power)
+    keeps its order: sample row p is path_scales[p] * t^power, and the
+    solve takes the power's closed form instead of interpolating the
+    samples.  h0_zero / hp0_zero record whether the compatibility
+    conditions h(0) = 0 and h'(0) = 0 hold; the kernel representation
+    requires the first, the time-derivative route both.
     """
 
     h: np.ndarray
@@ -154,8 +133,7 @@ class BoundaryData:
     times: np.ndarray
     h0_zero: bool
     hp0_zero: bool
-    h_fn: object = None
-    hp_fn: object = None
+    power: float | None = None
     path_scales: np.ndarray | None = None
     label: str = ""
 
@@ -165,40 +143,33 @@ class BoundaryData:
 
     @property
     def analytic(self) -> bool:
-        return self.h_fn is not None
+        return self.power is not None
 
     @classmethod
-    def from_callable(cls, h_fn, hp_fn, times, *, scales=None, smooth=True, label=""):
-        """Build data from a closed-form profile, checking consistency.
+    def from_power(cls, nu, times, *, scales=None, label=""):
+        """Power data h_p(t) = scales[p] * t^nu, nu >= 1, with h' = nu t^{nu - 1}.
 
-        ``scales`` turns one profile into a path family
-        h_p(t) = scales[p] * h_fn(t); omit it for a single deterministic
-        path.  ``smooth=False`` skips the trapezoid consistency check
-        (profiles like t^{1+a/2} have unbounded higher derivatives at 0
-        and legitimately fail the smooth-data bound).
+        ``scales`` turns the power into a path family; omit it for a
+        single deterministic path.  Each sample is one scalar pow, which
+        can differ in the last bit from numpy's array power.
         """
+        nu = float(nu)
+        if not nu >= 1.0:
+            raise ValueError(f"from_power needs nu >= 1, got {nu}")
         times = np.asarray(times, dtype=float)
-        base_h = np.asarray([float(h_fn(t)) for t in times])
-        base_hp = np.asarray([float(hp_fn(t)) for t in times])
-        if scales is None:
-            scales = np.ones(1)
-        scales = np.asarray(scales, dtype=float)
-        h = scales[:, None] * base_h[None, :]
-        hp = scales[:, None] * base_hp[None, :]
-        data = cls(
+        scales = np.ones(1) if scales is None else np.asarray(scales, dtype=float)
+        h = scales[:, None] * np.array([t**nu for t in times])[None, :]
+        hp = scales[:, None] * np.array([nu * t ** (nu - 1.0) for t in times])[None, :]
+        return cls(
             h=h,
             h_prime=hp,
             times=times,
-            h0_zero=bool(np.max(np.abs(base_h[0] * scales), initial=0.0) == 0.0),
-            hp0_zero=bool(np.max(np.abs(base_hp[0] * scales), initial=0.0) == 0.0),
-            h_fn=h_fn,
-            hp_fn=hp_fn,
+            h0_zero=not np.any(h[:, 0]),
+            hp0_zero=not np.any(hp[:, 0]),
+            power=nu,
             path_scales=scales,
             label=label,
         )
-        if smooth:
-            data.check_consistency()
-        return data
 
     @classmethod
     def from_samples(cls, h, h_prime, times, *, label=""):
@@ -217,94 +188,13 @@ class BoundaryData:
             label=label,
         )
 
-    def check_consistency(self):
-        """Trapezoid test that h_prime integrates back to h.
-
-        The per-interval trapezoid defect of smooth data is bounded by
-        dt^3/12 * max|h'''|; the third derivative is estimated from
-        second differences of the h' samples.
-        """
-        dt = float(self.times[1] - self.times[0])
-        dh = np.diff(self.h, axis=1)
-        trap = 0.5 * dt * (self.h_prime[:, 1:] + self.h_prime[:, :-1])
-        defect = float(np.max(np.abs(dh - trap)))
-        if self.h_prime.shape[1] >= 3:
-            m3 = float(np.max(np.abs(np.diff(self.h_prime, n=2, axis=1)))) / dt**2
-        else:
-            m3 = 0.0
-        scale = max(float(np.max(np.abs(self.h))), 1.0)
-        tol = _CONSISTENCY_SAFETY * dt**3 / 12.0 * max(m3, 1.0) + 1e-12 * scale
-        if defect > tol:
-            raise ValueError(
-                f"h_prime inconsistent with h: trapezoid defect {defect:.3e} "
-                f"exceeds {tol:.3e}; pass smooth=False for profiles with "
-                f"unbounded higher derivatives"
-            )
-
     def spline(self, derivative=False) -> CubicSpline:
         # one spline object interpolates every path (values along axis 1)
         values = self.h_prime if derivative else self.h
         return CubicSpline(self.times, values.T, axis=0)
 
 
-# -- quadrature of the substituted convolution ------------------------
-
-
-_gauss_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
-
-
-def _panel_rule(edges, order):
-    """Points and weights of order-point Gauss-Legendre on every panel."""
-    x, w = _gauss_rule(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
-
-
-# node x point elements per block: caps the temporaries near 128 KB each
-_BLOCK_ELEMS = 2**14
-
-
-@lru_cache(maxsize=1)
-def _graded_rule():
-    """(d, w) in d = u - u0 on [0, 8] of the graded rule and of its bisection:
-    ten points on each of 16 panels shrinking by 1/4 toward d = 0, where
-    tau -> 0, and on unit panels over the Gaussian tail.  For t^n and t^{a/2}
-    data the bisected rule is exact to ~1e-15 and the coarse one to ~1e-11."""
-    edges = np.concatenate([[0.0], 0.25 ** np.arange(16, 0, -1), np.arange(1.0, _U_WINDOW + 1.0)])
-    fine = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    return _panel_rule(edges, 10), _panel_rule(fine, 10)
-
-
-def _analytic_block(fn, t, y, quad: KernelQuadrature) -> np.ndarray:
-    """(2/sqrt(pi)) * int_{u0}^{u0+8} exp(-u^2) fn(t - y^2/(4 u^2)) du per node.
-
-    Returns the bisected rule's value, or raises QuadratureError at the
-    first node where the coarse rule is further off than
-    max(1e-14, rel_tol * |value|).  Each node is summed on its own row
-    (not by BLAS), so the bits do not depend on the blocking.
-    """
-    u0 = (y / (2.0 * np.sqrt(t)))[:, None]
-    t = t[:, None]
-    est = []
-    for d, w in _graded_rule():
-        u = u0 + d
-        # tau = t - y^2 / (4 u^2), written without the cancellation at u0
-        est.append((w * np.exp(-u * u) * fn(t * (d * (2.0 * u0 + d)) / (u * u))).sum(axis=-1))
-    coarse, fine = (_TWO_OVER_SQRTPI * e for e in est)
-    gap = np.abs(fine - coarse)
-    bad = np.flatnonzero(gap > np.maximum(1e-14, quad.rel_tol * np.abs(fine)))
-    if bad.size:
-        k = bad[0]
-        raise QuadratureError(
-            f"halfline convolution at (t={t[k, 0]}, y={y[k]}) did not converge: graded "
-            f"rule and its bisection differ by {gap[k]:.3e}", fine[k], gap[k])
-    return fine
-
-
-# -- closed-form solve of sampled data --------------------------------
-
-_FACTORIAL = np.array([1.0, 1.0, 2.0, 6.0])
+# -- closed-form solve of truncated powers -----------------------------
 
 
 def _ierfc_even(z) -> np.ndarray:
@@ -323,36 +213,70 @@ def _ierfc_even(z) -> np.ndarray:
     return np.stack(out)
 
 
-def _spline_solve(spline, times, y) -> np.ndarray:
-    """Exact kernel solve of a cubic spline at every (t_j, y_i) with j >= 1.
+def _ierfc(orders, z) -> np.ndarray:
+    """i^{2 nu} erfc(z) for each nu in orders, stacked on a new first axis.
 
-    The spline is a sum of increments dc_{n,k} (tau - t_k)_+^n: its first
-    cubic at t_0, then at each knot its cubic minus the previous one
-    shifted there.  On a C^2 spline only the cubic term jumps; the others
-    are rounding-level but add up over many knots, so they stay.  The solve
-    of (tau - t_k)_+^n is n! (4 s)^n i^{2n}erfc(y / 2 sqrt(s)), s = t - t_k.
+    Orders 0..3 come from the recurrence, the others from the parabolic
+    cylinder function (DLMF 7.18 and 12.7),
+    i^{2 nu}erfc(z) = (2/sqrt(pi)) 2^{-nu - 1/2} exp(-z^2/2) D_{-2 nu - 1}(sqrt(2) z),
+    evaluated only below _Z_UNDERFLOW.
+    """
+    out = np.zeros((len(orders),) + z.shape)
+    even = None
+    for m, nu in enumerate(orders):
+        if nu in (0.0, 1.0, 2.0, 3.0):
+            even = _ierfc_even(z) if even is None else even
+            out[m] = even[int(nu)]
+        else:
+            live = z < _Z_UNDERFLOW
+            d, _ = pbdv(-2.0 * nu - 1.0, math.sqrt(2.0) * z[live])
+            out[m][live] = _TWO_OVER_SQRTPI * 2.0 ** (-nu - 0.5) * np.exp(-0.5 * z[live] ** 2) * d
+    return out
+
+
+def _spline_increments(spline, times) -> np.ndarray:
+    """A cubic spline as increments dc_{n,k} of (tau - t_k)_+^n, n = 0..3.
+
+    Its first cubic at t_0, then at each knot its cubic minus the previous
+    one shifted there.  On a C^2 spline only the cubic term jumps; the
+    others are rounding-level but add up over many knots, so they stay.
     On rough data the cubic jumps are large and the sum cancels: for a
     128-step random walk the error is about 1e-10 of the data scale.
+    Returned as (4, knots, paths), knots t_0 .. t_{n-2}.
     """
     a = spline.c[::-1]  # (4, intervals, paths), a[n]: coefficient of (tau - t_k)^n
     h = np.diff(times)[:-1, None]
     shifted = [sum(math.comb(m, n) * h ** (m - n) * a[m, :-1] for m in range(n, 4)) for n in range(4)]
-    coef = np.concatenate([a[:, :1], a[:, 1:] - np.stack(shifted)], axis=1)
-    out = np.empty((a.shape[2], len(times) - 1, len(y)))
-    for j in range(1, len(times)):
-        s = times[j] - times[:j]
-        # n! (4 s)^n i^{2n}erfc(y / 2 sqrt(s)), indexed (n, k, i)
-        kern = (_FACTORIAL[:, None] * (4.0 * s) ** np.arange(4)[:, None])[:, :, None]
-        kern = kern * _ierfc_even(y / (2.0 * np.sqrt(s))[:, None])
-        out[:, j - 1] = np.einsum("nkp,nki->pi", coef[:, :j], kern)
-    return out
+    return np.concatenate([a[:, :1], a[:, 1:] - np.stack(shifted)], axis=1)
 
 
-def _map_nodes(worker_fn, jobs, workers):
+def _power_sum(coef, orders, knots, times, y, out, workers):
+    """Kernel solve of sum_{n,k} coef[n, k] (tau - knots[k])_+^{orders[n]} into
+    out[:, j - 1, i], at (times[j], y[i]) for every j >= 1.
+
+    The solve of (tau - t_k)_+^nu is Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)),
+    s = t - t_k; row j sums the knots below t_j.  coef is (orders, knots,
+    paths).  workers > 1 spreads the rows over threads; each row is summed
+    on its own, so the bits do not depend on workers.
+    """
+    orders = np.asarray(orders, dtype=float)
+    gam = np.array([math.gamma(nu + 1.0) for nu in orders])[:, None]
+
+    def row(j):
+        k = int(np.searchsorted(knots, times[j]))
+        s = times[j] - knots[:k]
+        # Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)), indexed (n, k, i)
+        kern = (gam * (4.0 * s) ** orders[:, None])[:, :, None]
+        kern = kern * _ierfc(orders, y / (2.0 * np.sqrt(s))[:, None])
+        out[:, j - 1] = np.einsum("nkp,nki->pi", coef[:, :k], kern)
+
+    jobs = range(1, len(times))
     if workers <= 1:
-        return list(map(worker_fn, jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker_fn, jobs))
+        for j in jobs:
+            row(j)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(row, jobs))
 
 
 def _check_grid(data: BoundaryData, grid: SpaceTimeGrid):
@@ -362,61 +286,49 @@ def _check_grid(data: BoundaryData, grid: SpaceTimeGrid):
         raise GridMismatch("boundary data is not sampled on the grid times")
 
 
-def _convolve(data, grid, quad, workers, derivative: bool) -> np.ndarray:
+def _convolve(data, grid, workers, derivative: bool) -> np.ndarray:
     times, ys = grid.times, grid.x1_nodes
-    nt, ny = len(times), len(ys)
-    samples = data.h_prime if derivative else data.h
-    out = np.zeros((data.n_paths, nt, ny))
+    out = np.zeros((data.n_paths, len(times), len(ys)))
     if data.analytic:
-        fn = data.hp_fn if derivative else data.h_fn
-        tt, yy = (a.ravel() for a in np.meshgrid(times[1:], ys[1:], indexing="ij"))
-        flat = np.empty(tt.size)
-        # the block partition depends on the rule only, never on workers
-        block = max(1, _BLOCK_ELEMS // _graded_rule()[1][0].size)
-
-        def run(k):
-            flat[k : k + block] = _analytic_block(fn, tt[k : k + block], yy[k : k + block], quad)
-
-        _map_nodes(run, range(0, tt.size, block), workers)
-        out[:, 1:, 1:] = data.path_scales[:, None, None] * flat.reshape(1, nt - 1, ny - 1)
+        # one term at t_0: h = c t^nu, or h' = c nu t^{nu - 1}
+        nu = data.power - 1.0 if derivative else data.power
+        scale = data.power if derivative else 1.0
+        coef = (scale * data.path_scales)[None, None, :]
+        orders, knots = [nu], times[:1]
     else:
-        out[:, 1:, 1:] = _spline_solve(data.spline(derivative=derivative), times, ys[1:])
-    out[:, :, 0] = samples  # the wall column is exact data, never quadrature
+        coef = _spline_increments(data.spline(derivative=derivative), times)
+        orders, knots = [0.0, 1.0, 2.0, 3.0], times[:-1]
+    _power_sum(coef, orders, knots, times, ys[1:], out[:, 1:, 1:], workers)
+    out[:, :, 0] = data.h_prime if derivative else data.h  # the wall column is exact data
     return out
 
 
-def solve_halfline(data, grid, quad=None, workers=1) -> FieldEnsemble:
+def solve_halfline(data, grid, workers=1) -> FieldEnsemble:
     """Kernel solve of the boundary-data heat problem on the half-line.
 
     Returns v with v(t, 0) equal to the boundary samples exactly and
-    v(0, y) = 0.  Interior values of analytic data come from the graded
-    Gauss-Legendre rule, evaluated for blocks of nodes at once; workers > 1
-    spreads the blocks over threads without changing a bit of the result,
-    and QuadratureError names the first node that misses quad.rel_tol.
-    Sampled data is solved exactly as a sum of truncated powers, one time
-    row at a time, and reads neither quad nor workers.
+    v(0, y) = 0.  Interior values are exact solves of truncated powers:
+    one term for power data, the cubic spline's terms for sampled data,
+    one time row at a time.  workers > 1 spreads the rows over threads
+    without changing a bit of the result.
     """
-    quad = quad or KernelQuadrature()
     _check_grid(data, grid)
     if not data.h0_zero:
         raise ValueError("solve_halfline requires h(0) = 0")
-    values = _convolve(data, grid, quad, workers, derivative=False)
-    return FieldEnsemble(values, grid)
+    return FieldEnsemble(_convolve(data, grid, workers, derivative=False), grid)
 
 
-def dt_v(data, grid, quad=None, workers=1) -> FieldEnsemble:
+def dt_v(data, grid, workers=1) -> FieldEnsemble:
     """Time derivative of the kernel solve, driven by h'.
 
     Valid when h(0) = 0 and h'(0) = 0 (zero extension of h' across
     t = 0); on the wall it returns h'(t) exactly.  By the kernel
     identity this field also equals the second space derivative of v.
     """
-    quad = quad or KernelQuadrature()
     _check_grid(data, grid)
     if not (data.h0_zero and data.hp0_zero):
         raise ValueError("dt_v requires h(0) = 0 and h'(0) = 0")
-    values = _convolve(data, grid, quad, workers, derivative=True)
-    return FieldEnsemble(values, grid)
+    return FieldEnsemble(_convolve(data, grid, workers, derivative=True), grid)
 
 
 @dataclass
@@ -432,7 +344,7 @@ class StabilityReport:
         return self.lhs / self.rhs if self.rhs else math.inf
 
 
-def stability_gap(data1, data2, grid, quad=None, gamma=2.0, workers=1) -> StabilityReport:
+def stability_gap(data1, data2, grid, gamma=2.0, workers=1) -> StabilityReport:
     """Compare the moment gap of two solves against their data gap.
 
     lhs is the grid sup of the Monte Carlo gamma-moment of the second
@@ -447,8 +359,8 @@ def stability_gap(data1, data2, grid, quad=None, gamma=2.0, workers=1) -> Stabil
     """
     if gamma < 2.0:
         raise ValueError("gamma must be at least 2")
-    d1 = dt_v(data1, grid, quad, workers).values
-    d2 = dt_v(data2, grid, quad, workers).values
+    d1 = dt_v(data1, grid, workers).values
+    d2 = dt_v(data2, grid, workers).values
     if d1.shape[0] != d2.shape[0]:
         raise ValueError("data1 and data2 must carry equally many paths")
     moment = np.mean(np.abs(d1 - d2) ** gamma, axis=0)

@@ -99,23 +99,22 @@ def halfline_heat_dirichlet(wall_values: np.ndarray, grid: SpaceTimeGrid) -> np.
     line = _DirichletLine(n_i, r)
     tail = wall_values.shape[2:]  # () in dim 1, (n_xp,) in dim 2
     out = np.zeros((paths, grid.steps + 1, grid.n_x1) + tail)
-    state = np.zeros((paths, grid.n_x1) + tail)
     for j in range(grid.steps):
-        rhs = state[:, 1:-1, ...].copy()
-        rhs[:, 0, ...] += r * wall_values[:, j + 1, ...]
-        cols = np.moveaxis(rhs, 1, 0).reshape(n_i, -1)
-        sol = line.solve(cols)
-        state = state.copy()
-        state[:, 1:-1, ...] = np.moveaxis(sol.reshape((n_i, paths) + tail), 0, 1)
-        state[:, 0, ...] = wall_values[:, j + 1, ...]
-        state[:, -1, ...] = 0.0
-        out[:, j + 1] = state
+        # slice j is read, slice j + 1 written; the far end stays 0
+        rhs = np.moveaxis(out[:, j, 1:-1, ...], 1, 0).copy()
+        rhs[0] += r * wall_values[:, j + 1, ...]
+        sol = line.solve(rhs.reshape(n_i, -1))
+        out[:, j + 1, 1:-1, ...] = np.moveaxis(sol.reshape((n_i, paths) + tail), 0, 1)
+        out[:, j + 1, 0, ...] = wall_values[:, j + 1, ...]
     return out
 
 
 def _kernel_check(cap_h, b, c, w0, grid, probes):
     """Largest gap between a few W0 columns and the exact kernel solve of
     the spline through their -H samples."""
+    line = SpaceTimeGrid(
+        dim=1, x1_max=grid.x1_max, x1_cells=grid.x1_cells, t_max=grid.t_max, steps=grid.steps
+    )
     worst = 0.0
     for path, col in probes:
         if grid.dim == 2:
@@ -128,13 +127,6 @@ def _kernel_check(cap_h, b, c, w0, grid, probes):
             ref = w0[path]
         data = BoundaryData.from_samples(
             h[None, :], hp[None, :], grid.times, label="pipeline-wall"
-        )
-        line = SpaceTimeGrid(
-            dim=1,
-            x1_max=grid.x1_max,
-            x1_cells=grid.x1_cells,
-            t_max=grid.t_max,
-            steps=grid.steps,
         )
         kern = solve_halfline(data, line)
         worst = max(worst, float(np.max(np.abs(kern.values[0] - ref))))

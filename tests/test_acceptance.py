@@ -319,7 +319,7 @@ def test_criterion_12_norm_unit_suite():
         ),
         (
             "halfline_report",
-            "943b755622ad76837dea1ed0054acb00386f9c9f1289652a712ef57629f84128",
+            "21e6b9658087c761dc0f272aae8dfa952c553f050452deb02c8bc892ab932513",
         ),
         (
             "schauder_report",

@@ -26,7 +26,6 @@ TINY_STABILITY = {
     "grid": {"dim": 1, "x1_max": 1.0, "x1_cells": 6, "t_max": 1.0, "steps": 4},
     "data": {"gamma": 2.0},
     "ensemble": {"paths": 8, "master_seed": 99, "stream_salt": 1},
-    "quadrature": {"rel_tol": 1e-8},
 }
 
 
@@ -137,7 +136,6 @@ def test_config_accessors_and_overrides():
     assert (spec.master_seed, spec.stream_salt) == (99, 1)
     spec2 = cfg.seed_spec(override_seed=7)
     assert (spec2.master_seed, spec2.stream_salt) == (7, 1)
-    assert cfg.quadrature().rel_tol == 1e-8
 
 
 # -- report and determinism -------------------------------------------
@@ -160,11 +158,11 @@ def test_stability_gap_holds_at_interior_nodes():
     # on their own (ratio about 0.75 and 0.87, both at node (64, 1))
     config = Path(__file__).resolve().parent.parent / "configs" / "stability.json"
     cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
-    grid, quad = cfg.base_grid(), cfg.quadrature()
+    grid = cfg.base_grid()
     gamma = float(cfg.block("data")["gamma"])
     for name, (d1, d2) in _stability_pairs(grid, cfg.seed_spec(), cfg.paths()).items():
-        rep = stability_gap(d1, d2, grid, quad=quad, gamma=gamma)
-        gap = dt_v(d1, grid, quad).values - dt_v(d2, grid, quad).values
+        rep = stability_gap(d1, d2, grid, gamma=gamma)
+        gap = dt_v(d1, grid).values - dt_v(d2, grid).values
         interior = np.mean(np.abs(gap[:, :, 1:]) ** gamma, axis=0)
         assert np.max(interior) <= rep.rhs, name
 
@@ -325,3 +323,18 @@ def test_cli_kernel_subcommand(capsys):
     assert main(["kernel", "--s", "1.0", "--y", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "0.2196956" in out and "mass" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--s", "1", "--y", "1", "--rel-tol", "0"], "rel_tol must be in (0, 1e-4]"),
+        (["--s", "0", "--y", "1"], "requires s > 0"),
+        (["--s", "1", "--y", "-1"], "y >= 0"),
+    ],
+)
+def test_cli_kernel_rejects_bad_input(argv, message, capsys):
+    assert main(["kernel"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid: ") and message in captured.err
+    assert captured.out == ""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -172,20 +174,34 @@ def test_multi_index_validation():
         finite_diff(f, (2, 1))  # order 3
 
 
-def test_finite_diff_is_linear_to_the_bit():
-    # integer-valued data keeps every stencil operation exact, so
-    # D(u + v) and Du + Dv must agree with zero tolerance
-    g = grid1(cells=8)
-    rng = np.random.default_rng(5)
-    u = FieldEnsemble(
-        rng.integers(-8, 8, (3, g.steps + 1, g.n_x1)).astype(float), g
+@given(data=st.data())
+def test_finite_diff_is_linear_to_the_bit(data):
+    # integer-valued data on power-of-two spacings keeps every stencil
+    # operation exact, so D(c u + v) and c Du + Dv must agree with zero
+    # tolerance, for every |beta| <= 2 on 1-D, periodic and 2-D grids
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    cells = data.draw(st.integers(3, 12), label="cells")
+    kw = {"periodic_x1": data.draw(st.booleans(), label="periodic")} if dim == 1 else {}
+    if dim == 2:
+        xp_cells = data.draw(st.integers(4, 8), label="xp_cells")
+        kw = {"xp_cells": xp_cells, "xp_max": xp_cells * 2.0 ** data.draw(st.integers(-4, 3))}
+    g = SpaceTimeGrid(
+        dim=dim,
+        x1_max=cells * 2.0 ** data.draw(st.integers(-4, 3), label="log2 dx1"),
+        x1_cells=cells,
+        t_max=1.0,
+        steps=data.draw(st.integers(1, 4), label="steps"),
+        **kw,
     )
-    v = FieldEnsemble(
-        rng.integers(-8, 8, (3, g.steps + 1, g.n_x1)).astype(float), g
-    )
-    lhs = finite_diff(FieldEnsemble(u.values + v.values, g), (1,))
-    rhs = finite_diff(u, (1,)).values + finite_diff(v, (1,)).values
-    assert np.array_equal(lhs.values, rhs)
+    betas = [b for b in itertools.product(range(3), repeat=dim) if sum(b) <= 2]
+    beta = data.draw(st.sampled_from(betas), label="beta")
+    c = data.draw(st.integers(-4, 4), label="c")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (2, g.steps + 1) + g.space_shape
+    u, v = (FieldEnsemble(rng.integers(-8, 8, shape).astype(float), g) for _ in range(2))
+    lhs = finite_diff(FieldEnsemble(c * u.values + v.values, g), beta).values
+    rhs = c * finite_diff(u, beta).values + finite_diff(v, beta).values
+    assert np.array_equal(lhs, rhs)
 
 
 # -- traces -----------------------------------------------------------

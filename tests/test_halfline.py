@@ -4,11 +4,16 @@ Reference values below were frozen from an independent high-precision
 quadrature (mpmath, 30 digits) of the substituted convolution.  The
 closed forms for power data come from repeated erfc integrals: for
 h = t^nu the solve is Gamma(nu + 1) (4t)^nu i^{2 nu}erfc(y / 2 sqrt(t)).
+The library evaluates exactly these closed forms, so its solves are
+also checked against two quadratures of the substituted convolution
+kept here as references: a graded Gauss-Legendre rule for power data
+and a knot-aligned one for splines.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +22,6 @@ from scipy.special import erfc, gamma, pbdv
 from spdelab import (
     BoundaryData,
     GridMismatch,
-    KernelQuadrature,
     QuadratureError,
     SpaceTimeGrid,
     dt_v,
@@ -51,7 +55,7 @@ def vgrid(cells=20, steps=4):
 
 
 def t2_data(times):
-    return BoundaryData.from_callable(lambda t: t * t, lambda t: 2.0 * t, times)
+    return BoundaryData.from_power(2, times)
 
 
 def ierfc(k, z):
@@ -132,11 +136,19 @@ def test_kernel_mass_is_one():
 
 
 def test_quadrature_tolerance_window():
-    KernelQuadrature(rel_tol=1e-4)  # upper edge allowed
-    with pytest.raises(ValueError):
-        KernelQuadrature(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        KernelQuadrature(rel_tol=2e-4)
+    kernel_mass(1.0, rel_tol=1e-4)  # upper edge allowed
+    with pytest.raises(ValueError, match="rel_tol"):
+        kernel_mass(1.0, rel_tol=0.0)
+    with pytest.raises(ValueError, match="rel_tol"):
+        kernel_mass(1.0, rel_tol=2e-4)
+
+
+def test_kernel_mass_reports_a_missed_tolerance(monkeypatch):
+    # one subinterval cannot reach 1e-10 on the half-infinite range
+    monkeypatch.setattr(halfline, "_MASS_LIMIT", 1)
+    with pytest.raises(QuadratureError, match="kernel_mass") as err:
+        kernel_mass(1.0)
+    assert err.value.estimate is not None and err.value.achieved > 0.0
 
 
 # -- boundary data ----------------------------------------------------
@@ -144,9 +156,7 @@ def test_quadrature_tolerance_window():
 
 def test_boundary_data_flags_and_scales():
     times = np.linspace(0.0, 1.0, 5)
-    d = BoundaryData.from_callable(
-        lambda t: t * t, lambda t: 2.0 * t, times, scales=[1.0, -2.0]
-    )
+    d = BoundaryData.from_power(2, times, scales=[1.0, -2.0])
     assert d.n_paths == 2 and d.h0_zero and d.hp0_zero and d.analytic
     assert np.allclose(d.h[1], -2.0 * times**2)
     s = BoundaryData.from_samples(times[None, :], np.ones((1, 5)), times)
@@ -154,14 +164,15 @@ def test_boundary_data_flags_and_scales():
 
 
 def test_boundary_data_consistency_guard():
+    # power data derives h' itself; below nu = 1 it is unbounded at t = 0
     times = np.linspace(0.0, 1.0, 9)
-    with pytest.raises(ValueError, match="inconsistent"):
-        # wrong derivative by a factor two
-        BoundaryData.from_callable(lambda t: t * t, lambda t: 4.0 * t, times)
-    # rough profiles opt out of the smooth-data bound
-    BoundaryData.from_callable(
-        lambda t: t**1.25, lambda t: 1.25 * t**0.25, times, smooth=False
-    )
+    for nu in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="nu >= 1"):
+            BoundaryData.from_power(nu, times)
+    d = BoundaryData.from_power(1.25, times, scales=[2.0])
+    assert np.allclose(d.h_prime, 2.5 * times**0.25, rtol=1e-15, atol=0.0)
+    lin = BoundaryData.from_power(1, times)
+    assert lin.h0_zero and not lin.hp0_zero and np.all(lin.h_prime == 1.0)
 
 
 def test_boundary_data_shape_validation():
@@ -235,7 +246,7 @@ def test_dt_v_frozen_values():
 
 def test_dt_v_requires_flat_start():
     g = vgrid(cells=4)
-    lin = BoundaryData.from_callable(lambda t: t, lambda t: 1.0, g.times)
+    lin = BoundaryData.from_power(1, g.times)
     with pytest.raises(ValueError, match="h'\\(0\\)"):
         dt_v(lin, g)
 
@@ -255,7 +266,7 @@ def test_time_derivative_equals_second_space_derivative():
 def test_solve_matches_repeated_erfc_oracle():
     g = SpaceTimeGrid(dim=1, x1_max=2.0, x1_cells=32, t_max=1.0, steps=16)
     for n in (1, 2, 3):
-        data = BoundaryData.from_callable(lambda t, n=n: t**n, lambda t, n=n: n * t ** (n - 1), g.times)
+        data = BoundaryData.from_power(n, g.times)
         v = solve_halfline(data, g).values[0, 1:, 1:]
         exact = power_oracle(g, n, lambda z, n=n: ierfc(2 * n, z))
         assert np.allclose(v, exact, rtol=0.0, atol=1e-13)
@@ -268,62 +279,112 @@ def test_dt_v_matches_twice_the_linear_oracle():
 
 
 def test_dt_v_of_rough_data_matches_fractional_oracle():
-    # the lemma's h = t^{1 + a/2}: h' = e t^{a/2} is not smooth at t = 0,
-    # which is what the graded rule is graded for
+    # the lemma's h = t^{1 + a/2}: h' = e t^{a/2} is not smooth at t = 0
     g = SpaceTimeGrid(dim=1, x1_max=2.0, x1_cells=32, t_max=1.0, steps=16)
     for alpha in (0.25, 0.5, 0.75):
         e = 1.0 + alpha / 2.0
-        data = BoundaryData.from_callable(
-            lambda t, e=e: t**e, lambda t, e=e: e * t ** (e - 1.0), g.times, smooth=False
-        )
+        data = BoundaryData.from_power(e, g.times)
         d = dt_v(data, g).values[0, 1:, 1:]
         exact = e * power_oracle(g, e - 1.0, lambda z, e=e: frac_ierfc(2.0 * (e - 1.0), z))
         assert np.allclose(d, exact, rtol=0.0, atol=1e-13)
 
 
-def test_unresolvable_profile_raises_quadrature_error():
-    g = vgrid(cells=4)
-    data = BoundaryData.from_callable(
-        lambda t: np.sin(3000.0 * t) * t,
-        lambda t: np.sin(3000.0 * t) + 3000.0 * t * np.cos(3000.0 * t),
-        g.times, smooth=False,
-    )
-    with pytest.raises(QuadratureError, match=r"\(t=0\.25, y=0\.25\)") as err:
-        solve_halfline(data, g)
-    assert err.value.achieved > 1e-10 * abs(err.value.estimate)
+def test_worker_threads_do_not_change_values(monkeypatch):
+    pools = []
 
+    class SpyPool(ThreadPoolExecutor):
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            pools.append((self._max_workers, len(jobs)))
+            return super().map(fn, jobs)
 
-def test_worker_threads_do_not_change_values():
+    monkeypatch.setattr(halfline, "ThreadPoolExecutor", SpyPool)
     g = vgrid(cells=8)
-    data = BoundaryData.from_samples(
+    sampled = BoundaryData.from_samples(
         np.vstack([g.times**2, np.sin(g.times) - g.times]),
         np.vstack([2.0 * g.times, np.cos(g.times) - 1.0]),
         g.times,
     )
-    one = solve_halfline(data, g, workers=1)
-    two = solve_halfline(data, g, workers=2)
-    assert np.array_equal(one.values, two.values)
-    rough = BoundaryData.from_callable(
-        lambda t: t**1.125, lambda t: 1.125 * t**0.125, g.times, scales=[1.0, -0.5, 3.0],
-        smooth=False,
-    )
-    one = dt_v(rough, g, workers=1)
-    two = dt_v(rough, g, workers=2)
-    assert np.array_equal(one.values, two.values)
+    power = BoundaryData.from_power(1.125, g.times, scales=[1.0, -0.5, 3.0])
+    for data in (sampled, power):
+        for solve in (solve_halfline, dt_v):
+            pools.clear()
+            runs = [solve(data, g, workers=w).values for w in (1, 2, 3)]
+            # one pool per threaded call, every time row one job
+            assert pools == [(2, g.steps), (3, g.steps)]
+            assert all(np.array_equal(runs[0], r) for r in runs[1:])
 
 
-def test_node_blocking_does_not_change_values(monkeypatch):
-    g = SpaceTimeGrid(dim=1, x1_max=2.0, x1_cells=32, t_max=1.0, steps=16)
-    data = BoundaryData.from_callable(
-        lambda t: t**1.25, lambda t: 1.25 * t**0.25, g.times, smooth=False
-    )
-    runs = []
-    # 2, 8, 17 and all 512 nodes per block; a BLAS matrix-vector reduction
-    # changes bits between some of these, the per-row sum must not
-    for elems in (2**10, 2**12, 2**13, 2**22):
-        monkeypatch.setattr(halfline, "_BLOCK_ELEMS", elems)
-        runs.append(dt_v(data, g, workers=3).values)
-    assert all(np.array_equal(runs[0], r) for r in runs[1:])
+# -- power data: closed form against the graded quadrature ------------
+
+# exp(-u^2) beyond u0 + 8 contributes below erfc(8) ~ 1.1e-29 of scale
+_U_WINDOW = 8.0
+
+
+def _panel_rule(edges, order):
+    """Points and weights of order-point Gauss-Legendre on every panel."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+
+def graded_solve(fn, grid, rel_tol=1e-10):
+    """Reference: (2/sqrt(pi)) int_{u0}^{u0+8} exp(-u^2) fn(t - y^2/(4 u^2)) du
+    at every interior node, shaped (nt - 1, ny - 1).
+
+    Ten Gauss-Legendre points on each of 16 panels shrinking by 1/4 toward
+    d = u - u0 = 0, where tau -> 0 and data such as t^{a/2} is rough, and on
+    unit panels over the Gaussian tail; the value is the bisected rule's,
+    which must agree with the coarse one to rel_tol (absolute floor 1e-14).
+    """
+    edges = np.concatenate([[0.0], 0.25 ** np.arange(16, 0, -1), np.arange(1.0, _U_WINDOW + 1.0)])
+    fine = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    t, y = (a.ravel()[:, None] for a in np.meshgrid(grid.times[1:], grid.x1_nodes[1:], indexing="ij"))
+    u0 = y / (2.0 * np.sqrt(t))
+    est = []
+    for d, w in (_panel_rule(edges, 10), _panel_rule(fine, 10)):
+        u = u0 + d
+        # tau = t - y^2 / (4 u^2), written without the cancellation at u0
+        tau = t * (d * (2.0 * u0 + d)) / (u * u)
+        est.append(halfline._TWO_OVER_SQRTPI * (w * np.exp(-u * u) * fn(tau)).sum(axis=-1))
+    coarse, ref = est
+    assert np.all(np.abs(ref - coarse) <= np.maximum(1e-14, rel_tol * np.abs(ref)))
+    return ref.reshape(grid.steps, grid.n_x1 - 1)
+
+
+POWERS = (1.0, 2.0, 3.0, 1.125, 1.25, 1.375)
+
+
+@pytest.mark.parametrize("nu", POWERS)
+def test_power_solve_matches_graded_quadrature(nu):
+    # z = y / 2 sqrt(t) runs from 0.25 to 64, past the cut at z = 30
+    g = SpaceTimeGrid(dim=1, x1_max=32.0, x1_cells=64, t_max=1.0, steps=16)
+    data = BoundaryData.from_power(nu, g.times, scales=[1.0, -2.5])
+    v = solve_halfline(data, g).values[:, 1:, 1:]
+    ref = graded_solve(lambda t: t**nu, g)
+    assert np.allclose(v, data.path_scales[:, None, None] * ref, rtol=0.0, atol=1e-13)
+    if nu > 1.0:
+        d = dt_v(data, g).values[:, 1:, 1:]
+        ref = graded_solve(lambda t: nu * t ** (nu - 1.0), g)
+        assert np.allclose(d, data.path_scales[:, None, None] * ref, rtol=0.0, atol=1e-13)
+
+
+def test_power_solve_is_finite_where_pbdv_would_fail():
+    # at t = 2.5e-7 and y = 2, z = 2000: scipy's pbdv returns NaN there
+    g = SpaceTimeGrid(dim=1, x1_max=2.0, x1_cells=64, t_max=1e-6, steps=4)
+    t, y = np.meshgrid(g.times[1:], g.x1_nodes[1:], indexing="ij")
+    z = y / (2.0 * np.sqrt(t))
+    assert z.max() > 1467.0 and z.min() < 27.0
+    for nu in POWERS:
+        data = BoundaryData.from_power(nu, g.times)
+        fields = [solve_halfline(data, g)] + ([dt_v(data, g)] if nu > 1.0 else [])
+        for f in fields:
+            inner = f.values[0, 1:, 1:]
+            assert np.all(np.isfinite(f.values))
+            assert np.all(inner[z >= 30.0] == 0.0) and np.any(inner[z < 27.0] != 0.0)
+        ref = graded_solve(lambda t: t**nu, g)
+        assert np.allclose(fields[0].values[0, 1:, 1:], ref, rtol=0.0, atol=1e-13 * 1e-6**nu)
 
 
 # -- sampled data: closed form against the knot-mesh quadrature -------
@@ -333,7 +394,7 @@ def _knot_mesh(t, y, knots, max_width=0.5):
     """Panel edges in u on [u0, u0 + 8], with an edge at every knot's kink
     u = y / (2 sqrt(t - t_k)) and no panel wider than max_width."""
     u0 = y / (2.0 * math.sqrt(t))
-    hi = u0 + halfline._U_WINDOW
+    hi = u0 + _U_WINDOW
     tk = np.asarray(knots, dtype=float)
     uk = y / (2.0 * np.sqrt(t - tk[(tk > 0.0) & (tk < t)]))
     edges = np.unique(np.concatenate([[u0, hi], uk[(uk > u0) & (uk < hi)]]))
@@ -351,7 +412,7 @@ def _quadrature_point(spline, t, y, knots, rel_tol, data_scale, max_panels=1600)
     edges = _knot_mesh(t, y, knots)
 
     def estimate(edges):
-        u, wt = halfline._panel_rule(edges, 12)
+        u, wt = _panel_rule(edges, 12)
         tau = np.clip(t - y * y / (4.0 * u * u), 0.0, t)
         wt = halfline._TWO_OVER_SQRTPI * wt * np.exp(-u * u)
         return (wt[:, None] * spline(tau)).sum(axis=0)
@@ -444,7 +505,7 @@ def test_stability_gap_identical_data_is_flat():
 def test_stability_gap_deterministic_pair():
     g = vgrid(cells=10)
     d1 = t2_data(g.times)
-    d2 = BoundaryData.from_callable(lambda t: 0.5 * t * t, lambda t: t, g.times)
+    d2 = BoundaryData.from_power(2, g.times, scales=[0.5])
     rep = stability_gap(d1, d2, g, gamma=2.0)
     # data gap h1' - h2' = t peaks at T = 1, so rhs = 1
     assert rep.rhs == pytest.approx(1.0)
@@ -458,8 +519,6 @@ def test_stability_gap_validates_inputs():
     d = t2_data(g.times)
     with pytest.raises(ValueError, match="gamma"):
         stability_gap(d, d, g, gamma=1.0)
-    other = BoundaryData.from_callable(
-        lambda t: t * t, lambda t: 2.0 * t, g.times, scales=[1.0, 2.0]
-    )
+    other = BoundaryData.from_power(2, g.times, scales=[1.0, 2.0])
     with pytest.raises(ValueError, match="paths"):
         stability_gap(d, other, g)

@@ -62,9 +62,9 @@ def test_profile_solver_rejects_warm_start():
 def test_profile_solver_tracks_the_kernel_solution():
     g = SpaceTimeGrid(dim=1, x1_max=1.5, x1_cells=24, t_max=0.5, steps=128)
     fd = halfline_heat_dirichlet((g.times**2)[None, :], g)
-    data = BoundaryData.from_callable(lambda t: t * t, lambda t: 2.0 * t, g.times)
+    data = BoundaryData.from_power(2, g.times)
     kv = solve_halfline(data, g)
-    # backward Euler against adaptive quadrature, first order in dt
+    # backward Euler against the closed-form kernel solve, first order in dt
     assert float(np.max(np.abs(fd - kv.values))) < 0.01
 
 

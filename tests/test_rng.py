@@ -24,13 +24,28 @@ def test_standard_normals_bit_identical_rerun():
     assert np.array_equal(a, b)
 
 
-def test_standard_normals_indexed_by_labels_not_layout():
-    # any sub-block equals the corresponding slice of the full lattice
-    full = standard_normals(SEED, np.arange(10), np.arange(5), np.arange(2))
-    some = standard_normals(SEED, np.array([3, 7, 9]), np.arange(5), np.arange(2))
-    assert np.array_equal(some, full[[3, 7, 9]])
-    one_step = standard_normals(SEED, np.arange(10), np.array([4]), np.array([1]))
-    assert np.array_equal(one_step[:, 0, 0], full[:, 4, 1])
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    salt=st.integers(0, 2**64 - 1),
+    paths=st.lists(st.integers(0, 31), min_size=1, max_size=12, unique=True),
+    steps=st.tuples(st.integers(0, 15), st.integers(1, 8)),
+    modes=st.tuples(st.integers(0, 3), st.integers(1, 3)),
+    dt=st.floats(1e-6, 10.0),
+)
+def test_standard_normals_indexed_by_labels_not_layout(seed, salt, paths, steps, modes, dt):
+    # any subset or permutation of path labels and any step/mode sub-range
+    # equals the matching entries of the full lattice, bit for bit
+    spec = SeedSpec(master_seed=seed, stream_salt=salt)
+    full = standard_normals(spec, np.arange(32), np.arange(24), np.arange(6))
+    p = np.array(paths)
+    s = np.arange(steps[0], steps[0] + steps[1])
+    m = np.arange(modes[0], modes[0] + modes[1])
+    assert np.array_equal(standard_normals(spec, p, s, m), full[np.ix_(p, s, m)])
+    # a worker's path block keys its increments by the same labels
+    n_steps, n_modes = steps[1], modes[1]
+    whole = wiener_increments(spec, 32, n_steps, n_modes, dt=dt).increments
+    block = wiener_increments(spec, p.size, n_steps, n_modes, dt=dt, path_indices=p)
+    assert np.array_equal(block.increments, whole[p])
 
 
 def test_seed_and_salt_separate_streams():
