@@ -1,9 +1,12 @@
 """Canned studies: configure, run, verdict, and serialize to CSV.
 
-Each study is a pure function of (config dict, seed): reruns reproduce
-the canonical CSV byte for byte, regardless of worker count.  Volatile
-facts (wall clock, flag echo, package version) go to a JSON sidecar
-next to the CSV, never into the canonical file.
+`run_study` is the one harness: it validates the configuration, reads
+the seed, times the run and owns the `StudyReport`.  Each study body
+only computes and appends its rows and verdicts to that report.  A study
+is a pure function of (config dict, seed): reruns reproduce the
+canonical CSV byte for byte, regardless of worker count.  Volatile facts
+(wall clock, flag echo, package version) go to a JSON sidecar next to
+the CSV, never into the canonical file.
 
 Canonical CSV schema, shared by every study:
 
@@ -46,12 +49,6 @@ __all__ = [
     "StudyReport",
     "ExperimentConfig",
     "run_study",
-    "run_halfline_lemma",
-    "run_stability",
-    "run_compatibility",
-    "run_schauder_ratio",
-    "run_pipeline",
-    "run_continuity",
     "EXPERIMENTS",
 ]
 
@@ -88,28 +85,33 @@ class Verdict:
 @dataclass
 class StudyReport:
     study: str
-    rows: list
-    verdicts: list
     config: dict
     seed: int
     salt: int
-    wall_clock: float = 0.0
-    version: str = __version__
-    flags: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
+    verdicts: list = field(default_factory=list)
     norm_rows: list = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+    wall_clock: float = 0.0
+    flags: dict = field(default_factory=dict)
 
     @property
     def n_failed(self) -> int:
         return sum(not v.passed for v in self.verdicts)
 
+    def row(self, record, level=None, param=None, index=None, value=None):
+        """Append one canonical row; the study column comes from the report."""
+        self.rows.append(
+            {"record": record, "level": level, "param": param, "index": index, "value": value}
+        )
+
+    def verdict(self, name, passed, detail):
+        """Append one verdict; the CSV closes with its verdict_<name> row."""
+        self.verdicts.append(Verdict(name, passed, detail))
+
     def canonical_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS))
+            lines.append(",".join((self.study, *(_fmt(row[c]) for c in CSV_COLUMNS[1:]))))
         for v in self.verdicts:
             lines.append(
                 ",".join(
@@ -166,7 +168,7 @@ class StudyReport:
             "salt": self.salt,
             "flags": self.flags,
             "wall_clock_seconds": self.wall_clock,
-            "version": self.version,
+            "version": __version__,
             "verdicts": [
                 {"name": v.name, "passed": v.passed, "detail": v.detail} for v in self.verdicts
             ],
@@ -183,6 +185,16 @@ class StudyReport:
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or inadmissible."""
+
+
+# the grid dimension a study is written for; the pipeline runs in either
+_STUDY_DIM = {
+    "halfline_lemma": 1,
+    "stability": 1,
+    "compatibility": 2,
+    "schauder_ratio": 2,
+    "continuity": 1,
+}
 
 
 @dataclass
@@ -206,6 +218,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a configuration is a JSON object, got {type(raw).__name__}")
         kind = raw.get("experiment")
         if kind not in EXPERIMENTS:
             raise ConfigError(
@@ -213,8 +227,8 @@ class ExperimentConfig:
             )
         return cls(experiment=kind, raw=raw)
 
-    def block(self, name, default=None):
-        return self.raw.get(name, {} if default is None else default)
+    def block(self, name):
+        return self.raw.get(name, {})
 
     def base_grid(self) -> SpaceTimeGrid:
         g = self.block("grid")
@@ -248,29 +262,39 @@ class ExperimentConfig:
         except ValueError as exc:  # ModelError included
             raise ConfigError(f"bad coefficients block: {exc}") from exc
 
-    def seed_spec(self, override_seed=None, override_salt=None) -> SeedSpec:
+    def seed_spec(self) -> SeedSpec:
         e = self.block("ensemble")
-        seed = int(e.get("master_seed", 0)) if override_seed is None else int(override_seed)
-        salt = int(e.get("stream_salt", 0)) if override_salt is None else int(override_salt)
-        return SeedSpec(master_seed=seed, stream_salt=salt)
+        try:
+            return SeedSpec(
+                master_seed=int(e.get("master_seed", 0)), stream_salt=int(e.get("stream_salt", 0))
+            )
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad ensemble seed: {exc}") from exc
 
-    def paths(self, override=None) -> int:
-        if override is not None:
-            return int(override)
-        return int(self.block("ensemble").get("paths", 1))
+    def paths(self) -> int:
+        return _count("ensemble.paths", self.block("ensemble").get("paths", 1))
 
-    def levels(self, override=None) -> int:
-        if override is not None:
-            return int(override)
-        return int(self.raw.get("levels", 1))
+    def levels(self) -> int:
+        return _count("levels", self.raw.get("levels", 1))
 
     def validate(self):
         """Admissibility gate: run before any compute.
 
+        Checks the ensemble values and the grid the study is written for.
         Returns the parabolicity report (and the compatibility report
         where the study's theory demands tangential noise).
         """
         grid = self.base_grid()
+        self.seed_spec()
+        self.paths()
+        self.levels()
+        dim = _STUDY_DIM.get(self.experiment, grid.dim)
+        if grid.dim != dim:
+            raise ConfigError(
+                f"the {self.experiment} study needs a dim-{dim} grid, got dim {grid.dim}"
+            )
+        if self.experiment == "compatibility" and grid.x1_cells % 128 != 0:
+            raise ConfigError("profile nodes need x1_cells divisible by 128")
         out = {"grid": grid}
         if "coefficients" in self.raw:
             sigma_keys = ["sigma"] if "sigma" in self.block("coefficients") else []
@@ -294,18 +318,23 @@ class ExperimentConfig:
                         "tangency hypothesis of this study"
                     )
                 out["compatibility"] = comp
+            if self.experiment == "compatibility":
+                tan = check_compatibility(self.coefficients(sigma_key="sigma_tangential"))
+                bad = check_compatibility(self.coefficients(sigma_key="sigma_violating"))
+                if not tan.passed or bad.passed:
+                    raise ConfigError("variants must be one tangential and one violating")
         return out
 
 
-def _row(study, record, level=None, param=None, index=None, value=None):
-    return {
-        "study": study,
-        "record": record,
-        "level": level,
-        "param": param,
-        "index": index,
-        "value": value,
-    }
+def _count(name, value) -> int:
+    """A positive integer from the configuration."""
+    try:
+        n = int(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name} must be an integer: {exc}") from exc
+    if n < 1:
+        raise ConfigError(f"{name} must be at least 1, got {n}")
+    return n
 
 
 def _ls_slope(residuals):
@@ -318,7 +347,7 @@ def _ls_slope(residuals):
 # -- study 1: half-line kernel lemma ----------------------------------
 
 
-def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyReport:
+def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
     """Kernel-solver study: heat identity, boundary recovery, ratio.
 
     Three verdicts: the D11 v = dt v residual decays at order >= 1.8
@@ -328,8 +357,6 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     seminorm of h' moves by less than a factor 2 between the two finest
     levels.
     """
-    t0 = time.perf_counter()
-    config.validate()
     data_block = config.block("data")
     alphas = [float(a) for a in data_block.get("alpha", [0.25, 0.5, 0.75])]
     gamma = float(data_block.get("gamma", 2.0))
@@ -337,8 +364,6 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     grids = [config.base_grid()]
     for _ in range(n_levels - 1):
         grids.append(grids[-1].refine(2, 4))
-    rows, verdicts = [], []
-    study = "halfline_lemma"
 
     # part 1: identity residual under refinement, quadratic wall data
     residuals = []
@@ -348,20 +373,16 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
         vt = dt_v(data, g, workers=workers)
         res = float(np.max(np.abs(finite_diff(v, (2,)).values - vt.values)))
         residuals.append(res)
-        rows.append(_row(study, "heat_residual", level=j, value=res))
+        report.row("heat_residual", level=j, value=res)
     for j in range(1, len(residuals)):
-        rows.append(
-            _row(study, "heat_order", level=j, value=math.log2(residuals[j - 1] / residuals[j]))
-        )
+        report.row("heat_order", level=j, value=math.log2(residuals[j - 1] / residuals[j]))
     slope = _ls_slope(residuals)
-    rows.append(_row(study, "heat_order_fit", value=slope))
+    report.row("heat_order_fit", value=slope)
     decreasing = all(residuals[j] < residuals[j - 1] for j in range(1, len(residuals)))
-    verdicts.append(
-        Verdict(
-            "heat_identity_order",
-            decreasing and slope >= 1.8,
-            f"fitted order {slope:.3f}, residuals {residuals}",
-        )
+    report.verdict(
+        "heat_identity_order",
+        decreasing and slope >= 1.8,
+        f"fitted order {slope:.3f}, residuals {residuals}",
     )
 
     # part 2: boundary recovery as the probe node halves
@@ -377,15 +398,13 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
         v = solve_halfline(data, probe, workers=workers)
         err = float(np.max(np.abs(v.values[0, :, 1] - fine_times**2)))
         errors.append(err)
-        rows.append(_row(study, "boundary_error", level=j, param=y, value=err))
+        report.row("boundary_error", level=j, param=y, value=err)
     b_slope = _ls_slope(errors)
-    rows.append(_row(study, "boundary_order_fit", value=b_slope))
-    verdicts.append(
-        Verdict(
-            "boundary_recovery_order",
-            b_slope >= 0.9,
-            f"fitted order {b_slope:.3f}, errors {errors}",
-        )
+    report.row("boundary_order_fit", value=b_slope)
+    report.verdict(
+        "boundary_recovery_order",
+        b_slope >= 0.9,
+        f"fitted order {b_slope:.3f}, errors {errors}",
     )
 
     # part 3: seminorm ratio for the fractional family, two finest levels
@@ -400,28 +419,16 @@ def run_halfline_lemma(config: ExperimentConfig, workers: int = 1) -> StudyRepor
             num = parabolic_seminorm(vt, spec).value
             den = time_seminorm(data.h_prime, g.times, alpha / 2.0, gamma)
             ratios.append(num / den)
-            rows.append(_row(study, "lemma_num", level=j, param=alpha, value=num))
-            rows.append(_row(study, "lemma_den", level=j, param=alpha, value=den))
-            rows.append(_row(study, "lemma_ratio", level=j, param=alpha, value=num / den))
+            report.row("lemma_num", level=j, param=alpha, value=num)
+            report.row("lemma_den", level=j, param=alpha, value=den)
+            report.row("lemma_ratio", level=j, param=alpha, value=num / den)
         spread = max(ratios) / min(ratios)
         ok = all(math.isfinite(r) for r in ratios) and spread < 2.0
-        verdicts.append(
-            Verdict(
-                f"lemma_ratio_stable_alpha_{alpha}",
-                ok,
-                f"ratios {ratios}, spread {spread:.3f}",
-            )
+        report.verdict(
+            f"lemma_ratio_stable_alpha_{alpha}",
+            ok,
+            f"ratios {ratios}, spread {spread:.3f}",
         )
-
-    return StudyReport(
-        study=study,
-        rows=rows,
-        verdicts=verdicts,
-        config=config.raw,
-        seed=config.seed_spec().master_seed,
-        salt=config.seed_spec().stream_salt,
-        wall_clock=time.perf_counter() - t0,
-    )
 
 
 # -- study 2: stability constant --------------------------------------
@@ -442,60 +449,45 @@ def _stability_pairs(grid, seed, n_paths) -> dict:
     }
 
 
-def run_stability(config: ExperimentConfig, workers: int = 1) -> StudyReport:
+def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
     """Comparison bound for the kernel solver: lhs <= 1.05 rhs.
 
     Deterministic pair (t^2, t^3) and a random pair (xi t^2, 0.9 xi t^2)
     with the scale xi drawn per path from the counter generator.
     """
-    t0 = time.perf_counter()
-    config.validate()
     grid = config.base_grid()
     gamma = float(config.block("data").get("gamma", 2.0))
-    seed = config.seed_spec()
-    rows, verdicts = [], []
-    study = "stability"
-
-    for name, (d1, d2) in _stability_pairs(grid, seed, config.paths()).items():
+    for name, (d1, d2) in _stability_pairs(grid, config.seed_spec(), config.paths()).items():
         rep = stability_gap(d1, d2, grid, gamma=gamma, workers=workers)
-        rows.append(_row(study, "lhs", param=name, value=rep.lhs))
-        rows.append(_row(study, "rhs", param=name, value=rep.rhs))
-        rows.append(_row(study, "ratio", param=name, value=rep.ratio))
-        verdicts.append(
-            Verdict(
-                f"stability_{name}",
-                rep.passed,
-                f"lhs {rep.lhs:.6e} vs 1.05 * rhs {rep.rhs:.6e}",
-            )
+        report.row("lhs", param=name, value=rep.lhs)
+        report.row("rhs", param=name, value=rep.rhs)
+        report.row("ratio", param=name, value=rep.ratio)
+        report.verdict(
+            f"stability_{name}",
+            rep.passed,
+            f"lhs {rep.lhs:.6e} vs 1.05 * rhs {rep.rhs:.6e}",
         )
-    return StudyReport(
-        study=study,
-        rows=rows,
-        verdicts=verdicts,
-        config=config.raw,
-        seed=seed.master_seed,
-        salt=seed.stream_salt,
-        wall_clock=time.perf_counter() - t0,
-    )
 
 
 # -- study 3: compatibility dichotomy ---------------------------------
 
 
-def _tangential_wave_field(grid, amplitude, wave, paths=1):
-    """f(x) = amplitude + wave * cos(2 pi x2 / xp_max), frozen in time."""
+def _tangential_wave_field(grid, data_block):
+    """f(x) = f_amplitude + f_tangential_wave * cos(2 pi x2 / xp_max), frozen in time."""
+    amplitude = float(data_block.get("f_amplitude", 1.0))
+    wave = float(data_block.get("f_tangential_wave", 0.5))
     if grid.dim == 2:
         prof = amplitude + wave * np.cos(2.0 * np.pi * grid.xp_nodes / grid.xp_max)
         shaped = np.broadcast_to(
             prof[None, None, None, :],
-            (paths, grid.steps + 1, grid.n_x1, grid.n_xp),
+            (1, grid.steps + 1, grid.n_x1, grid.n_xp),
         ).copy()
     else:
-        shaped = np.full((paths, grid.steps + 1, grid.n_x1), amplitude)
+        shaped = np.full((1, grid.steps + 1, grid.n_x1), amplitude)
     return FieldEnsemble(shaped, grid)
 
 
-def run_compatibility(config: ExperimentConfig, workers: int = 1) -> StudyReport:
+def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
     """Near-wall second-derivative profiles for tangential vs normal noise.
 
     Both variants share one noise batch and one drift forcing.  The
@@ -507,30 +499,13 @@ def run_compatibility(config: ExperimentConfig, workers: int = 1) -> StudyReport
     max/min < 2 while the normal-noise variant must grow at every
     halving.
     """
-    t0 = time.perf_counter()
-    config.validate()
     grid = config.base_grid()
-    if grid.x1_cells % 128 != 0:
-        raise ConfigError("profile nodes need x1_cells divisible by 128")
-    seed = config.seed_spec()
-    n_paths = config.paths()
     data_block = config.block("data")
-    study = "compatibility"
-    rows, verdicts = [], []
-
-    f = _tangential_wave_field(
-        grid,
-        float(data_block.get("f_amplitude", 1.0)),
-        float(data_block.get("f_tangential_wave", 0.5)),
-    )
+    f = _tangential_wave_field(grid, data_block)
     co_tan = config.coefficients(sigma_key="sigma_tangential")
     co_bad = config.coefficients(sigma_key="sigma_violating")
-    comp_tan = check_compatibility(co_tan)
-    comp_bad = check_compatibility(co_bad)
-    if not comp_tan.passed or comp_bad.passed:
-        raise ConfigError("variants must be one tangential and one violating")
     noise = wiener_increments(
-        seed, n_paths, grid.steps, co_tan.n_modes, dt=grid.dt
+        config.seed_spec(), config.paths(), grid.steps, co_tan.n_modes, dt=grid.dt
     )
     g_amp = float(data_block.get("g_violating_amplitude", 0.0))
     g_bad = None
@@ -557,30 +532,17 @@ def run_compatibility(config: ExperimentConfig, workers: int = 1) -> StudyReport
         profile = np.sqrt(np.max(acc, axis=(0, 2)))
         profiles[label] = profile
         for i, d in enumerate(deltas):
-            rows.append(_row(study, "profile", param=d, index=label, value=float(profile[i])))
+            report.row("profile", param=d, index=label, value=float(profile[i]))
 
     tan = profiles["tangential"]
     spread = float(np.max(tan) / np.min(tan))
-    verdicts.append(
-        Verdict("tangential_bounded", spread < 2.0, f"profile max/min {spread:.3f}")
-    )
+    report.verdict("tangential_bounded", spread < 2.0, f"profile max/min {spread:.3f}")
     bad = profiles["violating"]
     growing = bool(np.all(np.diff(bad) > 0))
-    verdicts.append(
-        Verdict(
-            "violating_growth",
-            growing,
-            "profile " + ", ".join(f"{x:.4e}" for x in bad),
-        )
-    )
-    return StudyReport(
-        study=study,
-        rows=rows,
-        verdicts=verdicts,
-        config=config.raw,
-        seed=seed.master_seed,
-        salt=seed.stream_salt,
-        wall_clock=time.perf_counter() - t0,
+    report.verdict(
+        "violating_growth",
+        growing,
+        "profile " + ", ".join(f"{x:.4e}" for x in bad),
     )
 
 
@@ -615,7 +577,7 @@ def _draw_fields(grid, coeffs, cs, scale=1.0):
     return FieldEnsemble(f_vals, grid), FieldEnsemble(g_vals, grid, n_modes=coeffs.n_modes)
 
 
-def run_schauder_ratio(config: ExperimentConfig, workers: int = 1) -> StudyReport:
+def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
     """Solution-to-data norm ratios over draws and refinement levels.
 
     Verdicts per draw: ratios finite with max/min < 2 across levels, and
@@ -623,8 +585,6 @@ def run_schauder_ratio(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     A zero draw exercises the 0/0 sentinel and is excluded from the
     verdicts.
     """
-    t0 = time.perf_counter()
-    config.validate()
     coeffs = config.coefficients()
     seed = config.seed_spec()
     n_paths = config.paths()
@@ -639,8 +599,6 @@ def run_schauder_ratio(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     for _ in range(n_levels - 1):
         grids.append(grids[-1].refine(2, 4))
     draw_seed = SeedSpec(seed.master_seed, seed.stream_salt + 101)
-    study = "schauder_ratio"
-    rows, verdicts, norm_rows = [], [], []
 
     noises = [
         wiener_increments(seed, n_paths, g.steps, coeffs.n_modes, dt=g.dt) for g in grids
@@ -653,10 +611,10 @@ def run_schauder_ratio(config: ExperimentConfig, workers: int = 1) -> StudyRepor
             u = solve_model_halfspace(coeffs, Forcing(f=f, g=gg), g, noises[j])
             rep = schauder_ratio(u, f, gg, spec)
             ratios.append(rep.ratio)
-            rows.append(_row(study, "lhs", level=j, index=d, value=rep.lhs))
-            rows.append(_row(study, "rhs", level=j, index=d, value=rep.rhs))
-            rows.append(_row(study, "ratio", level=j, index=d, value=rep.ratio))
-            norm_rows.extend(
+            report.row("lhs", level=j, index=d, value=rep.lhs)
+            report.row("rhs", level=j, index=d, value=rep.rhs)
+            report.row("ratio", level=j, index=d, value=rep.ratio)
+            report.norm_rows.extend(
                 report_rows(rep.results, f"draw{d}", f"L{j}", seed.master_seed)
             )
             if j == 0:
@@ -664,22 +622,18 @@ def run_schauder_ratio(config: ExperimentConfig, workers: int = 1) -> StudyRepor
                 u2 = solve_model_halfspace(coeffs, Forcing(f=f2, g=gg2), g, noises[0])
                 rep2 = schauder_ratio(u2, f2, gg2, spec)
                 rel = abs(rep2.ratio - rep.ratio) / abs(rep.ratio)
-                rows.append(_row(study, "scaling_rel_diff", level=0, index=d, value=rel))
-                verdicts.append(
-                    Verdict(
-                        f"scaling_invariance_draw_{d}",
-                        rel <= 1e-6,
-                        f"relative ratio change {rel:.3e}",
-                    )
+                report.row("scaling_rel_diff", level=0, index=d, value=rel)
+                report.verdict(
+                    f"scaling_invariance_draw_{d}",
+                    rel <= 1e-6,
+                    f"relative ratio change {rel:.3e}",
                 )
         finite = all(math.isfinite(r) for r in ratios)
         spread = max(ratios) / min(ratios) if finite and min(ratios) > 0 else math.inf
-        verdicts.append(
-            Verdict(
-                f"ratio_stable_draw_{d}",
-                finite and spread < 2.0,
-                f"ratios {ratios}, spread {spread:.3f}",
-            )
+        report.verdict(
+            f"ratio_stable_draw_{d}",
+            finite and spread < 2.0,
+            f"ratios {ratios}, spread {spread:.3f}",
         )
 
     # zero data: both sides vanish, sentinel reported, no verdict
@@ -688,25 +642,14 @@ def run_schauder_ratio(config: ExperimentConfig, workers: int = 1) -> StudyRepor
     )
     u0 = solve_model_halfspace(coeffs, Forcing(f=zero_f), grids[0], noises[0])
     rep0 = schauder_ratio(u0, zero_f, None, spec)
-    rows.append(_row(study, "ratio", level=0, index="zero", value=rep0.ratio))
-    rows.append(_row(study, "sentinel", level=0, index="zero", value=rep0.sentinel))
-
-    return StudyReport(
-        study=study,
-        rows=rows,
-        verdicts=verdicts,
-        config=config.raw,
-        seed=seed.master_seed,
-        salt=seed.stream_salt,
-        wall_clock=time.perf_counter() - t0,
-        norm_rows=norm_rows,
-    )
+    report.row("ratio", level=0, index="zero", value=rep0.ratio)
+    report.row("sentinel", level=0, index="zero", value=rep0.sentinel)
 
 
 # -- study 5: boundary-layer pipeline ---------------------------------
 
 
-def run_pipeline(config: ExperimentConfig, workers: int = 1) -> StudyReport:
+def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
     """Wall-residual refinement study of the decomposition.
 
     Levels share one Brownian ensemble (the fine increments are summed
@@ -719,11 +662,7 @@ def run_pipeline(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     at the starting corner, which is self-similar under dt ~ dx^2
     refinement and cannot decay.
     """
-    t0 = time.perf_counter()
-    config.validate()
     coeffs = config.coefficients()
-    seed = config.seed_spec()
-    n_paths = config.paths()
     data_block = config.block("data")
     n_levels = config.levels()
     base = config.base_grid()
@@ -731,11 +670,9 @@ def run_pipeline(config: ExperimentConfig, workers: int = 1) -> StudyReport:
         replace(base, x1_cells=base.x1_cells * 2**j, steps=base.steps * 4**j)
         for j in range(n_levels)
     ]
-    study = "pipeline"
-    rows, verdicts = [], []
 
     fine = wiener_increments(
-        seed, n_paths, grids[-1].steps, coeffs.n_modes, dt=grids[-1].dt
+        config.seed_spec(), config.paths(), grids[-1].steps, coeffs.n_modes, dt=grids[-1].dt
     )
     noises = [fine]
     for _ in range(n_levels - 1):
@@ -745,11 +682,7 @@ def run_pipeline(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     check_level = data_block.get("kernel_check_level", None)
     residuals, recons, h_checks = [], [], []
     for j, g in enumerate(grids):
-        f = _tangential_wave_field(
-            g,
-            float(data_block.get("f_amplitude", 1.0)),
-            float(data_block.get("f_tangential_wave", 0.5)),
-        )
+        f = _tangential_wave_field(g, data_block)
         out = decompose_pipeline(
             coeffs,
             f,
@@ -762,52 +695,37 @@ def run_pipeline(config: ExperimentConfig, workers: int = 1) -> StudyReport:
         recons.append(out.reconstruction_error)
         h0 = float(np.max(np.abs(out.cap_h[:, 0, ...])))
         h_checks.append(max(h0, out.h_slope_defect))
-        rows.append(_row(study, "wall_residual", level=j, value=out.wall_residual))
-        rows.append(_row(study, "wall_residual_full", level=j, value=out.wall_residual_full))
-        rows.append(_row(study, "reconstruction_error", level=j, value=out.reconstruction_error))
-        rows.append(_row(study, "h_initial_max", level=j, value=h0))
-        rows.append(_row(study, "h_slope_defect", level=j, value=out.h_slope_defect))
+        report.row("wall_residual", level=j, value=out.wall_residual)
+        report.row("wall_residual_full", level=j, value=out.wall_residual_full)
+        report.row("reconstruction_error", level=j, value=out.reconstruction_error)
+        report.row("h_initial_max", level=j, value=h0)
+        report.row("h_slope_defect", level=j, value=out.h_slope_defect)
         if out.kernel_gap is not None:
-            rows.append(_row(study, "kernel_gap", level=j, value=out.kernel_gap))
+            report.row("kernel_gap", level=j, value=out.kernel_gap)
 
     decreasing = all(residuals[j] < residuals[j - 1] for j in range(1, len(residuals)))
-    verdicts.append(
-        Verdict(
-            "wall_residual_decreasing",
-            decreasing,
-            "residuals " + ", ".join(f"{r:.4e}" for r in residuals),
-        )
+    report.verdict(
+        "wall_residual_decreasing",
+        decreasing,
+        "residuals " + ", ".join(f"{r:.4e}" for r in residuals),
     )
-    verdicts.append(
-        Verdict(
-            "h_initial_conditions",
-            max(h_checks) == 0.0,
-            f"max |H(0)| and slope defect {max(h_checks):.3e}",
-        )
+    report.verdict(
+        "h_initial_conditions",
+        max(h_checks) == 0.0,
+        f"max |H(0)| and slope defect {max(h_checks):.3e}",
     )
     scale = max(residuals[0], 1.0)
-    verdicts.append(
-        Verdict(
-            "reconstruction",
-            max(recons) <= 1e-10 * scale,
-            f"max reconstruction error {max(recons):.3e}",
-        )
-    )
-    return StudyReport(
-        study=study,
-        rows=rows,
-        verdicts=verdicts,
-        config=config.raw,
-        seed=seed.master_seed,
-        salt=seed.stream_salt,
-        wall_clock=time.perf_counter() - t0,
+    report.verdict(
+        "reconstruction",
+        max(recons) <= 1e-10 * scale,
+        f"max reconstruction error {max(recons):.3e}",
     )
 
 
 # -- study 6: continuity iteration ------------------------------------
 
 
-def run_continuity(config: ExperimentConfig, workers: int = 1) -> StudyReport:
+def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
     """Contraction factors of the operator-continuation iteration.
 
     Advances the iterates v_1..v_n of v_{m+1} = step(v_m), v_0 = 0, in
@@ -815,22 +733,16 @@ def run_continuity(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     successive-difference norms sup_node E|.|^2 must shrink geometrically
     with a roughly constant factor over iterations 2..6.
     """
-    t0 = time.perf_counter()
-    config.validate()
     grid = config.base_grid()
-    if grid.dim != 1:
-        raise ConfigError("the continuation demo is one-dimensional")
     coeffs = config.coefficients()
-    seed = config.seed_spec()
-    n_paths = config.paths()
     data_block = config.block("data")
     s = float(data_block.get("s", 1.0))
     s0 = float(data_block.get("s0", 0.9))
     n_iter = int(data_block.get("iterations", 7))
-    study = "continuity"
-    rows, verdicts = [], []
 
-    noise = wiener_increments(seed, n_paths, grid.steps, coeffs.n_modes, dt=grid.dt)
+    noise = wiener_increments(
+        config.seed_spec(), config.paths(), grid.steps, coeffs.n_modes, dt=grid.dt
+    )
     f_vals = np.full(
         (1, grid.steps + 1) + grid.space_shape, float(data_block.get("f_amplitude", 1.0))
     )
@@ -838,38 +750,37 @@ def run_continuity(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     diffs, _ = continuity_iterates(coeffs, s, s0, forcing, grid, noise, n_iter)
     diffs = [float(d) for d in diffs]
     for m, d in enumerate(diffs, start=1):
-        rows.append(_row(study, "diff", index=m, value=d))
+        report.row("diff", index=m, value=d)
     ratios = [diffs[i] / diffs[i - 1] for i in range(1, len(diffs))]
     for i, r in enumerate(ratios, start=2):
-        rows.append(_row(study, "ratio", index=i, value=r))
+        report.row("ratio", index=i, value=r)
     contracting = all(r < 1.0 for r in ratios)
     spread = max(ratios) / min(ratios) if ratios else math.inf
-    verdicts.append(
-        Verdict("contraction", contracting, "ratios " + ", ".join(f"{r:.4f}" for r in ratios))
-    )
-    verdicts.append(
-        Verdict("ratio_constancy", spread <= 1.25, f"ratio max/min {spread:.4f}")
-    )
-    return StudyReport(
-        study=study,
-        rows=rows,
-        verdicts=verdicts,
-        config=config.raw,
-        seed=seed.master_seed,
-        salt=seed.stream_salt,
-        wall_clock=time.perf_counter() - t0,
-    )
+    report.verdict("contraction", contracting, "ratios " + ", ".join(f"{r:.4f}" for r in ratios))
+    report.verdict("ratio_constancy", spread <= 1.25, f"ratio max/min {spread:.4f}")
 
 
 EXPERIMENTS = {
-    "halfline_lemma": run_halfline_lemma,
-    "stability": run_stability,
-    "compatibility": run_compatibility,
-    "schauder_ratio": run_schauder_ratio,
-    "pipeline": run_pipeline,
-    "continuity": run_continuity,
+    "halfline_lemma": _halfline_lemma,
+    "stability": _stability,
+    "compatibility": _compatibility,
+    "schauder_ratio": _schauder_ratio,
+    "pipeline": _pipeline,
+    "continuity": _continuity,
 }
 
 
 def run_study(config: ExperimentConfig, workers: int = 1) -> StudyReport:
-    return EXPERIMENTS[config.experiment](config, workers=workers)
+    """Run the configured study and return its report.
+
+    The one harness of every study: validate the configuration before
+    any compute, read the seed, hand the study body an empty report to
+    fill, and time the whole run.
+    """
+    t0 = time.perf_counter()
+    config.validate()
+    seed = config.seed_spec()
+    report = StudyReport(config.experiment, config.raw, seed.master_seed, seed.stream_salt)
+    EXPERIMENTS[config.experiment](config, report, workers)
+    report.wall_clock = time.perf_counter() - t0
+    return report

@@ -143,13 +143,6 @@ class FieldEnsemble:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def space_axes(self) -> tuple:
-        return tuple(range(2, 2 + self.grid.dim))
-
-    def zeros_like(self) -> "FieldEnsemble":
-        return FieldEnsemble(np.zeros_like(self.values), self.grid, self.n_modes)
-
 
 def _axis_spacing(grid: SpaceTimeGrid, axis_dim: int) -> float:
     return grid.dx1 if axis_dim == 0 else grid.dxp

@@ -336,7 +336,6 @@ class StabilityReport:
     lhs: float
     rhs: float
     gamma: float
-    argmax_node: tuple
     passed: bool
 
     @property
@@ -364,13 +363,11 @@ def stability_gap(data1, data2, grid, gamma=2.0, workers=1) -> StabilityReport:
     if d1.shape[0] != d2.shape[0]:
         raise ValueError("data1 and data2 must carry equally many paths")
     moment = np.mean(np.abs(d1 - d2) ** gamma, axis=0)
-    flat = int(np.argmax(moment))
-    lhs = float(moment.ravel()[flat])
+    lhs = float(np.max(moment))
     rhs = float(np.max(np.mean(np.abs(data1.h_prime - data2.h_prime) ** gamma, axis=0)))
     return StabilityReport(
         lhs=lhs,
         rhs=rhs,
         gamma=gamma,
-        argmax_node=np.unravel_index(flat, moment.shape),
         passed=lhs <= STABILITY_MARGIN * rhs,
     )

@@ -8,7 +8,7 @@ taken last.  Grid suprema are lower bounds of the continuum norms; the
 refinement studies track their stability instead of claiming exactness.
 
 Difference quotients run over a stencil of lattice offsets set by one of
-two pair policies (``auto``: exhaustive up to ``exhaustive_limit`` nodes,
+two pair policies (``auto``: exhaustive up to ``EXHAUSTIVE_LIMIT`` nodes,
 dyadic beyond).  ``exhaustive`` takes the C-order node pairs qa < qb of
 ``np.triu_indices``, without wrapping, grouped by the first component o
 of their offset: one broadcast difference joins every node of row r to
@@ -64,7 +64,6 @@ class NormSpec:
     alpha: float
     gamma: float = 2.0
     pair_policy: str = "auto"
-    exhaustive_limit: int = 20000
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -95,6 +94,8 @@ def _multi_indices(dim, order):
 
 # values per block of the difference buffer: 2^18 bytes of float64
 _BLOCK = 2**15
+# most grid nodes the exhaustive policy enumerates; auto turns dyadic beyond
+EXHAUSTIVE_LIMIT = 20000
 
 
 def _moment(x, gamma, has_modes, axis=0):
@@ -219,9 +220,9 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     n_pts = math.prod(shape)
     policy = spec.pair_policy
     if policy == "auto":
-        policy = "exhaustive" if n_pts <= spec.exhaustive_limit else "dyadic"
-    if policy == "exhaustive" and n_pts > spec.exhaustive_limit:
-        raise ValueError(f"{n_pts} nodes exceed the exhaustive budget {spec.exhaustive_limit}")
+        policy = "exhaustive" if n_pts <= EXHAUSTIVE_LIMIT else "dyadic"
+    if policy == "exhaustive" and n_pts > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{n_pts} nodes exceed the exhaustive budget {EXHAUSTIVE_LIMIT}")
     st = _stencil(shape, periodic, time_axis, policy)
 
     d = np.abs(st.offsets)

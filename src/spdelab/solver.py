@@ -254,14 +254,14 @@ def _interior_solve(matrix, rhs_interior):
     return sol.T.reshape(rhs_interior.shape)
 
 
-def _cfl_check(coeffs, grid, c_cfl):
+def _cfl_check(coeffs, grid):
     norm = float(np.max(np.abs(np.linalg.eigvalsh(coeffs.a))))
     dx = grid.dx1 if grid.dim == 1 else min(grid.dx1, grid.dxp)
-    limit = c_cfl * dx * dx / (2.0 * norm)
+    limit = DEFAULT_CFL * dx * dx / (2.0 * norm)
     if grid.dt > limit * (1.0 + 1e-12):
         raise ModelError(
             f"time step {grid.dt:.3e} violates the noise stability restriction "
-            f"{limit:.3e} (c_cfl = {c_cfl})"
+            f"{limit:.3e} (c_cfl = {DEFAULT_CFL})"
         )
 
 
@@ -341,7 +341,7 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
     return u
 
 
-def _check_inputs(coeffs, forcing, grid, noise, c_cfl):
+def _check_inputs(coeffs, forcing, grid, noise):
     """Preconditions shared by every solver entry point."""
     if grid.dim != coeffs.dim:
         raise ModelError(f"grid dim {grid.dim} != coefficient dim {coeffs.dim}")
@@ -359,14 +359,14 @@ def _check_inputs(coeffs, forcing, grid, noise, c_cfl):
             f"{rep.upper_margin:.3e} at t = {rep.worst_time}"
         )
     forcing.validate(grid, coeffs.n_modes)
-    _cfl_check(coeffs, grid, c_cfl)
+    _cfl_check(coeffs, grid)
 
 
-def _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer):
+def _checked_solve(coeffs, forcing, grid, noise, u0, store, observer):
     """Preconditions, then the step loop."""
     if store not in ("full", "final"):
         raise ValueError(f"unknown store mode {store!r}")
-    _check_inputs(coeffs, forcing, grid, noise, c_cfl)
+    _check_inputs(coeffs, forcing, grid, noise)
     result = _step_loop(coeffs, forcing, grid, noise, u0, store, observer)
     if store == "final":
         return result
@@ -379,7 +379,6 @@ def solve_model_halfspace(
     grid: SpaceTimeGrid,
     noise: WienerBatch,
     *,
-    c_cfl: float = DEFAULT_CFL,
     u0: np.ndarray | None = None,
     store: str = "full",
     observer=None,
@@ -392,10 +391,10 @@ def solve_model_halfspace(
     """
     if grid.periodic_x1:
         raise ModelError("use solve_periodic_line for the surrogate grid")
-    return _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, observer)
+    return _checked_solve(coeffs, forcing, grid, noise, u0, store, observer)
 
 
-def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, c_cfl=DEFAULT_CFL, store="final"):
+def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, store="final"):
     """Whole-line surrogate: dim-1 periodic grid, no Dirichlet wall.
 
     Exists for spectral oracles (single-mode moment decay); the wall
@@ -403,7 +402,7 @@ def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, c_cfl=DEFAULT_
     """
     if not (grid.periodic_x1 and grid.dim == 1):
         raise ModelError("solve_periodic_line needs a periodic dim-1 grid")
-    return _checked_solve(coeffs, forcing, grid, noise, c_cfl, u0, store, None)
+    return _checked_solve(coeffs, forcing, grid, noise, u0, store, None)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:
@@ -427,8 +426,6 @@ def continuity_iterates(
     grid: SpaceTimeGrid,
     noise: WienerBatch,
     n_iter: int,
-    *,
-    c_cfl: float = DEFAULT_CFL,
 ):
     """The continuity iteration toward the operator at s, all iterates at once.
 
@@ -450,7 +447,7 @@ def continuity_iterates(
     if n_iter < 1:
         raise ModelError(f"n_iter must be >= 1, got {n_iter}")
     frozen = interpolate_coefficients(coeffs, s0)
-    _check_inputs(frozen, forcing, grid, noise, c_cfl)
+    _check_inputs(frozen, forcing, grid, noise)
     ds = s - s0
     a_dev = coeffs.a[0, 0] - 1.0
     sig, sig0 = coeffs.sigma[0], frozen.sigma[0]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spdelab
 from spdelab import dt_v, stability_gap
 from spdelab.cli import main
 from spdelab.experiments import (
@@ -16,10 +17,11 @@ from spdelab.experiments import (
     ConfigError,
     ExperimentConfig,
     StudyReport,
-    run_stability,
     run_study,
     _stability_pairs,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_STABILITY = {
     "experiment": "stability",
@@ -122,30 +124,72 @@ def test_compatibility_study_needs_aligned_profile_nodes():
         },
         "ensemble": {"paths": 1},
     }
-    from spdelab.experiments import run_compatibility
-
     with pytest.raises(ConfigError, match="divisible by 128"):
-        run_compatibility(ExperimentConfig.from_dict(raw))
+        run_study(ExperimentConfig.from_dict(raw))
+
+
+def _checked_in(study, **grid):
+    raw = json.loads((CONFIGS / f"{study}.json").read_text())
+    raw["grid"].update(grid)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            dict(
+                _checked_in("continuity", dim=2, xp_max=1.0, xp_cells=4),
+                coefficients={"a": [[1.9, 0.0], [0.0, 1.9]], "sigma": [[0.0], [0.5]], "kappa": 0.5},
+            ),
+            "needs a dim-1 grid",
+        ),
+        (
+            dict(
+                _checked_in("compatibility", dim=1, xp_max=0.0, xp_cells=0),
+                coefficients={
+                    "a": [[2.5]],
+                    "sigma_tangential": [[0.0]],
+                    "sigma_violating": [[0.7]],
+                    "kappa": 1.0,
+                    "bound": 6.0,
+                },
+            ),
+            "needs a dim-2 grid",
+        ),
+        (_checked_in("compatibility", x1_cells=96), "divisible by 128"),
+        (_checked_in("halfline_lemma", dim=2, xp_max=1.0, xp_cells=4), "needs a dim-1 grid"),
+    ],
+    ids=["continuity-dim2", "compatibility-dim1", "compatibility-x1-cells", "halfline-dim2"],
+)
+def test_validate_checks_the_grid_the_study_needs(raw, message, tmp_path, capsys):
+    # each config passes every coefficient check; only its grid is wrong
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(raw).validate()
+    assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_config_accessors_and_overrides():
+    # the CLI applies --seed/--paths/--levels to the raw blocks
     cfg = tiny_config()
-    assert cfg.paths() == 8 and cfg.paths(override=3) == 3
-    assert cfg.levels() == 1 and cfg.levels(override=5) == 5
+    assert cfg.paths() == 8 and cfg.levels() == 1
     spec = cfg.seed_spec()
     assert (spec.master_seed, spec.stream_salt) == (99, 1)
-    spec2 = cfg.seed_spec(override_seed=7)
+    cfg.raw["ensemble"].update(master_seed=7, paths=3)
+    cfg.raw["levels"] = 5
+    spec2 = cfg.seed_spec()
     assert (spec2.master_seed, spec2.stream_salt) == (7, 1)
+    assert cfg.paths() == 3 and cfg.levels() == 5
 
 
 # -- report and determinism -------------------------------------------
 
 
 def test_stability_report_shape():
-    rep = run_stability(tiny_config())
+    rep = run_study(tiny_config())
     assert rep.study == "stability"
     assert {v.name for v in rep.verdicts} == {"stability_deterministic", "stability_random"}
-    assert rep.all_passed
     assert rep.n_failed == 0
     records = {r["record"] for r in rep.rows}
     assert records == {"lhs", "rhs", "ratio"}
@@ -234,7 +278,7 @@ def test_reduced_study_output_bytes_are_pinned(study, grid, digest):
 
 
 def test_csv_layout_is_canonical():
-    rep = run_stability(tiny_config())
+    rep = run_study(tiny_config())
     lines = rep.canonical_csv().splitlines()
     assert lines[0] == "study,record,level,param,index,value"
     assert all(line.count(",") == 5 for line in lines)
@@ -245,13 +289,19 @@ def test_csv_layout_is_canonical():
 
 
 def test_report_write_produces_files(tmp_path):
-    rep = run_stability(tiny_config())
+    rep = run_study(tiny_config())
+    rep.flags = {"workers": 1}
     paths = rep.write(tmp_path, plot=True)
     csv = (tmp_path / "stability.csv").read_text()
     assert csv == rep.canonical_csv()
     sidecar = json.loads((tmp_path / "stability_run.json").read_text())
     assert sidecar["study"] == "stability"
-    assert sidecar["seed"] == 99
+    assert sidecar["config"] == TINY_STABILITY
+    assert (sidecar["seed"], sidecar["salt"]) == (99, 1)
+    assert sidecar["flags"] == {"workers": 1}
+    assert sidecar["wall_clock_seconds"] > 0.0
+    assert sidecar["version"] == spdelab.__version__
+    assert len(sidecar["verdicts"]) == 2
     assert all(v["passed"] for v in sidecar["verdicts"])
     plot = (tmp_path / "stability_plot.csv").read_text()
     assert plot.splitlines()[0] == "level,param,value"
@@ -304,6 +354,39 @@ def test_cli_validate_subcommand(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     assert main(["validate", "--config", str(p)]) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "stability"])
+def test_cli_rejects_a_config_that_is_not_an_object(command, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("[]")
+    argv = [command, "--config", str(p)]
+    if command == "stability":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "JSON object, got list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ensemble, levels, message",
+    [
+        ({"paths": "abc"}, 1, "ensemble.paths must be an integer"),
+        ({"paths": 0}, 1, "ensemble.paths must be at least 1"),
+        ({"master_seed": -1}, 1, "master_seed"),
+        ({"stream_salt": "x"}, 1, "bad ensemble seed"),
+        ({}, "two", "levels must be an integer"),
+    ],
+    ids=["paths-text", "paths-zero", "seed-negative", "salt-text", "levels-text"],
+)
+def test_cli_reports_malformed_ensemble_values(ensemble, levels, message, tmp_path, capsys):
+    raw = json.loads(json.dumps(TINY_STABILITY))
+    raw["ensemble"].update(ensemble)
+    raw["levels"] = levels
+    code = main(["stability", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "stability.csv").exists()
 
 
 def test_cli_reports_a_config_error_raised_inside_the_study(tmp_path, capsys):

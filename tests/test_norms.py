@@ -107,6 +107,15 @@ def test_dyadic_policy_is_a_lower_bound():
     assert dyad.pairs < full.pairs
 
 
+def test_auto_policy_turns_dyadic_past_the_exhaustive_budget():
+    g = grid1(cells=100, steps=200)  # 101 x 201 = 20,301 nodes
+    assert g.n_x1 * (g.steps + 1) > norms.EXHAUSTIVE_LIMIT
+    f = FieldEnsemble(np.random.default_rng(5).normal(size=(1, g.steps + 1, g.n_x1)), g)
+    assert parabolic_seminorm(f, NormSpec(alpha=0.5)).kind == "parabolic_seminorm[dyadic]"
+    with pytest.raises(ValueError, match="20301 nodes exceed the exhaustive budget"):
+        parabolic_seminorm(f, NormSpec(alpha=0.5, pair_policy="exhaustive"))
+
+
 def test_parabolic_scaling_law():
     # same nodal values on a grid dilated by lambda in space and
     # lambda^2 in time divide every denominator by lambda^alpha
