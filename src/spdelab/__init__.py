@@ -36,7 +36,7 @@ from .norms import (
     time_seminorm,
     trace_parabolic_norm,
 )
-from .pipeline import PipelineOutput, decompose_pipeline, halfline_heat_dirichlet
+from .pipeline import PipelineOutput, decompose_pipeline
 from .rng import SeedSpec, WienerBatch, coarsen, standard_normals, wiener_increments
 from .solver import (
     BlowUpError,
@@ -97,5 +97,4 @@ __all__ = [
     "continuity_iterates",
     "PipelineOutput",
     "decompose_pipeline",
-    "halfline_heat_dirichlet",
 ]

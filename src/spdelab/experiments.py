@@ -195,6 +195,8 @@ _STUDY_DIM = {
     "schauder_ratio": 2,
     "continuity": 1,
 }
+# refinement studies fit a trend over levels, which needs two of them
+_MIN_LEVELS = {"halfline_lemma": 2, "pipeline": 2}
 
 
 @dataclass
@@ -228,7 +230,10 @@ class ExperimentConfig:
         return cls(experiment=kind, raw=raw)
 
     def block(self, name):
-        return self.raw.get(name, {})
+        value = self.raw.get(name, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"the {name} block must be an object, got {type(value).__name__}")
+        return value
 
     def base_grid(self) -> SpaceTimeGrid:
         g = self.block("grid")
@@ -287,7 +292,7 @@ class ExperimentConfig:
         grid = self.base_grid()
         self.seed_spec()
         self.paths()
-        self.levels()
+        self.block("data")
         dim = _STUDY_DIM.get(self.experiment, grid.dim)
         if grid.dim != dim:
             raise ConfigError(
@@ -323,6 +328,9 @@ class ExperimentConfig:
                 bad = check_compatibility(self.coefficients(sigma_key="sigma_violating"))
                 if not tan.passed or bad.passed:
                     raise ConfigError("variants must be one tangential and one violating")
+        need = _MIN_LEVELS.get(self.experiment, 1)
+        if self.levels() < need:
+            raise ConfigError(f"the {self.experiment} study needs levels >= {need}")
         return out
 
 
@@ -335,6 +343,14 @@ def _count(name, value) -> int:
     if n < 1:
         raise ConfigError(f"{name} must be at least 1, got {n}")
     return n
+
+
+def _number(name, value) -> float:
+    """A real number from the configuration."""
+    try:
+        return float(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
 
 
 def _ls_slope(residuals):
@@ -358,8 +374,8 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
     levels.
     """
     data_block = config.block("data")
-    alphas = [float(a) for a in data_block.get("alpha", [0.25, 0.5, 0.75])]
-    gamma = float(data_block.get("gamma", 2.0))
+    alphas = [_number("data.alpha", a) for a in data_block.get("alpha", [0.25, 0.5, 0.75])]
+    gamma = _number("data.gamma", data_block.get("gamma", 2.0))
     n_levels = config.levels()
     grids = [config.base_grid()]
     for _ in range(n_levels - 1):
@@ -456,7 +472,7 @@ def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> N
     with the scale xi drawn per path from the counter generator.
     """
     grid = config.base_grid()
-    gamma = float(config.block("data").get("gamma", 2.0))
+    gamma = _number("data.gamma", config.block("data").get("gamma", 2.0))
     for name, (d1, d2) in _stability_pairs(grid, config.seed_spec(), config.paths()).items():
         rep = stability_gap(d1, d2, grid, gamma=gamma, workers=workers)
         report.row("lhs", param=name, value=rep.lhs)
@@ -474,8 +490,8 @@ def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> N
 
 def _tangential_wave_field(grid, data_block):
     """f(x) = f_amplitude + f_tangential_wave * cos(2 pi x2 / xp_max), frozen in time."""
-    amplitude = float(data_block.get("f_amplitude", 1.0))
-    wave = float(data_block.get("f_tangential_wave", 0.5))
+    amplitude = _number("data.f_amplitude", data_block.get("f_amplitude", 1.0))
+    wave = _number("data.f_tangential_wave", data_block.get("f_tangential_wave", 0.5))
     if grid.dim == 2:
         prof = amplitude + wave * np.cos(2.0 * np.pi * grid.xp_nodes / grid.xp_max)
         shaped = np.broadcast_to(
@@ -507,7 +523,7 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     noise = wiener_increments(
         config.seed_spec(), config.paths(), grid.steps, co_tan.n_modes, dt=grid.dt
     )
-    g_amp = float(data_block.get("g_violating_amplitude", 0.0))
+    g_amp = _number("data.g_violating_amplitude", data_block.get("g_violating_amplitude", 0.0))
     g_bad = None
     if g_amp != 0.0:
         shape = (1, grid.steps + 1) + grid.space_shape + (co_bad.n_modes,)
@@ -589,9 +605,9 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
     seed = config.seed_spec()
     n_paths = config.paths()
     data_block = config.block("data")
-    alpha = float(data_block.get("alpha", 0.5))
-    gamma = float(data_block.get("gamma", 2.0))
-    n_draws = int(data_block.get("draws", 5))
+    alpha = _number("data.alpha", data_block.get("alpha", 0.5))
+    gamma = _number("data.gamma", data_block.get("gamma", 2.0))
+    n_draws = _count("data.draws", data_block.get("draws", 5))
     policy = data_block.get("pair_policy", "dyadic")
     spec = NormSpec(alpha=alpha, gamma=gamma, pair_policy=policy)
     n_levels = config.levels()
@@ -688,7 +704,6 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
             f,
             g,
             noises[j],
-            keep="light",
             kernel_check=(check_level == j),
         )
         residuals.append(out.wall_residual)
@@ -736,16 +751,15 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     grid = config.base_grid()
     coeffs = config.coefficients()
     data_block = config.block("data")
-    s = float(data_block.get("s", 1.0))
-    s0 = float(data_block.get("s0", 0.9))
-    n_iter = int(data_block.get("iterations", 7))
+    s = _number("data.s", data_block.get("s", 1.0))
+    s0 = _number("data.s0", data_block.get("s0", 0.9))
+    n_iter = _count("data.iterations", data_block.get("iterations", 7))
 
     noise = wiener_increments(
         config.seed_spec(), config.paths(), grid.steps, coeffs.n_modes, dt=grid.dt
     )
-    f_vals = np.full(
-        (1, grid.steps + 1) + grid.space_shape, float(data_block.get("f_amplitude", 1.0))
-    )
+    amplitude = _number("data.f_amplitude", data_block.get("f_amplitude", 1.0))
+    f_vals = np.full((1, grid.steps + 1) + grid.space_shape, amplitude)
     forcing = Forcing(f=FieldEnsemble(f_vals, grid))
     diffs, _ = continuity_iterates(coeffs, s, s0, forcing, grid, noise, n_iter)
     diffs = [float(d) for d in diffs]

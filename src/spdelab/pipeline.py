@@ -21,6 +21,12 @@ heat equation with wall data -H and -t c and vanish far away.  Both
 wall data vanish at t = 0, and H has zero initial slope, so the kernel
 representation applies to W0 and is used as an optional cross-check of
 the finite-difference profile.
+
+One pass over time.  Every quantity kept is a function of time slices
+j and j + 1 alone, so u steps through the solver while U, H, W0 and W1
+follow one step behind it in the solver's observer; no field history
+is stored.  The wall rows of f_tilde and D11 v come from x1 rows 0-3,
+which is all the one-sided wall closures read.
 """
 
 from __future__ import annotations
@@ -28,21 +34,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .fields import FieldEnsemble, SpaceTimeGrid, finite_diff, restrict_to_boundary
+from .fields import FieldEnsemble, SpaceTimeGrid, _diff1, _diff2
 from .halfline import BoundaryData, solve_halfline
 from .solver import (
     Forcing,
     ModelCoefficients,
     ModelError,
+    _check_inputs,
     _DirichletLine,
+    _slot,
+    _Stepper,
     check_compatibility,
     laplace_coefficients,
     solve_model_halfspace,
 )
 
-__all__ = ["PipelineOutput", "decompose_pipeline", "halfline_heat_dirichlet"]
+__all__ = ["PipelineOutput", "decompose_pipeline"]
 
 # Fraction of the horizon excluded from the headline wall-residual metric.
 # Under dt ~ dx^2 refinement the starting corner is self-similar: the
@@ -54,11 +62,13 @@ SPINUP_FRACTION = 0.125
 
 @dataclass
 class PipelineOutput:
-    """Decomposition pieces and their diagnostics.
+    """Wall data, the residual profile and scalar diagnostics.
 
-    Under keep="light" the bulk fields are dropped (None) and only the
-    wall data, profiles of the residual and scalar diagnostics survive;
-    the refinement study runs in that mode to keep memory flat.
+    b, c and cap_h are (paths, steps+1[, n_xp]) wall histories: b at
+    slice j reads slice j of u and U, H at slice j adds the trapezoid of
+    slices j - 1 and j.  residual_profile[j] is max_x' E|F(t_j,0,x')|^2
+    from slice j of F.  reconstruction_error and noise_part_max are
+    maxima over every slice of |u - (U + V0 + V1 + w)| and |U|.
     """
 
     grid: SpaceTimeGrid
@@ -71,60 +81,47 @@ class PipelineOutput:
     b: np.ndarray
     c: np.ndarray
     cap_h: np.ndarray
-    u: FieldEnsemble | None = None
-    noise_part: FieldEnsemble | None = None
-    u_tilde: FieldEnsemble | None = None
-    v0: FieldEnsemble | None = None
-    v1: FieldEnsemble | None = None
-    remainder: FieldEnsemble | None = None
-    forcing_tilde: FieldEnsemble | None = None
-    residual_forcing: FieldEnsemble | None = None
+    noise_part_max: float
 
 
-def halfline_heat_dirichlet(wall_values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Backward-Euler heat solve in the normal variable only.
+def _line_step(line, r, w, wall):
+    """One backward-Euler step of the unit heat equation in x1.
 
-    wall_values: (paths, steps+1[, n_xp]) Dirichlet data at x1 = 0 with
-    zero initial slice; the far end is clamped to zero, which is valid
-    when the grid satisfies the truncation-error rule.  Returns the
-    full history (paths, steps+1, n_x1[, n_xp]).  Unit diffusion: the
-    profile equations are posed for the plain heat operator and the
-    coefficient mismatch is charged to the remainder forcing.
+    w: (paths, n_x1[, n_xp]) at step j; wall: the Dirichlet data at x1 = 0
+    for step j + 1.  The far end is clamped to zero, which is valid when
+    the grid satisfies the truncation-error rule.
     """
-    if np.max(np.abs(wall_values[:, 0, ...])) != 0.0:
-        raise ModelError("wall data must vanish at t = 0")
-    paths = wall_values.shape[0]
-    n_i = grid.n_x1 - 2
-    r = grid.dt / grid.dx1**2
-    line = _DirichletLine(n_i, r)
-    tail = wall_values.shape[2:]  # () in dim 1, (n_xp,) in dim 2
-    out = np.zeros((paths, grid.steps + 1, grid.n_x1) + tail)
-    for j in range(grid.steps):
-        # slice j is read, slice j + 1 written; the far end stays 0
-        rhs = np.moveaxis(out[:, j, 1:-1, ...], 1, 0).copy()
-        rhs[0] += r * wall_values[:, j + 1, ...]
-        sol = line.solve(rhs.reshape(n_i, -1))
-        out[:, j + 1, 1:-1, ...] = np.moveaxis(sol.reshape((n_i, paths) + tail), 0, 1)
-        out[:, j + 1, 0, ...] = wall_values[:, j + 1, ...]
+    rhs = np.moveaxis(w[:, 1:-1, ...], 1, 0).copy()
+    rhs[0] += r * wall
+    sol = line.solve(rhs.reshape(line.n, -1))
+    out = np.zeros_like(w)
+    out[:, 1:-1, ...] = np.moveaxis(sol.reshape(rhs.shape), 0, 1)
+    out[:, 0, ...] = wall
     return out
 
 
-def _kernel_check(cap_h, b, c, w0, grid, probes):
+def _wall_diff(v, n1, n2, grid):
+    """Wall row of D1^n1 D2^n2 v, read from x1 rows 0-3 of v (paths, n_x1[, n_xp])."""
+    out = v[:, :4]
+    if n1:
+        out = (_diff1 if n1 == 1 else _diff2)(out, grid.dx1, 1, False)
+    out = out[:, 0]
+    if n2:
+        out = (_diff1 if n2 == 1 else _diff2)(out, grid.dxp, 1, True)
+    return out
+
+
+def _kernel_check(cap_h, b, c, refs, grid, probes):
     """Largest gap between a few W0 columns and the exact kernel solve of
     the spline through their -H samples."""
     line = SpaceTimeGrid(
         dim=1, x1_max=grid.x1_max, x1_cells=grid.x1_cells, t_max=grid.t_max, steps=grid.steps
     )
     worst = 0.0
-    for path, col in probes:
-        if grid.dim == 2:
-            h = -cap_h[path, :, col]
-            hp = -(b[path, :, col] - c[path, col])
-            ref = w0[path, :, :, col]
-        else:
-            h = -cap_h[path]
-            hp = -(b[path] - c[path])
-            ref = w0[path]
+    for (path, col), ref in zip(probes, refs):
+        tail = (col,) if grid.dim == 2 else ()
+        h = -cap_h[(path, slice(None)) + tail]
+        hp = -(b[(path, slice(None)) + tail] - c[(path,) + tail])
         data = BoundaryData.from_samples(
             h[None, :], hp[None, :], grid.times, label="pipeline-wall"
         )
@@ -139,7 +136,6 @@ def decompose_pipeline(
     grid: SpaceTimeGrid,
     noise,
     *,
-    keep: str = "all",
     kernel_check: bool = False,
     observer=None,
 ):
@@ -150,131 +146,97 @@ def decompose_pipeline(
     what activates the V profiles.  The noise-forcing slot stays empty
     here: gradient noise enters through the coefficients alone.
     """
-    if keep not in ("all", "light"):
-        raise ValueError(f"unknown keep mode {keep!r}")
     comp = check_compatibility(coeffs)
     if not comp.passed:
         raise ModelError(
             f"normal noise component {comp.max_normal_component:.3e} "
             "breaks the wall decomposition"
         )
-
-    u = solve_model_halfspace(coeffs, Forcing(f=f), grid, noise, observer=observer)
-    times = grid.times
-
+    paths, dt, a11, sig = noise.n_paths, grid.dt, coeffs.a[0, 0], coeffs.sigma
     # noise part: additive heat solve forced by sigma . grad u, same paths
-    sig = coeffs.sigma
+    heat = None
     if grid.dim == 2 and np.any(sig):
-        du_t = finite_diff(u, (0, 1)).values
-        parts = [sig[1, k] * du_t for k in range(coeffs.n_modes)]
-        g_tilde = FieldEnsemble(
-            np.ascontiguousarray(np.stack(parts, axis=-1)),
-            grid,
-            n_modes=coeffs.n_modes,
-        )
-        del du_t, parts
-        heat = laplace_coefficients(grid.dim, n_modes=coeffs.n_modes)
-        big_u = solve_model_halfspace(heat, Forcing(g=g_tilde), grid, noise)
-        del g_tilde
-    else:
-        big_u = FieldEnsemble(np.zeros_like(u.values), grid)
-
-    u_tilde = FieldEnsemble(u.values - big_u.values, grid)
-
-    # translated forcing: freeze every second-order term except a11 D11
-    a11 = coeffs.a[0, 0]
-    f_vals = np.broadcast_to(
-        f.values, (u.values.shape[0],) + f.values.shape[1:]
-    ).copy()
-    if grid.dim == 1:
-        f_vals += (a11 - 1.0) * finite_diff(big_u, (2,)).values
-    else:
-        a22 = coeffs.a[1, 1]
-        a12 = coeffs.a[0, 1]
-        f_vals += (a11 - 1.0) * finite_diff(big_u, (2, 0)).values
-        f_vals += (a22 - 1.0) * finite_diff(big_u, (0, 2)).values
-        f_vals += 2.0 * (a12 * finite_diff(big_u, (1, 1)).values)
-        f_vals += a22 * finite_diff(u_tilde, (0, 2)).values
-        f_vals += 2.0 * (a12 * finite_diff(u_tilde, (1, 1)).values)
-    f_tilde = FieldEnsemble(f_vals, grid)
-
-    b = restrict_to_boundary(f_tilde) / a11
-    c = b[:, 0, ...].copy()
-    cap_h = cumulative_trapezoid(
-        b - c[:, None, ...], dx=grid.dt, axis=1, initial=0.0
-    )
-    # the slope of H at zero is b(0) - c, which is zero by construction
-    h_slope_defect = float(np.max(np.abs(b[:, 0, ...] - c)))
-
-    w0 = halfline_heat_dirichlet(-cap_h, grid)
-    ramp = times.reshape((1, -1) + (1,) * (grid.dim - 1)) * c[:, None, ...]
-    w1 = halfline_heat_dirichlet(-ramp, grid)
-
-    if grid.dim == 2:
-        v0_vals = w0 + cap_h[:, :, None, :]
-        v1_vals = w1 + ramp[:, :, None, :]
-    else:
-        v0_vals = w0 + cap_h[:, :, None]
-        v1_vals = w1 + ramp[:, :, None]
-    if not kernel_check:
-        del w0
-    del w1
-    v0 = FieldEnsemble(v0_vals, grid)
-    v1 = FieldEnsemble(v1_vals, grid)
-    v_vals = v0_vals + v1_vals
-
-    remainder = FieldEnsemble(u_tilde.values - v_vals, grid)
-    recon = u.values - (big_u.values + v0_vals + v1_vals + remainder.values)
-    reconstruction_error = float(np.max(np.abs(recon)))
-    del recon
-    n_paths = int(u.values.shape[0])
-    if keep == "light":
-        # the refinement study only consumes wall diagnostics; drop the
-        # bulk history before assembling the residual forcing
-        del u, big_u, u_tilde, remainder
-        v0 = v1 = None
-
-    # residual forcing felt by the remainder; its wall trace is the metric
-    beta2 = (2,) if grid.dim == 1 else (2, 0)
-    d11_v = finite_diff(FieldEnsemble(v_vals, grid), beta2).values
-    res_vals = (a11 - 1.0) * d11_v + f_tilde.values - b[:, :, None, ...]
-    del d11_v, v_vals
-    residual_forcing = FieldEnsemble(res_vals, grid)
-    if keep == "light":
-        f_tilde = None
-    wall_f = restrict_to_boundary(residual_forcing)
-    moment = np.mean(wall_f * wall_f, axis=0)  # E|F|^2, shape (nt[, n_xp])
-    residual_profile = np.max(moment, axis=tuple(range(1, moment.ndim)))
-    wall_residual_full = float(np.max(residual_profile))
-    window = grid.times >= SPINUP_FRACTION * grid.t_max - 1e-15
-    wall_residual = float(np.max(residual_profile[window]))
-
-    kernel_gap = None
+        laplace = laplace_coefficients(grid.dim, n_modes=coeffs.n_modes)
+        _check_inputs(laplace, Forcing(), grid, noise)
+        heat = _Stepper(laplace, grid)
+    r = dt / grid.dx1**2
+    line = _DirichletLine(grid.n_x1 - 2, r)
+    times = grid.times
+    wall_shape = (paths, grid.steps + 1) + grid.space_shape[1:]
+    b, cap_h, wall_f = np.empty(wall_shape), np.zeros(wall_shape), np.empty(wall_shape)
+    probes = []
     if kernel_check:
         probes = [(0, 0)]
-        if grid.dim == 2 and grid.n_xp > 1:
-            probes.append((n_paths - 1, grid.n_xp // 2))
-        kernel_gap = _kernel_check(cap_h, b, c, w0, grid, probes)
+        if grid.dim == 2:
+            probes.append((paths - 1, grid.n_xp // 2))
+    refs = [np.zeros((grid.steps + 1, grid.n_x1)) for _ in probes]
+    zero = np.zeros((paths,) + grid.space_shape)
+    u_prev = big = w0 = w1 = zero
+    c, recon_err, big_max = None, 0.0, 0.0
 
-    out = PipelineOutput(
+    def take(j, u):
+        """Bring U, H, W0 and W1 to slice j and read that slice's diagnostics."""
+        nonlocal u_prev, big, w0, w1, c, recon_err, big_max
+        if j and heat is not None:
+            du = _diff1(u_prev, grid.dxp, 2, True)
+            g = [sig[1, k] * du for k in range(coeffs.n_modes)]
+            big = heat(big, noise.increments[:, j - 1], j - 1, g=g)
+        tilde = u - big
+        # translated forcing: freeze every second-order term except a11 D11
+        ft = _slot(f.values, j, paths)[:, 0].copy()
+        ft += (a11 - 1.0) * _wall_diff(big, 2, 0, grid)
+        if grid.dim == 2:
+            a22, a12 = coeffs.a[1, 1], coeffs.a[0, 1]
+            ft += (a22 - 1.0) * _wall_diff(big, 0, 2, grid)
+            ft += 2.0 * (a12 * _wall_diff(big, 1, 1, grid))
+            ft += a22 * _wall_diff(tilde, 0, 2, grid)
+            ft += 2.0 * (a12 * _wall_diff(tilde, 1, 1, grid))
+        b[:, j] = ft / a11
+        if j == 0:
+            c = b[:, 0].copy()
+        ramp = times[j] * c
+        if j:
+            # the running sum of scipy's cumulative_trapezoid, bit for bit
+            cap_h[:, j] = cap_h[:, j - 1] + dt * ((b[:, j] - c) + (b[:, j - 1] - c)) / 2.0
+            w0 = _line_step(line, r, w0, -cap_h[:, j])
+            w1 = _line_step(line, r, w1, -ramp)
+        v0 = w0 + cap_h[:, j][:, None, ...]
+        v1 = w1 + ramp[:, None, ...]
+        v = v0 + v1
+        remainder = tilde - v
+        recon = u - (big + v0 + v1 + remainder)
+        recon_err = max(recon_err, float(np.max(np.abs(recon))))
+        big_max = max(big_max, float(np.max(np.abs(big))))
+        # residual forcing felt by the remainder; its wall trace is the metric
+        wall_f[:, j] = (a11 - 1.0) * _wall_diff(v, 2, 0, grid) + ft - b[:, j]
+        for ref, (path, col) in zip(refs, probes):
+            ref[j] = w0[path, :, col] if grid.dim == 2 else w0[path]
+        u_prev = u
+
+    def observe(j, t, u):
+        if j == 1:
+            take(0, zero)
+        take(j, u)
+        if observer is not None:
+            observer(j, t, u)
+
+    solve_model_halfspace(coeffs, Forcing(f=f), grid, noise, store="final", observer=observe)
+
+    # the slope of H at zero is b(0) - c, which is zero by construction
+    h_slope_defect = float(np.max(np.abs(b[:, 0, ...] - c)))
+    moment = np.mean(wall_f * wall_f, axis=0)  # E|F|^2, shape (nt[, n_xp])
+    residual_profile = np.max(moment, axis=tuple(range(1, moment.ndim)))
+    window = times >= SPINUP_FRACTION * grid.t_max - 1e-15
+    return PipelineOutput(
         grid=grid,
-        wall_residual=wall_residual,
-        wall_residual_full=wall_residual_full,
+        wall_residual=float(np.max(residual_profile[window])),
+        wall_residual_full=float(np.max(residual_profile)),
         residual_profile=residual_profile,
-        reconstruction_error=reconstruction_error,
+        reconstruction_error=recon_err,
         h_slope_defect=h_slope_defect,
-        kernel_gap=kernel_gap,
+        kernel_gap=_kernel_check(cap_h, b, c, refs, grid, probes) if kernel_check else None,
         b=b,
         c=c,
         cap_h=cap_h,
+        noise_part_max=big_max,
     )
-    if keep == "all":
-        out.u = u
-        out.noise_part = big_u
-        out.u_tilde = u_tilde
-        out.v0 = v0
-        out.v1 = v1
-        out.remainder = remainder
-        out.forcing_tilde = f_tilde
-        out.residual_forcing = residual_forcing
-    return out

@@ -247,13 +247,6 @@ def _implicit_matrix(coeffs, grid):
     return splu(m.tocsc())
 
 
-def _interior_solve(matrix, rhs_interior):
-    """Direct solve over the unknown nodes; rhs (paths, *interior shape)."""
-    paths = rhs_interior.shape[0]
-    sol = matrix.solve(rhs_interior.reshape(paths, -1).T)
-    return sol.T.reshape(rhs_interior.shape)
-
-
 def _cfl_check(coeffs, grid):
     norm = float(np.max(np.abs(np.linalg.eigvalsh(coeffs.a))))
     dx = grid.dx1 if grid.dim == 1 else min(grid.dx1, grid.dxp)
@@ -281,14 +274,56 @@ def _check_finite(values, step, path_axis=0):
         raise BlowUpError(path=int(bad[0][path_axis]), step=step)
 
 
+class _Stepper:
+    """One step u_j -> u_{j+1} of the scheme; the implicit factor is built once.
+
+    The explicit stage adds dt f and the noise terms (sigma^{ik} D_i u_j +
+    g^k) dw^k; a gradient direction is formed only when its sigma row is
+    nonzero.  Both stages are checked for blow-up.
+    """
+
+    def __init__(self, coeffs, grid):
+        self.sigma = coeffs.sigma
+        self.grid = grid
+        self.matrix = _implicit_matrix(coeffs, grid)
+        self.interior = (slice(None), slice(None) if grid.periodic_x1 else slice(1, -1))
+
+    def __call__(self, u, dw, j, f=None, g=None):
+        """u_{j+1}; f is the drift slot of step j and g[k] the slot of mode k."""
+        grid, sig = self.grid, self.sigma
+        paths = u.shape[0]
+        expl = u.copy()
+        if f is not None:
+            expl += grid.dt * f
+        if np.any(sig[0]):
+            du1 = _d1_periodic(u, grid.dx1, 1) if grid.periodic_x1 else _d1_wall(u, grid.dx1)
+        if grid.dim == 2 and np.any(sig[1]):
+            du2 = _d1_periodic(u, grid.dxp, 2)
+        for k in range(sig.shape[1]):
+            term = None
+            if sig[0, k]:
+                term = sig[0, k] * du1
+            if grid.dim == 2 and sig[1, k]:
+                term = sig[1, k] * du2 if term is None else term + sig[1, k] * du2
+            if g is not None:
+                term = g[k] if term is None else term + g[k]
+            if term is not None:
+                expl += term * dw[:, k].reshape((paths,) + (1,) * grid.dim)
+        # detect divergence before the direct solver rejects the array
+        _check_finite(expl, j + 1)
+        rhs = expl[self.interior]
+        u_new = np.zeros_like(u)
+        u_new[self.interior] = self.matrix.solve(rhs.reshape(paths, -1).T).T.reshape(rhs.shape)
+        _check_finite(u_new, j + 1)
+        return u_new
+
+
 def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
+    """Preconditions, then one stepper call per time step."""
+    if store not in ("full", "final"):
+        raise ValueError(f"unknown store mode {store!r}")
+    _check_inputs(coeffs, forcing, grid, noise)
     paths = noise.n_paths
-    dt = grid.dt
-    interior = (
-        (slice(None), slice(None))
-        if grid.periodic_x1
-        else (slice(None), slice(1, -1))
-    )
     u = np.zeros((paths,) + grid.space_shape) if u0 is None else u0.copy()
     if u.shape != (paths,) + grid.space_shape:
         raise ModelError("u0 has the wrong shape")
@@ -298,47 +333,17 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
         out[:, 0] = u
     f_vals = forcing.f.values if forcing.f is not None else None
     g_vals = forcing.g.values if forcing.g is not None else None
-    matrix = _implicit_matrix(coeffs, grid)
-    sig = coeffs.sigma
-    need_grad = np.any(sig)
+    step = _Stepper(coeffs, grid)
     times = grid.times  # a property that rebuilds the array on every read
     for j in range(grid.steps):
-        dw = noise.increments[:, j, :]
-        # explicit part: forcing and Euler-Maruyama noise
-        expl = u.copy()
-        if f_vals is not None:
-            expl += dt * _slot(f_vals, j, paths)
-        if need_grad:
-            du1 = (
-                _d1_periodic(u, grid.dx1, 1)
-                if grid.periodic_x1
-                else _d1_wall(u, grid.dx1)
-            )
-            du2 = _d1_periodic(u, grid.dxp, 2) if grid.dim == 2 else None
-        for k in range(coeffs.n_modes):
-            term = None
-            if need_grad and sig[0, k]:
-                term = sig[0, k] * du1
-            if grid.dim == 2 and need_grad and sig[1, k]:
-                term = sig[1, k] * du2 if term is None else term + sig[1, k] * du2
-            if g_vals is not None:
-                gk = _slot(g_vals[..., k], j, paths)
-                term = gk if term is None else term + gk
-            if term is not None:
-                expl += term * dw[:, k].reshape((paths,) + (1,) * grid.dim)
-        # detect divergence before the direct solver rejects the array
-        _check_finite(expl, j + 1)
-        u_new = np.zeros_like(u)
-        u_new[interior] = _interior_solve(matrix, expl[interior])
-        _check_finite(u_new, j + 1)
-        u = u_new
+        f = None if f_vals is None else _slot(f_vals, j, paths)
+        g = None if g_vals is None else np.moveaxis(_slot(g_vals, j, paths), -1, 0)
+        u = step(u, noise.increments[:, j, :], j, f, g)
         if out is not None:
             out[:, j + 1] = u
         if observer is not None:
             observer(j + 1, times[j + 1], u)
-    if store == "full":
-        return out
-    return u
+    return u if out is None else FieldEnsemble(out, grid)
 
 
 def _check_inputs(coeffs, forcing, grid, noise):
@@ -362,17 +367,6 @@ def _check_inputs(coeffs, forcing, grid, noise):
     _cfl_check(coeffs, grid)
 
 
-def _checked_solve(coeffs, forcing, grid, noise, u0, store, observer):
-    """Preconditions, then the step loop."""
-    if store not in ("full", "final"):
-        raise ValueError(f"unknown store mode {store!r}")
-    _check_inputs(coeffs, forcing, grid, noise)
-    result = _step_loop(coeffs, forcing, grid, noise, u0, store, observer)
-    if store == "final":
-        return result
-    return FieldEnsemble(result, grid)
-
-
 def solve_model_halfspace(
     coeffs: ModelCoefficients,
     forcing: Forcing,
@@ -391,7 +385,7 @@ def solve_model_halfspace(
     """
     if grid.periodic_x1:
         raise ModelError("use solve_periodic_line for the surrogate grid")
-    return _checked_solve(coeffs, forcing, grid, noise, u0, store, observer)
+    return _step_loop(coeffs, forcing, grid, noise, u0, store, observer)
 
 
 def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, store="final"):
@@ -402,7 +396,7 @@ def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, store="final")
     """
     if not (grid.periodic_x1 and grid.dim == 1):
         raise ModelError("solve_periodic_line needs a periodic dim-1 grid")
-    return _checked_solve(coeffs, forcing, grid, noise, u0, store, None)
+    return _step_loop(coeffs, forcing, grid, noise, u0, store, None)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:

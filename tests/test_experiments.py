@@ -402,6 +402,39 @@ def test_cli_reports_a_config_error_raised_inside_the_study(tmp_path, capsys):
     assert not (tmp_path / "continuity.csv").exists()
 
 
+@pytest.mark.parametrize("study", ["halfline_lemma", "pipeline"])
+def test_refinement_studies_need_two_levels(study, tmp_path, capsys, monkeypatch):
+    # one level leaves no trend to fit; the gate refuses it before any compute
+    def unreachable(*args):
+        """Stand-in body; the parser takes its help text from here."""
+        raise AssertionError("the study body ran")
+
+    monkeypatch.setitem(EXPERIMENTS, study, unreachable)
+    raw = json.loads((CONFIGS / f"{study}.json").read_text())
+    raw["levels"] = 1
+    cfg = write_config(tmp_path, raw)
+    assert main(["validate", "--config", cfg]) == 1
+    assert "needs levels >= 2" in capsys.readouterr().err
+    assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "needs levels >= 2" in err
+    assert not (tmp_path / f"{study}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(None, "the data block must be an object, got NoneType"), ({"gamma": "abc"}, "data.gamma")],
+    ids=["data-null", "gamma-text"],
+)
+def test_cli_reports_malformed_data_values(data, message, tmp_path, capsys):
+    raw = dict(TINY_STABILITY, data=data)
+    code = main(["stability", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "stability.csv").exists()
+
+
 def test_cli_kernel_subcommand(capsys):
     assert main(["kernel", "--s", "1.0", "--y", "1.0"]) == 0
     out = capsys.readouterr().out

@@ -4,21 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import solve_banded
 
 from spdelab import (
     BoundaryData,
     FieldEnsemble,
+    Forcing,
     ModelCoefficients,
     ModelError,
     PipelineOutput,
     SeedSpec,
     SpaceTimeGrid,
     decompose_pipeline,
-    halfline_heat_dirichlet,
+    finite_diff,
+    laplace_coefficients,
     solve_halfline,
+    solve_model_halfspace,
     wiener_increments,
 )
-from spdelab.pipeline import SPINUP_FRACTION
+from spdelab.pipeline import SPINUP_FRACTION, _line_step
+from spdelab.solver import _DirichletLine
 
 SEED = SeedSpec(master_seed=11, stream_salt=0)
 
@@ -42,26 +48,31 @@ def coeffs1(a11=1.5):
 # -- scalar profile solver --------------------------------------------
 
 
+def line_history(wall, g):
+    """The pipeline's line step from a zero profile, every slice kept."""
+    r = g.dt / g.dx1**2
+    line = _DirichletLine(g.n_x1 - 2, r)
+    w = np.zeros((wall.shape[0], g.n_x1))
+    out = [w]
+    for j in range(1, g.steps + 1):
+        w = _line_step(line, r, w, wall[:, j])
+        out.append(w)
+    return np.stack(out, axis=1)
+
+
 def test_profile_solver_carries_wall_data_exactly():
     g = grid1(cells=8, steps=8)
     wall = (g.times**2)[None, :]
-    out = halfline_heat_dirichlet(wall, g)
+    out = line_history(wall, g)
     assert out.shape == (1, g.steps + 1, g.n_x1)
     assert np.array_equal(out[:, 1:, 0], wall[:, 1:])
     assert np.all(out[:, 0] == 0.0)
     assert np.all(out[:, :, -1] == 0.0)
 
 
-def test_profile_solver_rejects_warm_start():
-    g = grid1(cells=8, steps=8)
-    wall = np.ones((1, g.steps + 1))
-    with pytest.raises(ModelError, match="t = 0"):
-        halfline_heat_dirichlet(wall, g)
-
-
 def test_profile_solver_tracks_the_kernel_solution():
     g = SpaceTimeGrid(dim=1, x1_max=1.5, x1_cells=24, t_max=0.5, steps=128)
-    fd = halfline_heat_dirichlet((g.times**2)[None, :], g)
+    fd = line_history((g.times**2)[None, :], g)
     data = BoundaryData.from_power(2, g.times)
     kv = solve_halfline(data, g)
     # backward Euler against the closed-form kernel solve, first order in dt
@@ -74,12 +85,20 @@ def test_profile_solver_tracks_the_kernel_solution():
 def test_zero_forcing_decomposes_to_zero():
     g = grid1(cells=8, steps=64)
     noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
-    out = decompose_pipeline(coeffs1(), const_forcing(g, 0.0), g, noise)
+    u_max = []
+    out = decompose_pipeline(
+        coeffs1(),
+        const_forcing(g, 0.0),
+        g,
+        noise,
+        observer=lambda j, t, u: u_max.append(np.max(np.abs(u))),
+    )
     assert out.wall_residual == 0.0
     assert out.wall_residual_full == 0.0
     assert out.reconstruction_error == 0.0
-    assert np.all(out.u.values == 0.0)
-    assert np.all(out.remainder.values == 0.0)
+    assert max(u_max) == 0.0 and out.noise_part_max == 0.0
+    assert np.all(out.b == 0.0) and np.all(out.cap_h == 0.0)
+    assert np.all(out.residual_profile == 0.0)
 
 
 def test_constant_forcing_has_explicit_wall_data():
@@ -114,7 +133,7 @@ def test_windowed_residual_shrinks_under_refinement():
     for cells, steps in ((16, 128), (32, 512)):
         g = grid1(cells=cells, steps=steps)
         noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
-        out = decompose_pipeline(co, const_forcing(g), g, noise, keep="light")
+        out = decompose_pipeline(co, const_forcing(g), g, noise)
         levels.append(out.wall_residual)
     assert levels[1] < levels[0] / 4.0  # first order in E|F|^2 at least
     # spin-up window: the profile index set respects the fraction
@@ -138,17 +157,18 @@ def test_time_ramp_forcing_builds_quadratic_h():
     assert out.kernel_gap is not None and out.kernel_gap < 1e-2
 
 
-def test_light_mode_drops_bulk_fields():
+def test_output_holds_wall_histories_and_scalars_only():
     g = grid1(cells=8, steps=64)
     noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
-    out = decompose_pipeline(coeffs1(), const_forcing(g), g, noise, keep="light")
+    out = decompose_pipeline(coeffs1(), const_forcing(g), g, noise)
     assert isinstance(out, PipelineOutput)
     for name in ("u", "noise_part", "u_tilde", "v0", "v1", "remainder"):
-        assert getattr(out, name) is None
-    assert out.b.shape == (2, g.steps + 1)
+        assert not hasattr(out, name)
+    assert out.b.shape == out.cap_h.shape == (2, g.steps + 1)
+    assert out.c.shape == (2,)
     assert out.residual_profile.shape == (g.steps + 1,)
-    with pytest.raises(ValueError):
-        decompose_pipeline(coeffs1(), const_forcing(g), g, noise, keep="none")
+    with pytest.raises(TypeError):
+        decompose_pipeline(coeffs1(), const_forcing(g), g, noise, keep="light")
 
 
 def test_observer_sees_every_step():
@@ -160,7 +180,6 @@ def test_observer_sees_every_step():
         const_forcing(g),
         g,
         noise,
-        keep="light",
         observer=lambda j, t, u: seen.append((j, t, u.shape)),
     )
     assert [j for j, _, _ in seen] == list(range(1, g.steps + 1))
@@ -188,10 +207,16 @@ def test_tangential_noise_splits_cleanly():
         2, np.eye(2), np.array([[0.0], [0.5]]), kappa=0.5, bound=4.0
     )
     noise = wiener_increments(SEED, 3, g.steps, dt=g.dt)
-    out = decompose_pipeline(co, const_forcing(g), g, noise)
-    assert np.any(out.noise_part.values != 0.0)
-    scale = float(np.max(np.abs(out.u.values)))
-    assert out.reconstruction_error < 1e-12 * max(scale, 1.0)
+    # a forcing that varies along the wall gives the tangential noise a
+    # gradient to act on; under a constant one U is rounding noise only
+    wave = 1.0 + 0.5 * np.cos(2.0 * np.pi * g.xp_nodes / g.xp_max)
+    f = FieldEnsemble(np.broadcast_to(wave, (1, g.steps + 1) + g.space_shape).copy(), g)
+    u_max = []
+    out = decompose_pipeline(
+        co, f, g, noise, observer=lambda j, t, u: u_max.append(float(np.max(np.abs(u))))
+    )
+    assert out.noise_part_max > 1e-6
+    assert out.reconstruction_error < 1e-12 * max(max(u_max), 1.0)
     assert out.b.shape == (3, g.steps + 1, g.n_xp)
     assert np.isfinite(out.wall_residual)
 
@@ -204,3 +229,99 @@ def test_normal_noise_is_rejected():
     noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
     with pytest.raises(ModelError, match="normal noise"):
         decompose_pipeline(co, const_forcing(g), g, noise)
+
+
+# -- the one time pass against the full-history algorithm ---------------
+
+
+def heat_line(wall, g):
+    """Backward-Euler unit heat solve in x1 over whole histories (solve_banded)."""
+    r, n = g.dt / g.dx1**2, g.n_x1 - 2
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = -r, 1.0 + 2.0 * r, -r
+    out = np.zeros((wall.shape[0], g.steps + 1, g.n_x1) + wall.shape[2:])
+    for j in range(g.steps):
+        rhs = np.moveaxis(out[:, j, 1:-1], 1, 0).copy()
+        rhs[0] += r * wall[:, j + 1]
+        sol = solve_banded((1, 1), ab, rhs.reshape(n, -1)).reshape(rhs.shape)
+        out[:, j + 1, 1:-1] = np.moveaxis(sol, 0, 1)
+        out[:, j + 1, 0] = wall[:, j + 1]
+    return out
+
+
+def full_history_reference(co, f, g, noise):
+    """u, U, f_tilde, W0, W1 and F as whole histories, then their wall rows."""
+    u = solve_model_halfspace(co, Forcing(f=f), g, noise)
+    big = np.zeros_like(u.values)
+    if g.dim == 2 and np.any(co.sigma):
+        du = finite_diff(u, (0, 1)).values
+        gt = np.stack([co.sigma[1, k] * du for k in range(co.n_modes)], axis=-1)
+        heat = laplace_coefficients(2, n_modes=co.n_modes)
+        gt = FieldEnsemble(gt, g, n_modes=co.n_modes)
+        big = solve_model_halfspace(heat, Forcing(g=gt), g, noise).values
+    big_f, tilde = FieldEnsemble(big, g), FieldEnsemble(u.values - big, g)
+    a, d2 = co.a, (2,) + (0,) * (g.dim - 1)
+    ft = np.broadcast_to(f.values, u.values.shape).copy()
+    ft += (a[0, 0] - 1.0) * finite_diff(big_f, d2).values
+    if g.dim == 2:
+        ft += (a[1, 1] - 1.0) * finite_diff(big_f, (0, 2)).values
+        ft += 2.0 * (a[0, 1] * finite_diff(big_f, (1, 1)).values)
+        ft += a[1, 1] * finite_diff(tilde, (0, 2)).values
+        ft += 2.0 * (a[0, 1] * finite_diff(tilde, (1, 1)).values)
+    b = ft[:, :, 0] / a[0, 0]
+    c = b[:, 0].copy()
+    cap_h = cumulative_trapezoid(b - c[:, None], dx=g.dt, axis=1, initial=0.0)
+    ramp = g.times.reshape((1, -1) + (1,) * (g.dim - 1)) * c[:, None]
+    w0 = heat_line(-cap_h, g)
+    v0, v1 = w0 + cap_h[:, :, None], heat_line(-ramp, g) + ramp[:, :, None]
+    remainder = tilde.values - (v0 + v1)
+    recon = u.values - (big + v0 + v1 + remainder)
+    d11_v = finite_diff(FieldEnsemble(v0 + v1, g), d2).values
+    wall_f = ((a[0, 0] - 1.0) * d11_v + ft - b[:, :, None])[:, :, 0]
+    moment = np.mean(wall_f * wall_f, axis=0)
+    profile = np.max(moment, axis=tuple(range(1, moment.ndim)))
+    window = g.times >= SPINUP_FRACTION * g.t_max - 1e-15
+    probes = [(0, 0)] + ([(noise.n_paths - 1, g.n_xp // 2)] if g.dim == 2 else [])
+    line = SpaceTimeGrid(dim=1, x1_max=g.x1_max, x1_cells=g.x1_cells, t_max=g.t_max, steps=g.steps)
+    gap = 0.0
+    for path, col in probes:
+        tail = (col,) if g.dim == 2 else ()
+        sel = (path, slice(None)) + tail
+        hp = -(b[sel] - c[(path,) + tail])
+        data = BoundaryData.from_samples(-cap_h[sel][None], hp[None], g.times)
+        ref = w0[path, :, :, col] if g.dim == 2 else w0[path]
+        gap = max(gap, float(np.max(np.abs(solve_halfline(data, line).values[0] - ref))))
+    return {
+        "b": b,
+        "c": c,
+        "cap_h": cap_h,
+        "residual_profile": profile,
+        "wall_residual": float(np.max(profile[window])),
+        "wall_residual_full": float(np.max(profile)),
+        "reconstruction_error": float(np.max(np.abs(recon))),
+        "h_slope_defect": float(np.max(np.abs(b[:, 0] - c))),
+        "kernel_gap": gap,
+        "noise_part_max": float(np.max(np.abs(big))),
+    }
+
+
+def _streaming_cases():
+    rng = np.random.default_rng(5)
+    g = grid1()
+    f = FieldEnsemble(rng.standard_normal((3, g.steps + 1, g.n_x1)), g)
+    yield coeffs1(), f, g, wiener_increments(SEED, 3, g.steps, dt=g.dt)
+    g = grid2()
+    co = ModelCoefficients.make(
+        2, [[1.3, 0.2], [0.2, 1.1]], [[0.0, 0.0], [0.5, -0.3]], n_modes=2, kappa=0.5
+    )
+    f = FieldEnsemble(rng.standard_normal((3, g.steps + 1) + g.space_shape), g)
+    yield co, f, g, wiener_increments(SEED, 3, g.steps, 2, dt=g.dt)
+
+
+@pytest.mark.parametrize("case", list(_streaming_cases()), ids=["dim1", "dim2"])
+def test_streamed_decomposition_matches_the_full_history_reference(case):
+    # per-path, time-varying f; in 2-D two noise modes and a12 != 0
+    co, f, g, noise = case
+    out = decompose_pipeline(co, f, g, noise, kernel_check=True)
+    for name, expect in full_history_reference(co, f, g, noise).items():
+        assert np.array_equal(getattr(out, name), expect), name

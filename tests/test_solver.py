@@ -20,13 +20,13 @@ from spdelab import (
     coarsen,
     continuity_iterates,
     finite_diff,
-    halfline_heat_dirichlet,
     interpolate_coefficients,
     laplace_coefficients,
     solve_model_halfspace,
     solve_periodic_line,
     wiener_increments,
 )
+from spdelab.pipeline import _line_step
 from spdelab.solver import _DirichletLine, _sp_periodic_d1, _sp_periodic_d2
 
 SEED = SeedSpec(master_seed=31415, stream_salt=2)
@@ -288,15 +288,18 @@ def test_solvers_run_on_the_smallest_wall_grids(cells):
     assert np.all(np.isfinite(u.values))
     assert np.all(u.values[:, :, [0, -1]] == 0.0)
     assert np.any(u.values[:, 1:, 1:-1] != 0.0)
-    wall = np.broadcast_to(g.times**2, (2, g.steps + 1)).copy()
-    out = halfline_heat_dirichlet(wall, g)
-    assert np.all(out[:, :, 0] == wall) and np.all(out[:, :, -1] == 0.0)
-    if cells == 2:
-        # a single unknown: each backward-Euler step is one division
-        r = g.dt / g.dx1**2
-        for j in range(g.steps):
-            step = (out[:, j, 1] + r * wall[:, j + 1]) / (1.0 + 2.0 * r)
-            assert np.array_equal(out[:, j + 1, 1], step)
+    # the pipeline's wall-profile step on the same line
+    r = g.dt / g.dx1**2
+    line = _DirichletLine(g.n_x1 - 2, r)
+    w = np.zeros((2, g.n_x1))
+    for j in range(g.steps):
+        wall = np.full(2, g.times[j + 1] ** 2)
+        w_new = _line_step(line, r, w, wall)
+        assert np.all(w_new[:, 0] == wall) and np.all(w_new[:, -1] == 0.0)
+        if cells == 2:
+            # a single unknown: each backward-Euler step is one division
+            assert np.array_equal(w_new[:, 1], (w[:, 1] + r * wall) / (1.0 + 2.0 * r))
+        w = w_new
 
 
 # -- oracles ----------------------------------------------------------
