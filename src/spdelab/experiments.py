@@ -282,6 +282,16 @@ class ExperimentConfig:
     def levels(self) -> int:
         return _count("levels", self.raw.get("levels", 1))
 
+    def kernel_check_level(self) -> int | None:
+        """The pipeline level that runs the kernel cross-check; None when absent."""
+        level = self.block("data").get("kernel_check_level")
+        if level is not None and (type(level) is not int or not 0 <= level < self.levels()):
+            raise ConfigError(
+                f"data.kernel_check_level must be an integer in [0, {self.levels()}), "
+                f"got {level!r}"
+            )
+        return level
+
     def validate(self):
         """Admissibility gate: run before any compute.
 
@@ -331,6 +341,8 @@ class ExperimentConfig:
         need = _MIN_LEVELS.get(self.experiment, 1)
         if self.levels() < need:
             raise ConfigError(f"the {self.experiment} study needs levels >= {need}")
+        if self.experiment == "pipeline":
+            self.kernel_check_level()
         return out
 
 
@@ -488,10 +500,16 @@ def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> N
 # -- study 3: compatibility dichotomy ---------------------------------
 
 
-def _tangential_wave_field(grid, data_block):
-    """f(x) = f_amplitude + f_tangential_wave * cos(2 pi x2 / xp_max), frozen in time."""
-    amplitude = _number("data.f_amplitude", data_block.get("f_amplitude", 1.0))
-    wave = _number("data.f_tangential_wave", data_block.get("f_tangential_wave", 0.5))
+def _wave_numbers(data_block):
+    """(f_amplitude, f_tangential_wave) for _tangential_wave_field."""
+    return (
+        _number("data.f_amplitude", data_block.get("f_amplitude", 1.0)),
+        _number("data.f_tangential_wave", data_block.get("f_tangential_wave", 0.5)),
+    )
+
+
+def _tangential_wave_field(grid, amplitude, wave):
+    """f(x) = amplitude + wave * cos(2 pi x2 / xp_max), frozen in time."""
     if grid.dim == 2:
         prof = amplitude + wave * np.cos(2.0 * np.pi * grid.xp_nodes / grid.xp_max)
         shaped = np.broadcast_to(
@@ -517,13 +535,14 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     """
     grid = config.base_grid()
     data_block = config.block("data")
-    f = _tangential_wave_field(grid, data_block)
+    wave = _wave_numbers(data_block)
+    g_amp = _number("data.g_violating_amplitude", data_block.get("g_violating_amplitude", 0.0))
+    f = _tangential_wave_field(grid, *wave)
     co_tan = config.coefficients(sigma_key="sigma_tangential")
     co_bad = config.coefficients(sigma_key="sigma_violating")
     noise = wiener_increments(
         config.seed_spec(), config.paths(), grid.steps, co_tan.n_modes, dt=grid.dt
     )
-    g_amp = _number("data.g_violating_amplitude", data_block.get("g_violating_amplitude", 0.0))
     g_bad = None
     if g_amp != 0.0:
         shape = (1, grid.steps + 1) + grid.space_shape + (co_bad.n_modes,)
@@ -679,7 +698,8 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
     refinement and cannot decay.
     """
     coeffs = config.coefficients()
-    data_block = config.block("data")
+    wave = _wave_numbers(config.block("data"))
+    check_level = config.kernel_check_level()
     n_levels = config.levels()
     base = config.base_grid()
     grids = [
@@ -695,17 +715,10 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
         noises.append(coarsen(noises[-1], 4))
     noises = noises[::-1]  # coarse first, aligned with grids
 
-    check_level = data_block.get("kernel_check_level", None)
     residuals, recons, h_checks = [], [], []
     for j, g in enumerate(grids):
-        f = _tangential_wave_field(g, data_block)
-        out = decompose_pipeline(
-            coeffs,
-            f,
-            g,
-            noises[j],
-            kernel_check=(check_level == j),
-        )
+        f = _tangential_wave_field(g, *wave)
+        out = decompose_pipeline(coeffs, f, g, noises[j], kernel_check=(check_level == j))
         residuals.append(out.wall_residual)
         recons.append(out.reconstruction_error)
         h0 = float(np.max(np.abs(out.cap_h[:, 0, ...])))
@@ -754,11 +767,11 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     s = _number("data.s", data_block.get("s", 1.0))
     s0 = _number("data.s0", data_block.get("s0", 0.9))
     n_iter = _count("data.iterations", data_block.get("iterations", 7))
+    amplitude = _number("data.f_amplitude", data_block.get("f_amplitude", 1.0))
 
     noise = wiener_increments(
         config.seed_spec(), config.paths(), grid.steps, coeffs.n_modes, dt=grid.dt
     )
-    amplitude = _number("data.f_amplitude", data_block.get("f_amplitude", 1.0))
     f_vals = np.full((1, grid.steps + 1) + grid.space_shape, amplitude)
     forcing = Forcing(f=FieldEnsemble(f_vals, grid))
     diffs, _ = continuity_iterates(coeffs, s, s0, forcing, grid, noise, n_iter)

@@ -152,38 +152,47 @@ def _axis_periodic(grid: SpaceTimeGrid, axis_dim: int) -> bool:
     return grid.periodic_x1 if axis_dim == 0 else True
 
 
-def _diff1(values, h, axis, periodic):
-    if periodic:
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2 * h)
-    n = values.shape[axis]
-    if n < 3:
-        raise GridMismatch("first derivative needs >= 3 nodes along the axis")
-    out = np.empty_like(values)
-    sl = lambda i: tuple(slice(None) if a != axis else i for a in range(values.ndim))
-    out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(0, -2))]) / (2 * h)
-    # one-sided second-order closures at the ends
-    out[sl(0)] = (-3 * values[sl(0)] + 4 * values[sl(1)] - values[sl(2)]) / (2 * h)
-    out[sl(-1)] = (3 * values[sl(-1)] - 4 * values[sl(-2)] + values[sl(-3)]) / (2 * h)
-    return out
+def _along(axis, i):
+    """Index tuple that takes i on axis and every node of the axes before it."""
+    return (slice(None),) * axis + (i,)
 
 
-def _diff2(values, h, axis, periodic):
+def _closure(rows, order, h):
+    """One-sided second-order difference at the end row rows[0].
+
+    rows[k] is the row k nodes in from the end.  The x1 = 0 rows of the
+    stencils below and of the pipeline's wall terms all come from here.
+    """
+    if order == 1:
+        return (-3 * rows[0] + 4 * rows[1] - rows[2]) / (2 * h)
+    return (2 * rows[0] - 5 * rows[1] + 4 * rows[2] - rows[3]) / (h * h)
+
+
+def _centred(values, h, axis, order):
+    """Centred difference of the given order at every node but the two ends of axis."""
+    nxt, prev = values[_along(axis, slice(2, None))], values[_along(axis, slice(0, -2))]
+    if order == 1:
+        return (nxt - prev) / (2 * h)
+    return (nxt - 2 * values[_along(axis, slice(1, -1))] + prev) / (h * h)
+
+
+def _diff(values, h, axis, periodic, order):
+    """Difference of order 1 or 2 along axis: centred, and at the two ends
+    wrapped (periodic) or closed one-sided."""
     if periodic:
-        return (np.roll(values, -1, axis) - 2 * values + np.roll(values, 1, axis)) / (h * h)
-    n = values.shape[axis]
-    if n < 4:
-        raise GridMismatch("second derivative needs >= 4 nodes along the axis")
+        # one ghost node from the far side at each end makes every node centred
+        ghosts = values[_along(axis, slice(-1, None))], values, values[_along(axis, slice(0, 1))]
+        return _centred(np.concatenate(ghosts, axis), h, axis, order)
+    if values.shape[axis] < order + 2:
+        raise GridMismatch(f"derivative of order {order} needs >= {order + 2} nodes along the axis")
+    rows = np.moveaxis(values, axis, 0)
     out = np.empty_like(values)
-    sl = lambda i: tuple(slice(None) if a != axis else i for a in range(values.ndim))
-    out[sl(slice(1, -1))] = (
-        values[sl(slice(2, None))] - 2 * values[sl(slice(1, -1))] + values[sl(slice(0, -2))]
-    ) / (h * h)
-    out[sl(0)] = (
-        2 * values[sl(0)] - 5 * values[sl(1)] + 4 * values[sl(2)] - values[sl(3)]
-    ) / (h * h)
-    out[sl(-1)] = (
-        2 * values[sl(-1)] - 5 * values[sl(-2)] + 4 * values[sl(-3)] - values[sl(-4)]
-    ) / (h * h)
+    out[_along(axis, slice(1, -1))] = _centred(values, h, axis, order)
+    out[_along(axis, 0)] = _closure(rows, order, h)
+    if order == 1:
+        out[_along(axis, -1)] = (3 * rows[-1] - 4 * rows[-2] + rows[-3]) / (2 * h)
+    else:
+        out[_along(axis, -1)] = _closure(rows[::-1], order, h)
     return out
 
 
@@ -205,18 +214,8 @@ def finite_diff(f: FieldEnsemble, beta) -> FieldEnsemble:
         raise ValueError(f"multi-index {beta} outside |beta| <= 2")
     out = f.values
     for d, order in enumerate(beta):
-        if order == 0:
-            continue
-        axis = 2 + d
-        h = _axis_spacing(f.grid, d)
-        periodic = _axis_periodic(f.grid, d)
-        if order == 1:
-            out = _diff1(out, h, axis, periodic)
-        elif order == 2:
-            out = _diff2(out, h, axis, periodic)
-        else:
-            out = _diff1(out, h, axis, periodic)
-            out = _diff1(out, h, axis, periodic)
+        if order:
+            out = _diff(out, _axis_spacing(f.grid, d), 2 + d, _axis_periodic(f.grid, d), order)
     return FieldEnsemble(out, f.grid, f.n_modes)
 
 

@@ -25,8 +25,9 @@ the finite-difference profile.
 One pass over time.  Every quantity kept is a function of time slices
 j and j + 1 alone, so u steps through the solver while U, H, W0 and W1
 follow one step behind it in the solver's observer; no field history
-is stored.  The wall rows of f_tilde and D11 v come from x1 rows 0-3,
-which is all the one-sided wall closures read.
+is stored.  The wall rows of f_tilde and D11 v are the one-sided x1 = 0
+closures of the difference stencils, applied to x1 rows 0-3 directly,
+and W0 and W1 share one line solve per step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEnsemble, SpaceTimeGrid, _diff1, _diff2
+from .fields import FieldEnsemble, SpaceTimeGrid, _closure, _diff
 from .halfline import BoundaryData, solve_halfline
 from .solver import (
     Forcing,
@@ -101,14 +102,9 @@ def _line_step(line, r, w, wall):
 
 
 def _wall_diff(v, n1, n2, grid):
-    """Wall row of D1^n1 D2^n2 v, read from x1 rows 0-3 of v (paths, n_x1[, n_xp])."""
-    out = v[:, :4]
-    if n1:
-        out = (_diff1 if n1 == 1 else _diff2)(out, grid.dx1, 1, False)
-    out = out[:, 0]
-    if n2:
-        out = (_diff1 if n2 == 1 else _diff2)(out, grid.dxp, 1, True)
-    return out
+    """Wall row of D1^n1 D2^n2 v (paths, n_x1[, n_xp]), the x1 = 0 closure alone."""
+    out = _closure(v.swapaxes(0, 1), n1, grid.dx1) if n1 else v[:, 0]
+    return _diff(out, grid.dxp, 1, True, n2) if n2 else out
 
 
 def _kernel_check(cap_h, b, c, refs, grid, probes):
@@ -171,14 +167,15 @@ def decompose_pipeline(
             probes.append((paths - 1, grid.n_xp // 2))
     refs = [np.zeros((grid.steps + 1, grid.n_x1)) for _ in probes]
     zero = np.zeros((paths,) + grid.space_shape)
-    u_prev = big = w0 = w1 = zero
+    u_prev = big = zero
+    w01 = np.zeros((2 * paths,) + grid.space_shape)  # W0 over W1 along the paths axis
     c, recon_err, big_max = None, 0.0, 0.0
 
     def take(j, u):
         """Bring U, H, W0 and W1 to slice j and read that slice's diagnostics."""
-        nonlocal u_prev, big, w0, w1, c, recon_err, big_max
+        nonlocal u_prev, big, w01, c, recon_err, big_max
         if j and heat is not None:
-            du = _diff1(u_prev, grid.dxp, 2, True)
+            du = _diff(u_prev, grid.dxp, 2, True, 1)
             g = [sig[1, k] * du for k in range(coeffs.n_modes)]
             big = heat(big, noise.increments[:, j - 1], j - 1, g=g)
         tilde = u - big
@@ -194,14 +191,15 @@ def decompose_pipeline(
         b[:, j] = ft / a11
         if j == 0:
             c = b[:, 0].copy()
-        ramp = times[j] * c
-        if j:
+        else:
             # the running sum of scipy's cumulative_trapezoid, bit for bit
             cap_h[:, j] = cap_h[:, j - 1] + dt * ((b[:, j] - c) + (b[:, j - 1] - c)) / 2.0
-            w0 = _line_step(line, r, w0, -cap_h[:, j])
-            w1 = _line_step(line, r, w1, -ramp)
-        v0 = w0 + cap_h[:, j][:, None, ...]
-        v1 = w1 + ramp[:, None, ...]
+        # V0 = H + W0 and V1 = t c + W1; one line solve steps both profiles
+        offset = np.concatenate((cap_h[:, j], times[j] * c))
+        if j:
+            w01 = _line_step(line, r, w01, -offset)
+        v01 = w01 + offset[:, None, ...]
+        v0, v1 = v01[:paths], v01[paths:]
         v = v0 + v1
         remainder = tilde - v
         recon = u - (big + v0 + v1 + remainder)
@@ -210,7 +208,7 @@ def decompose_pipeline(
         # residual forcing felt by the remainder; its wall trace is the metric
         wall_f[:, j] = (a11 - 1.0) * _wall_diff(v, 2, 0, grid) + ft - b[:, j]
         for ref, (path, col) in zip(refs, probes):
-            ref[j] = w0[path, :, col] if grid.dim == 2 else w0[path]
+            ref[j] = w01[path, :, col] if grid.dim == 2 else w01[path]
         u_prev = u
 
     def observe(j, t, u):

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
-from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid
+from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, _diff
 from .rng import WienerBatch
 
 __all__ = [
@@ -169,10 +169,6 @@ def _d1_wall(u, dx):
     return out
 
 
-def _d1_periodic(u, dx, axis):
-    return (np.roll(u, -1, axis) - np.roll(u, 1, axis)) / (2.0 * dx)
-
-
 def _sp_dirichlet_d2(n, h):
     main = np.full(n, -2.0) / h**2
     off = np.ones(n - 1) / h**2
@@ -296,9 +292,9 @@ class _Stepper:
         if f is not None:
             expl += grid.dt * f
         if np.any(sig[0]):
-            du1 = _d1_periodic(u, grid.dx1, 1) if grid.periodic_x1 else _d1_wall(u, grid.dx1)
+            du1 = _diff(u, grid.dx1, 1, True, 1) if grid.periodic_x1 else _d1_wall(u, grid.dx1)
         if grid.dim == 2 and np.any(sig[1]):
-            du2 = _d1_periodic(u, grid.dxp, 2)
+            du2 = _diff(u, grid.dxp, 2, True, 1)
         for k in range(sig.shape[1]):
             term = None
             if sig[0, k]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spdelab
-from spdelab import dt_v, stability_gap
+from spdelab import dt_v, experiments, stability_gap
 from spdelab.cli import main
 from spdelab.experiments import (
     EXPERIMENTS,
@@ -433,6 +433,63 @@ def test_cli_reports_malformed_data_values(data, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert not (tmp_path / "stability.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "study, key",
+    [
+        ("compatibility", "g_violating_amplitude"),
+        ("pipeline", "f_amplitude"),
+        ("continuity", "f_amplitude"),
+    ],
+)
+def test_data_numbers_are_read_before_any_noise_is_drawn(study, key, tmp_path, capsys, monkeypatch):
+    # the body parses its data block first, so a malformed value costs no compute
+    def unreachable(*args, **kwargs):
+        raise AssertionError("noise was drawn before the data block was read")
+
+    monkeypatch.setattr(experiments, "wiener_increments", unreachable)
+    raw = json.loads((CONFIGS / f"{study}.json").read_text())
+    raw.setdefault("data", {})[key] = "abc"
+    code = main([study, "--config", write_config(tmp_path, raw), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"data.{key}" in err
+    assert not (tmp_path / f"{study}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "level", ["0", -1, 3, 1.0, True], ids=["text", "negative", "levels", "float", "bool"]
+)
+def test_kernel_check_level_must_index_a_level(level, tmp_path, capsys, monkeypatch):
+    # the checked-in pipeline has 3 levels; anything but 0, 1 or 2 is refused
+    def unreachable(*args):
+        """Stand-in body; the parser takes its help text from here."""
+        raise AssertionError("the study body ran")
+
+    monkeypatch.setitem(EXPERIMENTS, "pipeline", unreachable)
+    raw = json.loads((CONFIGS / "pipeline.json").read_text())
+    raw["data"]["kernel_check_level"] = level
+    cfg = write_config(tmp_path, raw)
+    assert main(["validate", "--config", cfg]) == 1
+    assert "data.kernel_check_level must be an integer in [0, 3)" in capsys.readouterr().err
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "kernel_check_level" in err
+    assert not (tmp_path / "pipeline.csv").exists()
+
+
+@pytest.mark.parametrize("level", [None, 0, 1])
+def test_kernel_check_runs_at_the_named_level_only(level):
+    raw = json.loads((CONFIGS / "pipeline.json").read_text())
+    raw["grid"].update(t_max=0.0125, steps=32)
+    raw["levels"] = 2
+    raw["data"].pop("kernel_check_level")
+    if level is not None:
+        raw["data"]["kernel_check_level"] = level
+    rep = run_study(ExperimentConfig.from_dict(raw))
+    gaps = [row["level"] for row in rep.rows if row["record"] == "kernel_gap"]
+    assert gaps == ([] if level is None else [level])
 
 
 def test_cli_kernel_subcommand(capsys):

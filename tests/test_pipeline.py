@@ -23,7 +23,8 @@ from spdelab import (
     solve_model_halfspace,
     wiener_increments,
 )
-from spdelab.pipeline import SPINUP_FRACTION, _line_step
+from spdelab.fields import _diff
+from spdelab.pipeline import SPINUP_FRACTION, _line_step, _wall_diff
 from spdelab.solver import _DirichletLine
 
 SEED = SeedSpec(master_seed=11, stream_salt=0)
@@ -68,6 +69,29 @@ def test_profile_solver_carries_wall_data_exactly():
     assert np.array_equal(out[:, 1:, 0], wall[:, 1:])
     assert np.all(out[:, 0] == 0.0)
     assert np.all(out[:, :, -1] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_line_step_of_stacked_profiles_is_two_steps_to_the_bit(dim):
+    # W0 and W1 share one dgttrs call along the paths axis
+    g = grid1(cells=16) if dim == 1 else grid2()
+    r = g.dt / g.dx1**2
+    line = _DirichletLine(g.n_x1 - 2, r)
+    rng = np.random.default_rng(3)
+    w0, w1 = (rng.standard_normal((3,) + g.space_shape) for _ in range(2))
+    h0, h1 = (rng.standard_normal((3,) + g.space_shape[1:]) for _ in range(2))
+    both = _line_step(line, r, np.concatenate((w0, w1)), np.concatenate((h0, h1)))
+    assert np.array_equal(both[:3], _line_step(line, r, w0, h0))
+    assert np.array_equal(both[3:], _line_step(line, r, w1, h1))
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 0), (0, 2), (1, 1)])
+def test_wall_closure_is_row_zero_of_the_full_stencil(n1, n2):
+    g = grid2()
+    v = np.random.default_rng(4).standard_normal((3,) + g.space_shape)
+    full = _diff(v, g.dx1, 1, False, n1) if n1 else v
+    full = _diff(full, g.dxp, 2, True, n2) if n2 else full
+    assert np.array_equal(_wall_diff(v, n1, n2, g), full[:, 0])
 
 
 def test_profile_solver_tracks_the_kernel_solution():
@@ -249,12 +273,19 @@ def heat_line(wall, g):
     return out
 
 
+def tangential(values, h, order):
+    """Periodic x' difference of whole histories, by np.roll (kept apart
+    from the library's stencils so the reference checks them)."""
+    nxt, prev = np.roll(values, -1, 3), np.roll(values, 1, 3)
+    return (nxt - prev) / (2 * h) if order == 1 else (nxt - 2 * values + prev) / (h * h)
+
+
 def full_history_reference(co, f, g, noise):
     """u, U, f_tilde, W0, W1 and F as whole histories, then their wall rows."""
     u = solve_model_halfspace(co, Forcing(f=f), g, noise)
     big = np.zeros_like(u.values)
     if g.dim == 2 and np.any(co.sigma):
-        du = finite_diff(u, (0, 1)).values
+        du = tangential(u.values, g.dxp, 1)
         gt = np.stack([co.sigma[1, k] * du for k in range(co.n_modes)], axis=-1)
         heat = laplace_coefficients(2, n_modes=co.n_modes)
         gt = FieldEnsemble(gt, g, n_modes=co.n_modes)
@@ -264,10 +295,11 @@ def full_history_reference(co, f, g, noise):
     ft = np.broadcast_to(f.values, u.values.shape).copy()
     ft += (a[0, 0] - 1.0) * finite_diff(big_f, d2).values
     if g.dim == 2:
-        ft += (a[1, 1] - 1.0) * finite_diff(big_f, (0, 2)).values
-        ft += 2.0 * (a[0, 1] * finite_diff(big_f, (1, 1)).values)
-        ft += a[1, 1] * finite_diff(tilde, (0, 2)).values
-        ft += 2.0 * (a[0, 1] * finite_diff(tilde, (1, 1)).values)
+        d1_big, d1_tilde = finite_diff(big_f, (1, 0)).values, finite_diff(tilde, (1, 0)).values
+        ft += (a[1, 1] - 1.0) * tangential(big, g.dxp, 2)
+        ft += 2.0 * (a[0, 1] * tangential(d1_big, g.dxp, 1))
+        ft += a[1, 1] * tangential(tilde.values, g.dxp, 2)
+        ft += 2.0 * (a[0, 1] * tangential(d1_tilde, g.dxp, 1))
     b = ft[:, :, 0] / a[0, 0]
     c = b[:, 0].copy()
     cap_h = cumulative_trapezoid(b - c[:, None], dx=g.dt, axis=1, initial=0.0)
