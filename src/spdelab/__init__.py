@@ -12,7 +12,6 @@ from .fields import (
     GridMismatch,
     SpaceTimeGrid,
     finite_diff,
-    restrict_to_boundary,
 )
 from .halfline import (
     BoundaryData,
@@ -60,7 +59,6 @@ __all__ = [
     "FieldEnsemble",
     "GridMismatch",
     "finite_diff",
-    "restrict_to_boundary",
     "poisson_kernel",
     "kernel_dy",
     "kernel_mass",

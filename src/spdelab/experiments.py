@@ -26,6 +26,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -113,11 +114,7 @@ class StudyReport:
         for row in self.rows:
             lines.append(",".join((self.study, *(_fmt(row[c]) for c in CSV_COLUMNS[1:]))))
         for v in self.verdicts:
-            lines.append(
-                ",".join(
-                    (self.study, f"verdict_{v.name}", "", "", "", _fmt(1.0 if v.passed else 0.0))
-                )
-            )
+            lines.append(f"{self.study},verdict_{v.name},,,,{_fmt(1.0 if v.passed else 0.0)}")
         return "\n".join(lines) + "\n"
 
     def plot_csv(self) -> str:
@@ -125,11 +122,8 @@ class StudyReport:
         lines = ["level,param,value"]
         for row in self.rows:
             if row["record"] in keep:
-                lines.append(
-                    ",".join(
-                        (_fmt(row.get("level")), _fmt(row.get("param") or row.get("index")), _fmt(row.get("value")))
-                    )
-                )
+                param = row["param"] or row["index"]
+                lines.append(",".join((_fmt(row["level"]), _fmt(param), _fmt(row["value"]))))
         return "\n".join(lines) + "\n"
 
     def norms_csv(self) -> str | None:
@@ -149,18 +143,14 @@ class StudyReport:
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
         base = os.path.join(out_dir, self.study)
-        with open(base + ".csv", "w", newline="") as fh:
-            fh.write(self.canonical_csv())
-        paths["csv"] = base + ".csv"
-        norms = self.norms_csv()
-        if norms is not None:
-            with open(base + "_norms.csv", "w", newline="") as fh:
-                fh.write(norms)
-            paths["norms"] = base + "_norms.csv"
+        texts = {"csv": self.canonical_csv(), "norms": self.norms_csv()}
         if plot:
-            with open(base + "_plot.csv", "w", newline="") as fh:
-                fh.write(self.plot_csv())
-            paths["plot"] = base + "_plot.csv"
+            texts["plot"] = self.plot_csv()
+        for kind, text in texts.items():
+            if text is not None:
+                paths[kind] = base + (".csv" if kind == "csv" else f"_{kind}.csv")
+                with open(paths[kind], "w", newline="") as fh:
+                    fh.write(text)
         sidecar = {
             "study": self.study,
             "config": self.config,
@@ -187,27 +177,100 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed or inadmissible."""
 
 
-# the grid dimension a study is written for; the pipeline runs in either
-_STUDY_DIM = {
-    "halfline_lemma": 1,
-    "stability": 1,
-    "compatibility": 2,
-    "schauder_ratio": 2,
-    "continuity": 1,
+def _count(name, value, levels=None, least=1) -> int:
+    """An integer >= least."""
+    try:
+        n = int(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name} must be an integer: {exc}") from exc
+    if n < least:
+        raise ConfigError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
+def _number(name, value, levels=None) -> float:
+    """A real number."""
+    try:
+        return float(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
+
+
+def _numbers(name, value, levels) -> list:
+    """A non-empty list of real numbers."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    return [_number(name, v) for v in value]
+
+
+def _policy(name, value, levels):
+    """A pair policy; NormSpec checks that it is a known one."""
+    return value
+
+
+def _level(name, value, levels) -> int:
+    """A level index: a JSON integer in [0, levels)."""
+    if type(value) is not int or not 0 <= value < levels:
+        raise ConfigError(f"{name} must be an integer in [0, {levels}), got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class _Study:
+    """What a study's configuration means: its grid dim (None: either),
+    least level count, each sigma key with its tangency rule (True,
+    False or None: either), whether the body uses the coefficients (a
+    block given anyway is still gated), and each data key with its
+    default and parser(name, value, levels)."""
+
+    dim: int | None
+    levels: int
+    sigma: dict
+    data: dict
+    coefficients: bool = True
+
+
+_WAVE = {"f_amplitude": (1.0, _number), "f_tangential_wave": (0.5, _number)}
+_STUDIES = {
+    "halfline_lemma": _Study(
+        1, 2, {"sigma": None},
+        {"alpha": ([0.25, 0.5, 0.75], _numbers), "gamma": (2.0, _number),
+         "pair_policy": ("auto", _policy)},
+        coefficients=False,
+    ),
+    "stability": _Study(1, 1, {"sigma": None}, {"gamma": (2.0, _number)}, coefficients=False),
+    "compatibility": _Study(
+        2, 1, {"sigma_tangential": True, "sigma_violating": False},
+        {**_WAVE, "g_violating_amplitude": (0.0, _number)},
+    ),
+    "schauder_ratio": _Study(
+        2, 1, {"sigma": True},
+        {"alpha": (0.5, _number), "gamma": (2.0, _number), "draws": (5, _count),
+         "pair_policy": ("dyadic", _policy)},
+    ),
+    "pipeline": _Study(None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)}),
+    "continuity": _Study(
+        1, 1, {"sigma": None},
+        {"s": (1.0, _number), "s0": (0.9, _number), "iterations": (7, partial(_count, least=3)),
+         "f_amplitude": (1.0, _number)},
+    ),
 }
-# refinement studies fit a trend over levels, which needs two of them
-_MIN_LEVELS = {"halfline_lemma": 2, "pipeline": 2}
+# the keys of the other blocks; coefficients also takes the study's sigma keys
+_KEYS = {
+    "configuration": ("experiment", "grid", "coefficients", "data", "ensemble", "levels"),
+    "grid": ("dim", "x1_max", "x1_cells", "t_max", "steps", "xp_max", "xp_cells"),
+    "coefficients": ("a", "n_modes", "kappa", "bound"),
+    "ensemble": ("paths", "master_seed", "stream_salt"),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed study configuration.
-
-    The on-disk form is JSON with blocks: experiment, grid,
-    coefficients, data, ensemble, levels.  Studies read the
-    blocks they need; validate() runs the admissibility checks shared
-    by all of them.
-    """
+    """A study configuration: JSON with blocks experiment, grid,
+    coefficients, data, ensemble and levels.  validate() parses them
+    against the study's table once and stores what the bodies read:
+    grid, seed, n_paths, n_levels, coeffs (keyed by sigma key), data
+    (every data key, defaults filled in) and specs (the NormSpecs)."""
 
     experiment: str
     raw: dict
@@ -215,8 +278,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
+            return cls.from_dict(json.load(fh))
 
     @classmethod
     def from_dict(cls, raw):
@@ -282,41 +344,34 @@ class ExperimentConfig:
     def levels(self) -> int:
         return _count("levels", self.raw.get("levels", 1))
 
-    def kernel_check_level(self) -> int | None:
-        """The pipeline level that runs the kernel cross-check; None when absent."""
-        level = self.block("data").get("kernel_check_level")
-        if level is not None and (type(level) is not int or not 0 <= level < self.levels()):
-            raise ConfigError(
-                f"data.kernel_check_level must be an integer in [0, {self.levels()}), "
-                f"got {level!r}"
-            )
-        return level
-
     def validate(self):
-        """Admissibility gate: run before any compute.
-
-        Checks the ensemble values and the grid the study is written for.
-        Returns the parabolicity report (and the compatibility report
-        where the study's theory demands tangential noise).
-        """
-        grid = self.base_grid()
-        self.seed_spec()
-        self.paths()
-        self.block("data")
-        dim = _STUDY_DIM.get(self.experiment, grid.dim)
-        if grid.dim != dim:
+        """Admissibility gate, run before any compute: refuses unknown keys
+        and parses every block.  Returns the grid and the parabolicity
+        report of each coefficient set."""
+        study = _STUDIES[self.experiment]
+        for name, keys in (*_KEYS.items(), ("data", tuple(study.data))):
+            block = self.raw if name == "configuration" else self.block(name)
+            if name == "coefficients":
+                keys += tuple(study.sigma)
+            unknown = sorted(set(block) - set(keys))
+            if unknown:
+                raise ConfigError(
+                    f"unknown {name} key(s) {unknown}; the {self.experiment} study "
+                    f"takes {sorted(keys)}"
+                )
+        grid = self.grid = self.base_grid()
+        self.seed, self.n_paths = self.seed_spec(), self.paths()
+        if study.dim not in (None, grid.dim):
             raise ConfigError(
-                f"the {self.experiment} study needs a dim-{dim} grid, got dim {grid.dim}"
+                f"the {self.experiment} study needs a dim-{study.dim} grid, got dim {grid.dim}"
             )
         if self.experiment == "compatibility" and grid.x1_cells % 128 != 0:
             raise ConfigError("profile nodes need x1_cells divisible by 128")
         out = {"grid": grid}
-        if "coefficients" in self.raw:
-            sigma_keys = ["sigma"] if "sigma" in self.block("coefficients") else []
-            if self.experiment == "compatibility":
-                sigma_keys = ["sigma_tangential", "sigma_violating"]
-            for key in sigma_keys:
-                co = self.coefficients(sigma_key=key)
+        self.coeffs = {}
+        if study.coefficients or "coefficients" in self.raw:
+            for key, tangential in study.sigma.items():
+                co = self.coeffs[key] = self.coefficients(sigma_key=key)
                 rep = check_parabolicity(co, grid.times[:: max(1, grid.steps // 8)])
                 if not rep.passed:
                     raise ConfigError(
@@ -324,45 +379,33 @@ class ExperimentConfig:
                         f"{rep.lower_margin:.3e}, {rep.upper_margin:.3e}"
                     )
                 out[key] = rep
-            if self.experiment in ("schauder_ratio", "pipeline"):
-                comp = check_compatibility(self.coefficients())
-                if not comp.passed:
+                comp = check_compatibility(co)
+                if tangential is not None and comp.passed != tangential:
                     raise ConfigError(
-                        "normal noise component "
-                        f"{comp.max_normal_component:.3e} violates the "
-                        "tangency hypothesis of this study"
+                        f"coefficients ({key}): normal noise component "
+                        f"{comp.max_normal_component:.3e}"
+                        + (" violates the tangency hypothesis of this study" if tangential else
+                           " is zero; the variants must be one tangential and one violating")
                     )
-                out["compatibility"] = comp
-            if self.experiment == "compatibility":
-                tan = check_compatibility(self.coefficients(sigma_key="sigma_tangential"))
-                bad = check_compatibility(self.coefficients(sigma_key="sigma_violating"))
-                if not tan.passed or bad.passed:
-                    raise ConfigError("variants must be one tangential and one violating")
-        need = _MIN_LEVELS.get(self.experiment, 1)
-        if self.levels() < need:
-            raise ConfigError(f"the {self.experiment} study needs levels >= {need}")
-        if self.experiment == "pipeline":
-            self.kernel_check_level()
+        self.n_levels = self.levels()
+        if self.n_levels < study.levels:
+            raise ConfigError(f"the {self.experiment} study needs levels >= {study.levels}")
+        block = self.block("data")
+        self.data = {
+            key: parse(f"data.{key}", block[key], self.n_levels) if key in block else default
+            for key, (default, parse) in study.data.items()
+        }
+        # NormSpec's own checks give alpha, gamma and pair_policy their ranges;
+        # stability takes no alpha, so its gamma is checked beside alpha = 1/2
+        norm = {key: self.data[key] for key in ("gamma", "pair_policy") if key in self.data}
+        alphas = np.ravel(self.data.get("alpha", [])).tolist()
+        try:
+            self.specs = [NormSpec(alpha, **norm) for alpha in alphas]
+            if norm and not alphas:
+                NormSpec(0.5, **norm)
+        except ValueError as exc:
+            raise ConfigError(f"bad data block: {exc}") from exc
         return out
-
-
-def _count(name, value) -> int:
-    """A positive integer from the configuration."""
-    try:
-        n = int(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name} must be an integer: {exc}") from exc
-    if n < 1:
-        raise ConfigError(f"{name} must be at least 1, got {n}")
-    return n
-
-
-def _number(name, value) -> float:
-    """A real number from the configuration."""
-    try:
-        return float(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name} must be a number: {exc}") from exc
 
 
 def _ls_slope(residuals):
@@ -385,12 +428,8 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
     seminorm of h' moves by less than a factor 2 between the two finest
     levels.
     """
-    data_block = config.block("data")
-    alphas = [_number("data.alpha", a) for a in data_block.get("alpha", [0.25, 0.5, 0.75])]
-    gamma = _number("data.gamma", data_block.get("gamma", 2.0))
-    n_levels = config.levels()
-    grids = [config.base_grid()]
-    for _ in range(n_levels - 1):
+    grids = [config.grid]
+    for _ in range(config.n_levels - 1):
         grids.append(grids[-1].refine(2, 4))
 
     # part 1: identity residual under refinement, quadratic wall data
@@ -436,16 +475,15 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
     )
 
     # part 3: seminorm ratio for the fractional family, two finest levels
-    policy = data_block.get("pair_policy", "auto")
-    for alpha in alphas:
-        spec = NormSpec(alpha=alpha, gamma=gamma, pair_policy=policy)
+    for spec in config.specs:
+        alpha = spec.alpha
         expo = 1.0 + alpha / 2.0
         ratios = []
         for j, g in enumerate(grids[-2:], start=len(grids) - 2):
             data = BoundaryData.from_power(expo, g.times, label=f"t^{expo}")
             vt = dt_v(data, g, workers=workers)
             num = parabolic_seminorm(vt, spec).value
-            den = time_seminorm(data.h_prime, g.times, alpha / 2.0, gamma)
+            den = time_seminorm(data.h_prime, g.times, alpha / 2.0, spec.gamma)
             ratios.append(num / den)
             report.row("lemma_num", level=j, param=alpha, value=num)
             report.row("lemma_den", level=j, param=alpha, value=den)
@@ -483,10 +521,9 @@ def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> N
     Deterministic pair (t^2, t^3) and a random pair (xi t^2, 0.9 xi t^2)
     with the scale xi drawn per path from the counter generator.
     """
-    grid = config.base_grid()
-    gamma = _number("data.gamma", config.block("data").get("gamma", 2.0))
-    for name, (d1, d2) in _stability_pairs(grid, config.seed_spec(), config.paths()).items():
-        rep = stability_gap(d1, d2, grid, gamma=gamma, workers=workers)
+    grid = config.grid
+    for name, (d1, d2) in _stability_pairs(grid, config.seed, config.n_paths).items():
+        rep = stability_gap(d1, d2, grid, gamma=config.data["gamma"], workers=workers)
         report.row("lhs", param=name, value=rep.lhs)
         report.row("rhs", param=name, value=rep.rhs)
         report.row("ratio", param=name, value=rep.ratio)
@@ -500,16 +537,9 @@ def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> N
 # -- study 3: compatibility dichotomy ---------------------------------
 
 
-def _wave_numbers(data_block):
-    """(f_amplitude, f_tangential_wave) for _tangential_wave_field."""
-    return (
-        _number("data.f_amplitude", data_block.get("f_amplitude", 1.0)),
-        _number("data.f_tangential_wave", data_block.get("f_tangential_wave", 0.5)),
-    )
-
-
-def _tangential_wave_field(grid, amplitude, wave):
-    """f(x) = amplitude + wave * cos(2 pi x2 / xp_max), frozen in time."""
+def _tangential_wave_field(grid, data):
+    """f(x) = f_amplitude + f_tangential_wave * cos(2 pi x2 / xp_max), frozen in time."""
+    amplitude, wave = data["f_amplitude"], data["f_tangential_wave"]
     if grid.dim == 2:
         prof = amplitude + wave * np.cos(2.0 * np.pi * grid.xp_nodes / grid.xp_max)
         shaped = np.broadcast_to(
@@ -533,22 +563,15 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     max/min < 2 while the normal-noise variant must grow at every
     halving.
     """
-    grid = config.base_grid()
-    data_block = config.block("data")
-    wave = _wave_numbers(data_block)
-    g_amp = _number("data.g_violating_amplitude", data_block.get("g_violating_amplitude", 0.0))
-    f = _tangential_wave_field(grid, *wave)
-    co_tan = config.coefficients(sigma_key="sigma_tangential")
-    co_bad = config.coefficients(sigma_key="sigma_violating")
-    noise = wiener_increments(
-        config.seed_spec(), config.paths(), grid.steps, co_tan.n_modes, dt=grid.dt
-    )
+    grid = config.grid
+    g_amp = config.data["g_violating_amplitude"]
+    f = _tangential_wave_field(grid, config.data)
+    co_tan, co_bad = config.coeffs["sigma_tangential"], config.coeffs["sigma_violating"]
+    noise = wiener_increments(config.seed, config.n_paths, grid.steps, co_tan.n_modes, dt=grid.dt)
     g_bad = None
     if g_amp != 0.0:
         shape = (1, grid.steps + 1) + grid.space_shape + (co_bad.n_modes,)
-        g_bad = FieldEnsemble(
-            np.broadcast_to(g_amp, shape).copy(), grid, n_modes=co_bad.n_modes
-        )
+        g_bad = FieldEnsemble(np.broadcast_to(g_amp, shape).copy(), grid, n_modes=co_bad.n_modes)
 
     deltas_idx = [grid.x1_cells >> k for k in range(3, 8)]
     deltas = [idx * grid.dx1 for idx in deltas_idx]
@@ -574,11 +597,7 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     report.verdict("tangential_bounded", spread < 2.0, f"profile max/min {spread:.3f}")
     bad = profiles["violating"]
     growing = bool(np.all(np.diff(bad) > 0))
-    report.verdict(
-        "violating_growth",
-        growing,
-        "profile " + ", ".join(f"{x:.4e}" for x in bad),
-    )
+    report.verdict("violating_growth", growing, "profile " + ", ".join(f"{x:.4e}" for x in bad))
 
 
 # -- study 4: Schauder ratio ------------------------------------------
@@ -620,25 +639,16 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
     A zero draw exercises the 0/0 sentinel and is excluded from the
     verdicts.
     """
-    coeffs = config.coefficients()
-    seed = config.seed_spec()
-    n_paths = config.paths()
-    data_block = config.block("data")
-    alpha = _number("data.alpha", data_block.get("alpha", 0.5))
-    gamma = _number("data.gamma", data_block.get("gamma", 2.0))
-    n_draws = _count("data.draws", data_block.get("draws", 5))
-    policy = data_block.get("pair_policy", "dyadic")
-    spec = NormSpec(alpha=alpha, gamma=gamma, pair_policy=policy)
-    n_levels = config.levels()
-    grids = [config.base_grid()]
-    for _ in range(n_levels - 1):
+    coeffs, seed, (spec,) = config.coeffs["sigma"], config.seed, config.specs
+    grids = [config.grid]
+    for _ in range(config.n_levels - 1):
         grids.append(grids[-1].refine(2, 4))
     draw_seed = SeedSpec(seed.master_seed, seed.stream_salt + 101)
 
     noises = [
-        wiener_increments(seed, n_paths, g.steps, coeffs.n_modes, dt=g.dt) for g in grids
+        wiener_increments(seed, config.n_paths, g.steps, coeffs.n_modes, dt=g.dt) for g in grids
     ]
-    for d in range(n_draws):
+    for d in range(config.data["draws"]):
         cs = standard_normals(draw_seed, np.array([d]), np.arange(6), np.array([0]))[0, :, 0]
         ratios = []
         for j, g in enumerate(grids):
@@ -697,18 +707,15 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
     at the starting corner, which is self-similar under dt ~ dx^2
     refinement and cannot decay.
     """
-    coeffs = config.coefficients()
-    wave = _wave_numbers(config.block("data"))
-    check_level = config.kernel_check_level()
-    n_levels = config.levels()
-    base = config.base_grid()
+    coeffs, check_level = config.coeffs["sigma"], config.data["kernel_check_level"]
+    n_levels, base = config.n_levels, config.grid
     grids = [
         replace(base, x1_cells=base.x1_cells * 2**j, steps=base.steps * 4**j)
         for j in range(n_levels)
     ]
 
     fine = wiener_increments(
-        config.seed_spec(), config.paths(), grids[-1].steps, coeffs.n_modes, dt=grids[-1].dt
+        config.seed, config.n_paths, grids[-1].steps, coeffs.n_modes, dt=grids[-1].dt
     )
     noises = [fine]
     for _ in range(n_levels - 1):
@@ -717,7 +724,7 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
 
     residuals, recons, h_checks = [], [], []
     for j, g in enumerate(grids):
-        f = _tangential_wave_field(g, *wave)
+        f = _tangential_wave_field(g, config.data)
         out = decompose_pipeline(coeffs, f, g, noises[j], kernel_check=(check_level == j))
         residuals.append(out.wall_residual)
         recons.append(out.reconstruction_error)
@@ -761,20 +768,13 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     successive-difference norms sup_node E|.|^2 must shrink geometrically
     with a roughly constant factor over iterations 2..6.
     """
-    grid = config.base_grid()
-    coeffs = config.coefficients()
-    data_block = config.block("data")
-    s = _number("data.s", data_block.get("s", 1.0))
-    s0 = _number("data.s0", data_block.get("s0", 0.9))
-    n_iter = _count("data.iterations", data_block.get("iterations", 7))
-    amplitude = _number("data.f_amplitude", data_block.get("f_amplitude", 1.0))
-
-    noise = wiener_increments(
-        config.seed_spec(), config.paths(), grid.steps, coeffs.n_modes, dt=grid.dt
-    )
-    f_vals = np.full((1, grid.steps + 1) + grid.space_shape, amplitude)
+    grid, coeffs, data = config.grid, config.coeffs["sigma"], config.data
+    noise = wiener_increments(config.seed, config.n_paths, grid.steps, coeffs.n_modes, dt=grid.dt)
+    f_vals = np.full((1, grid.steps + 1) + grid.space_shape, data["f_amplitude"])
     forcing = Forcing(f=FieldEnsemble(f_vals, grid))
-    diffs, _ = continuity_iterates(coeffs, s, s0, forcing, grid, noise, n_iter)
+    diffs, _ = continuity_iterates(
+        coeffs, data["s"], data["s0"], forcing, grid, noise, data["iterations"]
+    )
     diffs = [float(d) for d in diffs]
     for m, d in enumerate(diffs, start=1):
         report.row("diff", index=m, value=d)
@@ -782,7 +782,7 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     for i, r in enumerate(ratios, start=2):
         report.row("ratio", index=i, value=r)
     contracting = all(r < 1.0 for r in ratios)
-    spread = max(ratios) / min(ratios) if ratios else math.inf
+    spread = max(ratios) / min(ratios)
     report.verdict("contraction", contracting, "ratios " + ", ".join(f"{r:.4f}" for r in ratios))
     report.verdict("ratio_constancy", spread <= 1.25, f"ratio max/min {spread:.4f}")
 
@@ -806,7 +806,7 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     """
     t0 = time.perf_counter()
     config.validate()
-    seed = config.seed_spec()
+    seed = config.seed
     report = StudyReport(config.experiment, config.raw, seed.master_seed, seed.stream_salt)
     EXPERIMENTS[config.experiment](config, report, workers)
     report.wall_clock = time.perf_counter() - t0

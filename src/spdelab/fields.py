@@ -18,7 +18,6 @@ __all__ = [
     "FieldEnsemble",
     "GridMismatch",
     "finite_diff",
-    "restrict_to_boundary",
 ]
 
 
@@ -112,9 +111,6 @@ class SpaceTimeGrid:
             xp_cells=self.xp_cells * space_factor,
             steps=self.steps * time_factor,
         )
-
-    def compatible(self, other: "SpaceTimeGrid") -> bool:
-        return self == other
 
 
 @dataclass
@@ -217,9 +213,3 @@ def finite_diff(f: FieldEnsemble, beta) -> FieldEnsemble:
         if order:
             out = _diff(out, _axis_spacing(f.grid, d), 2 + d, _axis_periodic(f.grid, d), order)
     return FieldEnsemble(out, f.grid, f.n_modes)
-
-
-def restrict_to_boundary(f: FieldEnsemble) -> np.ndarray:
-    """Trace on the x1 = 0 wall: shape (paths, steps+1[, n_xp][, modes])."""
-    idx = f.grid.wall_index
-    return f.values[:, :, idx, ...]

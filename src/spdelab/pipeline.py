@@ -179,14 +179,13 @@ def decompose_pipeline(
             g = [sig[1, k] * du for k in range(coeffs.n_modes)]
             big = heat(big, noise.increments[:, j - 1], j - 1, g=g)
         tilde = u - big
-        # translated forcing: freeze every second-order term except a11 D11
+        # translated forcing: freeze every second-order term except a11 D11;
+        # the D22 terms would read only x1 = 0 rows, pinned at 0 by the wall
         ft = _slot(f.values, j, paths)[:, 0].copy()
         ft += (a11 - 1.0) * _wall_diff(big, 2, 0, grid)
         if grid.dim == 2:
-            a22, a12 = coeffs.a[1, 1], coeffs.a[0, 1]
-            ft += (a22 - 1.0) * _wall_diff(big, 0, 2, grid)
+            a12 = coeffs.a[0, 1]
             ft += 2.0 * (a12 * _wall_diff(big, 1, 1, grid))
-            ft += a22 * _wall_diff(tilde, 0, 2, grid)
             ft += 2.0 * (a12 * _wall_diff(tilde, 1, 1, grid))
         b[:, j] = ft / a11
         if j == 0:

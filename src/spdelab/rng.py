@@ -2,10 +2,9 @@
 
 Every normal draw is a pure function of the tuple
 ``(master_seed, stream_salt, path, step, mode)``.  Nothing here keeps
-generator state, so a sub-block of an ensemble can be regenerated in
-isolation (a worker that owns paths 512..767 produces bit-identical
-numbers to a single process generating the full batch), and reductions
-over paths are reproducible regardless of scheduling.
+generator state, so any sub-block of an ensemble can be regenerated in
+isolation, bit-identical to the matching entries of the full batch, and
+reductions over paths are reproducible regardless of scheduling.
 
 The index tuple is absorbed into a 64-bit state with a splitmix64-style
 finalizer chain and mapped to a standard normal through the inverse CDF
@@ -109,24 +108,13 @@ def standard_normals(seed, path_idx, step_idx, mode_idx):
     return ndtri(u)
 
 
-def wiener_increments(seed, n_paths, n_steps, n_modes=1, *, dt, path_indices=None):
-    """Generate a WienerBatch of iid N(0, dt) increments.
-
-    ``path_indices`` substitutes an explicit set of path labels for
-    ``range(n_paths)`` so a worker can produce its own path block; the
-    labels, not the block layout, key the draws.
-    """
+def wiener_increments(seed, n_paths, n_steps, n_modes=1, *, dt):
+    """Generate a WienerBatch of iid N(0, dt) increments."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if n_steps < 1 or n_modes < 1:
         raise ValueError("need at least one step and one mode")
-    if path_indices is None:
-        path_indices = np.arange(n_paths)
-    else:
-        path_indices = np.asarray(path_indices)
-        if path_indices.shape != (n_paths,):
-            raise ValueError("path_indices length must equal n_paths")
-    z = standard_normals(seed, path_indices, np.arange(n_steps), np.arange(n_modes))
+    z = standard_normals(seed, np.arange(n_paths), np.arange(n_steps), np.arange(n_modes))
     return WienerBatch(increments=np.sqrt(dt) * z, dt=float(dt), seed=seed)
 
 

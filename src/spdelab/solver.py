@@ -149,7 +149,7 @@ class Forcing:
         for name, fe in (("f", self.f), ("g", self.g)):
             if fe is None:
                 continue
-            if not grid.compatible(fe.grid):
+            if fe.grid != grid:
                 raise GridMismatch(f"forcing {name} lives on a different grid")
         if self.f is not None and self.f.n_modes:
             raise ModelError("f must not carry a mode axis")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from spdelab.experiments import (
     _stability_pairs,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 TINY_STABILITY = {
     "experiment": "stability",
@@ -490,6 +492,99 @@ def test_kernel_check_runs_at_the_named_level_only(level):
     rep = run_study(ExperimentConfig.from_dict(raw))
     gaps = [row["level"] for row in rep.rows if row["record"] == "kernel_gap"]
     assert gaps == ([] if level is None else [level])
+
+
+@pytest.mark.parametrize(
+    "study, edit, message",
+    [
+        ("stability", {"levle": 2}, "unknown configuration key(s) ['levle']"),
+        ("continuity", {"grid": {"x1_cell": 9}}, "unknown grid key(s) ['x1_cell']"),
+        ("pipeline", {"coefficients": {"kapa": 0.5}}, "unknown coefficients key(s) ['kapa']"),
+        ("schauder_ratio", {"ensemble": {"path": 8}}, "unknown ensemble key(s) ['path']"),
+        ("compatibility", {"data": {"f_amplitud": 1.0}}, "unknown data key(s) ['f_amplitud']"),
+        ("schauder_ratio", {"data": {"alpha": 1.5}}, "alpha must be in (0, 1), got 1.5"),
+        ("halfline_lemma", {"data": {"alpha": []}}, "data.alpha must be a non-empty list"),
+        ("schauder_ratio", {"data": {"pair_policy": "sparse"}}, "unknown pair policy 'sparse'"),
+        ("stability", {"data": {"gamma": 1.0}}, "gamma must be at least 2, got 1.0"),
+        ("schauder_ratio", {"data": {"draws": 0}}, "data.draws must be at least 1, got 0"),
+        ("continuity", {"data": {"iterations": 2}}, "data.iterations must be at least 3, got 2"),
+    ],
+    ids=[
+        "unknown-top-level", "unknown-grid", "unknown-coefficients", "unknown-ensemble",
+        "unknown-data", "alpha-1.5", "alpha-empty", "policy-sparse", "gamma-1", "draws-0",
+        "iterations-2",
+    ],
+)
+def test_the_schema_refuses_a_config_no_verdict_can_read(
+    study, edit, message, tmp_path, capsys, monkeypatch
+):
+    # each edit is one key on a checked-in config; the gate refuses it before any compute
+    def unreachable(*args):
+        """Stand-in body; the parser takes its help text from here."""
+        raise AssertionError("the study body ran")
+
+    monkeypatch.setitem(EXPERIMENTS, study, unreachable)
+    raw = json.loads((CONFIGS / f"{study}.json").read_text())
+    for key, value in edit.items():
+        if isinstance(value, dict):
+            raw.setdefault(key, {}).update(value)
+        else:
+            raw[key] = value
+    cfg = write_config(tmp_path, raw)
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and message in err
+    assert main([study, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / f"{study}.csv").exists()
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"configs/{p.name}" for p in sorted(CONFIGS.glob("*.json"))]
+    + [f"workload/{name}" for name in _workloads().WORKLOADS],
+)
+def test_checked_in_and_benchmark_configs_validate(name):
+    kind, _, stem = name.partition("/")
+    if kind == "configs":
+        raw = json.loads((CONFIGS / stem).read_text())
+    else:
+        raw = _workloads().raw_config(stem, 1)
+    ExperimentConfig.from_dict(raw).validate()
+
+
+@pytest.mark.parametrize(
+    "study, defaults",
+    [
+        ("halfline_lemma", {"alpha": [0.25, 0.5, 0.75], "gamma": 2.0, "pair_policy": "auto"}),
+        ("stability", {"gamma": 2.0}),
+        (
+            "compatibility",
+            {"f_amplitude": 1.0, "f_tangential_wave": 0.5, "g_violating_amplitude": 0.0},
+        ),
+        ("schauder_ratio", {"alpha": 0.5, "gamma": 2.0, "draws": 5, "pair_policy": "dyadic"}),
+        ("pipeline", {"f_amplitude": 1.0, "f_tangential_wave": 0.5, "kernel_check_level": None}),
+        ("continuity", {"s": 1.0, "s0": 0.9, "iterations": 7, "f_amplitude": 1.0}),
+    ],
+)
+def test_an_omitted_data_block_takes_every_default(study, defaults):
+    raw = json.loads((CONFIGS / f"{study}.json").read_text())
+    del raw["data"]
+    cfg = ExperimentConfig.from_dict(raw)
+    cfg.validate()
+    assert cfg.data == defaults
+    alphas = defaults.get("alpha", [])
+    assert [(s.alpha, s.gamma, s.pair_policy) for s in cfg.specs] == [
+        (a, 2.0, defaults["pair_policy"]) for a in np.ravel(alphas)
+    ]
 
 
 def test_cli_kernel_subcommand(capsys):

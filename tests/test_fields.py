@@ -14,7 +14,6 @@ from spdelab import (
     GridMismatch,
     SpaceTimeGrid,
     finite_diff,
-    restrict_to_boundary,
 )
 from spdelab.fields import _diff
 
@@ -226,15 +225,3 @@ def test_periodic_stencils_match_the_rolled_reference_to_the_bit(data):
     values = rng.standard_normal(shape)
     for order in (1, 2):
         assert np.array_equal(_diff(values, h, axis, True, order), rolled(values, h, axis, order))
-
-
-# -- traces -----------------------------------------------------------
-
-
-def test_restrict_to_boundary_takes_wall_row():
-    g = grid2()
-    vals = np.random.default_rng(0).normal(size=(2, g.steps + 1, g.n_x1, g.n_xp))
-    f = FieldEnsemble(vals, g)
-    tr = restrict_to_boundary(f)
-    assert tr.shape == (2, g.steps + 1, g.n_xp)
-    assert np.array_equal(tr, vals[:, :, 0])
