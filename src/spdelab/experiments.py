@@ -178,22 +178,23 @@ class ConfigError(ValueError):
 
 
 def _count(name, value, levels=None, least=1) -> int:
-    """An integer >= least."""
-    try:
-        n = int(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name} must be an integer: {exc}") from exc
-    if n < least:
-        raise ConfigError(f"{name} must be at least {least}, got {n}")
-    return n
+    """A JSON integer >= least."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _number(name, value, levels=None) -> float:
-    """A real number."""
+    """A finite real number."""
     try:
-        return float(value)
+        x = float(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{name} must be a number: {exc}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def _numbers(name, value, levels) -> list:

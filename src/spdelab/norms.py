@@ -25,7 +25,9 @@ gathered pair list would sum them, bit for bit.  Differences pass through
 one reused buffer in blocks of leading rows of about 2^18 bytes, at least
 one row of every batch entry (an exhaustive row holds (trailing nodes)^2
 x paths values); for gamma = 2 without modes a block is squared in place
-and summed over paths by ``np.add.reduce``, the arithmetic of ``np.mean``.
+and summed over paths in numpy's pairwise order, the arithmetic of
+``np.mean``, written out as strided adds over the whole block below 16
+paths.
 
 Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
@@ -112,9 +114,33 @@ def _difference_moment(a, b, buf, gamma, has_modes):
     d = np.subtract(a, b, out=buf[: math.prod(shape)].reshape(shape))
     if gamma != 2.0 or has_modes:
         return _moment(d, gamma, has_modes, axis=-1)
-    q = np.add.reduce(np.multiply(d, d, out=d), axis=-1)
+    q = _path_sum(np.multiply(d, d, out=d))
     q /= shape[-1]
     return np.sqrt(q, out=q)
+
+
+def _path_sum(d):
+    """``np.add.reduce(d, axis=-1)`` of a float64 array, bit for bit.
+
+    numpy sums each row pairwise: fewer than 8 values in turn; 8 to 128
+    values into eight strided accumulators r0..r7, joined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    turn.  Below 16 paths the same adds over whole arrays skip numpy's
+    per-row call, which costs more than the row; from 16 on numpy's own
+    loop is faster, so it sums those.
+    """
+    n = d.shape[-1]
+    if n >= 16:
+        return np.add.reduce(d, axis=-1)
+    if n < 8:
+        s, rest = d[..., 0].copy(), range(1, n)
+    else:
+        r = d[..., 0:8:2] + d[..., 1:8:2]
+        r = r[..., 0::2] + r[..., 1::2]
+        s, rest = r[..., 0] + r[..., 1], range(8, n)
+    for i in rest:
+        s += d[..., i]
+    return s
 
 
 # -- offset stencil ---------------------------------------------------
@@ -280,36 +306,62 @@ def _grid_geometry(grid, with_time):
     return tuple(zip(*axes))
 
 
-def sup_norm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
-    """max over |beta| <= m and grid nodes of the moment magnitude."""
-    best = NormResult("sup", -1.0, m, spec.alpha, spec.gamma)
-    for order in range(m + 1):
+def _keep(best, beta, v, argmax):
+    """Fold one derivative's maximum into best; strict, so the earliest stays."""
+    if v > best.value:
+        best.value, best.beta, best.argmax = v, beta, argmax
+
+
+def _sup_update(best, beta, g, spec):
+    prof = _moment(g.values, spec.gamma, g.n_modes > 0)
+    k = int(np.argmax(prof))
+    _keep(best, beta, float(prof.ravel()[k]), np.unravel_index(k, prof.shape))
+
+
+def _space_update(best, beta, g, spec):
+    shape, spacings, periodic = _grid_geometry(g.grid, with_time=False)
+    st, v, j, arg = _stencil_max(g.values, g.n_modes, shape, spacings, periodic, None, spec)
+    best.kind = f"space_seminorm[{st.policy}]"
+    best.pairs = st.pairs * (g.grid.steps + 1)
+    _keep(best, beta, v, (j,) + arg)
+
+
+def _parabolic_update(best, beta, g, spec):
+    shape, spacings, periodic = _grid_geometry(g.grid, with_time=True)
+    st, v, _, arg = _stencil_max(g.values[:, None], g.n_modes, shape, spacings, periodic, 0, spec)
+    best.kind = f"parabolic_seminorm[{st.policy}]"
+    best.pairs = st.pairs
+    _keep(best, beta, v, arg)
+
+
+_UPDATES = {
+    "sup": _sup_update,
+    "space_seminorm": _space_update,
+    "parabolic_seminorm": _parabolic_update,
+}
+
+
+def _norms(f, spec, m, *kinds):
+    """NormResults of the given kinds from one pass that forms each
+    derivative of f once: "sup" takes |beta| <= m, the seminorms |beta| = m."""
+    out = {k: NormResult(k, -1.0 if k == "sup" else 0.0, m, spec.alpha, spec.gamma) for k in kinds}
+    for order in range(0 if "sup" in kinds else m, m + 1):
         for beta in _multi_indices(f.grid.dim, order):
             g = finite_diff(f, beta) if order else f
-            prof = _moment(g.values, spec.gamma, f.n_modes > 0)
-            k = int(np.argmax(prof))
-            v = float(prof.ravel()[k])
-            if v > best.value:
-                best.value = v
-                best.beta = beta
-                best.argmax = np.unravel_index(k, prof.shape)
-    return best
+            for k, best in out.items():
+                if order == m or k == "sup":
+                    _UPDATES[k](best, beta, g, spec)
+    return list(out.values())
+
+
+def sup_norm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
+    """max over |beta| <= m and grid nodes of the moment magnitude."""
+    return _norms(f, spec, m, "sup")[0]
 
 
 def space_seminorm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
     """max over |beta| = m, times, and node pairs of the space quotient."""
-    shape, spacings, periodic = _grid_geometry(f.grid, with_time=False)
-    best = NormResult("space_seminorm", 0.0, m, spec.alpha, spec.gamma)
-    for beta in _multi_indices(f.grid.dim, m):
-        g = finite_diff(f, beta) if m else f
-        st, v, j, arg = _stencil_max(g.values, f.n_modes, shape, spacings, periodic, None, spec)
-        best.kind = f"space_seminorm[{st.policy}]"
-        best.pairs = st.pairs * (f.grid.steps + 1)
-        if v > best.value:
-            best.value = v
-            best.beta = beta
-            best.argmax = (j,) + arg
-    return best
+    return _norms(f, spec, m, "space_seminorm")[0]
 
 
 def parabolic_seminorm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResult:
@@ -318,20 +370,7 @@ def parabolic_seminorm(f: FieldEnsemble, spec: NormSpec, m: int = 0) -> NormResu
     Denominator |x - y|^alpha + |t - s|^{alpha/2} over all stencil
     space-time node pairs.
     """
-    shape, spacings, periodic = _grid_geometry(f.grid, with_time=True)
-    best = NormResult("parabolic_seminorm", 0.0, m, spec.alpha, spec.gamma)
-    for beta in _multi_indices(f.grid.dim, m):
-        g = finite_diff(f, beta) if m else f
-        st, v, _, arg = _stencil_max(
-            g.values[:, None], f.n_modes, shape, spacings, periodic, 0, spec
-        )
-        best.kind = f"parabolic_seminorm[{st.policy}]"
-        best.pairs = st.pairs
-        if v > best.value:
-            best.value = v
-            best.beta = beta
-            best.argmax = arg
-    return best
+    return _norms(f, spec, m, "parabolic_seminorm")[0]
 
 
 def trace_parabolic_norm(f: FieldEnsemble, spec: NormSpec) -> tuple:
@@ -383,8 +422,7 @@ def schauder_ratio(u, f, g, spec: NormSpec) -> SchauderReport:
     (ell2 over modes inside the moment).  Both sides vanishing yields a
     0/0 sentinel instead of a ratio.
     """
-    lhs_sup = sup_norm(u, spec, m=2)
-    lhs_semi = parabolic_seminorm(u, spec, m=2)
+    lhs_sup, lhs_semi = _norms(u, spec, 2, "sup", "parabolic_seminorm")
     lhs = lhs_sup.value + lhs_semi.value
 
     f_sup = sup_norm(f, spec, m=0)
@@ -401,8 +439,7 @@ def schauder_ratio(u, f, g, spec: NormSpec) -> SchauderReport:
     }
     results = [lhs_sup, lhs_semi, f_sup, f_space, f_trace_semi]
     if g is not None:
-        g_sup = sup_norm(g, spec, m=1)
-        g_space = space_seminorm(g, spec, m=1)
+        g_sup, g_space = _norms(g, spec, 1, "sup", "space_seminorm")
         rhs += g_sup.value + g_space.value
         parts["g_sup_m1"] = g_sup.value
         parts["g_space_seminorm_m1"] = g_space.value

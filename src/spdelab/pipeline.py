@@ -102,8 +102,8 @@ def _line_step(line, r, w, wall):
 
 
 def _wall_diff(v, n1, n2, grid):
-    """Wall row of D1^n1 D2^n2 v (paths, n_x1[, n_xp]), the x1 = 0 closure alone."""
-    out = _closure(v.swapaxes(0, 1), n1, grid.dx1) if n1 else v[:, 0]
+    """Wall row of D1^n1 D2^n2 v (paths, n_x1[, n_xp]), n1 >= 1, the x1 = 0 closure alone."""
+    out = _closure(v.swapaxes(0, 1), n1, grid.dx1)
     return _diff(out, grid.dxp, 1, True, n2) if n2 else out
 
 

@@ -508,11 +508,18 @@ def test_kernel_check_runs_at_the_named_level_only(level):
         ("stability", {"data": {"gamma": 1.0}}, "gamma must be at least 2, got 1.0"),
         ("schauder_ratio", {"data": {"draws": 0}}, "data.draws must be at least 1, got 0"),
         ("continuity", {"data": {"iterations": 2}}, "data.iterations must be at least 3, got 2"),
+        ("stability", {"data": {"gamma": "nan"}}, "data.gamma must be finite, got 'nan'"),
+        ("schauder_ratio", {"data": {"gamma": "-inf"}}, "data.gamma must be finite, got '-inf'"),
+        ("compatibility", {"data": {"f_amplitude": 1e999}}, "data.f_amplitude must be finite"),
+        ("schauder_ratio", {"data": {"draws": 2.7}}, "data.draws must be an integer, got 2.7"),
+        ("stability", {"ensemble": {"paths": 1.5}}, "ensemble.paths must be an integer, got 1.5"),
+        ("schauder_ratio", {"data": {"draws": True}}, "data.draws must be an integer, got True"),
     ],
     ids=[
         "unknown-top-level", "unknown-grid", "unknown-coefficients", "unknown-ensemble",
         "unknown-data", "alpha-1.5", "alpha-empty", "policy-sparse", "gamma-1", "draws-0",
-        "iterations-2",
+        "iterations-2", "gamma-nan", "gamma-minus-inf", "amplitude-inf", "draws-2.7",
+        "paths-1.5", "draws-true",
     ],
 )
 def test_the_schema_refuses_a_config_no_verdict_can_read(

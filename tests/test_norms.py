@@ -203,6 +203,40 @@ def test_schauder_ratio_parts_sum_to_sides():
     assert rep.sentinel == ""
 
 
+@pytest.mark.parametrize("values", ["normal", "ties"])
+def test_schauder_ratio_forms_each_derivative_once(values, monkeypatch):
+    g = SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=6, xp_max=1.0, xp_cells=5)
+    rng = np.random.default_rng(12)
+    shape = (3, g.steps + 1) + g.space_shape
+    if values == "normal":
+        fields = [rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape + (2,))]
+    else:  # small integers: equal quotients across pairs, times and derivatives
+        fields = [rng.integers(-1, 2, s) * 1.0 for s in (shape, shape, shape + (2,))]
+    u, f = FieldEnsemble(fields[0], g), FieldEnsemble(fields[1], g)
+    gg = FieldEnsemble(fields[2], g, n_modes=2)
+    separate = [
+        sup_norm(u, SPEC, m=2),
+        parabolic_seminorm(u, SPEC, m=2),
+        sup_norm(f, SPEC),
+        space_seminorm(f, SPEC),
+        trace_parabolic_norm(f, SPEC)[1],
+        sup_norm(gg, SPEC, m=1),
+        space_seminorm(gg, SPEC, m=1),
+    ]
+    calls = []
+
+    def spy(field, beta):
+        calls.append(beta)
+        return finite_diff(field, beta)
+
+    monkeypatch.setattr(norms, "finite_diff", spy)
+    rep = schauder_ratio(u, f, gg, SPEC)
+    # D1 u, D2 u, the three D^2 u and the two Dg, each once (the separate calls make 12)
+    assert len(calls) == 7 and len(set(calls)) == 5
+    assert rep.results == separate
+    assert [str(r.argmax) for r in rep.results] == [str(r.argmax) for r in separate]
+
+
 def test_report_rows_carry_the_canonical_columns():
     g = grid1(cells=4, steps=2)
     f = static(g, lambda x: x)
@@ -344,12 +378,31 @@ def test_stencil_engine_matches_pair_list_oracle(case):
     _assert_matches_oracle(*case)
 
 
+# path counts on each side of every branch of norms._path_sum
+PATH_COUNTS = (1, 7, 8, 11, 17, 136)
+
+
+@given(
+    st.one_of(st.integers(1, 17), st.integers(1, 300)),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(-1000, 1000),
+    st.integers(0, 2**32 - 1),
+)
+def test_path_sum_is_numpys_pairwise_sum(n, lead, exponent, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, n)
+    # a few binades around 2^exponent, zeros included: any other order of the
+    # adds rounds differently somewhere (the sqrt of the moment hides most of it)
+    d = np.ldexp(rng.random(shape), exponent + rng.integers(-4, 5, shape))
+    d[rng.random(shape) < 0.2] = 0.0
+    assert np.array_equal(norms._path_sum(d), np.add.reduce(d, axis=-1))
+
+
 @pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
 @pytest.mark.parametrize("n_modes", [0, 2])
 def test_stencil_engine_is_bit_identical_on_float_fields(policy, n_modes):
-    # 8 and more paths reach numpy's pairwise summation in the path moment
     g = SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=8, xp_max=1.0, xp_cells=6)
-    for paths in (8, 11):
+    for paths in PATH_COUNTS:
         shape = (paths, g.steps + 1) + g.space_shape + ((n_modes,) if n_modes else ())
         vals = np.random.default_rng(paths).normal(size=shape)
         f = FieldEnsemble(vals, g, n_modes=n_modes)
@@ -376,7 +429,7 @@ def test_blocked_reduction_is_bit_identical_across_block_boundaries(monkeypatch,
         SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=9, t_max=0.5, steps=12, periodic_x1=True),
     ]
     for g in grids:
-        for paths in (8, 11):
+        for paths in PATH_COUNTS:
             rng = np.random.default_rng(paths)
             shape = (paths, g.steps + 1) + g.space_shape + modes
             # integer values tie often; a ramp in x1 ties across every time row,
