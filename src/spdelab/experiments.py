@@ -302,28 +302,28 @@ class ExperimentConfig:
         g = self.block("grid")
         try:
             return SpaceTimeGrid(
-                dim=int(g["dim"]),
-                x1_max=float(g["x1_max"]),
-                x1_cells=int(g["x1_cells"]),
-                t_max=float(g["t_max"]),
-                steps=int(g["steps"]),
-                xp_max=float(g.get("xp_max", 0.0)),
-                xp_cells=int(g.get("xp_cells", 0)),
+                dim=_count("grid.dim", g["dim"]),
+                x1_max=_number("grid.x1_max", g["x1_max"]),
+                x1_cells=_count("grid.x1_cells", g["x1_cells"]),
+                t_max=_number("grid.t_max", g["t_max"]),
+                steps=_count("grid.steps", g["steps"]),
+                xp_max=_number("grid.xp_max", g.get("xp_max", 0.0)),
+                xp_cells=_count("grid.xp_cells", g.get("xp_cells", 0), least=0),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad grid block: {exc}") from exc
 
     def coefficients(self, sigma_key="sigma") -> ModelCoefficients:
         c = self.block("coefficients")
-        dim = int(self.block("grid")["dim"])
+        dim = _count("grid.dim", self.block("grid")["dim"])
         try:
             return ModelCoefficients.make(
                 dim,
                 np.asarray(c["a"], dtype=float),
                 np.asarray(c[sigma_key], dtype=float),
-                n_modes=int(c.get("n_modes", 1)),
-                kappa=float(c.get("kappa", 1.0)),
-                bound=float(c.get("bound", 4.0)),
+                n_modes=_count("coefficients.n_modes", c.get("n_modes", 1)),
+                kappa=_number("coefficients.kappa", c.get("kappa", 1.0)),
+                bound=_number("coefficients.bound", c.get("bound", 4.0)),
             )
         except KeyError as exc:
             raise ConfigError(f"coefficients block is missing {exc}") from exc
@@ -332,11 +332,10 @@ class ExperimentConfig:
 
     def seed_spec(self) -> SeedSpec:
         e = self.block("ensemble")
+        keys = ("master_seed", "stream_salt")
         try:
-            return SeedSpec(
-                master_seed=int(e.get("master_seed", 0)), stream_salt=int(e.get("stream_salt", 0))
-            )
-        except (ValueError, TypeError) as exc:
+            return SeedSpec(*(_count(f"ensemble.{k}", e.get(k, 0), least=0) for k in keys))
+        except ValueError as exc:
             raise ConfigError(f"bad ensemble seed: {exc}") from exc
 
     def paths(self) -> int:

@@ -44,7 +44,6 @@ from .solver import (
     ModelError,
     _check_inputs,
     _DirichletLine,
-    _slot,
     _Stepper,
     check_compatibility,
     laplace_coefficients,
@@ -167,7 +166,7 @@ def decompose_pipeline(
             probes.append((paths - 1, grid.n_xp // 2))
     refs = [np.zeros((grid.steps + 1, grid.n_x1)) for _ in probes]
     zero = np.zeros((paths,) + grid.space_shape)
-    u_prev = big = zero
+    u_prev, big = zero, np.zeros_like(zero)  # U is stepped in place on the unknown rows
     w01 = np.zeros((2 * paths,) + grid.space_shape)  # W0 over W1 along the paths axis
     c, recon_err, big_max = None, 0.0, 0.0
 
@@ -175,14 +174,13 @@ def decompose_pipeline(
         """Bring U, H, W0 and W1 to slice j and read that slice's diagnostics."""
         nonlocal u_prev, big, w01, c, recon_err, big_max
         if j and heat is not None:
-            du = _diff(u_prev, grid.dxp, 2, True, 1)
+            du = _diff(u_prev[:, 1:-1], grid.dxp, 2, True, 1)
             g = [sig[1, k] * du for k in range(coeffs.n_modes)]
-            big = heat(big, noise.increments[:, j - 1], j - 1, g=g)
+            big[:, 1:-1] = heat(big, noise.increments[:, j - 1], j - 1, g=g)
         tilde = u - big
         # translated forcing: freeze every second-order term except a11 D11;
         # the D22 terms would read only x1 = 0 rows, pinned at 0 by the wall
-        ft = _slot(f.values, j, paths)[:, 0].copy()
-        ft += (a11 - 1.0) * _wall_diff(big, 2, 0, grid)
+        ft = f.values[:, j, 0] + (a11 - 1.0) * _wall_diff(big, 2, 0, grid)
         if grid.dim == 2:
             a12 = coeffs.a[0, 1]
             ft += 2.0 * (a12 * _wall_diff(big, 1, 1, grid))

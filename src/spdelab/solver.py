@@ -11,7 +11,9 @@ with constant coefficients a and sigma, stepped by backward-Euler
 diffusion (the implicit matrix is factored once per solve) and explicit
 Euler-Maruyama noise evaluated at the left time point.  All paths
 advance through identical linear algebra, so results are independent of
-how paths are blocked across workers.
+how paths are blocked across workers.  The step is written once, in
+`_Stepper`, for the unknown nodes of a stack of states; the time loop,
+the continuation iterates and the pipeline's noise part all call it.
 
 Coefficient admissibility is the two-sided parabolicity condition
 kappa |xi|^2 + sigma sigma^T <= 2 a <= K |xi|^2; the boundary theory
@@ -21,6 +23,7 @@ additionally needs the normal noise row sigma^{1k} to vanish, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
-from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, _diff
+from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, _centred, _diff
 from .rng import WienerBatch
 
 __all__ = [
@@ -145,12 +148,15 @@ class Forcing:
     f: FieldEnsemble | None = None
     g: FieldEnsemble | None = None
 
-    def validate(self, grid, n_modes):
+    def validate(self, grid, n_modes, paths):
+        """Each slice broadcasts over the noise paths: one path, or one per path."""
         for name, fe in (("f", self.f), ("g", self.g)):
             if fe is None:
                 continue
             if fe.grid != grid:
                 raise GridMismatch(f"forcing {name} lives on a different grid")
+            if fe.n_paths not in (1, paths):
+                raise ModelError(f"forcing {name} has {fe.n_paths} paths, noise has {paths}")
         if self.f is not None and self.f.n_modes:
             raise ModelError("f must not carry a mode axis")
         if self.g is not None and self.g.n_modes != n_modes:
@@ -160,13 +166,6 @@ class Forcing:
 
 
 # -- discrete operators ----------------------------------------------
-
-
-def _d1_wall(u, dx):
-    """Centered normal derivative, valid on interior nodes (walls zeroed)."""
-    out = np.zeros_like(u)
-    out[:, 1:-1, ...] = (u[:, 2:, ...] - u[:, :-2, ...]) / (2.0 * dx)
-    return out
 
 
 def _sp_dirichlet_d2(n, h):
@@ -254,47 +253,49 @@ def _cfl_check(coeffs, grid):
         )
 
 
-def _slot(values, j, paths):
-    """Time slice j of a forcing array, broadcast over paths."""
-    v = values[:, j, ...]
-    if v.shape[0] == paths:
-        return v
-    if v.shape[0] == 1:
-        return np.broadcast_to(v, (paths,) + v.shape[1:])
-    raise ModelError(f"forcing has {v.shape[0]} paths, noise has {paths}")
-
-
-def _check_finite(values, step, path_axis=0):
+def _check_finite(values, step, dim):
+    """BlowUpError naming the path (the axis before the dim space axes) of a non-finite value."""
     if not np.all(np.isfinite(values)):
         bad = np.argwhere(~np.isfinite(values))
-        raise BlowUpError(path=int(bad[0][path_axis]), step=step)
+        raise BlowUpError(path=int(bad[0][-1 - dim]), step=step)
 
 
 class _Stepper:
     """One step u_j -> u_{j+1} of the scheme; the implicit factor is built once.
 
-    The explicit stage adds dt f and the noise terms (sigma^{ik} D_i u_j +
-    g^k) dw^k; a gradient direction is formed only when its sigma row is
-    nonzero.  Both stages are checked for blow-up.
+    A state has shape (..., paths, *space): leading axes hold a stack of
+    states that share the operator and the noise.  The step touches only
+    the unknown nodes, x1 rows 1..n-2 of a wall grid and every node of a
+    periodic line.  Its explicit stage adds dt f and the noise terms
+    (sigma^{ik} D_i u_j + g^k) dw^k there, with centred differences; a
+    gradient direction is formed only when its sigma row is nonzero.  f
+    and each g[k] come restricted to the unknown nodes (one path or one
+    per path), and the call returns u_{j+1} on them for the caller to
+    write into its own array.
+    Both stages are checked for blow-up.
     """
 
     def __init__(self, coeffs, grid):
         self.sigma = coeffs.sigma
+        self.noisy = np.any(coeffs.sigma, axis=1).tolist()  # directions with a sigma row
         self.grid = grid
         self.matrix = _implicit_matrix(coeffs, grid)
-        self.interior = (slice(None), slice(None) if grid.periodic_x1 else slice(1, -1))
+        # the unknown nodes of a state, indexed from its trailing space axes
+        rows = () if grid.periodic_x1 else (slice(1, -1),) + (slice(None),) * (grid.dim - 1)
+        self.unknown = (Ellipsis,) + rows
+        self.column = (-1,) + (1,) * grid.dim  # a mode's increments against (paths, *space)
 
     def __call__(self, u, dw, j, f=None, g=None):
-        """u_{j+1}; f is the drift slot of step j and g[k] the slot of mode k."""
+        """u_{j+1} on the unknown nodes; f is the drift slot of step j, g[k] that of mode k."""
         grid, sig = self.grid, self.sigma
-        paths = u.shape[0]
-        expl = u.copy()
-        if f is not None:
-            expl += grid.dt * f
-        if np.any(sig[0]):
-            du1 = _diff(u, grid.dx1, 1, True, 1) if grid.periodic_x1 else _d1_wall(u, grid.dx1)
-        if grid.dim == 2 and np.any(sig[1]):
-            du2 = _diff(u, grid.dxp, 2, True, 1)
+        x1 = u.ndim - grid.dim
+        core = u[self.unknown]
+        expl = core.copy() if f is None else core + grid.dt * f
+        if self.noisy[0]:
+            periodic = grid.periodic_x1
+            du1 = _diff(u, grid.dx1, x1, True, 1) if periodic else _centred(u, grid.dx1, x1, 1)
+        if grid.dim == 2 and self.noisy[1]:
+            du2 = _diff(core, grid.dxp, x1 + 1, True, 1)
         for k in range(sig.shape[1]):
             term = None
             if sig[0, k]:
@@ -304,13 +305,12 @@ class _Stepper:
             if g is not None:
                 term = g[k] if term is None else term + g[k]
             if term is not None:
-                expl += term * dw[:, k].reshape((paths,) + (1,) * grid.dim)
+                expl += term * dw[:, k].reshape(self.column)
         # detect divergence before the direct solver rejects the array
-        _check_finite(expl, j + 1)
-        rhs = expl[self.interior]
-        u_new = np.zeros_like(u)
-        u_new[self.interior] = self.matrix.solve(rhs.reshape(paths, -1).T).T.reshape(rhs.shape)
-        _check_finite(u_new, j + 1)
+        _check_finite(expl, j + 1, grid.dim)
+        cols = expl.reshape(-1, math.prod(expl.shape[x1:])).T  # one column per state and path
+        u_new = self.matrix.solve(cols).T.reshape(expl.shape)
+        _check_finite(u_new, j + 1, grid.dim)
         return u_new
 
 
@@ -332,11 +332,11 @@ def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
     step = _Stepper(coeffs, grid)
     times = grid.times  # a property that rebuilds the array on every read
     for j in range(grid.steps):
-        f = None if f_vals is None else _slot(f_vals, j, paths)
-        g = None if g_vals is None else np.moveaxis(_slot(g_vals, j, paths), -1, 0)
-        u = step(u, noise.increments[:, j, :], j, f, g)
-        if out is not None:
-            out[:, j + 1] = u
+        f = None if f_vals is None else f_vals[:, j][step.unknown]
+        g = None if g_vals is None else np.moveaxis(g_vals[:, j], -1, 0)[step.unknown]
+        u_new = np.zeros_like(u) if out is None else out[:, j + 1]
+        u_new[step.unknown] = step(u, noise.increments[:, j, :], j, f, g)
+        u = u_new
         if observer is not None:
             observer(j + 1, times[j + 1], u)
     return u if out is None else FieldEnsemble(out, grid)
@@ -359,7 +359,7 @@ def _check_inputs(coeffs, forcing, grid, noise):
             f"coefficients are not admissible: margins {rep.lower_margin:.3e}, "
             f"{rep.upper_margin:.3e} at t = {rep.worst_time}"
         )
-    forcing.validate(grid, coeffs.n_modes)
+    forcing.validate(grid, coeffs.n_modes, noise.n_paths)
     _cfl_check(coeffs, grid)
 
 
@@ -426,8 +426,9 @@ def continuity_iterates(
         g_eff = g + (s - s0) sigma D v_{m-1}.
 
     Iterate m at step j needs only iterate m - 1 at time j, so one time
-    loop advances every iterate and one tridiagonal solve covers them
-    all.  One-dimensional Dirichlet grids only.
+    loop advances every iterate: each step forms the extra terms from
+    the iterates before it and makes one `_Stepper` call on the stack of
+    iterates 1..n_iter.  One-dimensional Dirichlet grids only.
 
     Returns (diffs, states): diffs[m - 2] = sup_t max_x E|v_m - v_{m-1}|^2
     for m = 2..n_iter, and the final states (n_iter, paths, n_x1).
@@ -438,31 +439,21 @@ def continuity_iterates(
         raise ModelError(f"n_iter must be >= 1, got {n_iter}")
     frozen = interpolate_coefficients(coeffs, s0)
     _check_inputs(frozen, forcing, grid, noise)
-    ds = s - s0
-    a_dev = coeffs.a[0, 0] - 1.0
-    sig, sig0 = coeffs.sigma[0], frozen.sigma[0]
-    paths, h, dt = noise.n_paths, grid.dx1, grid.dt
-    line = _implicit_matrix(frozen, grid)
+    step = _Stepper(frozen, grid)
+    ds, h, paths = s - s0, grid.dx1, noise.n_paths
+    a_dev, sig = coeffs.a[0, 0] - 1.0, coeffs.sigma[0]
     # slot 0 holds the zero iterate; the wall columns stay zero
     u = np.zeros((n_iter + 1, paths, grid.n_x1))
     diffs = np.zeros(n_iter - 1)
     for j in range(grid.steps):
-        v, w = u[:-1], u[1:]
-        f_eff = ds * (a_dev * ((v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)))
+        v = u[:-1]
+        f = ds * (a_dev * _centred(v, h, 2, 2))
         if forcing.f is not None:
-            f_eff = _slot(forcing.f.values, j, paths)[:, 1:-1] + f_eff
-        expl = w[..., 1:-1] + dt * f_eff
-        dv = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-        du = (w[..., 2:] - w[..., :-2]) / (2.0 * h)
-        for k in range(coeffs.n_modes):
-            term = ds * (sig[k] * dv)
-            if forcing.g is not None:
-                term = _slot(forcing.g.values[..., k], j, paths)[:, 1:-1] + term
-            expl += (sig0[k] * du + term) * noise.increments[:, j, k, None]
-        _check_finite(expl, j + 1, path_axis=1)
-        sol = line.solve(expl.reshape(-1, expl.shape[-1]).T).T.reshape(expl.shape)
-        _check_finite(sol, j + 1, path_axis=1)
-        w[..., 1:-1] = sol
-        gap = w[1:, :, 1:-1] - w[:-1, :, 1:-1]
+            f = forcing.f.values[:, j, 1:-1] + f
+        g = ds * (sig[:, None, None, None] * _centred(v, h, 2, 1))
+        if forcing.g is not None:
+            g = np.moveaxis(forcing.g.values[:, j, 1:-1], -1, 0)[:, None] + g
+        u[1:, :, 1:-1] = step(u[1:], noise.increments[:, j], j, f, g)
+        gap = u[2:, :, 1:-1] - u[1:-1, :, 1:-1]
         np.maximum(diffs, np.max(np.mean(gap * gap, axis=1), axis=-1), out=diffs)
     return diffs, u[1:]

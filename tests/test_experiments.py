@@ -514,12 +514,27 @@ def test_kernel_check_runs_at_the_named_level_only(level):
         ("schauder_ratio", {"data": {"draws": 2.7}}, "data.draws must be an integer, got 2.7"),
         ("stability", {"ensemble": {"paths": 1.5}}, "ensemble.paths must be an integer, got 1.5"),
         ("schauder_ratio", {"data": {"draws": True}}, "data.draws must be an integer, got True"),
+        ("stability", {"grid": {"x1_cells": 32.9}}, "grid.x1_cells must be an integer, got 32.9"),
+        ("stability", {"grid": {"steps": True}}, "grid.steps must be an integer, got True"),
+        ("stability", {"grid": {"dim": 1.7}}, "grid.dim must be an integer, got 1.7"),
+        ("stability", {"grid": {"x1_max": "nan"}}, "grid.x1_max must be finite, got 'nan'"),
+        ("stability", {"grid": {"t_max": "inf"}}, "grid.t_max must be finite, got 'inf'"),
+        (
+            "stability", {"ensemble": {"master_seed": 1.5}},
+            "ensemble.master_seed must be an integer, got 1.5",
+        ),
+        (
+            "stability", {"coefficients": {"a": [[1.0]], "sigma": [[0.0]], "n_modes": 1.5}},
+            "coefficients.n_modes must be an integer, got 1.5",
+        ),
+        ("continuity", {"coefficients": {"bound": "inf"}}, "coefficients.bound must be finite"),
     ],
     ids=[
         "unknown-top-level", "unknown-grid", "unknown-coefficients", "unknown-ensemble",
         "unknown-data", "alpha-1.5", "alpha-empty", "policy-sparse", "gamma-1", "draws-0",
         "iterations-2", "gamma-nan", "gamma-minus-inf", "amplitude-inf", "draws-2.7",
-        "paths-1.5", "draws-true",
+        "paths-1.5", "draws-true", "x1-cells-32.9", "steps-true", "dim-1.7", "x1-max-nan",
+        "t-max-inf", "master-seed-1.5", "n-modes-1.5", "bound-inf",
     ],
 )
 def test_the_schema_refuses_a_config_no_verdict_can_read(

@@ -27,7 +27,7 @@ from spdelab import (
     wiener_increments,
 )
 from spdelab.pipeline import _line_step
-from spdelab.solver import _DirichletLine, _sp_periodic_d1, _sp_periodic_d2
+from spdelab.solver import _DirichletLine, _sp_periodic_d1, _sp_periodic_d2, _Stepper
 
 SEED = SeedSpec(master_seed=31415, stream_salt=2)
 
@@ -209,6 +209,10 @@ def test_forcing_validation():
         solve_model_halfspace(
             laplace_coefficients(1), Forcing(g=g_wrong), g, noise_for(g)
         )
+    # a forcing slice broadcasts over the paths: one path, or one per path
+    f_paths = FieldEnsemble(np.zeros((2, g.steps + 1, g.n_x1)), g)
+    with pytest.raises(ModelError, match="forcing f has 2 paths, noise has 4"):
+        solve_model_halfspace(laplace_coefficients(1), Forcing(f=f_paths), g, noise_for(g))
 
 
 def test_zero_order_blowup_is_detected():
@@ -222,6 +226,59 @@ def test_zero_order_blowup_is_detected():
     with pytest.raises(BlowUpError) as err:
         solve_model_halfspace(laplace_coefficients(1), Forcing(f=f), g, noise_for(g, 3))
     assert (err.value.path, err.value.step) == (2, j + 1)
+
+
+def test_a_wall_node_forcing_value_never_reaches_the_solution():
+    # the step reads f on the unknown nodes only, so a non-finite value at
+    # x1 = 0 is never stepped and the solve equals the one with a zero there
+    g = wallgrid()
+    vals = np.ones((3, g.steps + 1, g.n_x1))
+    vals[2, 5, 0] = np.inf
+    co = ModelCoefficients.make(1, np.array([[1.0]]), np.array([[0.5]]), kappa=0.5)
+    u = solve_model_halfspace(co, Forcing(f=FieldEnsemble(vals, g)), g, noise_for(g, 3))
+    vals[2, 5, 0] = 0.0
+    ref = solve_model_halfspace(co, Forcing(f=FieldEnsemble(vals, g)), g, noise_for(g, 3))
+    assert np.all(np.isfinite(u.values)) and np.array_equal(u.values, ref.values)
+
+
+def stepper_case(dim, paths=4, stack=3):
+    """A stepper, a stack of random states, one step's noise and forcings."""
+    if dim == 1:
+        grid = wallgrid()
+        co = ModelCoefficients.make(1, np.array([[1.4]]), np.array([[0.6]]), kappa=0.5)
+    else:
+        grid = SpaceTimeGrid(
+            dim=2, x1_max=1.0, x1_cells=6, t_max=0.004, steps=4, xp_max=1.0, xp_cells=6
+        )
+        # tangential noise in two modes, and a mixed a12 term in the SuperLU factor
+        a, sigma = [[1.2, 0.1], [0.1, 1.0]], [[0.0, 0.0], [0.7, -0.4]]
+        co = ModelCoefficients.make(2, a, sigma, n_modes=2, kappa=0.5)
+    step = _Stepper(co, grid)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(stack, paths) + grid.space_shape)
+    unknown = u[(0,) + step.unknown].shape
+    f = rng.normal(size=unknown)
+    g = rng.normal(size=(co.n_modes,) + unknown)
+    dw = noise_for(grid, paths, co.n_modes).increments[:, 1]
+    return step, u, dw, f, g
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_stack_steps_like_separate_states(dim):
+    # one call on a stack of states equals one call per state, bit for bit
+    step, u, dw, f, g = stepper_case(dim)
+    stacked = step(u, dw, 1, f, g)
+    assert stacked.shape == u[step.unknown].shape
+    for i in range(u.shape[0]):
+        assert np.array_equal(stacked[i], step(u[i], dw, 1, f, g))
+
+
+def test_a_blowup_in_a_stack_names_the_path():
+    step, u, dw, f, g = stepper_case(1)
+    u[1, 2, 3] = np.inf
+    with pytest.raises(BlowUpError) as err:
+        step(u, dw, 4, f, g)
+    assert (err.value.path, err.value.step) == (2, 5)
 
 
 # -- periodic stencil matrices -------------------------------------------
@@ -375,6 +432,8 @@ def sine_forcing(g, paths=1):
     [
         (dict(cells=8, steps=16, t_max=0.016), 1.7, 1.0, 0.9, 3, 4, 1, False),
         (dict(cells=6, steps=40, t_max=0.02, x1_max=0.8), 1.9, 0.7, 0.4, 5, 5, 5, True),
+        # a zero frozen sigma row: the step forms no gradient, ds sigma Dv stays live
+        (dict(cells=8, steps=16, t_max=0.016), 1.6, 0.6, 0.0, 4, 4, 1, True),
     ],
 )
 def test_continuity_iterates_match_the_full_history_iteration(
