@@ -38,7 +38,7 @@ def main():
 
     print("== half-line solve for h(t) = t^2 ==")
     grid = SpaceTimeGrid(dim=1, x1_max=1.5, x1_cells=30, t_max=1.0, steps=4)
-    data = BoundaryData.from_power(2, grid.times, label="ramp")
+    data = BoundaryData.from_power(2, grid.times)
     v = solve_halfline(data, grid)
     w = dt_v(data, grid)
     print(f"  v(1, 1)    = {v.values[0, -1, 20]:.12f}")

@@ -25,6 +25,13 @@ from .halfline import kernel_dy, kernel_mass, poisson_kernel
 _OUT_ENV = "SPDELAB_OUT"
 
 
+def _worker_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _study_parser(sub, name, runner):
     p = sub.add_parser(name, help=runner.__doc__.splitlines()[0].lower())
     p.add_argument("--config", required=True, help="path to the JSON study configuration")
@@ -33,7 +40,9 @@ def _study_parser(sub, name, runner):
     p.add_argument("--out", default=None, help=f"output directory (default ${_OUT_ENV} or .)")
     p.add_argument("--levels", type=int, default=None, help="override the refinement level count")
     p.add_argument("--paths", type=int, default=None, help="override the ensemble path count")
-    p.add_argument("--workers", type=int, default=1, help="kernel-solve worker threads")
+    p.add_argument(
+        "--workers", type=_worker_count, default=1, help="kernel-solve worker threads (>= 1)"
+    )
     p.add_argument("--plot", action="store_true", help="also write the long-format plot CSV")
     return p
 

@@ -430,12 +430,12 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
     """
     grids = [config.grid]
     for _ in range(config.n_levels - 1):
-        grids.append(grids[-1].refine(2, 4))
+        grids.append(grids[-1].refine())
 
     # part 1: identity residual under refinement, quadratic wall data
     residuals = []
     for j, g in enumerate(grids):
-        data = BoundaryData.from_power(2, g.times, label="t^2")
+        data = BoundaryData.from_power(2, g.times)
         v = solve_halfline(data, g, workers=workers)
         vt = dt_v(data, g, workers=workers)
         res = float(np.max(np.abs(finite_diff(v, (2,)).values - vt.values)))
@@ -461,7 +461,7 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
         probe = SpaceTimeGrid(
             dim=1, x1_max=2.0 * y, x1_cells=2, t_max=grids[-1].t_max, steps=grids[-1].steps
         )
-        data = BoundaryData.from_power(2, fine_times, label="t^2")
+        data = BoundaryData.from_power(2, fine_times)
         v = solve_halfline(data, probe, workers=workers)
         err = float(np.max(np.abs(v.values[0, :, 1] - fine_times**2)))
         errors.append(err)
@@ -480,7 +480,7 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
         expo = 1.0 + alpha / 2.0
         ratios = []
         for j, g in enumerate(grids[-2:], start=len(grids) - 2):
-            data = BoundaryData.from_power(expo, g.times, label=f"t^{expo}")
+            data = BoundaryData.from_power(expo, g.times)
             vt = dt_v(data, g, workers=workers)
             num = parabolic_seminorm(vt, spec).value
             den = time_seminorm(data.h_prime, g.times, alpha / 2.0, spec.gamma)
@@ -505,12 +505,12 @@ def _stability_pairs(grid, seed, n_paths) -> dict:
     xi = standard_normals(seed, np.arange(n_paths), np.array([0]), np.array([0]))[:, 0, 0]
     return {
         "deterministic": (
-            BoundaryData.from_power(2, grid.times, label="t^2"),
-            BoundaryData.from_power(3, grid.times, label="t^3"),
+            BoundaryData.from_power(2, grid.times),
+            BoundaryData.from_power(3, grid.times),
         ),
         "random": (
-            BoundaryData.from_power(2, grid.times, scales=xi, label="xi t^2"),
-            BoundaryData.from_power(2, grid.times, scales=0.9 * xi, label="0.9 xi t^2"),
+            BoundaryData.from_power(2, grid.times, scales=xi),
+            BoundaryData.from_power(2, grid.times, scales=0.9 * xi),
         ),
     }
 
@@ -642,7 +642,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
     coeffs, seed, (spec,) = config.coeffs["sigma"], config.seed, config.specs
     grids = [config.grid]
     for _ in range(config.n_levels - 1):
-        grids.append(grids[-1].refine(2, 4))
+        grids.append(grids[-1].refine())
     draw_seed = SeedSpec(seed.master_seed, seed.stream_salt + 101)
 
     noises = [

@@ -104,12 +104,10 @@ class SpaceTimeGrid:
             raise GridMismatch("periodic_x1 grid has no wall")
         return 0
 
-    def refine(self, space_factor=2, time_factor=4) -> "SpaceTimeGrid":
+    def refine(self) -> "SpaceTimeGrid":
+        """The next level: half the spacing and a quarter of the time step."""
         return replace(
-            self,
-            x1_cells=self.x1_cells * space_factor,
-            xp_cells=self.xp_cells * space_factor,
-            steps=self.steps * time_factor,
+            self, x1_cells=2 * self.x1_cells, xp_cells=2 * self.xp_cells, steps=4 * self.steps
         )
 
 

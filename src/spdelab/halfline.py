@@ -135,7 +135,6 @@ class BoundaryData:
     hp0_zero: bool
     power: float | None = None
     path_scales: np.ndarray | None = None
-    label: str = ""
 
     @property
     def n_paths(self) -> int:
@@ -146,7 +145,7 @@ class BoundaryData:
         return self.power is not None
 
     @classmethod
-    def from_power(cls, nu, times, *, scales=None, label=""):
+    def from_power(cls, nu, times, *, scales=None):
         """Power data h_p(t) = scales[p] * t^nu, nu >= 1, with h' = nu t^{nu - 1}.
 
         ``scales`` turns the power into a path family; omit it for a
@@ -168,11 +167,10 @@ class BoundaryData:
             hp0_zero=not np.any(hp[:, 0]),
             power=nu,
             path_scales=scales,
-            label=label,
         )
 
     @classmethod
-    def from_samples(cls, h, h_prime, times, *, label=""):
+    def from_samples(cls, h, h_prime, times):
         h = np.atleast_2d(np.asarray(h, dtype=float))
         h_prime = np.atleast_2d(np.asarray(h_prime, dtype=float))
         times = np.asarray(times, dtype=float)
@@ -185,7 +183,6 @@ class BoundaryData:
             times=times,
             h0_zero=bool(np.max(np.abs(h[:, 0])) <= 1e-12 * scale),
             hp0_zero=bool(np.max(np.abs(h_prime[:, 0])) <= 1e-12 * scale),
-            label=label,
         )
 
     def spline(self, derivative=False) -> CubicSpline:

@@ -23,16 +23,18 @@ representation applies to W0 and is used as an optional cross-check of
 the finite-difference profile.
 
 One pass over time.  Every quantity kept is a function of time slices
-j and j + 1 alone, so u steps through the solver while U, H, W0 and W1
-follow one step behind it in the solver's observer; no field history
-is stored.  The wall rows of f_tilde and D11 v are the one-sided x1 = 0
-closures of the difference stencils, applied to x1 rows 0-3 directly,
-and W0 and W1 share one line solve per step.
+j and j + 1 alone, so one loop reads slice j of u and U, steps H, W0
+and W1 to it, and then steps u and U to slice j + 1 with the solver's
+`_Stepper`; no field history is stored.  U's heat forcing sigma^{2k}
+D2 u is u's own noise term, so it is formed once per step and both
+steps take it as noise forcing.  The wall rows of f_tilde and D11 v
+are the one-sided x1 = 0 closures of the difference stencils, applied
+to x1 rows 0-3 directly, and W0 and W1 share one line solve per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .solver import (
     _Stepper,
     check_compatibility,
     laplace_coefficients,
-    solve_model_halfspace,
 )
 
 __all__ = ["PipelineOutput", "decompose_pipeline"]
@@ -71,7 +72,6 @@ class PipelineOutput:
     maxima over every slice of |u - (U + V0 + V1 + w)| and |U|.
     """
 
-    grid: SpaceTimeGrid
     wall_residual: float  # max of the profile over t >= SPINUP_FRACTION * T
     wall_residual_full: float  # max over every time node, corner included
     residual_profile: np.ndarray  # max_x' E|F(t,0,x')|^2 per time node
@@ -117,9 +117,7 @@ def _kernel_check(cap_h, b, c, refs, grid, probes):
         tail = (col,) if grid.dim == 2 else ()
         h = -cap_h[(path, slice(None)) + tail]
         hp = -(b[(path, slice(None)) + tail] - c[(path,) + tail])
-        data = BoundaryData.from_samples(
-            h[None, :], hp[None, :], grid.times, label="pipeline-wall"
-        )
+        data = BoundaryData.from_samples(h[None, :], hp[None, :], grid.times)
         kern = solve_halfline(data, line)
         worst = max(worst, float(np.max(np.abs(kern.values[0] - ref))))
     return worst
@@ -132,14 +130,14 @@ def decompose_pipeline(
     noise,
     *,
     kernel_check: bool = False,
-    observer=None,
 ):
     """Solve the model problem and split the solution by wall behaviour.
 
-    Requires vanishing normal noise (the flat-compatibility condition);
-    the drift forcing f may have a nonzero wall trace, which is exactly
-    what activates the V profiles.  The noise-forcing slot stays empty
-    here: gradient noise enters through the coefficients alone.
+    Requires vanishing normal noise (the flat-compatibility condition)
+    and a Dirichlet wall; the drift forcing f may have a nonzero wall
+    trace, which is exactly what activates the V profiles.  The
+    noise-forcing slot stays empty here: gradient noise enters through
+    the coefficients alone.
     """
     comp = check_compatibility(coeffs)
     if not comp.passed:
@@ -147,8 +145,12 @@ def decompose_pipeline(
             f"normal noise component {comp.max_normal_component:.3e} "
             "breaks the wall decomposition"
         )
+    if grid.periodic_x1:
+        raise ModelError("the wall decomposition needs a grid with a wall at x1 = 0")
     paths, dt, a11, sig = noise.n_paths, grid.dt, coeffs.a[0, 0], coeffs.sigma
-    # noise part: additive heat solve forced by sigma . grad u, same paths
+    _check_inputs(coeffs, Forcing(f=f), grid, noise)
+    # u steps without sigma: its noise term arrives as the forcing g that U takes
+    step = _Stepper(replace(coeffs, sigma=np.zeros_like(sig)), grid)
     heat = None
     if grid.dim == 2 and np.any(sig):
         laplace = laplace_coefficients(grid.dim, n_modes=coeffs.n_modes)
@@ -165,18 +167,11 @@ def decompose_pipeline(
         if grid.dim == 2:
             probes.append((paths - 1, grid.n_xp // 2))
     refs = [np.zeros((grid.steps + 1, grid.n_x1)) for _ in probes]
-    zero = np.zeros((paths,) + grid.space_shape)
-    u_prev, big = zero, np.zeros_like(zero)  # U is stepped in place on the unknown rows
+    state = (paths,) + grid.space_shape
+    u, big = np.zeros(state), np.zeros(state)  # stepped in place on the unknown rows
     w01 = np.zeros((2 * paths,) + grid.space_shape)  # W0 over W1 along the paths axis
-    c, recon_err, big_max = None, 0.0, 0.0
-
-    def take(j, u):
-        """Bring U, H, W0 and W1 to slice j and read that slice's diagnostics."""
-        nonlocal u_prev, big, w01, c, recon_err, big_max
-        if j and heat is not None:
-            du = _diff(u_prev[:, 1:-1], grid.dxp, 2, True, 1)
-            g = [sig[1, k] * du for k in range(coeffs.n_modes)]
-            big[:, 1:-1] = heat(big, noise.increments[:, j - 1], j - 1, g=g)
+    recon_err, big_max = 0.0, 0.0
+    for j in range(grid.steps + 1):
         tilde = u - big
         # translated forcing: freeze every second-order term except a11 D11;
         # the D22 terms would read only x1 = 0 rows, pinned at 0 by the wall
@@ -206,16 +201,14 @@ def decompose_pipeline(
         wall_f[:, j] = (a11 - 1.0) * _wall_diff(v, 2, 0, grid) + ft - b[:, j]
         for ref, (path, col) in zip(refs, probes):
             ref[j] = w01[path, :, col] if grid.dim == 2 else w01[path]
-        u_prev = u
-
-    def observe(j, t, u):
-        if j == 1:
-            take(0, zero)
-        take(j, u)
-        if observer is not None:
-            observer(j, t, u)
-
-    solve_model_halfspace(coeffs, Forcing(f=f), grid, noise, store="final", observer=observe)
+        if j == grid.steps:
+            break
+        dw, g = noise.increments[:, j], None
+        if heat is not None:
+            du = _diff(u[:, 1:-1], grid.dxp, 2, True, 1)
+            g = [sig[1, k] * du for k in range(coeffs.n_modes)]
+            big[:, 1:-1] = heat(big, dw, j, g=g)
+        u[:, 1:-1] = step(u, dw, j, f.values[:, j, 1:-1], g)
 
     # the slope of H at zero is b(0) - c, which is zero by construction
     h_slope_defect = float(np.max(np.abs(b[:, 0, ...] - c)))
@@ -223,7 +216,6 @@ def decompose_pipeline(
     residual_profile = np.max(moment, axis=tuple(range(1, moment.ndim)))
     window = times >= SPINUP_FRACTION * grid.t_max - 1e-15
     return PipelineOutput(
-        grid=grid,
         wall_residual=float(np.max(residual_profile[window])),
         wall_residual_full=float(np.max(residual_profile)),
         residual_profile=residual_profile,

@@ -69,7 +69,6 @@ class WienerBatch:
 
     increments: np.ndarray
     dt: float
-    seed: SeedSpec
 
     @property
     def n_paths(self) -> int:
@@ -115,7 +114,7 @@ def wiener_increments(seed, n_paths, n_steps, n_modes=1, *, dt):
     if n_steps < 1 or n_modes < 1:
         raise ValueError("need at least one step and one mode")
     z = standard_normals(seed, np.arange(n_paths), np.arange(n_steps), np.arange(n_modes))
-    return WienerBatch(increments=np.sqrt(dt) * z, dt=float(dt), seed=seed)
+    return WienerBatch(increments=np.sqrt(dt) * z, dt=float(dt))
 
 
 def coarsen(batch: WienerBatch, factor: int) -> WienerBatch:
@@ -129,4 +128,4 @@ def coarsen(batch: WienerBatch, factor: int) -> WienerBatch:
         raise ValueError(f"factor {factor} must divide n_steps {batch.n_steps}")
     inc = batch.increments
     agg = inc.reshape(inc.shape[0], inc.shape[1] // factor, factor, inc.shape[2]).sum(axis=2)
-    return WienerBatch(increments=agg, dt=batch.dt * factor, seed=batch.seed)
+    return WienerBatch(increments=agg, dt=batch.dt * factor)

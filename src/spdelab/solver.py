@@ -13,7 +13,8 @@ Euler-Maruyama noise evaluated at the left time point.  All paths
 advance through identical linear algebra, so results are independent of
 how paths are blocked across workers.  The step is written once, in
 `_Stepper`, for the unknown nodes of a stack of states; the time loop,
-the continuation iterates and the pipeline's noise part all call it.
+the continuation iterates and the wall decomposition's own loop, which
+steps u and its noise part U side by side, all call it.
 
 Coefficient admissibility is the two-sided parabolicity condition
 kappa |xi|^2 + sigma sigma^T <= 2 a <= K |xi|^2; the boundary theory
@@ -369,7 +370,6 @@ def solve_model_halfspace(
     grid: SpaceTimeGrid,
     noise: WienerBatch,
     *,
-    u0: np.ndarray | None = None,
     store: str = "full",
     observer=None,
 ):
@@ -381,18 +381,18 @@ def solve_model_halfspace(
     """
     if grid.periodic_x1:
         raise ModelError("use solve_periodic_line for the surrogate grid")
-    return _step_loop(coeffs, forcing, grid, noise, u0, store, observer)
+    return _step_loop(coeffs, forcing, grid, noise, None, store, observer)
 
 
-def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None, store="final"):
+def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None):
     """Whole-line surrogate: dim-1 periodic grid, no Dirichlet wall.
 
     Exists for spectral oracles (single-mode moment decay); the wall
-    studies never use it.
+    studies never use it.  Returns the terminal state (paths, n_x1).
     """
     if not (grid.periodic_x1 and grid.dim == 1):
         raise ModelError("solve_periodic_line needs a periodic dim-1 grid")
-    return _step_loop(coeffs, forcing, grid, noise, u0, store, None)
+    return _step_loop(coeffs, forcing, grid, noise, u0, "final", None)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:

@@ -343,6 +343,16 @@ def test_cli_seed_override_lands_in_the_sidecar(tmp_path):
     assert sidecar["seed"] == 12345
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_refuses_fewer_than_one_worker(workers, tmp_path, capsys):
+    argv = ["stability", "--config", write_config(tmp_path), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--workers", workers])
+    assert exit_info.value.code != 0
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "stability_run.json").exists()
+
+
 def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):
     code = main(["pipeline", "--config", write_config(tmp_path), "--out", str(tmp_path)])
     assert code == 1

@@ -23,6 +23,7 @@ from spdelab import (
     solve_model_halfspace,
     wiener_increments,
 )
+from spdelab import pipeline, solver
 from spdelab.fields import _diff
 from spdelab.pipeline import SPINUP_FRACTION, _line_step, _wall_diff
 from spdelab.solver import _DirichletLine
@@ -110,13 +111,15 @@ def test_zero_forcing_decomposes_to_zero():
     g = grid1(cells=8, steps=64)
     noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
     u_max = []
-    out = decompose_pipeline(
+    solve_model_halfspace(
         coeffs1(),
-        const_forcing(g, 0.0),
+        Forcing(f=const_forcing(g, 0.0)),
         g,
         noise,
+        store="final",
         observer=lambda j, t, u: u_max.append(np.max(np.abs(u))),
     )
+    out = decompose_pipeline(coeffs1(), const_forcing(g, 0.0), g, noise)
     assert out.wall_residual == 0.0
     assert out.wall_residual_full == 0.0
     assert out.reconstruction_error == 0.0
@@ -195,21 +198,6 @@ def test_output_holds_wall_histories_and_scalars_only():
         decompose_pipeline(coeffs1(), const_forcing(g), g, noise, keep="light")
 
 
-def test_observer_sees_every_step():
-    g = grid1(cells=8, steps=64)
-    noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
-    seen = []
-    decompose_pipeline(
-        coeffs1(),
-        const_forcing(g),
-        g,
-        noise,
-        observer=lambda j, t, u: seen.append((j, t, u.shape)),
-    )
-    assert [j for j, _, _ in seen] == list(range(1, g.steps + 1))
-    assert all(shape == (2, g.n_x1) for _, _, shape in seen)
-
-
 # -- two space dimensions ---------------------------------------------
 
 
@@ -236,9 +224,15 @@ def test_tangential_noise_splits_cleanly():
     wave = 1.0 + 0.5 * np.cos(2.0 * np.pi * g.xp_nodes / g.xp_max)
     f = FieldEnsemble(np.broadcast_to(wave, (1, g.steps + 1) + g.space_shape).copy(), g)
     u_max = []
-    out = decompose_pipeline(
-        co, f, g, noise, observer=lambda j, t, u: u_max.append(float(np.max(np.abs(u))))
+    solve_model_halfspace(
+        co,
+        Forcing(f=f),
+        g,
+        noise,
+        store="final",
+        observer=lambda j, t, u: u_max.append(float(np.max(np.abs(u)))),
     )
+    out = decompose_pipeline(co, f, g, noise)
     assert out.noise_part_max > 1e-6
     assert out.reconstruction_error < 1e-12 * max(max(u_max), 1.0)
     assert out.b.shape == (3, g.steps + 1, g.n_xp)
@@ -253,6 +247,32 @@ def test_normal_noise_is_rejected():
     noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
     with pytest.raises(ModelError, match="normal noise"):
         decompose_pipeline(co, const_forcing(g), g, noise)
+
+
+def test_periodic_grid_is_rejected_before_any_step():
+    g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=16, t_max=0.02, steps=128, periodic_x1=True)
+    noise = wiener_increments(SEED, 2, g.steps, dt=g.dt)
+    with pytest.raises(ModelError, match="wall"):
+        decompose_pipeline(coeffs1(), const_forcing(g), g, noise)
+
+
+def test_one_tangential_gradient_of_u_per_step(monkeypatch):
+    # U's heat forcing is u's own noise term, so D'u is formed once per step
+    g = grid2()
+    co = ModelCoefficients.make(
+        2, np.eye(2), np.array([[0.0], [0.5]]), kappa=0.5, bound=4.0
+    )
+    noise = wiener_increments(SEED, 3, g.steps, dt=g.dt)
+    shapes = []
+
+    def counting(values, *args):
+        shapes.append(values.shape)
+        return _diff(values, *args)
+
+    monkeypatch.setattr(pipeline, "_diff", counting)
+    monkeypatch.setattr(solver, "_diff", counting)
+    decompose_pipeline(co, const_forcing(g), g, noise)
+    assert shapes.count((3, g.n_x1 - 2, g.n_xp)) == g.steps
 
 
 # -- the one time pass against the full-history algorithm ---------------
