@@ -34,7 +34,7 @@ def solve_level(k, fine_noise):
     co = ModelCoefficients.make(1, np.array([[1.0]]), np.array([[0.7]]), kappa=0.3)
     shape = (1, steps + 1, grid.n_x1)
     f = FieldEnsemble(np.broadcast_to(np.sin(np.pi * grid.x1_nodes), shape).copy(), grid)
-    u_end = solve_model_halfspace(co, Forcing(f=f), grid, noise, store="final")
+    u_end = solve_model_halfspace(co, Forcing(f=f), grid, noise).values[:, -1]
     return grid, u_end
 
 

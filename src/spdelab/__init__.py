@@ -46,7 +46,6 @@ from .solver import (
     check_parabolicity,
     continuity_iterates,
     interpolate_coefficients,
-    laplace_coefficients,
     solve_model_halfspace,
     solve_periodic_line,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "BlowUpError",
     "check_parabolicity",
     "check_compatibility",
-    "laplace_coefficients",
     "interpolate_coefficients",
     "solve_model_halfspace",
     "solve_periodic_line",

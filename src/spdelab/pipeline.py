@@ -26,15 +26,16 @@ One pass over time.  Every quantity kept is a function of time slices
 j and j + 1 alone, so one loop reads slice j of u and U, steps H, W0
 and W1 to it, and then steps u and U to slice j + 1 with the solver's
 `_Stepper`; no field history is stored.  U's heat forcing sigma^{2k}
-D2 u is u's own noise term, so it is formed once per step and both
-steps take it as noise forcing.  The wall rows of f_tilde and D11 v
+D2 u is u's own noise integrand, so the loop forms it once per step
+(`_integrand`) and hands it to both steps, u's for the operator a and
+U's for the Laplacian.  The wall rows of f_tilde and D11 v
 are the one-sided x1 = 0 closures of the difference stencils, applied
 to x1 rows 0-3 directly, and W0 and W1 share one line solve per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from .solver import (
     ModelError,
     _check_inputs,
     _DirichletLine,
+    _integrand,
     _Stepper,
     check_compatibility,
-    laplace_coefficients,
 )
 
 __all__ = ["PipelineOutput", "decompose_pipeline"]
@@ -149,13 +150,9 @@ def decompose_pipeline(
         raise ModelError("the wall decomposition needs a grid with a wall at x1 = 0")
     paths, dt, a11, sig = noise.n_paths, grid.dt, coeffs.a[0, 0], coeffs.sigma
     _check_inputs(coeffs, Forcing(f=f), grid, noise)
-    # u steps without sigma: its noise term arrives as the forcing g that U takes
-    step = _Stepper(replace(coeffs, sigma=np.zeros_like(sig)), grid)
-    heat = None
-    if grid.dim == 2 and np.any(sig):
-        laplace = laplace_coefficients(grid.dim, n_modes=coeffs.n_modes)
-        _check_inputs(laplace, Forcing(), grid, noise)
-        heat = _Stepper(laplace, grid)
+    step = _Stepper(coeffs.a, grid)
+    # U's noise is additive, so the heat step has no noise bound of its own
+    heat = _Stepper(np.eye(grid.dim), grid) if np.any(sig) else None
     r = dt / grid.dx1**2
     line = _DirichletLine(grid.n_x1 - 2, r)
     times = grid.times
@@ -203,10 +200,8 @@ def decompose_pipeline(
             ref[j] = w01[path, :, col] if grid.dim == 2 else w01[path]
         if j == grid.steps:
             break
-        dw, g = noise.increments[:, j], None
+        dw, g = noise.increments[:, j], _integrand(sig, u, grid)
         if heat is not None:
-            du = _diff(u[:, 1:-1], grid.dxp, 2, True, 1)
-            g = [sig[1, k] * du for k in range(coeffs.n_modes)]
             big[:, 1:-1] = heat(big, dw, j, g=g)
         u[:, 1:-1] = step(u, dw, j, f.values[:, j, 1:-1], g)
 

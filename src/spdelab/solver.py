@@ -12,9 +12,9 @@ diffusion (the implicit matrix is factored once per solve) and explicit
 Euler-Maruyama noise evaluated at the left time point.  All paths
 advance through identical linear algebra, so results are independent of
 how paths are blocked across workers.  The step is written once, in
-`_Stepper`, for the unknown nodes of a stack of states; the time loop,
-the continuation iterates and the wall decomposition's own loop, which
-steps u and its noise part U side by side, all call it.
+`_Stepper`, for the unknown nodes of a stack of states; it knows only
+the operator a, and each caller (the time loop, the continuation, the
+wall decomposition, the compatibility study) forms the noise integrand.
 
 Coefficient admissibility is the two-sided parabolicity condition
 kappa |xi|^2 + sigma sigma^T <= 2 a <= K |xi|^2; the boundary theory
@@ -44,7 +44,6 @@ __all__ = [
     "BlowUpError",
     "check_parabolicity",
     "check_compatibility",
-    "laplace_coefficients",
     "interpolate_coefficients",
     "solve_model_halfspace",
     "solve_periodic_line",
@@ -95,13 +94,6 @@ class ModelCoefficients:
         if kappa <= 0 or bound <= 0:
             raise ModelError("kappa and bound must be positive")
         return cls(dim=dim, n_modes=n_modes, a=a, sigma=sigma, kappa=kappa, bound=bound)
-
-
-def laplace_coefficients(dim, n_modes=1) -> ModelCoefficients:
-    """Pure heat operator: a = I, no noise coefficients."""
-    return ModelCoefficients.make(
-        dim, np.eye(dim), np.zeros((dim, n_modes)), n_modes=n_modes, kappa=1.0, bound=2.5
-    )
 
 
 @dataclass
@@ -219,9 +211,8 @@ class _DirichletLine:
         return dgttrs(*self.factors, cols)[0][: self.n]
 
 
-def _implicit_matrix(coeffs, grid):
+def _implicit_matrix(a, grid):
     """I - dt * a:D^2 over the unknown nodes, factored for repeated solves."""
-    a = coeffs.a
     dt = grid.dt
     if grid.dim == 1:
         if grid.periodic_x1:
@@ -262,84 +253,87 @@ def _check_finite(values, step, dim):
 
 
 class _Stepper:
-    """One step u_j -> u_{j+1} of the scheme; the implicit factor is built once.
+    """One step u_j -> u_{j+1} for the operator a; I - dt a:D^2 is factored once.
 
     A state has shape (..., paths, *space): leading axes hold a stack of
     states that share the operator and the noise.  The step touches only
     the unknown nodes, x1 rows 1..n-2 of a wall grid and every node of a
-    periodic line.  Its explicit stage adds dt f and the noise terms
-    (sigma^{ik} D_i u_j + g^k) dw^k there, with centred differences; a
-    gradient direction is formed only when its sigma row is nonzero.  f
-    and each g[k] come restricted to the unknown nodes (one path or one
-    per path), and the call returns u_{j+1} on them for the caller to
-    write into its own array.
-    Both stages are checked for blow-up.
+    periodic line.  Its explicit stage is u_j + dt f + sum_k G_k dw^k
+    there, with f and each noise integrand G_k (None: no term) from the
+    caller, restricted to the unknown nodes.  It returns u_{j+1} on them
+    for the caller to write into its own array.  Both stages are checked
+    for blow-up.
     """
 
-    def __init__(self, coeffs, grid):
-        self.sigma = coeffs.sigma
-        self.noisy = np.any(coeffs.sigma, axis=1).tolist()  # directions with a sigma row
+    def __init__(self, a, grid):
         self.grid = grid
-        self.matrix = _implicit_matrix(coeffs, grid)
+        self.matrix = _implicit_matrix(a, grid)
         # the unknown nodes of a state, indexed from its trailing space axes
         rows = () if grid.periodic_x1 else (slice(1, -1),) + (slice(None),) * (grid.dim - 1)
         self.unknown = (Ellipsis,) + rows
         self.column = (-1,) + (1,) * grid.dim  # a mode's increments against (paths, *space)
 
-    def __call__(self, u, dw, j, f=None, g=None):
-        """u_{j+1} on the unknown nodes; f is the drift slot of step j, g[k] that of mode k."""
-        grid, sig = self.grid, self.sigma
-        x1 = u.ndim - grid.dim
+    def __call__(self, u, dw, j, f=None, g=()):
+        """u_{j+1} on the unknown nodes; g[k] is mode k's integrand or None."""
+        grid = self.grid
         core = u[self.unknown]
         expl = core.copy() if f is None else core + grid.dt * f
-        if self.noisy[0]:
-            periodic = grid.periodic_x1
-            du1 = _diff(u, grid.dx1, x1, True, 1) if periodic else _centred(u, grid.dx1, x1, 1)
-        if grid.dim == 2 and self.noisy[1]:
-            du2 = _diff(core, grid.dxp, x1 + 1, True, 1)
-        for k in range(sig.shape[1]):
-            term = None
-            if sig[0, k]:
-                term = sig[0, k] * du1
-            if grid.dim == 2 and sig[1, k]:
-                term = sig[1, k] * du2 if term is None else term + sig[1, k] * du2
-            if g is not None:
-                term = g[k] if term is None else term + g[k]
+        for k, term in enumerate(g):
             if term is not None:
                 expl += term * dw[:, k].reshape(self.column)
         # detect divergence before the direct solver rejects the array
         _check_finite(expl, j + 1, grid.dim)
-        cols = expl.reshape(-1, math.prod(expl.shape[x1:])).T  # one column per state and path
+        cols = expl.reshape(-1, math.prod(expl.shape[-grid.dim :])).T  # one per state and path
         u_new = self.matrix.solve(cols).T.reshape(expl.shape)
         _check_finite(u_new, j + 1, grid.dim)
         return u_new
 
 
-def _step_loop(coeffs, forcing, grid, noise, u0, store, observer):
-    """Preconditions, then one stepper call per time step."""
-    if store not in ("full", "final"):
-        raise ValueError(f"unknown store mode {store!r}")
+def _integrand(sigma, u, grid, g=None):
+    """sigma^{ik} D_i u + g^k on the unknown nodes for each mode k (None if
+    both vanish); a direction is differenced only if its sigma row is nonzero."""
+    x1 = u.ndim - grid.dim
+    noisy = np.any(sigma, axis=1).tolist()  # directions with a sigma row
+    if noisy[0]:
+        periodic = grid.periodic_x1
+        du1 = _diff(u, grid.dx1, x1, True, 1) if periodic else _centred(u, grid.dx1, x1, 1)
+    if grid.dim == 2 and noisy[1]:
+        du2 = _diff(u[..., 1:-1, :], grid.dxp, x1 + 1, True, 1)
+    terms = []
+    for k in range(sigma.shape[1]):
+        term = None
+        if sigma[0, k]:
+            term = sigma[0, k] * du1
+        if grid.dim == 2 and sigma[1, k]:
+            term = sigma[1, k] * du2 if term is None else term + sigma[1, k] * du2
+        if g is not None:
+            term = g[k] if term is None else term + g[k]
+        terms.append(term)
+    return terms
+
+
+def _step_loop(coeffs, forcing, grid, noise, u0, full):
+    """Preconditions, then one stepper call per time step; the whole
+    history as a FieldEnsemble when full, else the final state."""
     _check_inputs(coeffs, forcing, grid, noise)
     paths = noise.n_paths
     u = np.zeros((paths,) + grid.space_shape) if u0 is None else u0.copy()
     if u.shape != (paths,) + grid.space_shape:
         raise ModelError("u0 has the wrong shape")
     out = None
-    if store == "full":
+    if full:
         out = np.zeros((paths, grid.steps + 1) + grid.space_shape)
         out[:, 0] = u
     f_vals = forcing.f.values if forcing.f is not None else None
     g_vals = forcing.g.values if forcing.g is not None else None
-    step = _Stepper(coeffs, grid)
-    times = grid.times  # a property that rebuilds the array on every read
+    step = _Stepper(coeffs.a, grid)
     for j in range(grid.steps):
         f = None if f_vals is None else f_vals[:, j][step.unknown]
         g = None if g_vals is None else np.moveaxis(g_vals[:, j], -1, 0)[step.unknown]
+        g = _integrand(coeffs.sigma, u, grid, g)
         u_new = np.zeros_like(u) if out is None else out[:, j + 1]
         u_new[step.unknown] = step(u, noise.increments[:, j, :], j, f, g)
         u = u_new
-        if observer is not None:
-            observer(j + 1, times[j + 1], u)
     return u if out is None else FieldEnsemble(out, grid)
 
 
@@ -365,23 +359,13 @@ def _check_inputs(coeffs, forcing, grid, noise):
 
 
 def solve_model_halfspace(
-    coeffs: ModelCoefficients,
-    forcing: Forcing,
-    grid: SpaceTimeGrid,
-    noise: WienerBatch,
-    *,
-    store: str = "full",
-    observer=None,
-):
-    """Run the semi-implicit scheme on the Dirichlet half-space grid.
-
-    Returns a FieldEnsemble for store="full"; store="final" returns the
-    terminal state array (paths, *space) for studies that accumulate
-    statistics through an observer instead of materializing trajectories.
-    """
+    coeffs: ModelCoefficients, forcing: Forcing, grid: SpaceTimeGrid, noise: WienerBatch
+) -> FieldEnsemble:
+    """Run the semi-implicit scheme on the Dirichlet half-space grid and
+    return the whole history."""
     if grid.periodic_x1:
         raise ModelError("use solve_periodic_line for the surrogate grid")
-    return _step_loop(coeffs, forcing, grid, noise, None, store, observer)
+    return _step_loop(coeffs, forcing, grid, noise, None, True)
 
 
 def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None):
@@ -392,7 +376,7 @@ def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None):
     """
     if not (grid.periodic_x1 and grid.dim == 1):
         raise ModelError("solve_periodic_line needs a periodic dim-1 grid")
-    return _step_loop(coeffs, forcing, grid, noise, u0, "final", None)
+    return _step_loop(coeffs, forcing, grid, noise, u0, False)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:
@@ -426,9 +410,10 @@ def continuity_iterates(
         g_eff = g + (s - s0) sigma D v_{m-1}.
 
     Iterate m at step j needs only iterate m - 1 at time j, so one time
-    loop advances every iterate: each step forms the extra terms from
-    the iterates before it and makes one `_Stepper` call on the stack of
-    iterates 1..n_iter.  One-dimensional Dirichlet grids only.
+    loop advances every iterate: each step forms D v once, for the extra
+    terms of iterates 0..n_iter-1 and the noise of 1..n_iter, and makes
+    one `_Stepper` call on the stack of iterates 1..n_iter.  One-dimensional
+    Dirichlet grids only.
 
     Returns (diffs, states): diffs[m - 2] = sup_t max_x E|v_m - v_{m-1}|^2
     for m = 2..n_iter, and the final states (n_iter, paths, n_x1).
@@ -439,20 +424,21 @@ def continuity_iterates(
         raise ModelError(f"n_iter must be >= 1, got {n_iter}")
     frozen = interpolate_coefficients(coeffs, s0)
     _check_inputs(frozen, forcing, grid, noise)
-    step = _Stepper(frozen, grid)
+    step = _Stepper(frozen.a, grid)
     ds, h, paths = s - s0, grid.dx1, noise.n_paths
-    a_dev, sig = coeffs.a[0, 0] - 1.0, coeffs.sigma[0]
+    a_dev, sig, sig0 = coeffs.a[0, 0] - 1.0, coeffs.sigma[0], frozen.sigma[0]
     # slot 0 holds the zero iterate; the wall columns stay zero
     u = np.zeros((n_iter + 1, paths, grid.n_x1))
     diffs = np.zeros(n_iter - 1)
     for j in range(grid.steps):
-        v = u[:-1]
-        f = ds * (a_dev * _centred(v, h, 2, 2))
+        f = ds * (a_dev * _centred(u[:-1], h, 2, 2))
         if forcing.f is not None:
             f = forcing.f.values[:, j, 1:-1] + f
-        g = ds * (sig[:, None, None, None] * _centred(v, h, 2, 1))
+        dv = _centred(u, h, 2, 1)
+        g = ds * (sig[:, None, None, None] * dv[:-1])
         if forcing.g is not None:
             g = np.moveaxis(forcing.g.values[:, j, 1:-1], -1, 0)[:, None] + g
+        g = [(sig0[k] * dv[1:]) + g[k] if sig0[k] else g[k] for k in range(len(g))]
         u[1:, :, 1:-1] = step(u[1:], noise.increments[:, j], j, f, g)
         gap = u[2:, :, 1:-1] - u[1:-1, :, 1:-1]
         np.maximum(diffs, np.max(np.mean(gap * gap, axis=1), axis=-1), out=diffs)

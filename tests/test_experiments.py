@@ -172,6 +172,24 @@ def test_validate_checks_the_grid_the_study_needs(raw, message, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "study, steps", [("compatibility", 4096), ("continuity", 5000), ("schauder_ratio", 8)]
+)
+def test_validate_refuses_a_step_past_the_noise_bound(study, steps, tmp_path, capsys):
+    # the run would end in the solver's ModelError; the gate refuses it first
+    raw = _checked_in(study, steps=steps)
+    with pytest.raises(ConfigError, match="noise stability"):
+        ExperimentConfig.from_dict(raw).validate()
+    assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+    assert "noise stability" in capsys.readouterr().err
+
+
+def test_continuity_bound_is_that_of_the_frozen_operator():
+    # dt = 7.5e-5 breaks the bound of a = 1.9 (7.31e-5) but not that of
+    # the s0 = 0.9 operator the continuation steps (7.67e-5)
+    ExperimentConfig.from_dict(_checked_in("continuity", steps=10000)).validate()
+
+
 def test_config_accessors_and_overrides():
     # the CLI applies --seed/--paths/--levels to the raw blocks
     cfg = tiny_config()
@@ -253,29 +271,58 @@ def test_schauder_ratio_output_bytes_are_pinned():
 
 
 @pytest.mark.parametrize(
-    "study, grid, digest",
+    "study, grid, digest, blocks, failing",
     [
         # the lockstep continuation loop (continuity_iterates) on a 1-D wall grid
         (
             "continuity",
             {"x1_cells": 9, "steps": 1512},
             "d6002805ddd6d626f730067c236da594d9aa99e1a574aa9b50a2102752fd7c32",
+            {},
+            [],
         ),
         # 2-D solves, the additive heat solve, the decomposition and its kernel check
         (
             "pipeline",
             {"t_max": 0.0125, "steps": 32},
             "15407d19f76cad6737b346bcf89f6054c6a6854dd66c04e390c74d8eebcf781d",
+            {},
+            [],
+        ),
+        # both noise variants on the 128 x 8 wall grid, with the violating g
+        (
+            "compatibility",
+            {"x1_max": 1.0, "t_max": 0.0075, "steps": 2560},
+            "04f9aaabd2a40f99eed69658a13bd05c4211e31948ddb8def639cb679abb5b88",
+            {"ensemble": {"paths": 8}},
+            [],
+        ),
+        # two modes, each silent in one variant: that variant adds no term for it
+        (
+            "compatibility",
+            {"x1_max": 1.0, "t_max": 0.000192, "steps": 64, "xp_cells": 4},
+            "6b69bb4097525c972e62aaf9e2eb541deaa550161999f7e658ae25c03cd4edd6",
+            {
+                "ensemble": {"paths": 2},
+                "coefficients": {
+                    "n_modes": 2,
+                    "sigma_tangential": [[0.0, 0.0], [0.7, 0.0]],
+                    "sigma_violating": [[0.7, 0.0], [0.0, 0.0]],
+                },
+            },
+            ["tangential_bounded"],
         ),
     ],
 )
-def test_reduced_study_output_bytes_are_pinned(study, grid, digest):
+def test_reduced_study_output_bytes_are_pinned(study, grid, digest, blocks, failing):
     config = Path(__file__).resolve().parent.parent / "configs" / f"{study}.json"
     raw = json.loads(config.read_text())
     raw["grid"].update(grid)
+    for name, values in blocks.items():
+        raw[name].update(values)
     raw["ensemble"]["master_seed"] = 20260821
     rep = run_study(ExperimentConfig.from_dict(raw))
-    assert all(v.passed for v in rep.verdicts)
+    assert [v.name for v in rep.verdicts if not v.passed] == failing
     assert hashlib.sha256(rep.canonical_csv().encode()).hexdigest() == digest
 
 

@@ -21,15 +21,25 @@ from spdelab import (
     continuity_iterates,
     finite_diff,
     interpolate_coefficients,
-    laplace_coefficients,
     solve_model_halfspace,
     solve_periodic_line,
     wiener_increments,
 )
+from spdelab import solver
+from spdelab.fields import _centred
 from spdelab.pipeline import _line_step
-from spdelab.solver import _DirichletLine, _sp_periodic_d1, _sp_periodic_d2, _Stepper
+from spdelab.solver import (
+    _DirichletLine,
+    _integrand,
+    _sp_periodic_d1,
+    _sp_periodic_d2,
+    _Stepper,
+)
 
 SEED = SeedSpec(master_seed=31415, stream_salt=2)
+
+# the pure heat operator: a = I, no noise coefficients
+HEAT = ModelCoefficients.make(1, np.eye(1), np.zeros((1, 1)), kappa=1.0, bound=2.5)
 
 # one-dimensional test closed form: E|u^_1(t)|^2 = (1/4) e^{-(2a - s^2) t}
 # for u0 = cos x under du = a u'' dt + s u' dw, frozen at a = s = 1, t = 1/2
@@ -110,7 +120,7 @@ def test_coefficient_shapes_are_exact(dim, a, sigma, expected):
 
 def test_zero_data_stays_zero():
     g = wallgrid()
-    u = solve_model_halfspace(laplace_coefficients(1), Forcing(), g, noise_for(g))
+    u = solve_model_halfspace(HEAT, Forcing(), g, noise_for(g))
     assert np.all(u.values == 0.0)
     assert u.values.shape == (4, g.steps + 1, g.n_x1)
 
@@ -138,7 +148,7 @@ def test_solution_is_linear_in_the_data():
 def test_dirichlet_walls_are_pinned():
     g = wallgrid()
     gf = mode_field(g, lambda x: np.sin(np.pi * x), paths=1)
-    u = solve_model_halfspace(laplace_coefficients(1), Forcing(g=gf), g, noise_for(g, 2))
+    u = solve_model_halfspace(HEAT, Forcing(g=gf), g, noise_for(g, 2))
     assert np.all(u.values[:, :, 0] == 0.0)
     assert np.all(u.values[:, :, -1] == 0.0)
     assert np.any(u.values[:, :, 1:-1] != 0.0)
@@ -147,20 +157,20 @@ def test_dirichlet_walls_are_pinned():
 def test_time_step_restriction_is_enforced():
     g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=8, t_max=0.5, steps=10)
     with pytest.raises(ModelError, match="stability restriction"):
-        solve_model_halfspace(laplace_coefficients(1), Forcing(), g, noise_for(g))
+        solve_model_halfspace(HEAT, Forcing(), g, noise_for(g))
 
 
 def test_noise_shape_mismatches_are_rejected():
     g = wallgrid()
     wrong_steps = wiener_increments(SEED, 2, g.steps + 1, dt=g.dt)
     with pytest.raises(ModelError):
-        solve_model_halfspace(laplace_coefficients(1), Forcing(), g, wrong_steps)
+        solve_model_halfspace(HEAT, Forcing(), g, wrong_steps)
     wrong_dt = wiener_increments(SEED, 2, g.steps, dt=2.0 * g.dt)
     with pytest.raises(ModelError):
-        solve_model_halfspace(laplace_coefficients(1), Forcing(), g, wrong_dt)
+        solve_model_halfspace(HEAT, Forcing(), g, wrong_dt)
     wrong_modes = wiener_increments(SEED, 2, g.steps, n_modes=3, dt=g.dt)
     with pytest.raises(ModelError):
-        solve_model_halfspace(laplace_coefficients(1), Forcing(), g, wrong_modes)
+        solve_model_halfspace(HEAT, Forcing(), g, wrong_modes)
 
 
 def test_periodic_line_checks_the_noise_variance():
@@ -169,7 +179,7 @@ def test_periodic_line_checks_the_noise_variance():
     )
     wrong_dt = wiener_increments(SEED, 2, per.steps, dt=2.0 * per.dt)
     with pytest.raises(ModelError, match="variance"):
-        solve_periodic_line(laplace_coefficients(1), Forcing(), per, wrong_dt)
+        solve_periodic_line(HEAT, Forcing(), per, wrong_dt)
 
 
 def test_grid_kind_routing():
@@ -178,15 +188,15 @@ def test_grid_kind_routing():
     )
     wall = wallgrid(steps=2, t_max=0.002)
     with pytest.raises(ModelError):
-        solve_model_halfspace(laplace_coefficients(1), Forcing(), per, noise_for(per))
+        solve_model_halfspace(HEAT, Forcing(), per, noise_for(per))
     with pytest.raises(ModelError):
-        solve_periodic_line(laplace_coefficients(1), Forcing(), wall, noise_for(wall))
+        solve_periodic_line(HEAT, Forcing(), wall, noise_for(wall))
 
 
 def test_periodic_line_needs_three_nodes():
     per = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=2, t_max=0.002, steps=2, periodic_x1=True)
     with pytest.raises(ModelError, match="at least 3 nodes, got 2"):
-        solve_periodic_line(laplace_coefficients(1), Forcing(), per, noise_for(per))
+        solve_periodic_line(HEAT, Forcing(), per, noise_for(per))
 
 
 def test_inadmissible_coefficients_are_refused():
@@ -202,17 +212,17 @@ def test_forcing_validation():
     f_wrong = FieldEnsemble(np.zeros((1, other.steps + 1, other.n_x1)), other)
     with pytest.raises(Exception):
         solve_model_halfspace(
-            laplace_coefficients(1), Forcing(f=f_wrong), g, noise_for(g)
+            HEAT, Forcing(f=f_wrong), g, noise_for(g)
         )
     g_wrong = mode_field(g, lambda x: x, n_modes=2)
     with pytest.raises(ModelError, match="modes"):
         solve_model_halfspace(
-            laplace_coefficients(1), Forcing(g=g_wrong), g, noise_for(g)
+            HEAT, Forcing(g=g_wrong), g, noise_for(g)
         )
     # a forcing slice broadcasts over the paths: one path, or one per path
     f_paths = FieldEnsemble(np.zeros((2, g.steps + 1, g.n_x1)), g)
     with pytest.raises(ModelError, match="forcing f has 2 paths, noise has 4"):
-        solve_model_halfspace(laplace_coefficients(1), Forcing(f=f_paths), g, noise_for(g))
+        solve_model_halfspace(HEAT, Forcing(f=f_paths), g, noise_for(g))
 
 
 def test_zero_order_blowup_is_detected():
@@ -224,7 +234,7 @@ def test_zero_order_blowup_is_detected():
     vals[2, j, 3] = np.inf
     f = FieldEnsemble(vals, g)
     with pytest.raises(BlowUpError) as err:
-        solve_model_halfspace(laplace_coefficients(1), Forcing(f=f), g, noise_for(g, 3))
+        solve_model_halfspace(HEAT, Forcing(f=f), g, noise_for(g, 3))
     assert (err.value.path, err.value.step) == (2, j + 1)
 
 
@@ -242,7 +252,8 @@ def test_a_wall_node_forcing_value_never_reaches_the_solution():
 
 
 def stepper_case(dim, paths=4, stack=3):
-    """A stepper, a stack of random states, one step's noise and forcings."""
+    """A stepper, a stack of random states, one step's noise, drift and
+    the model's noise integrands."""
     if dim == 1:
         grid = wallgrid()
         co = ModelCoefficients.make(1, np.array([[1.4]]), np.array([[0.6]]), kappa=0.5)
@@ -253,31 +264,31 @@ def stepper_case(dim, paths=4, stack=3):
         # tangential noise in two modes, and a mixed a12 term in the SuperLU factor
         a, sigma = [[1.2, 0.1], [0.1, 1.0]], [[0.0, 0.0], [0.7, -0.4]]
         co = ModelCoefficients.make(2, a, sigma, n_modes=2, kappa=0.5)
-    step = _Stepper(co, grid)
+    step = _Stepper(co.a, grid)
     rng = np.random.default_rng(5)
     u = rng.normal(size=(stack, paths) + grid.space_shape)
     unknown = u[(0,) + step.unknown].shape
     f = rng.normal(size=unknown)
     g = rng.normal(size=(co.n_modes,) + unknown)
     dw = noise_for(grid, paths, co.n_modes).increments[:, 1]
-    return step, u, dw, f, g
+    return step, u, dw, f, lambda v: _integrand(co.sigma, v, grid, g)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_stack_steps_like_separate_states(dim):
     # one call on a stack of states equals one call per state, bit for bit
-    step, u, dw, f, g = stepper_case(dim)
-    stacked = step(u, dw, 1, f, g)
+    step, u, dw, f, noise = stepper_case(dim)
+    stacked = step(u, dw, 1, f, noise(u))
     assert stacked.shape == u[step.unknown].shape
     for i in range(u.shape[0]):
-        assert np.array_equal(stacked[i], step(u[i], dw, 1, f, g))
+        assert np.array_equal(stacked[i], step(u[i], dw, 1, f, noise(u[i])))
 
 
 def test_a_blowup_in_a_stack_names_the_path():
-    step, u, dw, f, g = stepper_case(1)
+    step, u, dw, f, noise = stepper_case(1)
     u[1, 2, 3] = np.inf
     with pytest.raises(BlowUpError) as err:
-        step(u, dw, 4, f, g)
+        step(u, dw, 4, f, noise(u))
     assert (err.value.path, err.value.step) == (2, 5)
 
 
@@ -341,7 +352,7 @@ def test_solvers_run_on_the_smallest_wall_grids(cells):
     # one or two interior unknowns, where a bare dgttrf call is refused
     g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=cells, t_max=0.02, steps=4)
     gf = mode_field(g, lambda x: np.sin(np.pi * x))
-    u = solve_model_halfspace(laplace_coefficients(1), Forcing(g=gf), g, noise_for(g, 2))
+    u = solve_model_halfspace(HEAT, Forcing(g=gf), g, noise_for(g, 2))
     assert np.all(np.isfinite(u.values))
     assert np.all(u.values[:, :, [0, -1]] == 0.0)
     assert np.any(u.values[:, 1:, 1:-1] != 0.0)
@@ -386,7 +397,7 @@ def test_coupled_noise_strong_convergence():
         noise = coarsen(fine, 4 ** (len(grids) - 1 - k))
         gf = mode_field(g, lambda x: np.sin(np.pi * x))
         sols.append(
-            solve_model_halfspace(laplace_coefficients(1), Forcing(g=gf), g, noise).values
+            solve_model_halfspace(HEAT, Forcing(g=gf), g, noise).values
         )
     e01 = np.sqrt(np.mean((sols[0] - sols[1][:, ::4, ::2]) ** 2))
     e12 = np.sqrt(np.mean((sols[1] - sols[2][:, ::4, ::2]) ** 2))
@@ -471,10 +482,23 @@ def test_continuity_iterates_first_is_base_solve():
     noise = noise_for(g, paths=2)
     forcing = sine_forcing(g)
     _, states = continuity_iterates(co, 0.75, 0.3, forcing, g, noise, 3)
-    base = solve_model_halfspace(
-        interpolate_coefficients(co, 0.3), forcing, g, noise, store="final"
-    )
-    assert np.array_equal(states[0], base)
+    base = solve_model_halfspace(interpolate_coefficients(co, 0.3), forcing, g, noise)
+    assert np.array_equal(states[0], base.values[:, -1])
+
+
+def test_one_gradient_of_the_iterates_per_step(monkeypatch):
+    # D v of every iterate is formed once and read by both noise terms
+    g = wallgrid()
+    co = ModelCoefficients.make(1, np.array([[1.5]]), np.array([[0.5]]), kappa=0.5)
+    orders = []
+
+    def counting(values, h, axis, order):
+        orders.append(order)
+        return _centred(values, h, axis, order)
+
+    monkeypatch.setattr(solver, "_centred", counting)
+    continuity_iterates(co, 0.75, 0.3, sine_forcing(g), g, noise_for(g, 2), 3)
+    assert orders.count(1) == g.steps
 
 
 def test_continuity_iterates_report_a_blowup_path_and_step():
