@@ -20,7 +20,7 @@ import os
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_study
-from .halfline import kernel_dy, kernel_mass, poisson_kernel
+from .halfline import QuadratureError, kernel_dy, kernel_mass, poisson_kernel
 
 _OUT_ENV = "SPDELAB_OUT"
 
@@ -90,6 +90,9 @@ def main(argv=None) -> int:
             mass = kernel_mass(args.y, rel_tol=args.rel_tol) if args.y > 0 else None
         except ValueError as exc:
             print(f"invalid: {exc}", file=sys.stderr)
+            return 1
+        except QuadratureError as exc:
+            print(f"quadrature error: {exc}", file=sys.stderr)
             return 1
         print(f"P(s={args.s}, y={args.y}) = {p!r}")
         print(f"dP/dy(s={args.s}, y={args.y}) = {dp!r}")

@@ -14,8 +14,8 @@ Every kind of wall data is a sum of truncated powers c (t - t_k)_+^nu,
 and the solve of each is c Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)),
 s = t - t_k, so one routine sums these terms and integrates nothing.
 Power data c_p t^nu is one term at t_0 = 0.  Per-path samples are
-interpolated by a cubic spline, which is one group of terms nu = 0..3
-per knot.
+interpolated by a not-a-knot cubic spline, in scipy's own spline
+arithmetic bit for bit, which is one group of terms nu = 0..3 per knot.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgesv, dgtsv
 from scipy.special import erfc, pbdv
 
 from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid
@@ -62,23 +61,25 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def poisson_kernel(s, y):
-    """P(s, y) for s > 0, y >= 0; the y = 0 limit is 0."""
+def _kernel_args(name, s, y):
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("poisson_kernel requires s > 0")
-    if np.any(y < 0):
-        raise ValueError("poisson_kernel is defined for y >= 0")
+    if not np.all(s > 0):  # NaN fails this, unlike np.any(s <= 0)
+        raise ValueError(f"{name} requires s > 0")
+    if not np.all(np.isfinite(y) & (y >= 0)):
+        raise ValueError(f"{name} is defined for finite y >= 0")
+    return s, y
+
+
+def poisson_kernel(s, y):
+    """P(s, y) for s > 0, y >= 0; the y = 0 limit is 0."""
+    s, y = _kernel_args("poisson_kernel", s, y)
     return y / (2.0 * math.sqrt(math.pi) * s**1.5) * np.exp(-(y * y) / (4.0 * s))
 
 
 def kernel_dy(s, y):
     """d/dy of the kernel; kernel_dy(1, 0) = 1 / (2 sqrt(pi))."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("kernel_dy requires s > 0")
+    s, y = _kernel_args("kernel_dy", s, y)
     return (
         1.0
         / (2.0 * math.sqrt(math.pi) * s**1.5)
@@ -92,21 +93,25 @@ def kernel_mass(y, rel_tol: float = 1e-10) -> float:
 
     Computed through the Gaussian substitution, which maps the mass onto
     (2/sqrt(pi)) * integral_0^inf exp(-u^2) du; the integrand below still
-    evaluates the kernel itself so the test exercises the real formula.
+    evaluates the kernel itself so the test exercises the real formula, at
+    2^-k y in [1, 2): P(4^k s, 2^k y) = 4^-k P(s, y) holds exactly in floating
+    point, so that is y's integrand bit for bit wherever y's is finite.
     rel_tol, in (0, 1e-4], is the adaptive quadrature's epsrel; a miss
-    raises QuadratureError.
+    raises QuadratureError.  quad is imported on call, for this check only.
     """
+    from scipy.integrate import quad
     if not (0.0 < rel_tol <= 1e-4):
         raise ValueError(f"rel_tol must be in (0, 1e-4], got {rel_tol}")
-    if y <= 0:
-        raise ValueError("kernel_mass requires y > 0")
+    if not (0.0 < y < math.inf):
+        raise ValueError(f"kernel_mass requires a finite y > 0, got y = {y}")
+    y = math.ldexp(math.frexp(y)[0], 1)
 
     def integrand(u):
         s = y * y / (4.0 * u * u)
         return float(poisson_kernel(s, y)) * y * y / (2.0 * u**3)
 
-    val, err, *info = _scipy_quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=rel_tol,
-                                  limit=_MASS_LIMIT, full_output=1)
+    val, err, *info = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=rel_tol,
+                           limit=_MASS_LIMIT, full_output=1)
     if len(info) > 1:
         msg = info[1].splitlines()[0]
         raise QuadratureError(f"kernel_mass: quadrature did not converge ({msg})", val, err)
@@ -185,10 +190,32 @@ class BoundaryData:
             hp0_zero=bool(np.max(np.abs(h_prime[:, 0])) <= 1e-12 * scale),
         )
 
-    def spline(self, derivative=False) -> CubicSpline:
-        # one spline object interpolates every path (values along axis 1)
-        values = self.h_prime if derivative else self.h
-        return CubicSpline(self.times, values.T, axis=0)
+    def spline(self, derivative=False) -> np.ndarray:
+        """Not-a-knot cubic spline of h (or h') through every path, as its
+        (4, intervals, paths) coefficients c[m, k] of (tau - t_k)^{3 - m}, in
+        scipy's arithmetic step for step (dgtsv as solve_banded calls it; dgesv
+        on 3 knots; the chord on 2), so c equals scipy's spline coefficients."""
+        y = (self.h_prime if derivative else self.h).T
+        if not np.all(np.isfinite(y)):
+            raise ValueError("spline samples must be finite")
+        x, h = self.times, np.diff(self.times)
+        dx = h[:, None]
+        slope = np.diff(y, axis=0) / dx
+        if len(x) == 2:
+            s = np.concatenate([slope, slope])
+        elif len(x) == 3:
+            a = np.array([[1.0, 1.0, 0.0], [h[1], 2 * (h[0] + h[1]), h[0]], [0.0, 1.0, 1.0]])
+            b = np.stack([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+            s = dgesv(a, b)[2]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            b = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            bn = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+            diag = np.concatenate([h[1:2], 2 * (h[:-1] + h[1:]), h[-2:-1]])
+            s = dgtsv(np.append(h[1:], d1), diag, np.append(d0, h[:-1]), np.vstack([b0, b, bn]))[3]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 # -- closed-form solve of truncated powers -----------------------------
@@ -231,8 +258,8 @@ def _ierfc(orders, z) -> np.ndarray:
     return out
 
 
-def _spline_increments(spline, times) -> np.ndarray:
-    """A cubic spline as increments dc_{n,k} of (tau - t_k)_+^n, n = 0..3.
+def _spline_increments(c, times) -> np.ndarray:
+    """Spline coefficients c as increments dc_{n,k} of (tau - t_k)_+^n, n = 0..3.
 
     Its first cubic at t_0, then at each knot its cubic minus the previous
     one shifted there.  On a C^2 spline only the cubic term jumps; the
@@ -241,7 +268,7 @@ def _spline_increments(spline, times) -> np.ndarray:
     128-step random walk the error is about 1e-10 of the data scale.
     Returned as (4, knots, paths), knots t_0 .. t_{n-2}.
     """
-    a = spline.c[::-1]  # (4, intervals, paths), a[n]: coefficient of (tau - t_k)^n
+    a = c[::-1]  # (4, intervals, paths), a[n]: coefficient of (tau - t_k)^n
     h = np.diff(times)[:-1, None]
     shifted = [sum(math.comb(m, n) * h ** (m - n) * a[m, :-1] for m in range(n, 4)) for n in range(4)]
     return np.concatenate([a[:, :1], a[:, 1:] - np.stack(shifted)], axis=1)

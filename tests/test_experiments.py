@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spdelab
-from spdelab import dt_v, experiments, stability_gap
+from spdelab import dt_v, experiments, halfline, stability_gap
 from spdelab.cli import main
 from spdelab.experiments import (
     EXPERIMENTS,
@@ -678,6 +678,9 @@ def test_cli_kernel_subcommand(capsys):
         (["--s", "1", "--y", "1", "--rel-tol", "0"], "rel_tol must be in (0, 1e-4]"),
         (["--s", "0", "--y", "1"], "requires s > 0"),
         (["--s", "1", "--y", "-1"], "y >= 0"),
+        (["--s", "nan", "--y", "1"], "requires s > 0"),
+        (["--s", "1", "--y", "nan"], "y >= 0"),
+        (["--s", "1", "--y", "inf"], "y >= 0"),
     ],
 )
 def test_cli_kernel_rejects_bad_input(argv, message, capsys):
@@ -685,3 +688,11 @@ def test_cli_kernel_rejects_bad_input(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid: ") and message in captured.err
     assert captured.out == ""
+
+
+def test_cli_kernel_reports_a_missed_quadrature_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(halfline, "_MASS_LIMIT", 1)
+    assert main(["kernel", "--s", "1", "--y", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("quadrature error: kernel_mass")
+    assert captured.err.count("\n") == 1 and captured.out == ""

@@ -13,10 +13,15 @@ and a knot-aligned one for splines.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import erfc, gamma, pbdv
 
 from spdelab import (
@@ -105,6 +110,11 @@ def test_kernel_rejects_bad_arguments():
         poisson_kernel(1.0, -0.1)
     with pytest.raises(ValueError):
         kernel_dy(0.0, 1.0)
+    # NaN fails every check, in either argument and inside an array
+    for fn in (poisson_kernel, kernel_dy):
+        for s, y in ((math.nan, 1.0), (1.0, math.nan), ([1.0, math.nan], 1.0)):
+            with pytest.raises(ValueError):
+                fn(s, y)
 
 
 def test_kernel_parabolic_scaling():
@@ -133,6 +143,34 @@ def test_kernel_dy_wall_value_and_root():
 def test_kernel_mass_is_one():
     for y in (0.1, 1.0, 10.0):
         assert abs(kernel_mass(y) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("y", [1e100, 1e120, 1e150, 1e-160, 1e-200])
+def test_kernel_mass_is_one_at_extreme_distances(y):
+    # y^2 / (4 u^2) and s^{3/2} leave the doubles here; the mass does not move
+    assert abs(kernel_mass(y) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("y", [math.inf, math.nan, 0.0, -1.0])
+def test_kernel_mass_refuses_a_distance_that_names_no_mass(y):
+    with pytest.raises(ValueError, match=f"y = {y}"):
+        kernel_mass(y)
+
+
+def test_importing_the_cli_loads_no_quadrature_or_interpolation():
+    # only the mass check needs scipy.integrate, and it imports quad on call
+    code = (
+        "import sys, spdelab.cli\n"
+        "heavy = ['scipy.integrate', 'scipy.interpolate', 'scipy.optimize']\n"
+        "assert not [m for m in heavy if m in sys.modules], [m for m in heavy if m in sys.modules]\n"
+        "from spdelab import kernel_mass\n"
+        "assert abs(kernel_mass(1.0) - 1.0) <= 1e-10 and 'scipy.integrate' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quadrature_tolerance_window():
@@ -208,6 +246,31 @@ def test_solve_zero_data_gives_zero_field():
     v = solve_halfline(data, g)
     assert np.all(v.values == 0.0)
     assert v.n_paths == 3
+
+
+@pytest.mark.parametrize("paths", [1, 3])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_spline_is_scipys_not_a_knot_spline_bit_for_bit(paths, uniform):
+    # 2 and 3 knots take scipy's special cases (the chord, the parabola)
+    rng = np.random.default_rng(17 * paths + uniform)
+    for n in list(range(2, 41)) + [65, 129, 513]:
+        if uniform:
+            times = np.linspace(0.0, 1.0, n)
+        else:
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, n - 1))])
+        h = rng.normal(size=(paths, n))
+        data = BoundaryData.from_samples(h, rng.normal(size=(paths, n)), times)
+        for derivative, values in ((False, data.h), (True, data.h_prime)):
+            ref = CubicSpline(times, values.T, axis=0).c
+            assert np.array_equal(data.spline(derivative), ref), (n, derivative)
+
+
+def test_spline_refuses_a_nan_sample():
+    times = np.linspace(0.0, 1.0, 6)
+    h = times[None, :] ** 2
+    h[0, 3] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryData.from_samples(h, 2.0 * times[None, :], times).spline()
 
 
 def test_solve_sampled_matches_analytic():
@@ -429,9 +492,11 @@ def _quadrature_point(spline, t, y, knots, rel_tol, data_scale, max_panels=1600)
 
 
 def quadrature_solve(data, grid, derivative=False, rel_tol=1e-12):
-    """The reference on every interior node, shaped (paths, nt - 1, ny - 1)."""
-    spline = data.spline(derivative=derivative)
+    """The reference on every interior node, shaped (paths, nt - 1, ny - 1).
+    It interpolates the samples with scipy's CubicSpline, not with the
+    library's coefficients."""
     samples = data.h_prime if derivative else data.h
+    spline = CubicSpline(data.times, samples.T, axis=0)
     scale = float(np.max(np.abs(samples)))
     rows = [
         [_quadrature_point(spline, t, y, data.times, rel_tol, scale) for y in grid.x1_nodes[1:]]
