@@ -12,7 +12,8 @@ refinement studies lean on.
 
 Every kind of wall data is a sum of truncated powers c (t - t_k)_+^nu,
 and the solve of each is c Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)),
-s = t - t_k, so one routine sums these terms and integrates nothing.
+s = t - t_k, so one routine sums these terms and integrates nothing; it
+evaluates the kernel once for each block of consecutive time rows.
 Power data c_p t^nu is one term at t_0 = 0.  Per-path samples are
 interpolated by a not-a-knot cubic spline, in scipy's own spline
 arithmetic bit for bit, which is one group of terms nu = 0..3 per knot.
@@ -46,6 +47,8 @@ _TWO_OVER_SQRTPI = 2.0 / math.sqrt(math.pi)
 # i^k erfc(z) <= exp(-z^2) is below the least double past z ~ 27.3;
 # pbdv returns NaN past z ~ 1467, so it is not called beyond this point
 _Z_UNDERFLOW = 30.0
+# kernel values per block of time rows; 2^16 raised the spline route's peak RSS
+_KERNEL_BLOCK = 2**14
 # subinterval budget of kernel_mass's adaptive quadrature
 _MASS_LIMIT = 200
 STABILITY_MARGIN = 1.05
@@ -121,6 +124,12 @@ def kernel_mass(y, rel_tol: float = 1e-10) -> float:
 # -- boundary data ----------------------------------------------------
 
 
+def _require_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+
+
 @dataclass
 class BoundaryData:
     """Wall data h and its time derivative on the grid times.
@@ -158,10 +167,11 @@ class BoundaryData:
         can differ in the last bit from numpy's array power.
         """
         nu = float(nu)
-        if not nu >= 1.0:
-            raise ValueError(f"from_power needs nu >= 1, got {nu}")
+        if not 1.0 <= nu < math.inf:
+            raise ValueError(f"from_power needs a finite nu >= 1, got {nu}")
         times = np.asarray(times, dtype=float)
         scales = np.ones(1) if scales is None else np.asarray(scales, dtype=float)
+        _require_finite(times=times, scales=scales)
         h = scales[:, None] * np.array([t**nu for t in times])[None, :]
         hp = scales[:, None] * np.array([nu * t ** (nu - 1.0) for t in times])[None, :]
         return cls(
@@ -181,6 +191,7 @@ class BoundaryData:
         times = np.asarray(times, dtype=float)
         if h.shape != h_prime.shape or h.shape[1] != times.shape[0]:
             raise ValueError("h, h_prime and times have inconsistent shapes")
+        _require_finite(h=h, h_prime=h_prime, times=times)
         scale = max(float(np.max(np.abs(h))), 1e-300)
         return cls(
             h=h,
@@ -280,27 +291,37 @@ def _power_sum(coef, orders, knots, times, y, out, workers):
 
     The solve of (tau - t_k)_+^nu is Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)),
     s = t - t_k; row j sums the knots below t_j.  coef is (orders, knots,
-    paths).  workers > 1 spreads the rows over threads; each row is summed
-    on its own, so the bits do not depend on workers.
+    paths).  The kernel is evaluated once per block of consecutive rows, at
+    most _KERNEL_BLOCK values (at least one row); each row then sums its own
+    contiguous copy of its slice, so the bits depend neither on the blocks nor
+    on workers > 1, which spreads the blocks over threads.
     """
     orders = np.asarray(orders, dtype=float)
     gam = np.array([math.gamma(nu + 1.0) for nu in orders])[:, None]
+    ks = np.searchsorted(knots, times[1:])  # knots below times[r + 1], out row r
+    blocks, size = [[]], 0
+    for r, n in enumerate(len(orders) * len(y) * ks):
+        if blocks[-1] and size + n > _KERNEL_BLOCK:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(r)
+        size += n
 
-    def row(j):
-        k = int(np.searchsorted(knots, times[j]))
-        s = times[j] - knots[:k]
+    def block(rows):
+        s = np.concatenate([times[r + 1] - knots[: ks[r]] for r in rows])
         # Gamma(nu + 1) (4 s)^nu i^{2 nu}erfc(y / 2 sqrt(s)), indexed (n, k, i)
         kern = (gam * (4.0 * s) ** orders[:, None])[:, :, None]
         kern = kern * _ierfc(orders, y / (2.0 * np.sqrt(s))[:, None])
-        out[:, j - 1] = np.einsum("nkp,nki->pi", coef[:, :k], kern)
+        for r, end in zip(rows, np.cumsum(ks[rows])):
+            row = np.ascontiguousarray(kern[:, end - ks[r] : end])
+            out[:, r] = np.einsum("nkp,nki->pi", coef[:, : ks[r]], row)
 
-    jobs = range(1, len(times))
     if workers <= 1:
-        for j in jobs:
-            row(j)
+        for rows in blocks:
+            block(rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(row, jobs))
+            list(pool.map(block, blocks))
 
 
 def _check_grid(data: BoundaryData, grid: SpaceTimeGrid):
@@ -333,8 +354,8 @@ def solve_halfline(data, grid, workers=1) -> FieldEnsemble:
     Returns v with v(t, 0) equal to the boundary samples exactly and
     v(0, y) = 0.  Interior values are exact solves of truncated powers:
     one term for power data, the cubic spline's terms for sampled data,
-    one time row at a time.  workers > 1 spreads the rows over threads
-    without changing a bit of the result.
+    with the kernel evaluated once per block of time rows.  workers > 1
+    spreads the blocks over threads without changing a bit of the result.
     """
     _check_grid(data, grid)
     if not data.h0_zero:
@@ -380,8 +401,8 @@ def stability_gap(data1, data2, grid, gamma=2.0, workers=1) -> StabilityReport:
     lhs and ratio then show no interior value.  The tests check the
     interior sup against rhs on its own.
     """
-    if gamma < 2.0:
-        raise ValueError("gamma must be at least 2")
+    if not 2.0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be {'at least 2' if gamma < 2.0 else 'finite'}, got {gamma}")
     d1 = dt_v(data1, grid, workers).values
     d2 = dt_v(data2, grid, workers).values
     if d1.shape[0] != d2.shape[0]:

@@ -70,8 +70,9 @@ class NormSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.gamma < 2.0:
-            raise ValueError(f"gamma must be at least 2, got {self.gamma}")
+        if not 2.0 <= self.gamma < math.inf:  # NaN fails too
+            bound = "at least 2" if self.gamma < 2.0 else "finite"
+            raise ValueError(f"gamma must be {bound}, got {self.gamma}")
         if self.pair_policy not in ("auto", "exhaustive", "dyadic"):
             raise ValueError(f"unknown pair policy {self.pair_policy!r}")
 
@@ -115,7 +116,8 @@ def _difference_moment(a, b, buf, gamma, has_modes):
     if gamma != 2.0 or has_modes:
         return _moment(d, gamma, has_modes, axis=-1)
     q = _path_sum(np.multiply(d, d, out=d))
-    q /= shape[-1]
+    if shape[-1] > 1:  # one path's square is its own mean
+        q /= shape[-1]
     return np.sqrt(q, out=q)
 
 
@@ -132,8 +134,8 @@ def _path_sum(d):
     n = d.shape[-1]
     if n >= 16:
         return np.add.reduce(d, axis=-1)
-    if n < 8:
-        s, rest = d[..., 0].copy(), range(1, n)
+    if n < 8:  # one value is its own sum, returned as a view of d
+        s, rest = (d[..., 0] if n == 1 else d[..., 0].copy()), range(1, n)
     else:
         r = d[..., 0:8:2] + d[..., 1:8:2]
         r = r[..., 0::2] + r[..., 1::2]
@@ -274,8 +276,9 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     vmax, kmax = np.full((len(ends), nb), -1.0), np.zeros((len(ends), nb), dtype=np.intp)
     buf = np.empty(_BLOCK)
     for i, (a, b) in enumerate(ends):
-        # an infinite denominator drops the pairs qa >= qb of exhaustive term 0
-        den = denom[i] if policy == "dyadic" else np.where(low & (i == 0), np.inf, tab[i][st.didx])
+        den = denom[i] if policy == "dyadic" else tab[i][st.didx]
+        if policy == "exhaustive" and i == 0:  # drop the pairs qa >= qb of row r with itself
+            den = np.where(low, np.inf, den)
         row = nb * math.prod(np.broadcast_shapes(a.shape, b.shape)[2:])  # every batch entry
         buf, rows = buf if buf.size >= row else np.empty(row), max(1, _BLOCK // row)
         for rs in (slice(lo, lo + rows) for lo in range(0, a.shape[1], rows)):

@@ -265,6 +265,22 @@ def test_spline_is_scipys_not_a_knot_spline_bit_for_bit(paths, uniform):
             assert np.array_equal(data.spline(derivative), ref), (n, derivative)
 
 
+def test_wall_data_refuses_non_finite_input():
+    # one NaN sample once made the data's scale NaN, and the solve then
+    # refused it with a false "requires h(0) = 0"
+    times = np.linspace(0.0, 1.0, 5)
+    h = times[None, :] ** 2
+    h[0, 2] = math.nan
+    with pytest.raises(ValueError, match="h must be finite, got nan"):
+        BoundaryData.from_samples(h, 2.0 * times[None, :], times)
+    with pytest.raises(ValueError, match="h_prime must be finite"):
+        BoundaryData.from_samples(times[None, :] ** 2, h, times)
+    with pytest.raises(ValueError, match="scales must be finite, got inf"):
+        BoundaryData.from_power(2, times, scales=[1.0, math.inf])
+    with pytest.raises(ValueError, match="nu >= 1"):
+        BoundaryData.from_power(math.inf, times)
+
+
 def test_spline_refuses_a_nan_sample():
     times = np.linspace(0.0, 1.0, 6)
     h = times[None, :] ** 2
@@ -362,6 +378,7 @@ def test_worker_threads_do_not_change_values(monkeypatch):
             return super().map(fn, jobs)
 
     monkeypatch.setattr(halfline, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(halfline, "_KERNEL_BLOCK", 64)
     g = vgrid(cells=8)
     sampled = BoundaryData.from_samples(
         np.vstack([g.times**2, np.sin(g.times) - g.times]),
@@ -369,13 +386,62 @@ def test_worker_threads_do_not_change_values(monkeypatch):
         g.times,
     )
     power = BoundaryData.from_power(1.125, g.times, scales=[1.0, -0.5, 3.0])
-    for data in (sampled, power):
+    # at 64 kernel values a block, each spline row (4 orders x j knots x 8
+    # nodes) is a block of its own; the power rows (8 values each) share one
+    for data, blocks in ((sampled, g.steps), (power, 1)):
         for solve in (solve_halfline, dt_v):
             pools.clear()
             runs = [solve(data, g, workers=w).values for w in (1, 2, 3)]
-            # one pool per threaded call, every time row one job
-            assert pools == [(2, g.steps), (3, g.steps)]
+            # one pool per threaded call, every block of time rows one job
+            assert pools == [(2, blocks), (3, blocks)]
             assert all(np.array_equal(runs[0], r) for r in runs[1:])
+
+
+def block_cases(g):
+    t = g.times
+    sampled = BoundaryData.from_samples(
+        np.vstack([t**2, np.sin(t) - t, t**3 - 0.5 * t**2]),
+        np.vstack([2.0 * t, np.cos(t) - 1.0, 3.0 * t**2 - t]),
+        t,
+    )
+    scales = [1.0, -0.5, 3.0]
+    return [sampled] + [BoundaryData.from_power(nu, t, scales=scales) for nu in (2, 1.375)]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, "default"])
+def test_block_boundaries_move_no_bits(budget, monkeypatch):
+    # budget 1 puts every time row in a block of its own, as a row-wise solve
+    # does; the default splits the 64 spline rows into several blocks
+    g = vgrid(cells=16, steps=64)
+    cases = block_cases(g)
+    default = halfline._KERNEL_BLOCK
+    monkeypatch.setattr(halfline, "_KERNEL_BLOCK", 1)
+    rowwise = {(i, s): s(d, g).values for i, d in enumerate(cases) for s in (solve_halfline, dt_v)}
+    monkeypatch.setattr(halfline, "_KERNEL_BLOCK", default if budget == "default" else budget)
+    for (i, solve), values in rowwise.items():
+        for w in (1, 2, 3):
+            assert np.array_equal(solve(cases[i], g, workers=w).values, values), (i, w)
+
+
+def test_the_kernel_is_evaluated_once_per_block(monkeypatch):
+    calls, ierfc = [], halfline._ierfc
+
+    def counted(orders, z):
+        calls.append(z.shape)
+        return ierfc(orders, z)
+
+    monkeypatch.setattr(halfline, "_ierfc", counted)
+    g = vgrid(cells=8, steps=16)
+    # 16 spline rows hold 4 orders x 136 knots x 8 nodes = 4,352 kernel values,
+    # 16 power rows 128: each fits one block
+    for data in block_cases(g):
+        calls.clear()
+        solve_halfline(data, g)
+        assert len(calls) == 1
+    monkeypatch.setattr(halfline, "_KERNEL_BLOCK", 1)
+    calls.clear()
+    solve_halfline(block_cases(g)[0], g)
+    assert len(calls) == g.steps
 
 
 # -- power data: closed form against the graded quadrature ------------
@@ -584,6 +650,10 @@ def test_stability_gap_validates_inputs():
     d = t2_data(g.times)
     with pytest.raises(ValueError, match="gamma"):
         stability_gap(d, d, g, gamma=1.0)
+    # gamma = inf once gave lhs = rhs = 1.0 and a pass
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            stability_gap(d, d, g, gamma=gamma)
     other = BoundaryData.from_power(2, g.times, scales=[1.0, 2.0])
     with pytest.raises(ValueError, match="paths"):
         stability_gap(d, other, g)

@@ -52,6 +52,13 @@ def test_spec_validation():
         NormSpec(alpha=0.5, pair_policy="random")
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_spec_refuses_a_non_finite_gamma(gamma):
+    # gamma = inf once gave every moment the value 1.0, whatever the field
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        NormSpec(alpha=0.5, gamma=gamma)
+
+
 def test_constant_field_has_zero_seminorms():
     f = static(grid1(), lambda x: np.full_like(x, 3.5))
     assert sup_norm(f, SPEC).value == 3.5
