@@ -33,7 +33,14 @@ import numpy as np
 from . import __version__
 from .fields import FieldEnsemble, SpaceTimeGrid, finite_diff
 from .halfline import BoundaryData, dt_v, solve_halfline, stability_gap
-from .norms import NormSpec, parabolic_seminorm, report_rows, schauder_ratio, time_seminorm
+from .norms import (
+    EXHAUSTIVE_LIMIT,
+    NormSpec,
+    parabolic_seminorm,
+    report_rows,
+    schauder_ratio,
+    time_seminorm,
+)
 from .pipeline import decompose_pipeline
 from .rng import SeedSpec, coarsen, standard_normals, wiener_increments
 from .solver import (
@@ -226,14 +233,15 @@ class _Study:
     """What a study's configuration means: its grid dim (None: either),
     least level count, each sigma key with its tangency rule (True,
     False or None: either), whether the body uses the coefficients (a
-    block given anyway is still gated), and each data key with its
-    default and parser(name, value, levels)."""
+    block given anyway is still gated), each data key with its default
+    and parser(name, value, levels), and the least x1_cells it takes."""
 
     dim: int | None
     levels: int
     sigma: dict
     data: dict
     coefficients: bool = True
+    x1_cells: int = 2
 
 
 _WAVE = {"f_amplitude": (1.0, _number), "f_tangential_wave": (0.5, _number)}
@@ -242,7 +250,7 @@ _STUDIES = {
         1, 2, {"sigma": None},
         {"alpha": ([0.25, 0.5, 0.75], _numbers), "gamma": (2.0, _number),
          "pair_policy": ("auto", _policy)},
-        coefficients=False,
+        coefficients=False, x1_cells=3,
     ),
     "stability": _Study(1, 1, {"sigma": None}, {"gamma": (2.0, _number)}, coefficients=False),
     "compatibility": _Study(
@@ -253,8 +261,11 @@ _STUDIES = {
         2, 1, {"sigma": True},
         {"alpha": (0.5, _number), "gamma": (2.0, _number), "draws": (5, _count),
          "pair_policy": ("dyadic", _policy)},
+        x1_cells=3,
     ),
-    "pipeline": _Study(None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)}),
+    "pipeline": _Study(
+        None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)}, x1_cells=3
+    ),
     "continuity": _Study(
         1, 1, {"sigma": None},
         {"s": (1.0, _number), "s0": (0.9, _number), "iterations": (7, partial(_count, least=3)),
@@ -372,6 +383,9 @@ class ExperimentConfig:
             )
         if self.experiment == "compatibility" and grid.x1_cells % 128 != 0:
             raise ConfigError("profile nodes need x1_cells divisible by 128")
+        if grid.x1_cells < study.x1_cells:
+            least, cells = study.x1_cells, grid.x1_cells
+            raise ConfigError(f"the {self.experiment} study needs x1_cells >= {least}, got {cells}")
         out = {"grid": grid}
         self.coeffs = {}
         if study.coefficients or "coefficients" in self.raw:
@@ -410,6 +424,17 @@ class ExperimentConfig:
                 NormSpec(0.5, **norm)
         except ValueError as exc:
             raise ConfigError(f"bad data block: {exc}") from exc
+        # the largest lattice a study evaluates is the space-time one of its finest level
+        if self.data.get("pair_policy") == "exhaustive":
+            fine = grid
+            for _ in range(self.n_levels - 1):
+                fine = fine.refine()
+            nodes = (fine.steps + 1) * math.prod(fine.space_shape)
+            if nodes > EXHAUSTIVE_LIMIT:
+                raise ConfigError(
+                    f"pair_policy exhaustive: the finest level has {nodes} space-time nodes, "
+                    f"past the exhaustive budget {EXHAUSTIVE_LIMIT}"
+                )
         # the noise bound of the operator each solve steps (L_s0 for the
         # continuation, L_1 = L elsewhere); the base grid binds every level
         for key, co in self.coeffs.items() if study.coefficients else ():
@@ -418,6 +443,14 @@ class ExperimentConfig:
             except ValueError as exc:  # ModelError
                 raise ConfigError(f"coefficients ({key}): {exc}") from exc
         return out
+
+
+def _quotient(report, num, den, index):
+    """num / den; a zero den gives nan and a sentinel row, as schauder_ratio's 0/0 does."""
+    if den:
+        return num / den
+    report.row("sentinel", index=index, value="0/0" if num == 0.0 else "x/0")
+    return math.nan
 
 
 def _ls_slope(residuals):
@@ -608,7 +641,7 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
         for idx, value in zip(deltas_idx, profile):
             report.row("profile", param=idx * grid.dx1, index=label, value=float(value))
 
-    spread = float(np.max(tan) / np.min(tan))
+    spread = _quotient(report, float(np.max(tan)), float(np.min(tan)), "tangential")
     report.verdict("tangential_bounded", spread < 2.0, f"profile max/min {spread:.3f}")
     growing = bool(np.all(np.diff(bad) > 0))
     report.verdict("violating_growth", growing, "profile " + ", ".join(f"{x:.4e}" for x in bad))
@@ -618,30 +651,20 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
 
 
 def _draw_fields(grid, coeffs, cs, scale=1.0):
-    """Smooth trigonometric (f, g) from six draw coefficients."""
-    x1 = grid.x1_nodes
-    x2 = grid.xp_nodes
+    """Smooth trigonometric (f, g) from six draw coefficients, constant in
+    time: one level broadcast over every time node (a zero time stride)."""
+    x1, x2 = grid.x1_nodes, grid.xp_nodes
     wall_bump = np.cos(np.pi * x1 / (2.0 * grid.x1_max))
     interior_bump = np.sin(np.pi * x1 / grid.x1_max)
     cos2 = np.cos(2.0 * np.pi * x2 / grid.xp_max)
     sin2 = np.sin(2.0 * np.pi * x2 / grid.xp_max)
-    f_prof = (
-        cs[0]
-        + 0.5 * cs[1] * cos2[None, :]
-        + 0.5 * cs[2] * wall_bump[:, None] * sin2[None, :]
-    )
-    f_prof = np.broadcast_to(f_prof, (grid.n_x1, grid.n_xp))
-    f_vals = np.broadcast_to(
-        scale * f_prof[None, None, :, :], (1, grid.steps + 1, grid.n_x1, grid.n_xp)
-    ).copy()
+    f_prof = cs[0] + 0.5 * cs[1] * cos2[None, :] + 0.5 * cs[2] * wall_bump[:, None] * sin2[None, :]
     g_prof = (
-        0.5 * cs[3] * interior_bump[:, None] * cos2[None, :]
-        + 0.5 * cs[4] * interior_bump[:, None]
+        0.5 * cs[3] * interior_bump[:, None] * cos2[None, :] + 0.5 * cs[4] * interior_bump[:, None]
     )
-    g_vals = np.broadcast_to(
-        scale * g_prof[None, None, :, :, None],
-        (1, grid.steps + 1, grid.n_x1, grid.n_xp, coeffs.n_modes),
-    ).copy()
+    shape = (1, grid.steps + 1, grid.n_x1, grid.n_xp)
+    f_vals = np.broadcast_to(scale * f_prof, shape)
+    g_vals = np.broadcast_to(scale * g_prof[..., None], shape + (coeffs.n_modes,))
     return FieldEnsemble(f_vals, grid), FieldEnsemble(g_vals, grid, n_modes=coeffs.n_modes)
 
 
@@ -673,9 +696,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
             report.row("lhs", level=j, index=d, value=rep.lhs)
             report.row("rhs", level=j, index=d, value=rep.rhs)
             report.row("ratio", level=j, index=d, value=rep.ratio)
-            report.norm_rows.extend(
-                report_rows(rep.results, f"draw{d}", f"L{j}", seed.master_seed)
-            )
+            report.norm_rows.extend(report_rows(rep.results, f"draw{d}", f"L{j}", seed.master_seed))
             if j == 0:
                 f2, gg2 = _draw_fields(g, coeffs, cs, scale=2.0)
                 u2 = solve_model_halfspace(coeffs, Forcing(f=f2, g=gg2), g, noises[0])
@@ -696,9 +717,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
         )
 
     # zero data: both sides vanish, sentinel reported, no verdict
-    zero_f = FieldEnsemble(
-        np.zeros((1, grids[0].steps + 1) + grids[0].space_shape), grids[0]
-    )
+    zero_f = FieldEnsemble(np.zeros((1, grids[0].steps + 1) + grids[0].space_shape), grids[0])
     u0 = solve_model_halfspace(coeffs, Forcing(f=zero_f), grids[0], noises[0])
     rep0 = schauder_ratio(u0, zero_f, None, spec)
     report.row("ratio", level=0, index="zero", value=rep0.ratio)
@@ -792,11 +811,13 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     diffs = [float(d) for d in diffs]
     for m, d in enumerate(diffs, start=1):
         report.row("diff", index=m, value=d)
-    ratios = [diffs[i] / diffs[i - 1] for i in range(1, len(diffs))]
+    # an iterate equal to its predecessor leaves an exact 0 difference, and
+    # every later difference is 0 too: a quotient by it is a sentinel
+    ratios = [_quotient(report, d, p, i) for i, (p, d) in enumerate(zip(diffs, diffs[1:]), 2)]
     for i, r in enumerate(ratios, start=2):
         report.row("ratio", index=i, value=r)
     contracting = all(r < 1.0 for r in ratios)
-    spread = max(ratios) / min(ratios)
+    spread = _quotient(report, np.max(ratios), np.min(ratios), "spread")  # nan propagates
     report.verdict("contraction", contracting, "ratios " + ", ".join(f"{r:.4f}" for r in ratios))
     report.verdict("ratio_constancy", spread <= 1.25, f"ratio max/min {spread:.4f}")
 

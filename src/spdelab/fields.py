@@ -199,15 +199,24 @@ def finite_diff(f: FieldEnsemble, beta) -> FieldEnsemble:
     half-space; the tangential direction wraps periodically.  Mixed
     derivatives compose the one-dimensional operators (normal first,
     then tangential, matching centered-tangential-of-one-sided-normal
-    at near-wall nodes).
+    at near-wall nodes).  Time-constant data (a zero time stride) is
+    differenced on one time level and stays a broadcast view.
     """
     beta = tuple(int(k) for k in beta)
     if len(beta) != f.grid.dim:
         raise ValueError(f"beta {beta} has wrong length for dim {f.grid.dim}")
     if any(k < 0 for k in beta) or sum(beta) > 2:
         raise ValueError(f"multi-index {beta} outside |beta| <= 2")
-    out = f.values
+    out = _one_level(f.values)
     for d, order in enumerate(beta):
         if order:
             out = _diff(out, _axis_spacing(f.grid, d), 2 + d, _axis_periodic(f.grid, d), order)
+    if out.shape != f.values.shape:  # one level of time-constant data
+        out = np.broadcast_to(out, f.values.shape)
     return FieldEnsemble(out, f.grid, f.n_modes)
+
+
+def _one_level(values):
+    """values, or their first time level (C-contiguous) if the time stride is
+    0: time-constant data, which broadcasts one level over every time node."""
+    return np.ascontiguousarray(values[:, :1]) if values.strides[1] == 0 else values

@@ -22,7 +22,7 @@ offset are one difference of two slices of the field.  Denominators
 are looked up by |offset|.  The field is copied once with paths as the
 contiguous axis after the grid axes, so paths are summed in the order a
 gathered pair list would sum them, bit for bit.  Differences pass through
-one reused buffer in blocks of leading rows of about 2^18 bytes, at least
+one reused buffer in blocks of leading rows of about 2^19 bytes, at least
 one row of every batch entry (an exhaustive row holds (trailing nodes)^2
 x paths values); for gamma = 2 without modes a block is squared in place
 and summed over paths in numpy's pairwise order, the arithmetic of
@@ -33,6 +33,11 @@ Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
 smallest (qa, qb) in triu order; the space seminorm takes the earliest
 time level first.  If every quotient vanishes the argmax is ``()``.
+
+Time-constant data (a zero time stride, as the Schauder data f and g
+have) takes its sup norm and space seminorm on time level 0 alone: ties
+keep level 0, so value and argmax equal the full pass; ``pairs`` still
+counts every level.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldEnsemble, finite_diff
+from .fields import FieldEnsemble, _one_level, finite_diff
 
 __all__ = [
     "NormSpec",
@@ -95,8 +100,8 @@ def _multi_indices(dim, order):
     return [(order - k, k) for k in range(order + 1)]
 
 
-# values per block of the difference buffer: 2^18 bytes of float64
-_BLOCK = 2**15
+# values per block of the difference buffer: 2^19 bytes of float64
+_BLOCK = 2**16
 # most grid nodes the exhaustive policy enumerates; auto turns dyadic beyond
 EXHAUSTIVE_LIMIT = 20000
 
@@ -316,14 +321,15 @@ def _keep(best, beta, v, argmax):
 
 
 def _sup_update(best, beta, g, spec):
-    prof = _moment(g.values, spec.gamma, g.n_modes > 0)
+    prof = _moment(_one_level(g.values), spec.gamma, g.n_modes > 0)
     k = int(np.argmax(prof))
     _keep(best, beta, float(prof.ravel()[k]), np.unravel_index(k, prof.shape))
 
 
 def _space_update(best, beta, g, spec):
     shape, spacings, periodic = _grid_geometry(g.grid, with_time=False)
-    st, v, j, arg = _stencil_max(g.values, g.n_modes, shape, spacings, periodic, None, spec)
+    values = _one_level(g.values)
+    st, v, j, arg = _stencil_max(values, g.n_modes, shape, spacings, periodic, None, spec)
     best.kind = f"space_seminorm[{st.policy}]"
     best.pairs = st.pairs * (g.grid.steps + 1)
     _keep(best, beta, v, (j,) + arg)
@@ -412,7 +418,6 @@ class SchauderReport:
     rhs: float
     ratio: float
     sentinel: str = ""
-    parts: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
 
 
@@ -432,25 +437,15 @@ def schauder_ratio(u, f, g, spec: NormSpec) -> SchauderReport:
     f_space = space_seminorm(f, spec, m=0)
     f_trace_sup, f_trace_semi = trace_parabolic_norm(f, spec)
     rhs = f_sup.value + f_space.value + f_trace_sup + f_trace_semi.value
-    parts = {
-        "u_sup_m2": lhs_sup.value,
-        "u_parabolic_m2": lhs_semi.value,
-        "f_sup": f_sup.value,
-        "f_space_seminorm": f_space.value,
-        "f_trace_sup": f_trace_sup,
-        "f_trace_seminorm": f_trace_semi.value,
-    }
     results = [lhs_sup, lhs_semi, f_sup, f_space, f_trace_semi]
     if g is not None:
         g_sup, g_space = _norms(g, spec, 1, "sup", "space_seminorm")
         rhs += g_sup.value + g_space.value
-        parts["g_sup_m1"] = g_sup.value
-        parts["g_space_seminorm_m1"] = g_space.value
         results += [g_sup, g_space]
 
     if lhs == 0.0 and rhs == 0.0:
-        return SchauderReport(lhs, rhs, math.nan, sentinel="0/0", parts=parts, results=results)
-    return SchauderReport(lhs, rhs, lhs / rhs, parts=parts, results=results)
+        return SchauderReport(lhs, rhs, math.nan, sentinel="0/0", results=results)
+    return SchauderReport(lhs, rhs, lhs / rhs, results=results)
 
 
 def report_rows(results, field_id, grid_id, seed) -> list:

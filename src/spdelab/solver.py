@@ -161,28 +161,11 @@ class Forcing:
 # -- discrete operators ----------------------------------------------
 
 
-def _sp_dirichlet_d2(n, h):
-    main = np.full(n, -2.0) / h**2
-    off = np.ones(n - 1) / h**2
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _sp_dirichlet_d1(n, h):
-    off = np.ones(n - 1) / (2.0 * h)
-    return sp.diags([-off, off], [-1, 1], format="csr")
-
-
 def _sp_periodic_d2(n, h):
     # the diagonals at offsets -(n-1) and n-1 are the two wrap corners
     one = np.ones(n - 1)
     m = sp.diags([[1.0], one, np.full(n, -2.0), one, [1.0]], [1 - n, -1, 0, 1, n - 1])
     return (m / h**2).tocsr()
-
-
-def _sp_periodic_d1(n, h):
-    one = np.ones(n - 1)
-    m = sp.diags([[1.0], -one, one, [-1.0]], [1 - n, -1, 1, n - 1])
-    return (m / (2.0 * h)).tocsr()
 
 
 class _DirichletLine:
@@ -220,18 +203,24 @@ def _implicit_matrix(a, grid):
             m = sp.identity(n, format="csr") - dt * a[0, 0] * _sp_periodic_d2(n, grid.dx1)
             return splu(m.tocsc())
         return _DirichletLine(grid.n_x1 - 2, dt * a[0, 0] / grid.dx1**2)
-    n1 = grid.n_x1 - 2
-    n2 = grid.n_xp
-    eye1 = sp.identity(n1, format="csr")
-    eye2 = sp.identity(n2, format="csr")
-    op = a[0, 0] * sp.kron(_sp_dirichlet_d2(n1, grid.dx1), eye2)
-    op = op + a[1, 1] * sp.kron(eye1, _sp_periodic_d2(n2, grid.dxp))
+    # the 5- or 9-point stencil at each unknown node (i1, i2), x1 major, in the
+    # arithmetic of the Kronecker sum of Dirichlet x1 and periodic x' stencils;
+    # the matrix is symmetric, so a column lists its rows as a row its columns
+    n1, n2, h1, h2 = grid.n_x1 - 2, grid.n_xp, grid.dx1, grid.dxp
+    side1, side2 = -(dt * (a[0, 0] * (1.0 / h1**2))), -(dt * (a[1, 1] * (1.0 / h2**2)))
+    stencil = {(0, 0): 1.0 - dt * (a[0, 0] * (-2.0 / h1**2) + a[1, 1] * (-2.0 / h2**2)),
+               (-1, 0): side1, (1, 0): side1, (0, -1): side2, (0, 1): side2}
     if a[0, 1] != 0.0:
-        op = op + 2.0 * a[0, 1] * sp.kron(
-            _sp_dirichlet_d1(n1, grid.dx1), _sp_periodic_d1(n2, grid.dxp)
-        )
-    m = sp.identity(n1 * n2, format="csr") - dt * op
-    return splu(m.tocsc())
+        for s1, s2 in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            stencil[s1, s2] = -(dt * (2.0 * a[0, 1] * ((s1 / (2.0 * h1)) * (s2 / (2.0 * h2)))))
+    (d1, d2), vals = np.array(list(stencil)).T, np.array(list(stencil.values()))
+    i1, i2 = np.divmod(np.arange(n1 * n2)[:, None], n2)
+    rows = np.where((0 <= i1 + d1) & (i1 + d1 < n1), (i1 + d1) * n2 + (i2 + d2) % n2, -1)
+    order = np.argsort(rows, axis=1)  # ascending rows; the -1 off the line come first
+    rows = np.take_along_axis(rows, order, 1)
+    keep = rows >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return splu(sp.csc_matrix((vals[order][keep], rows[keep], indptr), shape=(n1 * n2,) * 2))
 
 
 def _cfl_check(coeffs, grid):

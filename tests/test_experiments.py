@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spdelab
 from spdelab import dt_v, experiments, halfline, stability_gap
@@ -161,8 +164,21 @@ def _checked_in(study, **grid):
         ),
         (_checked_in("compatibility", x1_cells=96), "divisible by 128"),
         (_checked_in("halfline_lemma", dim=2, xp_max=1.0, xp_cells=4), "needs a dim-1 grid"),
+        # D11's one-sided closure reads 4 nodes; finite_diff would raise after the solves
+        (_checked_in("schauder_ratio", x1_cells=2), "needs x1_cells >= 3, got 2"),
+        (_checked_in("halfline_lemma", x1_cells=2), "needs x1_cells >= 3, got 2"),
+        (_checked_in("pipeline", x1_cells=2), "needs x1_cells >= 3, got 2"),
+        # 257 x 513 nodes at level 2; _stencil_max would raise after the solves
+        (
+            dict(_checked_in("halfline_lemma", x1_cells=128, steps=16),
+                 data={"pair_policy": "exhaustive"}),
+            "131841 space-time nodes, past the exhaustive budget 20000",
+        ),
     ],
-    ids=["continuity-dim2", "compatibility-dim1", "compatibility-x1-cells", "halfline-dim2"],
+    ids=[
+        "continuity-dim2", "compatibility-dim1", "compatibility-x1-cells", "halfline-dim2",
+        "schauder-x1-2", "halfline-x1-2", "pipeline-x1-2", "halfline-exhaustive-budget",
+    ],
 )
 def test_validate_checks_the_grid_the_study_needs(raw, message, tmp_path, capsys):
     # each config passes every coefficient check; only its grid is wrong
@@ -182,6 +198,42 @@ def test_validate_refuses_a_step_past_the_noise_bound(study, steps, tmp_path, ca
         ExperimentConfig.from_dict(raw).validate()
     assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
     assert "noise stability" in capsys.readouterr().err
+
+
+def _tiny_run(study, grid, ensemble, data=None):
+    """run_study of a checked-in config on another grid, warnings as errors."""
+    raw = _checked_in(study, **grid)
+    raw["ensemble"].update(ensemble)
+    raw["data"].update(data or {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_study(ExperimentConfig.from_dict(raw))
+
+
+def test_continuity_reports_an_exact_zero_difference_as_a_sentinel():
+    # the differences are 1.9e-17, 8.0e-27 and then exactly 0.0, so the
+    # last ratio is 0 and the ratio spread divides by it
+    rep = _tiny_run(
+        "continuity", {"x1_max": 10.0, "x1_cells": 5, "t_max": 1e-4, "steps": 3},
+        {"paths": 2}, {"iterations": 4},
+    )
+    assert [r["value"] for r in rep.rows if r["record"] == "diff"][-1] == 0.0
+    assert [r["value"] for r in rep.rows if r["record"] == "ratio"][-1] == 0.0
+    assert [(r["index"], r["value"]) for r in rep.rows if r["record"] == "sentinel"] == [
+        ("spread", "x/0")
+    ]
+    assert [v.name for v in rep.verdicts if not v.passed] == ["ratio_constancy"]
+
+
+def test_compatibility_reports_a_zero_profile_minimum_as_a_sentinel():
+    # at t_max 1e-4 the profile is exactly 0 at the farthest probe node, x1 = 1.25
+    rep = _tiny_run("compatibility", {"x1_max": 10.0, "t_max": 1e-4, "steps": 8}, {"paths": 2})
+    profile = [r["value"] for r in rep.rows if r["record"] == "profile"]
+    assert profile[0] == 0.0 < min(profile[1:5])
+    assert rep.rows[-1] == {
+        "record": "sentinel", "level": None, "param": None, "index": "tangential", "value": "x/0"
+    }
+    assert "max/min nan" in rep.verdicts[0].detail and not rep.verdicts[0].passed
 
 
 def test_continuity_bound_is_that_of_the_frozen_operator():
@@ -696,3 +748,63 @@ def test_cli_kernel_reports_a_missed_quadrature_in_one_line(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.err.startswith("quadrature error: kernel_mass")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+# -- the gate's contract --------------------------------------------------
+
+# data values near the checked-in ones; a key may also be left out
+_DATA_DRAWS = {
+    "halfline_lemma": {"alpha": [[0.5], [0.25, 0.75]], "gamma": [2.0, 3.0],
+                       "pair_policy": ["auto", "exhaustive", "dyadic"]},
+    "stability": {"gamma": [2.0, 3.0]},
+    "compatibility": {"f_amplitude": [0.0, 1.0], "f_tangential_wave": [0.0, 0.25],
+                      "g_violating_amplitude": [0.0, 0.3]},
+    "schauder_ratio": {"alpha": [0.25, 0.75], "gamma": [2.0, 3.0],
+                       "pair_policy": ["auto", "exhaustive", "dyadic"]},
+    "pipeline": {"f_amplitude": [0.0, 1.0], "f_tangential_wave": [0.0, 0.5],
+                 "kernel_check_level": [0, 1]},
+    "continuity": {"s": [1.0, 0.95], "s0": [0.9, 0.5], "f_amplitude": [0.0, 1.0]},
+}
+
+
+@st.composite
+def near_checked_in(draw):
+    """A checked-in config on a small grid: 1-3 levels, 1-3 paths, data varied."""
+    study = draw(st.sampled_from(sorted(_DATA_DRAWS)))
+    raw = json.loads((CONFIGS / f"{study}.json").read_text())
+    raw["grid"].update(
+        x1_max=draw(st.sampled_from([raw["grid"]["x1_max"], 10.0])),
+        x1_cells=draw(st.sampled_from([128] if study == "compatibility" else [2, 3, 5])),
+        t_max=draw(st.sampled_from([raw["grid"]["t_max"], 1e-4])),
+        steps=draw(st.sampled_from([1, 3, 8])),
+    )
+    if raw["grid"]["dim"] == 2:
+        raw["grid"]["xp_cells"] = draw(st.sampled_from([4, raw["grid"]["xp_cells"]]))
+    raw["levels"] = draw(st.integers(1, 3))
+    raw.setdefault("ensemble", {})["paths"] = draw(st.integers(1, 3))
+    # the two counts the run time grows with are always set, and small
+    data = {}
+    if study == "schauder_ratio":
+        data["draws"] = draw(st.integers(1, 2))
+    if study == "continuity":
+        data["iterations"] = draw(st.integers(3, 4))
+    for key, values in _DATA_DRAWS[study].items():
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            data[key] = value
+    raw["data"] = data
+    return raw
+
+
+@settings(max_examples=60)
+@given(near_checked_in())
+def test_a_config_the_gate_admits_runs_to_a_report(raw):
+    # validate() refuses it, or run_study returns a report; verdicts may fail
+    config = ExperimentConfig.from_dict(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config.validate()
+        except ConfigError:
+            return
+        assert isinstance(run_study(config), StudyReport)

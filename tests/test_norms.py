@@ -195,16 +195,18 @@ def test_schauder_ratio_parts_sum_to_sides():
     f = FieldEnsemble(rng.normal(size=(2, g.steps + 1, g.n_x1)), g)
     gg = FieldEnsemble(rng.normal(size=(2, g.steps + 1, g.n_x1, 2)), g, n_modes=2)
     rep = schauder_ratio(u, f, gg, SPEC)
-    p = rep.parts
-    assert rep.lhs == pytest.approx(p["u_sup_m2"] + p["u_parabolic_m2"])
+    # each part recomputed with the public norm functions
+    lhs = sup_norm(u, SPEC, m=2).value + parabolic_seminorm(u, SPEC, m=2).value
+    trace_sup, trace_semi = trace_parabolic_norm(f, SPEC)
     rhs = (
-        p["f_sup"]
-        + p["f_space_seminorm"]
-        + p["f_trace_sup"]
-        + p["f_trace_seminorm"]
-        + p["g_sup_m1"]
-        + p["g_space_seminorm_m1"]
+        sup_norm(f, SPEC).value
+        + space_seminorm(f, SPEC).value
+        + trace_sup
+        + trace_semi.value
+        + sup_norm(gg, SPEC, m=1).value
+        + space_seminorm(gg, SPEC, m=1).value
     )
+    assert rep.lhs == pytest.approx(lhs)
     assert rep.rhs == pytest.approx(rhs)
     assert rep.ratio == pytest.approx(rep.lhs / rep.rhs)
     assert rep.sentinel == ""
@@ -242,6 +244,43 @@ def test_schauder_ratio_forms_each_derivative_once(values, monkeypatch):
     assert len(calls) == 7 and len(set(calls)) == 5
     assert rep.results == separate
     assert [str(r.argmax) for r in rep.results] == [str(r.argmax) for r in separate]
+
+
+@pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
+@pytest.mark.parametrize("values", ["normal", "ties"])
+def test_time_constant_data_is_evaluated_on_one_level(policy, values, monkeypatch):
+    # data with a zero time stride is the same at every time node: its norms
+    # come from level 0 alone, with the value, argmax and pairs of the full pass
+    spec = NormSpec(alpha=0.5, pair_policy=policy)
+    grids = [
+        SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=6, xp_max=1.0, xp_cells=5),
+        grid1(cells=7, steps=5),
+    ]
+    batches, stencil_max = [], norms._stencil_max
+    monkeypatch.setattr(
+        norms, "_stencil_max", lambda v, *args: batches.append(v.shape[1]) or stencil_max(v, *args)
+    )
+    for g in grids:
+        rng = np.random.default_rng(g.dim)
+        for paths, n_modes in ((1, 0), (3, 2)):
+            level = (paths, 1) + g.space_shape + ((n_modes,) if n_modes else ())
+            # small integers tie across pairs and derivatives, and every level ties
+            one = rng.normal(size=level) if values == "normal" else rng.integers(-1, 2, level) * 1.0
+            const = np.broadcast_to(one, (paths, g.steps + 1) + level[2:])
+            later = const.copy()
+            later[:, -1] += 1.0  # a field whose last level differs
+            fields = [FieldEnsemble(v, g, n_modes) for v in (const, const.copy(), later)]
+            for m in (0, 1):
+                for norm in (sup_norm, space_seminorm):
+                    seen = []
+                    for f in fields:
+                        batches.clear()
+                        seen.append((norm(f, spec, m), set(batches)))
+                    (one_level, one_batch), (full, full_batch), (_, later_batch) = seen
+                    assert one_level == full and str(one_level.argmax) == str(full.argmax)
+                    if norm is space_seminorm:
+                        assert one_batch == {1}
+                        assert full_batch == later_batch == {g.steps + 1}
 
 
 def test_report_rows_carry_the_canonical_columns():

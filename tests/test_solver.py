@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
 
 from spdelab import (
     BlowUpError,
@@ -31,7 +32,6 @@ from spdelab.pipeline import _line_step
 from spdelab.solver import (
     _DirichletLine,
     _integrand,
-    _sp_periodic_d1,
     _sp_periodic_d2,
     _Stepper,
 )
@@ -313,7 +313,47 @@ def lil_periodic(n, h, order):
 def test_periodic_stencils_match_the_row_by_row_construction(n):
     h = 0.3 / n
     assert np.array_equal(_sp_periodic_d2(n, h).toarray(), lil_periodic(n, h, 2).toarray())
-    assert np.array_equal(_sp_periodic_d1(n, h).toarray(), lil_periodic(n, h, 1).toarray())
+
+
+def kron_implicit_matrix(a, grid):
+    """Reference: I - dt a:D^2 as a sum of Kronecker products of 1-D stencils,
+    Dirichlet along x1 and periodic along x'."""
+    n1, n2, h1, h2 = grid.n_x1 - 2, grid.n_xp, grid.dx1, grid.dxp
+    off1, one2 = np.ones(n1 - 1), np.ones(n2 - 1)
+    main1 = np.full(n1, -2.0) / h1**2
+    d2_x1 = sp.diags([off1 / h1**2, main1, off1 / h1**2], [-1, 0, 1], format="csr")
+    d1_x1 = sp.diags([-off1 / (2.0 * h1), off1 / (2.0 * h1)], [-1, 1], format="csr")
+    d1_xp = (sp.diags([[1.0], -one2, one2, [-1.0]], [1 - n2, -1, 1, n2 - 1]) / (2.0 * h2)).tocsr()
+    eye1, eye2 = sp.identity(n1, format="csr"), sp.identity(n2, format="csr")
+    op = a[0, 0] * sp.kron(d2_x1, eye2)
+    op = op + a[1, 1] * sp.kron(eye1, _sp_periodic_d2(n2, h2))
+    if a[0, 1] != 0.0:
+        op = op + 2.0 * a[0, 1] * sp.kron(d1_x1, d1_xp)
+    return (sp.identity(n1 * n2, format="csr") - grid.dt * op).tocsc()
+
+
+@pytest.mark.parametrize("a12", [0.1, 0.0])
+@pytest.mark.parametrize(
+    "x1_cells, xp_cells, steps",
+    # pipeline and compatibility, the three schauder_ratio levels, the
+    # shortest x' lines and a one-row x1 line
+    [(32, 8, 128), (128, 8, 512), (128, 8, 64), (12, 6, 32), (24, 12, 128), (48, 24, 512),
+     (5, 4, 16), (6, 5, 16), (2, 4, 8)],
+)
+def test_implicit_matrix_matches_the_kronecker_sum(monkeypatch, a12, x1_cells, xp_cells, steps):
+    grid = SpaceTimeGrid(dim=2, x1_max=2.0, x1_cells=x1_cells, t_max=0.05, steps=steps,
+                         xp_max=1.0, xp_cells=xp_cells)
+    a = np.array([[1.2, a12], [a12, 1.0]])
+    seen = []
+    monkeypatch.setattr(solver, "splu", lambda m: seen.append(m) or splu(m))
+    lu = solver._implicit_matrix(a, grid)
+    ref = kron_implicit_matrix(a, grid)
+    (m,) = seen
+    assert m.format == "csc" and m.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(m, part), getattr(ref, part)), part
+    rhs = np.random.default_rng(x1_cells).normal(size=(ref.shape[0], 3))
+    assert np.array_equal(lu.solve(rhs), splu(ref).solve(rhs))
 
 
 # -- the factored Dirichlet line ----------------------------------------
