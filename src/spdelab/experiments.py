@@ -49,6 +49,7 @@ from .solver import (
     _cfl_check,
     _check_inputs,
     _integrand,
+    _path_sum,
     _Stepper,
     check_compatibility,
     check_parabolicity,
@@ -619,24 +620,26 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
 
     deltas_idx = [grid.x1_cells >> k for k in range(3, 8)]
     near = np.add.outer([-1, 0, 1], deltas_idx)  # the D11 stencil rows at each delta
-    # both variants share a and the noise, so they step as one stack
+    # both variants share a and the noise, so they step as one (*space, 2, paths) stack
     step = _Stepper(co_tan.a, grid)
-    u = np.zeros((2, config.n_paths) + grid.space_shape)
-    shape = u[0, :, 1:-1].shape  # the unknown nodes of one variant
-    peak = np.zeros((2, len(deltas_idx), grid.n_xp))  # max over time of E|D11 u|^2
+    u = np.zeros(grid.space_shape + (2, config.n_paths))
+    shape = u[1:-1, ..., 0, :].shape  # the unknown nodes of one variant
+    peak = np.zeros((len(deltas_idx), grid.n_xp, 2))  # max over time of the path sums of D11 u^2
+    f_vals = np.moveaxis(f.values[:, :, 1:-1], 0, -1)[..., None, :]  # (steps+1, *space, 1, paths)
     for j in range(grid.steps):
-        modes = zip(*(_integrand(co.sigma, v, grid, gv) for v, (co, gv) in zip(u, variants)))
+        each = (_integrand(co.sigma, u[..., i, :], grid, gv) for i, (co, gv) in enumerate(variants))
+        modes = zip(*each)
         # a mode silent in one variant adds an exact zero to that variant
         g = [
             None if all(t is None for t in mode)
-            else np.stack([np.broadcast_to(0.0 if t is None else t, shape) for t in mode])
+            else np.stack([np.broadcast_to(0.0 if t is None else t, shape) for t in mode], -2)
             for mode in modes
         ]
-        u[:, :, 1:-1] = step(u, noise.increments[:, j], j, f.values[:, j, 1:-1], g)
-        lo, mid, hi = np.moveaxis(u[:, :, near], 2, 0)
+        u[1:-1] = step(u, noise.increments[:, j], j, f_vals[j], g)
+        lo, mid, hi = u[near]
         d11 = (lo - 2.0 * mid + hi) / (grid.dx1 * grid.dx1)
-        np.maximum(peak, np.mean(d11 * d11, axis=1), out=peak)
-    tan, bad = np.sqrt(np.max(peak, axis=2))
+        np.maximum(peak, _path_sum(d11 * d11), out=peak)
+    tan, bad = np.sqrt(np.max(peak, axis=1).T / config.n_paths)  # max commutes with / n_paths
     for label, profile in (("tangential", tan), ("violating", bad)):
         for idx, value in zip(deltas_idx, profile):
             report.row("profile", param=idx * grid.dx1, index=label, value=float(value))

@@ -28,9 +28,9 @@ and W1 to it, and then steps u and U to slice j + 1 with the solver's
 `_Stepper`; no field history is stored.  U's heat forcing sigma^{2k}
 D2 u is u's own noise integrand, so the loop forms it once per step
 (`_integrand`) and hands it to both steps, u's for the operator a and
-U's for the Laplacian.  The wall rows of f_tilde and D11 v
-are the one-sided x1 = 0 closures of the difference stencils, applied
-to x1 rows 0-3 directly, and W0 and W1 share one line solve per step.
+U's for the Laplacian.  The wall rows of f_tilde and D11 v are the
+one-sided x1 = 0 closures of the difference stencils, applied to x1
+rows 0-3 directly, and W0 and W1 share one in-place line solve per step.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .solver import (
     _check_inputs,
     _DirichletLine,
     _integrand,
+    _path_sum,
     _Stepper,
     check_compatibility,
 )
@@ -86,25 +87,22 @@ class PipelineOutput:
 
 
 def _line_step(line, r, w, wall):
-    """One backward-Euler step of the unit heat equation in x1.
+    """One backward-Euler step of the unit heat equation in x1, in place.
 
-    w: (paths, n_x1[, n_xp]) at step j; wall: the Dirichlet data at x1 = 0
-    for step j + 1.  The far end is clamped to zero, which is valid when
-    the grid satisfies the truncation-error rule.
+    w: (n_x1, ...) at step j; wall: the Dirichlet data at x1 = 0 for step
+    j + 1, shaped like w[0].  Row n-1 is never written: from a zero start
+    the far end stays clamped to zero, which is valid when the grid
+    satisfies the truncation-error rule.
     """
-    rhs = np.moveaxis(w[:, 1:-1, ...], 1, 0).copy()
-    rhs[0] += r * wall
-    sol = line.solve(rhs.reshape(line.n, -1))
-    out = np.zeros_like(w)
-    out[:, 1:-1, ...] = np.moveaxis(sol.reshape(rhs.shape), 0, 1)
-    out[:, 0, ...] = wall
-    return out
+    w[1] += r * wall
+    w[1:-1] = line.solve(w[1:-1].reshape(line.n, -1)).reshape(w[1:-1].shape)
+    w[0] = wall
 
 
 def _wall_diff(v, n1, n2, grid):
-    """Wall row of D1^n1 D2^n2 v (paths, n_x1[, n_xp]), n1 >= 1, the x1 = 0 closure alone."""
-    out = _closure(v.swapaxes(0, 1), n1, grid.dx1)
-    return _diff(out, grid.dxp, 1, True, n2) if n2 else out
+    """Wall row of D1^n1 D2^n2 v (n_x1[, n_xp], ...), n1 >= 1, the x1 = 0 closure alone."""
+    out = _closure(v, n1, grid.dx1)
+    return _diff(out, grid.dxp, 0, True, n2) if n2 else out
 
 
 def _kernel_check(cap_h, b, c, refs, grid, probes):
@@ -138,7 +136,9 @@ def decompose_pipeline(
     and a Dirichlet wall; the drift forcing f may have a nonzero wall
     trace, which is exactly what activates the V profiles.  The
     noise-forcing slot stays empty here: gradient noise enters through
-    the coefficients alone.
+    the coefficients alone.  The loop stores u, U, W0 over W1 (n_x1, 2[,
+    n_xp], paths) and the wall histories space first and paths last, as
+    the stepper does, and moves paths to the front once, for the output.
     """
     comp = check_compatibility(coeffs)
     if not comp.passed:
@@ -156,7 +156,7 @@ def decompose_pipeline(
     r = dt / grid.dx1**2
     line = _DirichletLine(grid.n_x1 - 2, r)
     times = grid.times
-    wall_shape = (paths, grid.steps + 1) + grid.space_shape[1:]
+    wall_shape = (grid.steps + 1,) + grid.space_shape[1:] + (paths,)
     b, cap_h, wall_f = np.empty(wall_shape), np.zeros(wall_shape), np.empty(wall_shape)
     probes = []
     if kernel_check:
@@ -164,50 +164,52 @@ def decompose_pipeline(
         if grid.dim == 2:
             probes.append((paths - 1, grid.n_xp // 2))
     refs = [np.zeros((grid.steps + 1, grid.n_x1)) for _ in probes]
-    state = (paths,) + grid.space_shape
+    state = grid.space_shape + (paths,)
     u, big = np.zeros(state), np.zeros(state)  # stepped in place on the unknown rows
-    w01 = np.zeros((2 * paths,) + grid.space_shape)  # W0 over W1 along the paths axis
+    w01 = np.zeros((grid.n_x1, 2) + state[1:])  # W0 and W1 on axis 1, stepped in place
     recon_err, big_max = 0.0, 0.0
+    f_vals = np.moveaxis(f.values, 0, -1)  # (steps+1, *space, paths)
     for j in range(grid.steps + 1):
         tilde = u - big
         # translated forcing: freeze every second-order term except a11 D11;
         # the D22 terms would read only x1 = 0 rows, pinned at 0 by the wall
-        ft = f.values[:, j, 0] + (a11 - 1.0) * _wall_diff(big, 2, 0, grid)
+        ft = f_vals[j, 0] + (a11 - 1.0) * _wall_diff(big, 2, 0, grid)
         if grid.dim == 2:
             a12 = coeffs.a[0, 1]
             ft += 2.0 * (a12 * _wall_diff(big, 1, 1, grid))
             ft += 2.0 * (a12 * _wall_diff(tilde, 1, 1, grid))
-        b[:, j] = ft / a11
+        b[j] = ft / a11
         if j == 0:
-            c = b[:, 0].copy()
+            c = b[0].copy()
         else:
             # the running sum of scipy's cumulative_trapezoid, bit for bit
-            cap_h[:, j] = cap_h[:, j - 1] + dt * ((b[:, j] - c) + (b[:, j - 1] - c)) / 2.0
+            cap_h[j] = cap_h[j - 1] + dt * ((b[j] - c) + (b[j - 1] - c)) / 2.0
         # V0 = H + W0 and V1 = t c + W1; one line solve steps both profiles
-        offset = np.concatenate((cap_h[:, j], times[j] * c))
+        offset = np.stack((cap_h[j], times[j] * c))
         if j:
-            w01 = _line_step(line, r, w01, -offset)
-        v01 = w01 + offset[:, None, ...]
-        v0, v1 = v01[:paths], v01[paths:]
+            _line_step(line, r, w01, -offset)
+        v01 = w01 + offset
+        v0, v1 = v01[:, 0], v01[:, 1]
         v = v0 + v1
         remainder = tilde - v
         recon = u - (big + v0 + v1 + remainder)
         recon_err = max(recon_err, float(np.max(np.abs(recon))))
         big_max = max(big_max, float(np.max(np.abs(big))))
         # residual forcing felt by the remainder; its wall trace is the metric
-        wall_f[:, j] = (a11 - 1.0) * _wall_diff(v, 2, 0, grid) + ft - b[:, j]
+        wall_f[j] = (a11 - 1.0) * _wall_diff(v, 2, 0, grid) + ft - b[j]
         for ref, (path, col) in zip(refs, probes):
-            ref[j] = w01[path, :, col] if grid.dim == 2 else w01[path]
+            ref[j] = w01[:, 0, col, path] if grid.dim == 2 else w01[:, 0, path]
         if j == grid.steps:
             break
         dw, g = noise.increments[:, j], _integrand(sig, u, grid)
         if heat is not None:
-            big[:, 1:-1] = heat(big, dw, j, g=g)
-        u[:, 1:-1] = step(u, dw, j, f.values[:, j, 1:-1], g)
+            big[1:-1] = heat(big, dw, j, g=g)
+        u[1:-1] = step(u, dw, j, f_vals[j, 1:-1], g)
 
+    b, c, cap_h = (np.moveaxis(x, -1, 0) for x in (b, c, cap_h))  # paths first again
     # the slope of H at zero is b(0) - c, which is zero by construction
     h_slope_defect = float(np.max(np.abs(b[:, 0, ...] - c)))
-    moment = np.mean(wall_f * wall_f, axis=0)  # E|F|^2, shape (nt[, n_xp])
+    moment = _path_sum(wall_f * wall_f) / paths  # E|F|^2, shape (nt[, n_xp])
     residual_profile = np.max(moment, axis=tuple(range(1, moment.ndim)))
     window = times >= SPINUP_FRACTION * grid.t_max - 1e-15
     return PipelineOutput(

@@ -109,8 +109,8 @@ def standard_normals(seed, path_idx, step_idx, mode_idx):
 
 def wiener_increments(seed, n_paths, n_steps, n_modes=1, *, dt):
     """Generate a WienerBatch of iid N(0, dt) increments."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_steps < 1 or n_modes < 1:
         raise ValueError("need at least one step and one mode")
     z = standard_normals(seed, np.arange(n_paths), np.arange(n_steps), np.arange(n_modes))

@@ -15,6 +15,9 @@ how paths are blocked across workers.  The step is written once, in
 `_Stepper`, for the unknown nodes of a stack of states; it knows only
 the operator a, and each caller (the time loop, the continuation, the
 wall decomposition, the compatibility study) forms the noise integrand.
+Stepped states are stored space first and paths last, (*space, *stack,
+paths), so x1 slices are contiguous blocks; the public fields keep their
+path-major shapes, and the loops transpose at that boundary.
 
 Coefficient admissibility is the two-sided parabolicity condition
 kappa |xi|^2 + sigma sigma^T <= 2 a <= K |xi|^2; the boundary theory
@@ -91,8 +94,8 @@ class ModelCoefficients:
                 raise ModelError(f"{name} must have shape {shape}, got {arr.shape}")
         if not np.allclose(a, a.T, rtol=0, atol=1e-14):
             raise ModelError("a must be symmetric")
-        if kappa <= 0 or bound <= 0:
-            raise ModelError("kappa and bound must be positive")
+        if not (0 < kappa < math.inf and 0 < bound < math.inf):  # NaN fails both
+            raise ModelError("kappa and bound must be positive and finite")
         return cls(dim=dim, n_modes=n_modes, a=a, sigma=sigma, kappa=kappa, bound=bound)
 
 
@@ -234,33 +237,30 @@ def _cfl_check(coeffs, grid):
         )
 
 
-def _check_finite(values, step, dim):
-    """BlowUpError naming the path (the axis before the dim space axes) of a non-finite value."""
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))
-        raise BlowUpError(path=int(bad[0][-1 - dim]), step=step)
+def _path_sum(values):
+    """Sum over the trailing paths axis in path order (numpy sums it pairwise)."""
+    return np.add.accumulate(values, axis=-1)[..., -1]
 
 
 class _Stepper:
     """One step u_j -> u_{j+1} for the operator a; I - dt a:D^2 is factored once.
 
-    A state has shape (..., paths, *space): leading axes hold a stack of
-    states that share the operator and the noise.  The step touches only
-    the unknown nodes, x1 rows 1..n-2 of a wall grid and every node of a
-    periodic line.  Its explicit stage is u_j + dt f + sum_k G_k dw^k
-    there, with f and each noise integrand G_k (None: no term) from the
-    caller, restricted to the unknown nodes.  It returns u_{j+1} on them
-    for the caller to write into its own array.  Both stages are checked
-    for blow-up.
+    A state has shape (*space, *stack, paths): the stack axes hold states
+    that share the operator and the noise, whose increments broadcast on
+    the trailing paths axis.  The step touches only the unknown nodes,
+    u[1:-1] on a wall grid and all of u on a periodic line.  Its explicit
+    stage is u_j + dt f + sum_k G_k dw^k there, with f and each noise
+    integrand G_k (None: no term) from the caller, restricted to the
+    unknown nodes.  It returns u_{j+1} on them for the caller to write
+    into its own array.  The solve keeps a non-finite value in its own
+    column, so one check after it names the first bad path, in (stack,
+    path) order.
     """
 
     def __init__(self, a, grid):
         self.grid = grid
         self.matrix = _implicit_matrix(a, grid)
-        # the unknown nodes of a state, indexed from its trailing space axes
-        rows = () if grid.periodic_x1 else (slice(1, -1),) + (slice(None),) * (grid.dim - 1)
-        self.unknown = (Ellipsis,) + rows
-        self.column = (-1,) + (1,) * grid.dim  # a mode's increments against (paths, *space)
+        self.unknown = slice(None) if grid.periodic_x1 else slice(1, -1)  # x1 rows stepped
 
     def __call__(self, u, dw, j, f=None, g=()):
         """u_{j+1} on the unknown nodes; g[k] is mode k's integrand or None."""
@@ -269,25 +269,24 @@ class _Stepper:
         expl = core.copy() if f is None else core + grid.dt * f
         for k, term in enumerate(g):
             if term is not None:
-                expl += term * dw[:, k].reshape(self.column)
-        # detect divergence before the direct solver rejects the array
-        _check_finite(expl, j + 1, grid.dim)
-        cols = expl.reshape(-1, math.prod(expl.shape[-grid.dim :])).T  # one per state and path
-        u_new = self.matrix.solve(cols).T.reshape(expl.shape)
-        _check_finite(u_new, j + 1, grid.dim)
+                expl += term * dw[:, k]
+        n_unknown = math.prod(expl.shape[: grid.dim])
+        u_new = self.matrix.solve(expl.reshape(n_unknown, -1)).reshape(expl.shape)
+        finite = np.isfinite(u_new)
+        if not finite.all():
+            bad = np.argwhere(~finite.all(axis=tuple(range(grid.dim))))  # (*stack, path)
+            raise BlowUpError(path=int(bad[0][-1]), step=j + 1)
         return u_new
 
 
 def _integrand(sigma, u, grid, g=None):
     """sigma^{ik} D_i u + g^k on the unknown nodes for each mode k (None if
     both vanish); a direction is differenced only if its sigma row is nonzero."""
-    x1 = u.ndim - grid.dim
     noisy = np.any(sigma, axis=1).tolist()  # directions with a sigma row
     if noisy[0]:
-        periodic = grid.periodic_x1
-        du1 = _diff(u, grid.dx1, x1, True, 1) if periodic else _centred(u, grid.dx1, x1, 1)
+        du1 = _diff(u, grid.dx1, 0, True, 1) if grid.periodic_x1 else _centred(u, grid.dx1, 0, 1)
     if grid.dim == 2 and noisy[1]:
-        du2 = _diff(u[..., 1:-1, :], grid.dxp, x1 + 1, True, 1)
+        du2 = _diff(u[1:-1], grid.dxp, 1, True, 1)
     terms = []
     for k in range(sigma.shape[1]):
         term = None
@@ -306,24 +305,22 @@ def _step_loop(coeffs, forcing, grid, noise, u0, full):
     history as a FieldEnsemble when full, else the final state."""
     _check_inputs(coeffs, forcing, grid, noise)
     paths = noise.n_paths
-    u = np.zeros((paths,) + grid.space_shape) if u0 is None else u0.copy()
-    if u.shape != (paths,) + grid.space_shape:
+    if u0 is not None and u0.shape != (paths,) + grid.space_shape:
         raise ModelError("u0 has the wrong shape")
-    out = None
-    if full:
-        out = np.zeros((paths, grid.steps + 1) + grid.space_shape)
-        out[:, 0] = u
-    f_vals = forcing.f.values if forcing.f is not None else None
-    g_vals = forcing.g.values if forcing.g is not None else None
+    u = np.zeros(grid.space_shape + (paths,)) if u0 is None else np.moveaxis(u0, 0, -1).copy()
+    out = np.zeros((paths, grid.steps + 1) + grid.space_shape) if full else None
+    # the forcing as ([modes,] steps+1, *space, paths) views
+    f_vals = None if forcing.f is None else np.moveaxis(forcing.f.values, 0, -1)
+    g_vals = None if forcing.g is None else np.moveaxis(forcing.g.values, (0, -1), (-1, 0))
     step = _Stepper(coeffs.a, grid)
     for j in range(grid.steps):
-        f = None if f_vals is None else f_vals[:, j][step.unknown]
-        g = None if g_vals is None else np.moveaxis(g_vals[:, j], -1, 0)[step.unknown]
+        f = None if f_vals is None else f_vals[j, step.unknown]
+        g = None if g_vals is None else g_vals[:, j, step.unknown]
         g = _integrand(coeffs.sigma, u, grid, g)
-        u_new = np.zeros_like(u) if out is None else out[:, j + 1]
-        u_new[step.unknown] = step(u, noise.increments[:, j, :], j, f, g)
-        u = u_new
-    return u if out is None else FieldEnsemble(out, grid)
+        u[step.unknown] = step(u, noise.increments[:, j, :], j, f, g)
+        if out is not None:
+            out[:, j + 1] = np.moveaxis(u, -1, 0)
+    return np.moveaxis(u, -1, 0) if out is None else FieldEnsemble(out, grid)
 
 
 def _check_inputs(coeffs, forcing, grid, noise):
@@ -405,7 +402,9 @@ def continuity_iterates(
     Dirichlet grids only.
 
     Returns (diffs, states): diffs[m - 2] = sup_t max_x E|v_m - v_{m-1}|^2
-    for m = 2..n_iter, and the final states (n_iter, paths, n_x1).
+    for m = 2..n_iter, and the final states (n_iter, paths, n_x1).  The
+    running max keeps path sums, in path order, and divides by paths at
+    the end: max commutes with rounding and with division by paths > 0.
     """
     if grid.dim != 1 or grid.periodic_x1:
         raise ModelError("the continuity iteration runs on a 1-D Dirichlet grid")
@@ -416,19 +415,24 @@ def continuity_iterates(
     step = _Stepper(frozen.a, grid)
     ds, h, paths = s - s0, grid.dx1, noise.n_paths
     a_dev, sig, sig0 = coeffs.a[0, 0] - 1.0, coeffs.sigma[0], frozen.sigma[0]
-    # slot 0 holds the zero iterate; the wall columns stay zero
-    u = np.zeros((n_iter + 1, paths, grid.n_x1))
-    diffs = np.zeros(n_iter - 1)
+    # (x1, iterate, path); slot 0 holds the zero iterate, the wall rows stay zero
+    u = np.zeros((grid.n_x1, n_iter + 1, paths))
+    peak = np.zeros((grid.n_x1 - 2, n_iter - 1))  # running max over t of the path sums
+    # the forcing on the unknown nodes as ([modes,] steps+1, x1, 1, paths) views
+    if forcing.f is not None:
+        f_vals = np.moveaxis(forcing.f.values[:, :, 1:-1], 0, -1)[:, :, None]
+    if forcing.g is not None:
+        g_vals = np.moveaxis(forcing.g.values[:, :, 1:-1], (0, -1), (-1, 0))[:, :, :, None]
     for j in range(grid.steps):
-        f = ds * (a_dev * _centred(u[:-1], h, 2, 2))
+        f = ds * (a_dev * _centred(u[:, :-1], h, 0, 2))
         if forcing.f is not None:
-            f = forcing.f.values[:, j, 1:-1] + f
-        dv = _centred(u, h, 2, 1)
-        g = ds * (sig[:, None, None, None] * dv[:-1])
+            f = f_vals[j] + f
+        dv = _centred(u, h, 0, 1)
+        g = ds * (sig[:, None, None, None] * dv[:, :-1])
         if forcing.g is not None:
-            g = np.moveaxis(forcing.g.values[:, j, 1:-1], -1, 0)[:, None] + g
-        g = [(sig0[k] * dv[1:]) + g[k] if sig0[k] else g[k] for k in range(len(g))]
-        u[1:, :, 1:-1] = step(u[1:], noise.increments[:, j], j, f, g)
-        gap = u[2:, :, 1:-1] - u[1:-1, :, 1:-1]
-        np.maximum(diffs, np.max(np.mean(gap * gap, axis=1), axis=-1), out=diffs)
-    return diffs, u[1:]
+            g = g_vals[:, j] + g
+        g = [(sig0[k] * dv[:, 1:]) + g[k] if sig0[k] else g[k] for k in range(len(g))]
+        u[1:-1, 1:] = step(u[:, 1:], noise.increments[:, j], j, f, g)
+        gap = u[1:-1, 2:] - u[1:-1, 1:-1]
+        np.maximum(peak, _path_sum(gap * gap), out=peak)
+    return np.max(peak, axis=0) / paths, np.moveaxis(u[:, 1:], 0, -1)

@@ -53,12 +53,12 @@ def line_history(wall, g):
     """The pipeline's line step from a zero profile, every slice kept."""
     r = g.dt / g.dx1**2
     line = _DirichletLine(g.n_x1 - 2, r)
-    w = np.zeros((wall.shape[0], g.n_x1))
-    out = [w]
+    w = np.zeros((g.n_x1, wall.shape[0]))  # stepped in place, x1 first
+    out = [w.copy()]
     for j in range(1, g.steps + 1):
-        w = _line_step(line, r, w, wall[:, j])
-        out.append(w)
-    return np.stack(out, axis=1)
+        _line_step(line, r, w, wall[:, j])
+        out.append(w.copy())
+    return np.moveaxis(np.stack(out), -1, 0)  # (paths, steps + 1, n_x1)
 
 
 def test_profile_solver_carries_wall_data_exactly():
@@ -73,25 +73,27 @@ def test_profile_solver_carries_wall_data_exactly():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_line_step_of_stacked_profiles_is_two_steps_to_the_bit(dim):
-    # W0 and W1 share one dgttrs call along the paths axis
+    # W0 and W1 share one dgttrs call, stacked on the axis after x1
     g = grid1(cells=16) if dim == 1 else grid2()
     r = g.dt / g.dx1**2
     line = _DirichletLine(g.n_x1 - 2, r)
     rng = np.random.default_rng(3)
-    w0, w1 = (rng.standard_normal((3,) + g.space_shape) for _ in range(2))
-    h0, h1 = (rng.standard_normal((3,) + g.space_shape[1:]) for _ in range(2))
-    both = _line_step(line, r, np.concatenate((w0, w1)), np.concatenate((h0, h1)))
-    assert np.array_equal(both[:3], _line_step(line, r, w0, h0))
-    assert np.array_equal(both[3:], _line_step(line, r, w1, h1))
+    w0, w1 = (rng.standard_normal(g.space_shape + (3,)) for _ in range(2))
+    h0, h1 = (rng.standard_normal(g.space_shape[1:] + (3,)) for _ in range(2))
+    both = np.stack((w0, w1), axis=1)
+    _line_step(line, r, both, np.stack((h0, h1)))
+    _line_step(line, r, w0, h0)
+    _line_step(line, r, w1, h1)
+    assert np.array_equal(both[:, 0], w0) and np.array_equal(both[:, 1], w1)
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 0), (1, 1)])
 def test_wall_closure_is_row_zero_of_the_full_stencil(n1, n2):
     g = grid2()
-    v = np.random.default_rng(4).standard_normal((3,) + g.space_shape)
-    full = _diff(v, g.dx1, 1, False, n1)
-    full = _diff(full, g.dxp, 2, True, n2) if n2 else full
-    assert np.array_equal(_wall_diff(v, n1, n2, g), full[:, 0])
+    v = np.random.default_rng(4).standard_normal(g.space_shape + (3,))
+    full = _diff(v, g.dx1, 0, False, n1)
+    full = _diff(full, g.dxp, 1, True, n2) if n2 else full
+    assert np.array_equal(_wall_diff(v, n1, n2, g), full[0])
 
 
 def test_profile_solver_tracks_the_kernel_solution():
@@ -266,7 +268,7 @@ def test_one_tangential_gradient_of_u_per_step(monkeypatch):
     monkeypatch.setattr(pipeline, "_diff", counting)
     monkeypatch.setattr(solver, "_diff", counting)
     decompose_pipeline(co, const_forcing(g), g, noise)
-    assert shapes.count((3, g.n_x1 - 2, g.n_xp)) == g.steps
+    assert shapes.count((g.n_x1 - 2, g.n_xp, 3)) == g.steps  # (*unknown space, paths)
 
 
 # -- the one time pass against the full-history algorithm ---------------

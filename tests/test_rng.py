@@ -134,6 +134,13 @@ def test_coarsen_telescopes(p, q, coarse_steps, paths, n_modes, master):
     assert np.all(np.abs(twice.increments - once.increments) <= bound)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_wiener_increments_refuse_a_dt_that_is_not_positive_and_finite(dt):
+    # NaN and inf pass a bare dt <= 0 test and would give NaN or inf increments
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        wiener_increments(SEED, 2, 3, dt=dt)
+
+
 def test_coarsen_rejects_nondivisor():
     batch = wiener_increments(SEED, 2, 10, dt=0.1)
     with pytest.raises(ValueError):

@@ -72,6 +72,16 @@ def test_parabolicity_accepts_and_rejects():
     assert not check_parabolicity(bad).passed
 
 
+@pytest.mark.parametrize(
+    "bounds", [dict(kappa=np.nan), dict(bound=np.nan), dict(kappa=np.inf), dict(bound=np.inf),
+               dict(kappa=0.0), dict(bound=-1.0)]
+)
+def test_coefficients_refuse_a_kappa_or_bound_that_is_not_positive_and_finite(bounds):
+    # NaN passes a bare kappa <= 0 test, and the parabolicity margins then read NaN
+    with pytest.raises(ModelError, match="kappa and bound must be positive and finite"):
+        ModelCoefficients.make(1, np.array([[1.0]]), np.array([[0.5]]), **bounds)
+
+
 def test_parabolicity_upper_bound():
     big = ModelCoefficients.make(1, np.array([[5.0]]), np.array([[0.0]]), bound=4.0)
     rep = check_parabolicity(big)
@@ -252,8 +262,9 @@ def test_a_wall_node_forcing_value_never_reaches_the_solution():
 
 
 def stepper_case(dim, paths=4, stack=3):
-    """A stepper, a stack of random states, one step's noise, drift and
-    the model's noise integrands."""
+    """A stepper, a stack of random states laid out (*space, stack, paths),
+    one step's noise, and drift and noise forcing with a stack axis of one,
+    which the model's noise integrands carry."""
     if dim == 1:
         grid = wallgrid()
         co = ModelCoefficients.make(1, np.array([[1.4]]), np.array([[0.6]]), kappa=0.5)
@@ -266,8 +277,8 @@ def stepper_case(dim, paths=4, stack=3):
         co = ModelCoefficients.make(2, a, sigma, n_modes=2, kappa=0.5)
     step = _Stepper(co.a, grid)
     rng = np.random.default_rng(5)
-    u = rng.normal(size=(stack, paths) + grid.space_shape)
-    unknown = u[(0,) + step.unknown].shape
+    u = rng.normal(size=grid.space_shape + (stack, paths))
+    unknown = u[step.unknown, ..., :1, :].shape
     f = rng.normal(size=unknown)
     g = rng.normal(size=(co.n_modes,) + unknown)
     dw = noise_for(grid, paths, co.n_modes).increments[:, 1]
@@ -280,16 +291,58 @@ def test_a_stack_steps_like_separate_states(dim):
     step, u, dw, f, noise = stepper_case(dim)
     stacked = step(u, dw, 1, f, noise(u))
     assert stacked.shape == u[step.unknown].shape
-    for i in range(u.shape[0]):
-        assert np.array_equal(stacked[i], step(u[i], dw, 1, f, noise(u[i])))
+    for i in range(u.shape[-2]):
+        one = u[..., i : i + 1, :]
+        assert np.array_equal(stacked[..., i : i + 1, :], step(one, dw, 1, f, noise(one)))
 
 
 def test_a_blowup_in_a_stack_names_the_path():
     step, u, dw, f, noise = stepper_case(1)
-    u[1, 2, 3] = np.inf
+    u[3, 1, 2] = np.inf  # x1 node 3 of stack entry 1, path 2
     with pytest.raises(BlowUpError) as err:
         step(u, dw, 4, f, noise(u))
     assert (err.value.path, err.value.step) == (2, 5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_non_finite_right_hand_side_stays_in_its_own_solve_column(dim):
+    # what lets the step check once, after the solve: dgttrs (1-D) and
+    # SuperLU (2-D) leave every other column bit-equal to the clean solve
+    step, u, _, _, _ = stepper_case(dim, paths=6, stack=2)
+    rhs = u[step.unknown].reshape(-1, 12)
+    clean = step.matrix.solve(rhs)
+    rhs[2, 7] = np.inf
+    poisoned = step.matrix.solve(rhs)
+    assert not np.all(np.isfinite(poisoned[:, 7]))
+    others = np.arange(12) != 7
+    assert np.array_equal(poisoned[:, others], clean[:, others])
+
+
+def test_one_check_after_the_solve_names_the_first_bad_path_and_step():
+    # a 2-D stack: one poisoned drift value, at one node of one path, makes
+    # that path's explicit stage non-finite; the solve keeps it in its column
+    step, u, dw, f, noise = stepper_case(2, paths=6, stack=2)
+    bad = f.copy()
+    bad[2, 3, 0, 4] = np.inf
+    with pytest.raises(BlowUpError) as err:
+        step(u, dw, 2, bad, noise(u))
+    assert (err.value.path, err.value.step) == (4, 3)
+    # paths 2 and 5 poisoned at different nodes: the first path is named,
+    # although path 5's node comes first in the space-first array
+    bad = f.copy()
+    bad[0, 0, 0, 5] = np.nan
+    bad[3, 5, 0, 2] = -np.inf
+    with pytest.raises(BlowUpError) as err:
+        step(u, dw, 2, bad, noise(u))
+    assert (err.value.path, err.value.step) == (2, 3)
+    # the stack axis comes before the path axis: stack entry 0 path 5
+    # is named ahead of stack entry 1 path 1
+    bad = u.copy()
+    bad[1, 0, 1, 1] = np.inf
+    bad[2, 2, 0, 5] = np.inf
+    with pytest.raises(BlowUpError) as err:
+        step(bad, dw, 6, f, noise(u))
+    assert (err.value.path, err.value.step) == (5, 7)
 
 
 # -- periodic stencil matrices -------------------------------------------
@@ -399,15 +452,15 @@ def test_solvers_run_on_the_smallest_wall_grids(cells):
     # the pipeline's wall-profile step on the same line
     r = g.dt / g.dx1**2
     line = _DirichletLine(g.n_x1 - 2, r)
-    w = np.zeros((2, g.n_x1))
+    w = np.zeros((g.n_x1, 2))  # x1 first, two paths
     for j in range(g.steps):
         wall = np.full(2, g.times[j + 1] ** 2)
-        w_new = _line_step(line, r, w, wall)
-        assert np.all(w_new[:, 0] == wall) and np.all(w_new[:, -1] == 0.0)
+        prev = w.copy()
+        _line_step(line, r, w, wall)
+        assert np.all(w[0] == wall) and np.all(w[-1] == 0.0)
         if cells == 2:
             # a single unknown: each backward-Euler step is one division
-            assert np.array_equal(w_new[:, 1], (w[:, 1] + r * wall) / (1.0 + 2.0 * r))
-        w = w_new
+            assert np.array_equal(w[1], (prev[1] + r * wall) / (1.0 + 2.0 * r))
 
 
 # -- oracles ----------------------------------------------------------
@@ -485,6 +538,9 @@ def sine_forcing(g, paths=1):
         (dict(cells=6, steps=40, t_max=0.02, x1_max=0.8), 1.9, 0.7, 0.4, 5, 5, 5, True),
         # a zero frozen sigma row: the step forms no gradient, ds sigma Dv stays live
         (dict(cells=8, steps=16, t_max=0.016), 1.6, 0.6, 0.0, 4, 4, 1, True),
+        # 17 paths: numpy would sum a trailing axis of 8 or more pairwise, not
+        # in the path order of the reference's leading-axis mean
+        (dict(cells=8, steps=16, t_max=0.016), 1.7, 1.0, 0.8, 17, 4, 17, True),
     ],
 )
 def test_continuity_iterates_match_the_full_history_iteration(
