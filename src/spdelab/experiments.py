@@ -37,7 +37,6 @@ from .norms import (
     EXHAUSTIVE_LIMIT,
     NormSpec,
     parabolic_seminorm,
-    report_rows,
     schauder_ratio,
     time_seminorm,
 )
@@ -104,7 +103,7 @@ class StudyReport:
     salt: int
     rows: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
-    norm_rows: list = field(default_factory=list)
+    norm_rows: list = field(default_factory=list)  # (field_id, grid_id, NormResult)
     wall_clock: float = 0.0
     flags: dict = field(default_factory=dict)
 
@@ -142,13 +141,11 @@ class StudyReport:
     def norms_csv(self) -> str | None:
         if not self.norm_rows:
             return None
-        cols = (
-            "field_id", "m", "alpha", "gamma", "kind", "value",
-            "argmax_pair", "pairs_evaluated", "grid_id", "seed",
-        )
-        lines = [",".join(cols)]
-        for row in self.norm_rows:
-            lines.append(",".join(_fmt(row[c]).replace(",", ";") for c in cols))
+        lines = ["field_id,m,alpha,gamma,kind,value,argmax_pair,pairs_evaluated,grid_id,seed"]
+        for field_id, grid_id, r in self.norm_rows:
+            cells = (field_id, r.m, r.alpha, r.gamma, r.kind, r.value, str(r.argmax), r.pairs,
+                     grid_id, self.seed)
+            lines.append(",".join(_fmt(c).replace(",", ";") for c in cells))
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir, plot=False):
@@ -250,7 +247,7 @@ _STUDIES = {
     "halfline_lemma": _Study(
         1, 2, {"sigma": None},
         {"alpha": ([0.25, 0.5, 0.75], _numbers), "gamma": (2.0, _number),
-         "pair_policy": ("auto", _policy)},
+         "pair_policy": ("exhaustive", _policy)},
         coefficients=False, x1_cells=3,
     ),
     "stability": _Study(1, 1, {"sigma": None}, {"gamma": (2.0, _number)}, coefficients=False),
@@ -699,7 +696,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
             report.row("lhs", level=j, index=d, value=rep.lhs)
             report.row("rhs", level=j, index=d, value=rep.rhs)
             report.row("ratio", level=j, index=d, value=rep.ratio)
-            report.norm_rows.extend(report_rows(rep.results, f"draw{d}", f"L{j}", seed.master_seed))
+            report.norm_rows.extend((f"draw{d}", f"L{j}", r) for r in rep.results)
             if j == 0:
                 f2, gg2 = _draw_fields(g, coeffs, cs, scale=2.0)
                 u2 = solve_model_halfspace(coeffs, Forcing(f=f2, g=gg2), g, noises[0])

@@ -49,14 +49,14 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.x1_max <= 0:
-            raise ValueError("x1_max must be positive")
+        lengths = (("x1_max", self.x1_max), ("t_max", self.t_max), ("xp_max", self.xp_max))
+        for name, x in lengths[: 2 + (self.dim == 2)]:
+            if not 0 < x < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {x}")
         if self.x1_cells < 2 or self.steps < 1:
             raise ValueError("need x1_cells >= 2 and steps >= 1")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.dim == 2 and (self.xp_cells < 4 or self.xp_max <= 0):
-            raise ValueError("dim == 2 needs xp_cells >= 4 and xp_max > 0")
+        if self.dim == 2 and self.xp_cells < 4:
+            raise ValueError("dim == 2 needs xp_cells >= 4")
 
     # -- spacings -----------------------------------------------------
     @property

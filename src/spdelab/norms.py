@@ -7,27 +7,28 @@ powers of the node distance are formed afterwards, and grid suprema are
 taken last.  Grid suprema are lower bounds of the continuum norms; the
 refinement studies track their stability instead of claiming exactness.
 
-Difference quotients run over a stencil of lattice offsets set by one of
-two pair policies (``auto``: exhaustive up to ``EXHAUSTIVE_LIMIT`` nodes,
-dyadic beyond).  ``exhaustive`` takes the C-order node pairs qa < qb of
-``np.triu_indices``, without wrapping, grouped by the first component o
+Difference quotients run over a stencil of lattice offsets set by the
+pair policy the ``NormSpec`` names; the caller chooses it, nothing here
+does.  ``exhaustive`` (the default, the grid supremum) takes the C-order
+node pairs qa < qb of ``np.triu_indices``, without wrapping, on lattices
+of at most ``EXHAUSTIVE_LIMIT`` nodes, grouped by the first component o
 of their offset: one broadcast difference joins every node of row r to
-every node of row r + o (at o = 0 only the later ones).  ``dyadic`` takes
-powers of two along each axis, unit diagonals between space axes and
-parabolically balanced offsets (4^j steps against 2^j cells), wrapping on
-periodic axes, so the n/2 offset of an even periodic axis meets each pair
-in both orientations and counts both in ``pairs``; all pairs of one
-offset are one difference of two slices of the field.  Denominators
-|x - y|^alpha + |t - s|^{alpha/2} (periodic distance on periodic axes)
-are looked up by |offset|.  The field is copied once with paths as the
-contiguous axis after the grid axes, so paths are summed in the order a
-gathered pair list would sum them, bit for bit.  Differences pass through
-one reused buffer in blocks of leading rows of about 2^19 bytes, at least
-one row of every batch entry (an exhaustive row holds (trailing nodes)^2
-x paths values); for gamma = 2 without modes a block is squared in place
-and summed over paths in numpy's pairwise order, the arithmetic of
-``np.mean``, written out as strided adds over the whole block below 16
-paths.
+every node of row r + o (at o = 0 only the later ones).  ``dyadic`` (a
+lower bound of it) takes powers of two along each axis, unit diagonals
+between space axes and parabolically balanced offsets (4^j steps against
+2^j cells), wrapping on periodic axes, so the n/2 offset of an even
+periodic axis meets each pair in both orientations and counts both in
+``pairs``; all pairs of one offset are one difference of two slices of
+the field.  Denominators |x - y|^alpha + |t - s|^{alpha/2} (periodic
+distance on periodic axes) are looked up by |offset|.  The field is
+copied once with paths as the contiguous axis after the grid axes, so
+paths are summed in the order a gathered pair list would sum them, bit
+for bit.  Differences pass through one reused buffer in blocks of
+leading rows of about 2^19 bytes, at least one row of every batch entry
+(an exhaustive row holds (trailing nodes)^2 x paths values); for
+gamma = 2 without modes a block is squared in place and summed over
+paths in numpy's pairwise order, the arithmetic of ``np.mean``, written
+out as strided adds over the whole block below 16 paths.
 
 Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
@@ -60,7 +61,6 @@ __all__ = [
     "trace_parabolic_norm",
     "time_seminorm",
     "schauder_ratio",
-    "report_rows",
 ]
 
 
@@ -70,7 +70,7 @@ class NormSpec:
 
     alpha: float
     gamma: float = 2.0
-    pair_policy: str = "auto"
+    pair_policy: str = "exhaustive"
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -78,7 +78,7 @@ class NormSpec:
         if not 2.0 <= self.gamma < math.inf:  # NaN fails too
             bound = "at least 2" if self.gamma < 2.0 else "finite"
             raise ValueError(f"gamma must be {bound}, got {self.gamma}")
-        if self.pair_policy not in ("auto", "exhaustive", "dyadic"):
+        if self.pair_policy not in ("exhaustive", "dyadic"):
             raise ValueError(f"unknown pair policy {self.pair_policy!r}")
 
 
@@ -102,7 +102,7 @@ def _multi_indices(dim, order):
 
 # values per block of the difference buffer: 2^19 bytes of float64
 _BLOCK = 2**16
-# most grid nodes the exhaustive policy enumerates; auto turns dyadic beyond
+# most grid nodes the exhaustive policy enumerates; a larger lattice is refused
 EXHAUSTIVE_LIMIT = 20000
 
 
@@ -194,7 +194,6 @@ class _Stencil:
     trailing node p of row r to node q of row r + o (p < q at o = 0), at
     offset offsets[o * m + didx[p, q]], m the number of trailing nodes."""
 
-    policy: str
     shape: tuple
     wrap: tuple
     pad: list
@@ -224,7 +223,7 @@ def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
         tail = np.indices(shape[1:]).reshape(ndim - 1, n // shape[0])
         didx = np.ravel_multi_index(tuple(abs(tail[:, :, None] - tail[:, None, :])), shape[1:])
         offs = np.indices(shape).reshape(ndim, n).T
-        return _Stencil(policy, shape, (), [(0, 0)] * ndim, offs, n * (n - 1) // 2, didx=didx)
+        return _Stencil(shape, (), [(0, 0)] * ndim, offs, n * (n - 1) // 2, didx=didx)
     offs = np.array(_dyadic_offsets(shape, periodic, time_axis), int).reshape(-1, ndim)
     n, w = np.array(shape), np.array(periodic)
     lo = np.where(w, -offs.min(axis=0, initial=0), 0)
@@ -240,7 +239,7 @@ def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
         for a, a1, b, b1 in zip(*(e.tolist() for e in (a0, a0 + base, b0, b0 + base)))
     ]
     pairs = int(np.prod(base, axis=1).sum())
-    return _Stencil(policy, shape, periodic, pad, offs, pairs, base, start, slices)
+    return _Stencil(shape, periodic, pad, offs, pairs, base, start, slices)
 
 
 def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
@@ -250,10 +249,7 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     largest quotient, the first batch entry attaining it and its pair, ()
     if every quotient vanishes.
     """
-    n_pts = math.prod(shape)
-    policy = spec.pair_policy
-    if policy == "auto":
-        policy = "exhaustive" if n_pts <= EXHAUSTIVE_LIMIT else "dyadic"
+    n_pts, policy = math.prod(shape), spec.pair_policy
     if policy == "exhaustive" and n_pts > EXHAUSTIVE_LIMIT:
         raise ValueError(f"{n_pts} nodes exceed the exhaustive budget {EXHAUSTIVE_LIMIT}")
     st = _stencil(shape, periodic, time_axis, policy)
@@ -330,7 +326,7 @@ def _space_update(best, beta, g, spec):
     shape, spacings, periodic = _grid_geometry(g.grid, with_time=False)
     values = _one_level(g.values)
     st, v, j, arg = _stencil_max(values, g.n_modes, shape, spacings, periodic, None, spec)
-    best.kind = f"space_seminorm[{st.policy}]"
+    best.kind = f"space_seminorm[{spec.pair_policy}]"
     best.pairs = st.pairs * (g.grid.steps + 1)
     _keep(best, beta, v, (j,) + arg)
 
@@ -338,7 +334,7 @@ def _space_update(best, beta, g, spec):
 def _parabolic_update(best, beta, g, spec):
     shape, spacings, periodic = _grid_geometry(g.grid, with_time=True)
     st, v, _, arg = _stencil_max(g.values[:, None], g.n_modes, shape, spacings, periodic, 0, spec)
-    best.kind = f"parabolic_seminorm[{st.policy}]"
+    best.kind = f"parabolic_seminorm[{spec.pair_policy}]"
     best.pairs = st.pairs
     _keep(best, beta, v, arg)
 
@@ -393,7 +389,7 @@ def trace_parabolic_norm(f: FieldEnsemble, spec: NormSpec) -> tuple:
     sup = float(np.max(_moment(trace, spec.gamma, f.n_modes > 0)))
     geometry = (g.steps + 1, g.n_xp)[: g.dim], (g.dt, g.dxp)[: g.dim], (False, True)[: g.dim]
     st, v, _, arg = _stencil_max(trace[:, None], f.n_modes, *geometry, 0, spec)
-    semi = NormResult(f"trace_parabolic[{st.policy}]", v, 0, spec.alpha, spec.gamma)
+    semi = NormResult(f"trace_parabolic[{spec.pair_policy}]", v, 0, spec.alpha, spec.gamma)
     semi.argmax, semi.pairs = arg, st.pairs
     return sup, semi
 
@@ -427,14 +423,13 @@ def schauder_ratio(u, f, g, spec: NormSpec) -> SchauderReport:
     lhs: sup norm of u through second derivatives plus the parabolic
     seminorm of the second derivatives.  rhs: Hölder norm of f in space,
     parabolic norm of the wall trace of f, and the order-one norm of g
-    (ell2 over modes inside the moment).  Both sides vanishing yields a
-    0/0 sentinel instead of a ratio.
+    (ell2 over modes inside the moment).  A vanishing rhs yields a nan
+    ratio and a sentinel: 0/0 if lhs vanishes too, x/0 otherwise.
     """
     lhs_sup, lhs_semi = _norms(u, spec, 2, "sup", "parabolic_seminorm")
     lhs = lhs_sup.value + lhs_semi.value
 
-    f_sup = sup_norm(f, spec, m=0)
-    f_space = space_seminorm(f, spec, m=0)
+    f_sup, f_space = _norms(f, spec, 0, "sup", "space_seminorm")
     f_trace_sup, f_trace_semi = trace_parabolic_norm(f, spec)
     rhs = f_sup.value + f_space.value + f_trace_sup + f_trace_semi.value
     results = [lhs_sup, lhs_semi, f_sup, f_space, f_trace_semi]
@@ -443,27 +438,8 @@ def schauder_ratio(u, f, g, spec: NormSpec) -> SchauderReport:
         rhs += g_sup.value + g_space.value
         results += [g_sup, g_space]
 
-    if lhs == 0.0 and rhs == 0.0:
-        return SchauderReport(lhs, rhs, math.nan, sentinel="0/0", results=results)
+    if rhs == 0.0:
+        sentinel = "0/0" if lhs == 0.0 else "x/0"
+        return SchauderReport(lhs, rhs, math.nan, sentinel=sentinel, results=results)
     return SchauderReport(lhs, rhs, lhs / rhs, results=results)
 
-
-def report_rows(results, field_id, grid_id, seed) -> list:
-    """Serialize NormResults to the canonical CSV row dicts."""
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "field_id": field_id,
-                "m": r.m,
-                "alpha": r.alpha,
-                "gamma": r.gamma,
-                "kind": r.kind,
-                "value": r.value,
-                "argmax_pair": str(r.argmax),
-                "pairs_evaluated": r.pairs,
-                "grid_id": grid_id,
-                "seed": seed,
-            }
-        )
-    return rows

@@ -92,6 +92,8 @@ class ModelCoefficients:
         for name, arr, shape in (("a", a, (dim, dim)), ("sigma", sigma, (dim, n_modes))):
             if arr.shape != shape:
                 raise ModelError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ModelError(f"{name} must be finite, got {arr.tolist()}")
         if not np.allclose(a, a.T, rtol=0, atol=1e-14):
             raise ModelError("a must be symmetric")
         if not (0 < kappa < math.inf and 0 < bound < math.inf):  # NaN fails both

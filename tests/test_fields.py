@@ -73,6 +73,18 @@ def test_grid_validation():
         SpaceTimeGrid(dim=1, x1_max=0.0, x1_cells=4, t_max=1.0, steps=2)
 
 
+@pytest.mark.parametrize("name", ["x1_max", "t_max", "xp_max"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_grid_refuses_a_length_that_is_not_positive_and_finite(name, value):
+    # x1_max = nan once stepped to a BlowUpError, and x1_max = inf to dx1 = inf
+    lengths = {"x1_max": 1.0, "t_max": 1.0, "xp_max": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+        SpaceTimeGrid(dim=2, x1_cells=4, steps=2, xp_cells=4, **lengths)
+    if name != "xp_max":
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SpaceTimeGrid(dim=1, x1_cells=4, steps=2, **dict(lengths, xp_max=0.0))
+
+
 def test_periodic_grid_has_no_wall():
     g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=8, t_max=1.0, steps=2, periodic_x1=True)
     assert g.n_x1 == 8  # distinct nodes only

@@ -23,7 +23,7 @@ from spdelab import (
 )
 from spdelab import norms
 from spdelab.fields import finite_diff
-from spdelab.norms import _dyadic_offsets, _grid_geometry, _moment, _multi_indices, report_rows
+from spdelab.norms import _dyadic_offsets, _grid_geometry, _moment, _multi_indices
 
 SPEC = NormSpec(alpha=0.5)
 
@@ -50,6 +50,10 @@ def test_spec_validation():
         NormSpec(alpha=0.5, pair_policy="sparse")
     with pytest.raises(ValueError):
         NormSpec(alpha=0.5, pair_policy="random")
+    # the caller picks the policy; no value chooses one from the lattice size
+    with pytest.raises(ValueError, match="unknown pair policy 'auto'"):
+        NormSpec(alpha=0.5, pair_policy="auto")
+    assert NormSpec(alpha=0.5).pair_policy == "exhaustive"
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])
@@ -114,13 +118,13 @@ def test_dyadic_policy_is_a_lower_bound():
     assert dyad.pairs < full.pairs
 
 
-def test_auto_policy_turns_dyadic_past_the_exhaustive_budget():
+def test_the_default_policy_refuses_a_lattice_past_the_exhaustive_budget():
     g = grid1(cells=100, steps=200)  # 101 x 201 = 20,301 nodes
     assert g.n_x1 * (g.steps + 1) > norms.EXHAUSTIVE_LIMIT
     f = FieldEnsemble(np.random.default_rng(5).normal(size=(1, g.steps + 1, g.n_x1)), g)
-    assert parabolic_seminorm(f, NormSpec(alpha=0.5)).kind == "parabolic_seminorm[dyadic]"
     with pytest.raises(ValueError, match="20301 nodes exceed the exhaustive budget"):
-        parabolic_seminorm(f, NormSpec(alpha=0.5, pair_policy="exhaustive"))
+        parabolic_seminorm(f, NormSpec(alpha=0.5))
+    assert parabolic_seminorm(f, NormSpec(alpha=0.5, pair_policy="dyadic")).value > 0.0
 
 
 def test_parabolic_scaling_law():
@@ -177,6 +181,16 @@ def test_schauder_ratio_zero_data_sentinel():
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     # a vanishing seminorm has no maximizing pair, the trace norm included
     assert [r.argmax for r in rep.results if r.kind != "sup"] == [(), (), ()]
+
+
+def test_schauder_ratio_zero_rhs_sentinel():
+    # zero data under a nonzero solution: x/0, as the studies' own quotients write it
+    g = grid1(cells=4, steps=2)
+    u = static(g, lambda x: x * (1.0 - x))
+    z = FieldEnsemble(np.zeros((1, g.steps + 1, g.n_x1)), g)
+    rep = schauder_ratio(u, z, None, SPEC)
+    assert rep.lhs > 0.0 and rep.rhs == 0.0
+    assert rep.sentinel == "x/0" and math.isnan(rep.ratio)
 
 
 def test_non_finite_field_is_rejected():
@@ -281,27 +295,6 @@ def test_time_constant_data_is_evaluated_on_one_level(policy, values, monkeypatc
                     if norm is space_seminorm:
                         assert one_batch == {1}
                         assert full_batch == later_batch == {g.steps + 1}
-
-
-def test_report_rows_carry_the_canonical_columns():
-    g = grid1(cells=4, steps=2)
-    f = static(g, lambda x: x)
-    rows = report_rows([sup_norm(f, SPEC), space_seminorm(f, SPEC)], "u", "g0", 42)
-    assert len(rows) == 2
-    for row in rows:
-        assert set(row) == {
-            "field_id",
-            "m",
-            "alpha",
-            "gamma",
-            "kind",
-            "value",
-            "argmax_pair",
-            "pairs_evaluated",
-            "grid_id",
-            "seed",
-        }
-    assert rows[0]["field_id"] == "u" and rows[0]["seed"] == 42
 
 
 # -- brute-force reference: gathered pair lists with per-pair denominators --

@@ -82,6 +82,16 @@ def test_coefficients_refuse_a_kappa_or_bound_that_is_not_positive_and_finite(bo
         ModelCoefficients.make(1, np.array([[1.0]]), np.array([[0.5]]), **bounds)
 
 
+@pytest.mark.parametrize(
+    "a, sigma, name",
+    [(1.0, np.nan, "sigma"), (np.inf, 0.5, "a"), (np.nan, 0.5, "a"), (1.0, -np.inf, "sigma")],
+)
+def test_coefficients_refuse_a_non_finite_a_or_sigma(a, sigma, name):
+    # a NaN sigma once gave a NaN parabolicity margin, and a NaN a read as "not symmetric"
+    with pytest.raises(ModelError, match=f"{name} must be finite"):
+        ModelCoefficients.make(1, np.array([[a]]), np.array([[sigma]]))
+
+
 def test_parabolicity_upper_bound():
     big = ModelCoefficients.make(1, np.array([[5.0]]), np.array([[0.0]]), bound=4.0)
     rep = check_parabolicity(big)
@@ -237,7 +247,8 @@ def test_forcing_validation():
 
 def test_zero_order_blowup_is_detected():
     # one non-finite forcing value at (path 2, slice j) poisons the
-    # explicit part of step j + 1, before the direct solve sees it
+    # explicit part of step j + 1; the solve keeps it in path 2's column,
+    # and the one check after the solve names path 2 at step j + 1
     g = wallgrid()
     vals = np.ones((3, g.steps + 1, g.n_x1))
     j = 5
