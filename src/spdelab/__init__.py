@@ -32,7 +32,6 @@ from .norms import (
     schauder_ratio,
     space_seminorm,
     sup_norm,
-    time_seminorm,
     trace_parabolic_norm,
 )
 from .pipeline import PipelineOutput, decompose_pipeline
@@ -73,7 +72,6 @@ __all__ = [
     "space_seminorm",
     "parabolic_seminorm",
     "trace_parabolic_norm",
-    "time_seminorm",
     "schauder_ratio",
     "SchauderReport",
     "SeedSpec",

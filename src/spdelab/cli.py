@@ -68,13 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     raw = copy.deepcopy(config.raw)
-    ens = raw.setdefault("ensemble", {})
-    if args.seed is not None:
-        ens["master_seed"] = args.seed
-    if args.salt is not None:
-        ens["stream_salt"] = args.salt
-    if args.paths is not None:
-        ens["paths"] = args.paths
+    # block() refuses an ensemble block that is not an object, as validate() does
+    ens = raw["ensemble"] = config.block("ensemble").copy()
+    overrides = {"master_seed": args.seed, "stream_salt": args.salt, "paths": args.paths}
+    ens.update((key, value) for key, value in overrides.items() if value is not None)
     if args.levels is not None:
         raw["levels"] = args.levels
     return ExperimentConfig.from_dict(raw)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -38,7 +39,7 @@ from .norms import (
     NormSpec,
     parabolic_seminorm,
     schauder_ratio,
-    time_seminorm,
+    trace_parabolic_norm,
 )
 from .pipeline import decompose_pipeline
 from .rng import SeedSpec, coarsen, standard_normals, wiener_increments
@@ -197,14 +198,19 @@ def _count(name, value, levels=None, least=1) -> int:
 
 
 def _number(name, value, levels=None) -> float:
-    """A finite real number."""
-    try:
-        x = float(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name} must be a number: {exc}") from exc
-    if not math.isfinite(x):
+    """A finite JSON number: an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN fails too
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
+    return float(value)
+
+
+def _matrix(name, value):
+    """Nested lists of finite JSON numbers, as an array; make() checks the shape."""
+    if isinstance(value, list):
+        return np.asarray([_matrix(name, v) for v in value])
+    return _number(name, value)
 
 
 def _numbers(name, value, levels) -> list:
@@ -284,8 +290,9 @@ class ExperimentConfig:
     """A study configuration: JSON with blocks experiment, grid,
     coefficients, data, ensemble and levels.  validate() parses them
     against the study's table once and stores what the bodies read:
-    grid, seed, n_paths, n_levels, coeffs (keyed by sigma key), data
-    (every data key, defaults filled in) and specs (the NormSpecs)."""
+    grid, grids (it and its refinements, one per level), seed, n_paths,
+    n_levels, coeffs (keyed by sigma key), data (every data key, defaults
+    filled in) and specs (the NormSpecs)."""
 
     experiment: str
     raw: dict
@@ -333,8 +340,8 @@ class ExperimentConfig:
         try:
             return ModelCoefficients.make(
                 dim,
-                np.asarray(c["a"], dtype=float),
-                np.asarray(c[sigma_key], dtype=float),
+                _matrix("coefficients.a", c["a"]),
+                _matrix(f"coefficients.{sigma_key}", c[sigma_key]),
                 n_modes=_count("coefficients.n_modes", c.get("n_modes", 1)),
                 kappa=_number("coefficients.kappa", c.get("kappa", 1.0)),
                 bound=_number("coefficients.bound", c.get("bound", 4.0)),
@@ -422,12 +429,12 @@ class ExperimentConfig:
                 NormSpec(0.5, **norm)
         except ValueError as exc:
             raise ConfigError(f"bad data block: {exc}") from exc
+        self.grids = [grid]
+        for _ in range(self.n_levels - 1):
+            self.grids.append(self.grids[-1].refine())
         # the largest lattice a study evaluates is the space-time one of its finest level
         if self.data.get("pair_policy") == "exhaustive":
-            fine = grid
-            for _ in range(self.n_levels - 1):
-                fine = fine.refine()
-            nodes = (fine.steps + 1) * math.prod(fine.space_shape)
+            nodes = (self.grids[-1].steps + 1) * math.prod(self.grids[-1].space_shape)
             if nodes > EXHAUSTIVE_LIMIT:
                 raise ConfigError(
                     f"pair_policy exhaustive: the finest level has {nodes} space-time nodes, "
@@ -471,9 +478,7 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
     seminorm of h' moves by less than a factor 2 between the two finest
     levels.
     """
-    grids = [config.grid]
-    for _ in range(config.n_levels - 1):
-        grids.append(grids[-1].refine())
+    grids = config.grids
 
     # part 1: identity residual under refinement, quadratic wall data
     residuals = []
@@ -523,10 +528,9 @@ def _halfline_lemma(config: ExperimentConfig, report: StudyReport, workers: int)
         expo = 1.0 + alpha / 2.0
         ratios = []
         for j, g in enumerate(grids[-2:], start=len(grids) - 2):
-            data = BoundaryData.from_power(expo, g.times)
-            vt = dt_v(data, g, workers=workers)
+            vt = dt_v(BoundaryData.from_power(expo, g.times), g, workers=workers)
             num = parabolic_seminorm(vt, spec).value
-            den = time_seminorm(data.h_prime, g.times, alpha / 2.0, spec.gamma)
+            den = trace_parabolic_norm(vt, spec)[1].value  # dt_v's wall column is h'
             ratios.append(num / den)
             report.row("lemma_num", level=j, param=alpha, value=num)
             report.row("lemma_den", level=j, param=alpha, value=den)
@@ -676,10 +680,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
     A zero draw exercises the 0/0 sentinel and is excluded from the
     verdicts.
     """
-    coeffs, seed, (spec,) = config.coeffs["sigma"], config.seed, config.specs
-    grids = [config.grid]
-    for _ in range(config.n_levels - 1):
-        grids.append(grids[-1].refine())
+    coeffs, seed, (spec,), grids = config.coeffs["sigma"], config.seed, config.specs, config.grids
     draw_seed = SeedSpec(seed.master_seed, seed.stream_salt + 101)
 
     noises = [

@@ -9,31 +9,33 @@ refinement studies track their stability instead of claiming exactness.
 
 Difference quotients run over a stencil of lattice offsets set by the
 pair policy the ``NormSpec`` names; the caller chooses it, nothing here
-does.  ``exhaustive`` (the default, the grid supremum) takes the C-order
-node pairs qa < qb of ``np.triu_indices``, without wrapping, on lattices
-of at most ``EXHAUSTIVE_LIMIT`` nodes, grouped by the first component o
-of their offset: one broadcast difference joins every node of row r to
-every node of row r + o (at o = 0 only the later ones).  ``dyadic`` (a
-lower bound of it) takes powers of two along each axis, unit diagonals
-between space axes and parabolically balanced offsets (4^j steps against
-2^j cells), wrapping on periodic axes, so the n/2 offset of an even
-periodic axis meets each pair in both orientations and counts both in
-``pairs``; all pairs of one offset are one difference of two slices of
-the field.  Denominators |x - y|^alpha + |t - s|^{alpha/2} (periodic
-distance on periodic axes) are looked up by |offset|.  The field is
-copied once with paths as the contiguous axis after the grid axes, so
-paths are summed in the order a gathered pair list would sum them, bit
-for bit.  Differences pass through one reused buffer in blocks of
-leading rows of about 2^19 bytes, at least one row of every batch entry
-(an exhaustive row holds (trailing nodes)^2 x paths values); for
-gamma = 2 without modes a block is squared in place and summed over
-paths in numpy's pairwise order, the arithmetic of ``np.mean``, written
-out as strided adds over the whole block below 16 paths.
+does.  ``exhaustive`` (the default, the grid supremum) takes every node
+pair qa < qb in C-order, without wrapping, on lattices of at most
+``EXHAUSTIVE_LIMIT`` nodes, grouped by the first component o of their
+offset: one broadcast difference joins every node of row r to every node
+of row r + o (at o = 0 only the later ones).  A one-axis lattice is one
+row, so one term, blocked by base node p; its denominators are a view
+over q - p, inf where q <= p.  ``dyadic`` (a lower bound of it) takes
+powers of two along each axis, unit diagonals between space axes and
+parabolically balanced offsets (4^j steps against 2^j cells), wrapping
+on periodic axes, so the n/2 offset of an even periodic axis meets each
+pair in both orientations and counts both in ``pairs``; all pairs of one
+offset are one difference of two slices of the field.  Denominators
+|x - y|^alpha + |t - s|^{alpha/2} (periodic distance on periodic axes)
+are looked up by |offset|.  The field is copied once, paths after the
+grid axes, wrap-padded only if an axis wraps; differences land in one
+reused buffer, paths contiguous, so paths are summed in the order a
+gathered pair list would sum them, bit for bit.  A block holds leading
+rows of about 2^19 bytes, at least one row of every batch entry, and the
+buffer the largest block of the call; for gamma = 2 without modes a
+block is squared in place and summed over paths in numpy's pairwise
+order, the arithmetic of ``np.mean``, written out as strided adds over
+the whole block below 16 paths.
 
 Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
-smallest (qa, qb) in triu order; the space seminorm takes the earliest
-time level first.  If every quotient vanishes the argmax is ``()``.
+smallest (qa, qb); the space seminorm takes the earliest time level
+first.  If every quotient vanishes the argmax is ``()``.
 
 Time-constant data (a zero time stride, as the Schauder data f and g
 have) takes its sup norm and space seminorm on time level 0 alone: ties
@@ -59,7 +61,6 @@ __all__ = [
     "space_seminorm",
     "parabolic_seminorm",
     "trace_parabolic_norm",
-    "time_seminorm",
     "schauder_ratio",
 ]
 
@@ -190,9 +191,10 @@ def _dyadic_offsets(shape, periodic, time_axis):
 class _Stencil:
     """Dyadic: offset i joins node start[i] + k, k over base[i] in C-order, to
     that node plus offsets[i], wrapped on the wrap axes; slices[i] are the
-    two ends in the batched, wrap-padded field.  Exhaustive: term o joins
-    trailing node p of row r to node q of row r + o (p < q at o = 0), at
-    offset offsets[o * m + didx[p, q]], m the number of trailing nodes."""
+    two ends in the batched, wrap-padded field.  Exhaustive: the nodes form
+    rows[0] rows of m = rows[1] in C-order, one row on a one-axis lattice;
+    term o joins node p of row r to node q of row r + o (p < q at o = 0), at
+    offset offsets[o * m + didx[p, q]], or offsets[q - p] on one axis."""
 
     shape: tuple
     wrap: tuple
@@ -202,14 +204,15 @@ class _Stencil:
     base: np.ndarray = None
     start: np.ndarray = None
     slices: list = ()
+    rows: tuple = ()
     didx: np.ndarray = None
 
     def pair(self, i, k):
         """Node pair (a, b) of flat index k of term i."""
-        if self.didx is not None:
-            (n0, *tail), m = self.shape, len(self.offsets) // self.shape[0]
+        if self.rows:
+            (n0, m), shape = self.rows, self.shape
             r, p, q = np.unravel_index(k, (n0 - i, m, m))
-            return (r, *np.unravel_index(p, tail)), (r + i, *np.unravel_index(q, tail))
+            return np.unravel_index(r * m + p, shape), np.unravel_index((r + i) * m + q, shape)
         ia = tuple(self.start[i] + np.unravel_index(k, tuple(self.base[i])))
         ib = (a + o for a, o in zip(ia, self.offsets[i]))
         return ia, tuple(b % n if w else b for b, n, w in zip(ib, self.shape, self.wrap))
@@ -223,7 +226,8 @@ def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
         tail = np.indices(shape[1:]).reshape(ndim - 1, n // shape[0])
         didx = np.ravel_multi_index(tuple(abs(tail[:, :, None] - tail[:, None, :])), shape[1:])
         offs = np.indices(shape).reshape(ndim, n).T
-        return _Stencil(shape, (), [(0, 0)] * ndim, offs, n * (n - 1) // 2, didx=didx)
+        rows = (shape[0], n // shape[0]) if ndim > 1 else (1, n)  # one axis: one row of n nodes
+        return _Stencil(shape, (), [(0, 0)] * ndim, offs, n * (n - 1) // 2, rows=rows, didx=didx)
     offs = np.array(_dyadic_offsets(shape, periodic, time_axis), int).reshape(-1, ndim)
     n, w = np.array(shape), np.array(periodic)
     lo = np.where(w, -offs.min(axis=0, initial=0), 0)
@@ -264,27 +268,36 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
             space_sq = space_sq + (da * h) ** 2
     denom = np.sqrt(space_sq) ** spec.alpha + dt_term
 
+    # the one copy: C-contiguous, paths after the grid axes, wrap-padded if an axis wraps
     x = np.moveaxis(values, 0, 1 + len(shape))
-    # the one copy: C-contiguous, paths after the grid axes, periodic wrap
-    x = np.pad(x, [(0, 0)] + st.pad + [(0, 0)] * (x.ndim - 1 - len(shape)), mode="wrap")
-    nb, m = x.shape[0], n_pts // shape[0]
+    if any(map(any, st.pad)):
+        x = np.pad(x, [(0, 0)] + st.pad + [(0, 0)] * (x.ndim - 1 - len(shape)), mode="wrap")
+    x, nb, one_row = np.ascontiguousarray(x), len(x), policy == "exhaustive" and len(shape) == 1
     if policy == "dyadic":
         ends = [(x[sa], x[sb]) for sa, sb in st.slices]
+    elif one_row:  # the one row of a one-axis lattice, its base nodes p leading
+        ends = [(x[:, :, None], np.broadcast_to(x[:, None], x.shape[:2] + x.shape[1:]))]
     else:  # term o: every node of row r against every node of row r + o
-        x = x.reshape(nb, shape[0], m, *x.shape[1 + len(shape) :])
-        ends = [(x[:, : shape[0] - o, :, None], x[:, o:, None, :]) for o in range(shape[0])]
-        tab, low = denom.reshape(shape[0], m), np.tri(m, dtype=bool)
+        n0, m = st.rows
+        x = x.reshape(nb, n0, m, *x.shape[1 + len(shape) :])
+        ends = [(x[:, : n0 - o, :, None], x[:, o:, None, :]) for o in range(n0)]
+        tab, low = denom.reshape(n0, m), np.tri(m, dtype=bool)
     vmax, kmax = np.full((len(ends), nb), -1.0), np.zeros((len(ends), nb), dtype=np.intp)
-    buf = np.empty(_BLOCK)
+    buf = np.empty(0)
     for i, (a, b) in enumerate(ends):
-        den = denom[i] if policy == "dyadic" else tab[i][st.didx]
-        if policy == "exhaustive" and i == 0:  # drop the pairs qa >= qb of row r with itself
-            den = np.where(low, np.inf, den)
+        if policy == "dyadic":
+            den = denom[i]
+        elif one_row:  # denominators of the pairs (p, q), window[n - 1 + q - p]: inf at q <= p
+            window, s = np.concatenate((np.full(n_pts, np.inf), denom[1:])), denom.itemsize
+            den = np.ndarray((n_pts, n_pts), float, window, (n_pts - 1) * s, (-s, s))  # a view
+        else:  # denominators of the pairs (p, q) of every row; drop qa >= qb of row r with itself
+            den = np.where(low, np.inf, tab[0][st.didx]) if i == 0 else tab[i][st.didx]
         row = nb * math.prod(np.broadcast_shapes(a.shape, b.shape)[2:])  # every batch entry
-        buf, rows = buf if buf.size >= row else np.empty(row), max(1, _BLOCK // row)
+        rows = min(a.shape[1], max(1, _BLOCK // row))  # the rows of a block
+        buf = buf if buf.size >= row * rows else np.empty(row * rows)
         for rs in (slice(lo, lo + rows) for lo in range(0, a.shape[1], rows)):
             q = _difference_moment(a[:, rs], b[:, rs], buf, spec.gamma, n_modes > 0)
-            q /= den
+            q /= den[rs] if one_row else den
             k = q.reshape(nb, -1).argmax(axis=1)
             v = q.reshape(nb, -1)[np.arange(nb), k]
             new = (v > vmax[i]) | np.isnan(v)  # strict: the earliest maximum stays
@@ -297,8 +310,8 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     j = int(np.argmax((vmax == best).any(axis=0)))
     ties = np.flatnonzero(vmax[:, j] == best)
     # dyadic order is the tie order; exhaustive terms interleave in triu order
-    i = ties[0] if policy == "dyadic" else min(ties, key=lambda i: st.pair(i, kmax[i, j]))
-    return st, float(best), j, st.pair(i, kmax[i, j])
+    ties = ties[:1] if policy == "dyadic" else ties
+    return st, float(best), j, min(st.pair(i, kmax[i, j]) for i in ties)
 
 
 def _grid_geometry(grid, with_time):
@@ -392,20 +405,6 @@ def trace_parabolic_norm(f: FieldEnsemble, spec: NormSpec) -> tuple:
     semi = NormResult(f"trace_parabolic[{spec.pair_policy}]", v, 0, spec.alpha, spec.gamma)
     semi.argmax, semi.pairs = arg, st.pairs
     return sup, semi
-
-
-def time_seminorm(samples, times, exponent, gamma=2.0) -> float:
-    """sup over time pairs of moment(x(t) - x(s)) / |t - s|^exponent.
-
-    samples: (paths, n_times).  Exhaustive pair enumeration; used for
-    pure boundary-data seminorms such as the h' Hölder constant.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    times = np.asarray(times, dtype=float)
-    ja, jb = np.triu_indices(times.size, k=1)
-    diffs = samples[:, ja] - samples[:, jb]
-    mom = _moment(diffs, gamma, False)
-    return float(np.max(mom / np.abs(times[ja] - times[jb]) ** exponent))
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
 import pkgutil
 import warnings
 from pathlib import Path
@@ -568,6 +569,19 @@ def test_refinement_studies_need_two_levels(study, tmp_path, capsys, monkeypatch
     assert not (tmp_path / f"{study}.csv").exists()
 
 
+@pytest.mark.parametrize("ensemble", [[1], "x"], ids=["list", "text"])
+@pytest.mark.parametrize("flag", [[], ["--seed", "3"], ["--salt", "2"], ["--paths", "4"]])
+def test_cli_refuses_an_ensemble_block_the_overrides_cannot_go_into(
+    ensemble, flag, tmp_path, capsys
+):
+    raw = dict(TINY_STABILITY, ensemble=ensemble)
+    cfg = write_config(tmp_path, raw)
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path), *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the ensemble block must be an object, got ")
+    assert not (tmp_path / "stability.csv").exists()
+
+
 @pytest.mark.parametrize(
     "data, message",
     [(None, "the data block must be an object, got NoneType"), ({"gamma": "abc"}, "data.gamma")],
@@ -657,8 +671,8 @@ def test_kernel_check_runs_at_the_named_level_only(level):
         ("stability", {"data": {"gamma": 1.0}}, "gamma must be at least 2, got 1.0"),
         ("schauder_ratio", {"data": {"draws": 0}}, "data.draws must be at least 1, got 0"),
         ("continuity", {"data": {"iterations": 2}}, "data.iterations must be at least 3, got 2"),
-        ("stability", {"data": {"gamma": "nan"}}, "data.gamma must be finite, got 'nan'"),
-        ("schauder_ratio", {"data": {"gamma": "-inf"}}, "data.gamma must be finite, got '-inf'"),
+        ("stability", {"data": {"gamma": math.nan}}, "data.gamma must be finite, got nan"),
+        ("schauder_ratio", {"data": {"gamma": -math.inf}}, "data.gamma must be finite, got -inf"),
         ("compatibility", {"data": {"f_amplitude": 1e999}}, "data.f_amplitude must be finite"),
         ("schauder_ratio", {"data": {"draws": 2.7}}, "data.draws must be an integer, got 2.7"),
         ("stability", {"ensemble": {"paths": 1.5}}, "ensemble.paths must be an integer, got 1.5"),
@@ -666,8 +680,8 @@ def test_kernel_check_runs_at_the_named_level_only(level):
         ("stability", {"grid": {"x1_cells": 32.9}}, "grid.x1_cells must be an integer, got 32.9"),
         ("stability", {"grid": {"steps": True}}, "grid.steps must be an integer, got True"),
         ("stability", {"grid": {"dim": 1.7}}, "grid.dim must be an integer, got 1.7"),
-        ("stability", {"grid": {"x1_max": "nan"}}, "grid.x1_max must be finite, got 'nan'"),
-        ("stability", {"grid": {"t_max": "inf"}}, "grid.t_max must be finite, got 'inf'"),
+        ("stability", {"grid": {"x1_max": math.nan}}, "grid.x1_max must be finite, got nan"),
+        ("stability", {"grid": {"t_max": math.inf}}, "grid.t_max must be finite, got inf"),
         (
             "stability", {"ensemble": {"master_seed": 1.5}},
             "ensemble.master_seed must be an integer, got 1.5",
@@ -676,14 +690,34 @@ def test_kernel_check_runs_at_the_named_level_only(level):
             "stability", {"coefficients": {"a": [[1.0]], "sigma": [[0.0]], "n_modes": 1.5}},
             "coefficients.n_modes must be an integer, got 1.5",
         ),
-        ("continuity", {"coefficients": {"bound": "inf"}}, "coefficients.bound must be finite"),
+        ("continuity", {"coefficients": {"bound": math.inf}}, "coefficients.bound must be finite"),
+        # JSON numbers only: no string or bool reads as one
+        ("continuity", {"data": {"f_amplitude": "3"}}, "data.f_amplitude must be a number"),
+        ("continuity", {"data": {"s0": True}}, "data.s0 must be a number, got True"),
+        ("continuity", {"grid": {"x1_max": "0.8"}}, "grid.x1_max must be a number, got '0.8'"),
+        (
+            "continuity", {"coefficients": {"kappa": "0.5"}},
+            "coefficients.kappa must be a number, got '0.5'",
+        ),
+        ("halfline_lemma", {"data": {"alpha": [0.5, "0.25"]}}, "data.alpha must be a number"),
+        ("continuity", {"coefficients": {"a": [["1.9"]]}}, "coefficients.a must be a number"),
+        (
+            "continuity", {"coefficients": {"sigma": [[False]]}},
+            "coefficients.sigma must be a number, got False",
+        ),
+        (
+            "compatibility", {"coefficients": {"sigma_violating": [[0.7], [None]]}},
+            "coefficients.sigma_violating must be a number, got None",
+        ),
     ],
     ids=[
         "unknown-top-level", "unknown-grid", "unknown-coefficients", "unknown-ensemble",
         "unknown-data", "alpha-1.5", "alpha-empty", "policy-sparse", "policy-auto", "gamma-1",
         "draws-0", "iterations-2", "gamma-nan", "gamma-minus-inf", "amplitude-inf", "draws-2.7",
         "paths-1.5", "draws-true", "x1-cells-32.9", "steps-true", "dim-1.7", "x1-max-nan",
-        "t-max-inf", "master-seed-1.5", "n-modes-1.5", "bound-inf",
+        "t-max-inf", "master-seed-1.5", "n-modes-1.5", "bound-inf", "amplitude-text",
+        "s0-bool", "x1-max-text", "kappa-text", "alpha-text", "a-text", "sigma-bool",
+        "sigma-null",
     ],
 )
 def test_the_schema_refuses_a_config_no_verdict_can_read(

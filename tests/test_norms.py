@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from spdelab import (
     schauder_ratio,
     space_seminorm,
     sup_norm,
-    time_seminorm,
     trace_parabolic_norm,
 )
 from spdelab import norms
@@ -141,11 +141,19 @@ def test_parabolic_scaling_law():
         assert a / b == pytest.approx(lam**alpha, rel=1e-12)
 
 
+def wall_field(g, wall, paths=1):
+    """A dim-1 field whose wall column is wall (paths, times); the rest is zero."""
+    vals = np.zeros((paths, g.steps + 1, g.n_x1))
+    vals[:, :, g.wall_index] = wall
+    return FieldEnsemble(vals, g)
+
+
 def test_time_seminorm_power_profile():
+    # the trace seminorm of a dim-1 field is the alpha/2 time seminorm of its wall
+    g = grid1(cells=4, steps=32)
     for alpha in (0.25, 0.5, 0.75):
-        times = np.linspace(0.0, 1.0, 33)
-        samples = (1.0 + alpha / 2.0) * times ** (alpha / 2.0)
-        got = time_seminorm(samples[None, :], times, alpha / 2.0)
+        wall = (1.0 + alpha / 2.0) * g.times ** (alpha / 2.0)
+        got = trace_parabolic_norm(wall_field(g, wall), NormSpec(alpha=alpha))[1].value
         # the quotient is maximized against s = 0 where it is exact
         assert got == pytest.approx(1.0 + alpha / 2.0, rel=1e-14)
 
@@ -164,12 +172,13 @@ def test_moment_seminorm_gaussian_amplitude():
 def test_trace_norm_reduces_to_time_quotient():
     g = grid1(cells=4, steps=8)
     wall = np.sin(2.0 * np.pi * g.times)
-    vals = np.zeros((1, g.steps + 1, g.n_x1))
-    vals[:, :, 0] = wall
-    sup, semi = trace_parabolic_norm(FieldEnsemble(vals, g), SPEC)
+    sup, semi = trace_parabolic_norm(wall_field(g, wall), SPEC)
     assert sup == pytest.approx(np.max(np.abs(wall)))
-    expect = time_seminorm(wall[None, :], g.times, SPEC.alpha / 2.0)
-    assert semi.value == pytest.approx(expect, rel=1e-12)
+    # every pair of time nodes, from a list of its own
+    ja, jb = np.triu_indices(g.steps + 1, k=1)
+    quotients = np.abs(wall[ja] - wall[jb]) / np.abs(g.times[ja] - g.times[jb]) ** (SPEC.alpha / 2)
+    assert semi.value == pytest.approx(np.max(quotients), rel=1e-12)
+    assert semi.pairs == ja.size
 
 
 def test_schauder_ratio_zero_data_sentinel():
@@ -454,10 +463,12 @@ def test_blocked_reduction_is_bit_identical_across_block_boundaries(monkeypatch,
     # 1024 values hold a few rows: slices span several blocks, the last one
     # partial, and the spy below sees both
     monkeypatch.setattr(norms, "_BLOCK", 1024)
-    moment, rows = norms._difference_moment, []
+    moment, rows, trace = norms._difference_moment, [], []
 
     def spy(a, b, *args):
         rows.append(a.shape[1])
+        if policy == "exhaustive" and b.shape[2] == 33:  # the trace row: base nodes lead
+            trace.append(a.shape[1])
         return moment(a, b, *args)
 
     monkeypatch.setattr(norms, "_difference_moment", spy)
@@ -466,6 +477,8 @@ def test_blocked_reduction_is_bit_identical_across_block_boundaries(monkeypatch,
         # (t, x1, x') with a periodic x' wrap; batch > 1 in the space seminorm
         SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=8, xp_max=1.0, xp_cells=5),
         SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=9, t_max=0.5, steps=12, periodic_x1=True),
+        # a one-axis trace lattice of 33 time nodes: its one row of 33 x 33 pairs passes _BLOCK
+        SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=3, t_max=0.5, steps=32),
     ]
     for g in grids:
         for paths in PATH_COUNTS:
@@ -483,6 +496,22 @@ def test_blocked_reduction_is_bit_identical_across_block_boundaries(monkeypatch,
                 _assert_matches_oracle(FieldEnsemble(vals, g, n_modes=n_modes), spec, m)
     assert max(rows) > 1
     assert any(1 <= b < a for a, b in zip(rows, rows[1:]))
+    if policy == "exhaustive":  # the trace row goes by base nodes, its last block partial
+        assert any(1 <= b < a for a, b in zip(trace, trace[1:]))
+
+
+def test_a_one_axis_exhaustive_norm_holds_no_pair_table():
+    # 2,049 time nodes x 8 paths: 33.6 million differences, a block at a time
+    g = grid1(cells=2, steps=2048)
+    f = wall_field(g, np.random.default_rng(5).normal(size=(8, g.steps + 1)), paths=8)
+    tracemalloc.start()
+    try:
+        semi = trace_parabolic_norm(f, SPEC)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert semi.pairs == 2049 * 2048 // 2 and semi.value > 0.0
+    assert peak < 4 * 10**6
 
 
 @st.composite
