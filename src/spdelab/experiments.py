@@ -629,14 +629,14 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     f_vals = np.moveaxis(f.values[:, :, 1:-1], 0, -1)[..., None, :]  # (steps+1, *space, 1, paths)
     for j in range(grid.steps):
         each = (_integrand(co.sigma, u[..., i, :], grid, gv) for i, (co, gv) in enumerate(variants))
-        modes = zip(*each)
-        # a mode silent in one variant adds an exact zero to that variant
+        dw = noise.increments[:, j]
+        # a mode silent in one variant adds an exact zero times dw to that variant
         g = [
-            None if all(t is None for t in mode)
-            else np.stack([np.broadcast_to(0.0 if t is None else t, shape) for t in mode], -2)
-            for mode in modes
+            np.stack([np.broadcast_to(0.0 if t is None else t, shape) for t in mode], -2) * dw[:, k]
+            for k, mode in enumerate(zip(*each))
+            if any(t is not None for t in mode)
         ]
-        u[1:-1] = step(u, noise.increments[:, j], j, f_vals[j], g)
+        step(u, j, f_vals[j], g)
         lo, mid, hi = u[near]
         d11 = (lo - 2.0 * mid + hi) / (grid.dx1 * grid.dx1)
         np.maximum(peak, _path_sum(d11 * d11), out=peak)

@@ -109,10 +109,10 @@ EXHAUSTIVE_LIMIT = 20000
 
 def _moment(x, gamma, has_modes, axis=0):
     """L^gamma over the paths axis of the (mode-ell2) magnitude; modes are last."""
-    a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else np.abs(x)
-    if gamma == 2.0:
+    a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else x
+    if gamma == 2.0:  # x * x is |x| * |x| bit for bit, so no magnitude pass
         return np.sqrt(np.mean(a * a, axis=axis))
-    return np.mean(a**gamma, axis=axis) ** (1.0 / gamma)
+    return np.mean((a if has_modes else np.abs(a)) ** gamma, axis=axis) ** (1.0 / gamma)
 
 
 def _difference_moment(a, b, buf, gamma, has_modes):
@@ -295,13 +295,18 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
         row = nb * math.prod(np.broadcast_shapes(a.shape, b.shape)[2:])  # every batch entry
         rows = min(a.shape[1], max(1, _BLOCK // row))  # the rows of a block
         buf = buf if buf.size >= row * rows else np.empty(row * rows)
-        for rs in (slice(lo, lo + rows) for lo in range(0, a.shape[1], rows)):
-            q = _difference_moment(a[:, rs], b[:, rs], buf, spec.gamma, n_modes > 0)
-            q /= den[rs] if one_row else den
+        for lo in range(0, a.shape[1] - one_row, rows):  # one-axis: node n - 1 has no q > p
+            # a one-axis row's block [lo, lo + rows) keeps its pairs (p, q) with q > lo
+            rs, q0 = slice(lo, lo + rows), lo + 1 if one_row else 0
+            q = _difference_moment(a[:, rs], b[:, rs, q0:], buf, spec.gamma, n_modes > 0)
+            q /= den[rs, q0:] if one_row else den
             k = q.reshape(nb, -1).argmax(axis=1)
             v = q.reshape(nb, -1)[np.arange(nb), k]
             new = (v > vmax[i]) | np.isnan(v)  # strict: the earliest maximum stays
-            vmax[i, new], kmax[i, new] = v[new], k[new] + rs.start * math.prod(q.shape[2:])
+            k, w = k[new], math.prod(q.shape[2:])  # the block holds (rows, w) pairs from (lo, q0)
+            if one_row:  # rows of w = n - q0 pairs: to the flat index p n + q
+                k = k + q0 * (np.divmod(k, w)[0] + lo + 1)
+            vmax[i, new], kmax[i, new] = v[new], k + lo * w
     best = vmax.max(initial=0.0)
     if not math.isfinite(best):
         raise ValueError("field values must be finite")

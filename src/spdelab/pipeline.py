@@ -26,11 +26,16 @@ One pass over time.  Every quantity kept is a function of time slices
 j and j + 1 alone, so one loop reads slice j of u and U, steps H, W0
 and W1 to it, and then steps u and U to slice j + 1 with the solver's
 `_Stepper`; no field history is stored.  U's heat forcing sigma^{2k}
-D2 u is u's own noise integrand, so the loop forms it once per step
-(`_integrand`) and hands it to both steps, u's for the operator a and
-U's for the Laplacian.  The wall rows of f_tilde and D11 v are the
-one-sided x1 = 0 closures of the difference stencils, applied to x1
-rows 0-3 directly, and W0 and W1 share one in-place line solve per step.
+D2 u is u's own noise integrand, so the loop forms the noise terms
+sigma^{2k} D2 u dw^k once per step and hands them to both steps, u's
+for the operator a and U's for the Laplacian.  The wall rows of f_tilde
+and D11 v are the one-sided x1 = 0 closures of the difference stencils,
+applied to x1 rows 0-3 directly.  W0 is stepped on the noise paths and
+W1 on the forcing's paths alone: c = b(0) reads u = U = 0, so it has
+f's paths.  Their interior x1 rows share one Fortran-ordered buffer,
+which the one line solve per step overwrites in place, and V = W + offset
+is formed on those rows alone: V is +0.0 on the wall, and the
+reconstruction residual is exactly zero on both end rows.
 """
 
 from __future__ import annotations
@@ -89,18 +94,17 @@ class PipelineOutput:
 def _line_step(line, r, w, wall):
     """One backward-Euler step of the unit heat equation in x1, in place.
 
-    w: (n_x1, ...) at step j; wall: the Dirichlet data at x1 = 0 for step
-    j + 1, shaped like w[0].  Row n-1 is never written: from a zero start
-    the far end stays clamped to zero, which is valid when the grid
-    satisfies the truncation-error rule.
+    w: the interior x1 rows (n_x1 - 2, k) at step j, Fortran-ordered, which
+    the solve overwrites; wall: the Dirichlet data at x1 = 0 for step j + 1,
+    shape (k,).  The far end stays clamped to zero, which is valid when the
+    grid satisfies the truncation-error rule.
     """
-    w[1] += r * wall
-    w[1:-1] = line.solve(w[1:-1].reshape(line.n, -1)).reshape(w[1:-1].shape)
-    w[0] = wall
+    w[0] += r * wall
+    line.solve(w)
 
 
 def _wall_diff(v, n1, n2, grid):
-    """Wall row of D1^n1 D2^n2 v (n_x1[, n_xp], ...), n1 >= 1, the x1 = 0 closure alone."""
+    """Wall row of D1^n1 D2^n2 v (x1 rows first), n1 >= 1, the x1 = 0 closure alone."""
     out = _closure(v, n1, grid.dx1)
     return _diff(out, grid.dxp, 0, True, n2) if n2 else out
 
@@ -116,6 +120,7 @@ def _kernel_check(cap_h, b, c, refs, grid, probes):
         tail = (col,) if grid.dim == 2 else ()
         h = -cap_h[(path, slice(None)) + tail]
         hp = -(b[(path, slice(None)) + tail] - c[(path,) + tail])
+        ref[:, 0] = h  # W0 on the wall
         data = BoundaryData.from_samples(h[None, :], hp[None, :], grid.times)
         kern = solve_halfline(data, line)
         worst = max(worst, float(np.max(np.abs(kern.values[0] - ref))))
@@ -136,9 +141,10 @@ def decompose_pipeline(
     and a Dirichlet wall; the drift forcing f may have a nonzero wall
     trace, which is exactly what activates the V profiles.  The
     noise-forcing slot stays empty here: gradient noise enters through
-    the coefficients alone.  The loop stores u, U, W0 over W1 (n_x1, 2[,
-    n_xp], paths) and the wall histories space first and paths last, as
-    the stepper does, and moves paths to the front once, for the output.
+    the coefficients alone.  The loop stores u, U, the wall histories and
+    W0 beside W1 ((n_x1 - 2[, n_xp], paths + f paths), Fortran-ordered)
+    space first and paths last, as the stepper does, and moves paths to
+    the front once, for the output.
     """
     comp = check_compatibility(coeffs)
     if not comp.passed:
@@ -148,7 +154,7 @@ def decompose_pipeline(
         )
     if grid.periodic_x1:
         raise ModelError("the wall decomposition needs a grid with a wall at x1 = 0")
-    paths, dt, a11, sig = noise.n_paths, grid.dt, coeffs.a[0, 0], coeffs.sigma
+    paths, fp, dt, a11, sig = noise.n_paths, f.n_paths, grid.dt, coeffs.a[0, 0], coeffs.sigma
     _check_inputs(coeffs, Forcing(f=f), grid, noise)
     step = _Stepper(coeffs.a, grid)
     # U's noise is additive, so the heat step has no noise bound of its own
@@ -166,9 +172,10 @@ def decompose_pipeline(
     refs = [np.zeros((grid.steps + 1, grid.n_x1)) for _ in probes]
     state = grid.space_shape + (paths,)
     u, big = np.zeros(state), np.zeros(state)  # stepped in place on the unknown rows
-    w01 = np.zeros((grid.n_x1, 2) + state[1:])  # W0 and W1 on axis 1, stepped in place
-    recon_err, big_max = 0.0, 0.0
-    f_vals = np.moveaxis(f.values, 0, -1)  # (steps+1, *space, paths)
+    w = np.zeros((line.n,) + state[1:-1] + (paths + fp,), order="F")  # W's interior rows
+    w0, w1, cols = w[..., :paths], w[..., paths:], w.reshape(line.n, -1, order="F")  # views
+    recon_err, big_max, b_c = 0.0, 0.0, None
+    f_vals = np.moveaxis(f.values, 0, -1)  # (steps+1, *space, f paths)
     for j in range(grid.steps + 1):
         tilde = u - big
         # translated forcing: freeze every second-order term except a11 D11;
@@ -179,32 +186,34 @@ def decompose_pipeline(
             ft += 2.0 * (a12 * _wall_diff(big, 1, 1, grid))
             ft += 2.0 * (a12 * _wall_diff(tilde, 1, 1, grid))
         b[j] = ft / a11
-        if j == 0:
-            c = b[0].copy()
-        else:
-            # the running sum of scipy's cumulative_trapezoid, bit for bit
-            cap_h[j] = cap_h[j - 1] + dt * ((b[j] - c) + (b[j - 1] - c)) / 2.0
-        # V0 = H + W0 and V1 = t c + W1; one line solve steps both profiles
-        offset = np.stack((cap_h[j], times[j] * c))
+        if j == 0:  # u = U = 0 here, so c has f's paths alone
+            c, c_f = b[0].copy(), b[0, ..., :fp]
+        b_c, prev = b[j] - c, b_c
+        tc = times[j] * c_f
         if j:
-            _line_step(line, r, w01, -offset)
-        v01 = w01 + offset
-        v0, v1 = v01[:, 0], v01[:, 1]
+            # the running sum of scipy's cumulative_trapezoid, bit for bit
+            cap_h[j] = cap_h[j - 1] + dt * (b_c + prev) / 2.0
+            _line_step(line, r, cols, -np.concatenate((cap_h[j], tc), -1).ravel("F"))
+        # V0 = H + W0 and V1 = t c + W1, on the interior rows
+        v0, v1 = w0 + cap_h[j], w1 + tc
         v = v0 + v1
-        remainder = tilde - v
-        recon = u - (big + v0 + v1 + remainder)
+        remainder = tilde[1:-1] - v
+        recon = u[1:-1] - (big[1:-1] + v0 + v1 + remainder)
         recon_err = max(recon_err, float(np.max(np.abs(recon))))
         big_max = max(big_max, float(np.max(np.abs(big))))
-        # residual forcing felt by the remainder; its wall trace is the metric
-        wall_f[j] = (a11 - 1.0) * _wall_diff(v, 2, 0, grid) + ft - b[j]
+        # residual forcing felt by the remainder; its wall trace is the metric.
+        # V's x1 rows 0-3: +0.0 on the wall, and H + t c where W is 0 at the far end
+        near = (0.0, *v[:3]) if line.n > 2 else (0.0, *v, (0.0 + cap_h[j]) + (0.0 + tc))
+        wall_f[j] = (a11 - 1.0) * _wall_diff(near, 2, 0, grid) + ft - b[j]
         for ref, (path, col) in zip(refs, probes):
-            ref[j] = w01[:, 0, col, path] if grid.dim == 2 else w01[:, 0, path]
+            ref[j, 1:-1] = w0[:, col, path] if grid.dim == 2 else w0[:, path]
         if j == grid.steps:
             break
         dw, g = noise.increments[:, j], _integrand(sig, u, grid)
+        g = [term * dw[:, k] for k, term in enumerate(g) if term is not None]
         if heat is not None:
-            big[1:-1] = heat(big, dw, j, g=g)
-        u[1:-1] = step(u, dw, j, f_vals[j, 1:-1], g)
+            heat(big, j, None, g)
+        step(u, j, f_vals[j, 1:-1], g)
 
     b, c, cap_h = (np.moveaxis(x, -1, 0) for x in (b, c, cap_h))  # paths first again
     # the slope of H at zero is b(0) - c, which is zero by construction

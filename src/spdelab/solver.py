@@ -14,7 +14,7 @@ advance through identical linear algebra, so results are independent of
 how paths are blocked across workers.  The step is written once, in
 `_Stepper`, for the unknown nodes of a stack of states; it knows only
 the operator a, and each caller (the time loop, the continuation, the
-wall decomposition, the compatibility study) forms the noise integrand.
+wall decomposition, the compatibility study) forms the noise terms.
 Stepped states are stored space first and paths last, (*space, *stack,
 paths), so x1 slices are contiguous blocks; the public fields keep their
 path-major shapes, and the loops transpose at that boundary.
@@ -192,11 +192,13 @@ class _DirichletLine:
         self.factors = dgttrf(off, diag, off)[:5]
 
     def solve(self, cols):
-        """Solution for each column of cols, shape (n, k)."""
+        """Solution for each column of cols, shape (n, k).  A Fortran-ordered
+        cols is solved in place and returned; a padded line writes any cols back."""
         pad = self.factors[1].size - self.n
         if pad:
-            cols = np.concatenate([cols, np.zeros((pad, cols.shape[1]))])
-        return dgttrs(*self.factors, cols)[0][: self.n]
+            cols[...] = dgttrs(*self.factors, np.pad(cols, ((0, pad), (0, 0))))[0][: self.n]
+            return cols
+        return dgttrs(*self.factors, cols, overwrite_b=1)[0]
 
 
 def _implicit_matrix(a, grid):
@@ -248,15 +250,15 @@ class _Stepper:
     """One step u_j -> u_{j+1} for the operator a; I - dt a:D^2 is factored once.
 
     A state has shape (*space, *stack, paths): the stack axes hold states
-    that share the operator and the noise, whose increments broadcast on
-    the trailing paths axis.  The step touches only the unknown nodes,
-    u[1:-1] on a wall grid and all of u on a periodic line.  Its explicit
-    stage is u_j + dt f + sum_k G_k dw^k there, with f and each noise
-    integrand G_k (None: no term) from the caller, restricted to the
-    unknown nodes.  It returns u_{j+1} on them for the caller to write
-    into its own array.  The solve keeps a non-finite value in its own
-    column, so one check after it names the first bad path, in (stack,
-    path) order.
+    that share the operator and the noise.  The step touches only the
+    unknown nodes, u[1:-1] on a wall grid and all of u on a periodic line.
+    Its explicit stage is u_j + dt f + sum_k G_k dw^k there, with f and
+    the formed noise terms G_k dw^k from the caller, restricted to the
+    unknown nodes, so two states stepped on one noise share its products.
+    It writes u_{j+1} into those rows of u.  The solve keeps a non-finite
+    value in its own column, so one sum of its output screens for one, and
+    only a non-finite sum has the columns scanned for the first bad path,
+    in (stack, path) order.
     """
 
     def __init__(self, a, grid):
@@ -264,21 +266,18 @@ class _Stepper:
         self.matrix = _implicit_matrix(a, grid)
         self.unknown = slice(None) if grid.periodic_x1 else slice(1, -1)  # x1 rows stepped
 
-    def __call__(self, u, dw, j, f=None, g=()):
-        """u_{j+1} on the unknown nodes; g[k] is mode k's integrand or None."""
-        grid = self.grid
+    def __call__(self, u, j, f=None, noise=()):
+        """Step u in place on the unknown nodes; noise lists the terms G_k dw^k."""
         core = u[self.unknown]
-        expl = core.copy() if f is None else core + grid.dt * f
-        for k, term in enumerate(g):
-            if term is not None:
-                expl += term * dw[:, k]
-        n_unknown = math.prod(expl.shape[: grid.dim])
-        u_new = self.matrix.solve(expl.reshape(n_unknown, -1)).reshape(expl.shape)
-        finite = np.isfinite(u_new)
-        if not finite.all():
-            bad = np.argwhere(~finite.all(axis=tuple(range(grid.dim))))  # (*stack, path)
-            raise BlowUpError(path=int(bad[0][-1]), step=j + 1)
-        return u_new
+        expl = core.copy() if f is None else core + self.grid.dt * f
+        for term in noise:
+            expl += term
+        out = self.matrix.solve(expl.reshape(math.prod(expl.shape[: self.grid.dim]), -1))
+        if not math.isfinite(out.sum()):  # finite values can still sum past the range
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+            if bad.size:
+                raise BlowUpError(path=int(bad[0]) % u.shape[-1], step=j + 1)
+        core[...] = out.reshape(core.shape)
 
 
 def _integrand(sigma, u, grid, g=None):
@@ -318,8 +317,9 @@ def _step_loop(coeffs, forcing, grid, noise, u0, full):
     for j in range(grid.steps):
         f = None if f_vals is None else f_vals[j, step.unknown]
         g = None if g_vals is None else g_vals[:, j, step.unknown]
-        g = _integrand(coeffs.sigma, u, grid, g)
-        u[step.unknown] = step(u, noise.increments[:, j, :], j, f, g)
+        g = enumerate(_integrand(coeffs.sigma, u, grid, g))
+        g = [term * noise.increments[:, j, k] for k, term in g if term is not None]
+        step(u, j, f, g)  # with the integrands freed
         if out is not None:
             out[:, j + 1] = np.moveaxis(u, -1, 0)
     return np.moveaxis(u, -1, 0) if out is None else FieldEnsemble(out, grid)
@@ -433,8 +433,9 @@ def continuity_iterates(
         g = ds * (sig[:, None, None, None] * dv[:, :-1])
         if forcing.g is not None:
             g = g_vals[:, j] + g
-        g = [(sig0[k] * dv[:, 1:]) + g[k] if sig0[k] else g[k] for k in range(len(g))]
-        u[1:-1, 1:] = step(u[:, 1:], noise.increments[:, j], j, f, g)
+        dw = noise.increments[:, j]
+        g = [((sig0[k] * dv[:, 1:]) + g[k] if sig0[k] else g[k]) * dw[:, k] for k in range(len(g))]
+        step(u[:, 1:], j, f, g)
         gap = u[1:-1, 2:] - u[1:-1, 1:-1]
         np.maximum(peak, _path_sum(gap * gap), out=peak)
     return np.max(peak, axis=0) / paths, np.moveaxis(u[:, 1:], 0, -1)

@@ -467,7 +467,8 @@ def test_blocked_reduction_is_bit_identical_across_block_boundaries(monkeypatch,
 
     def spy(a, b, *args):
         rows.append(a.shape[1])
-        if policy == "exhaustive" and b.shape[2] == 33:  # the trace row: base nodes lead
+        if policy == "exhaustive" and a.shape[0] == a.shape[2] == 1:  # the trace row: one
+            # batch entry, base nodes leading, each block's pairs q > its first base node
             trace.append(a.shape[1])
         return moment(a, b, *args)
 

@@ -53,10 +53,12 @@ def line_history(wall, g):
     """The pipeline's line step from a zero profile, every slice kept."""
     r = g.dt / g.dx1**2
     line = _DirichletLine(g.n_x1 - 2, r)
-    w = np.zeros((g.n_x1, wall.shape[0]))  # stepped in place, x1 first
+    w = np.zeros((g.n_x1, wall.shape[0]))  # x1 first
+    inner = np.zeros((line.n, wall.shape[0]), order="F")  # the rows the step writes in place
     out = [w.copy()]
     for j in range(1, g.steps + 1):
-        _line_step(line, r, w, wall[:, j])
+        _line_step(line, r, inner, wall[:, j])
+        w[0], w[1:-1] = wall[:, j], inner
         out.append(w.copy())
     return np.moveaxis(np.stack(out), -1, 0)  # (paths, steps + 1, n_x1)
 
@@ -73,18 +75,20 @@ def test_profile_solver_carries_wall_data_exactly():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_line_step_of_stacked_profiles_is_two_steps_to_the_bit(dim):
-    # W0 and W1 share one dgttrs call, stacked on the axis after x1
+    # W0 (three noise paths) and W1 (one forcing path) share one dgttrs call,
+    # side by side in one Fortran-ordered buffer of interior rows
     g = grid1(cells=16) if dim == 1 else grid2()
     r = g.dt / g.dx1**2
     line = _DirichletLine(g.n_x1 - 2, r)
     rng = np.random.default_rng(3)
-    w0, w1 = (rng.standard_normal(g.space_shape + (3,)) for _ in range(2))
-    h0, h1 = (rng.standard_normal(g.space_shape[1:] + (3,)) for _ in range(2))
-    both = np.stack((w0, w1), axis=1)
-    _line_step(line, r, both, np.stack((h0, h1)))
+    m = g.n_xp if dim == 2 else 1
+    w0, w1 = (np.asfortranarray(rng.standard_normal((line.n, m * k))) for k in (3, 1))
+    h0, h1 = rng.standard_normal(m * 3), rng.standard_normal(m)
+    both = np.asfortranarray(np.concatenate((w0, w1), axis=1))
+    _line_step(line, r, both, np.concatenate((h0, h1)))
     _line_step(line, r, w0, h0)
     _line_step(line, r, w1, h1)
-    assert np.array_equal(both[:, 0], w0) and np.array_equal(both[:, 1], w1)
+    assert np.array_equal(both[:, : m * 3], w0) and np.array_equal(both[:, m * 3 :], w1)
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 0), (1, 1)])
@@ -364,12 +368,30 @@ def _streaming_cases():
     )
     f = FieldEnsemble(rng.standard_normal((3, g.steps + 1) + g.space_shape), g)
     yield co, f, g, wiener_increments(SEED, 3, g.steps, 2, dt=g.dt)
+    # two interior rows: D11 V on the wall reads the far row, where W is 0
+    g = grid1(cells=3)
+    f = FieldEnsemble(rng.standard_normal((3, g.steps + 1, g.n_x1)), g)
+    yield coeffs1(), f, g, wiener_increments(SEED, 3, g.steps, dt=g.dt)
 
 
-@pytest.mark.parametrize("case", list(_streaming_cases()), ids=["dim1", "dim2"])
+CASE_IDS = ["dim1", "dim2", "dim1-three-cells"]
+
+
+@pytest.mark.parametrize("case", list(_streaming_cases()), ids=CASE_IDS)
 def test_streamed_decomposition_matches_the_full_history_reference(case):
     # per-path, time-varying f; in 2-D two noise modes and a12 != 0
     co, f, g, noise = case
     out = decompose_pipeline(co, f, g, noise, kernel_check=True)
     for name, expect in full_history_reference(co, f, g, noise).items():
         assert np.array_equal(getattr(out, name), expect), name
+
+
+@pytest.mark.parametrize("case", list(_streaming_cases()), ids=CASE_IDS)
+def test_a_one_path_forcing_decomposes_like_its_copy_on_every_path(case):
+    # W1 steps on f's one path, and on every noise path when f is repeated
+    co, f, g, noise = case
+    one = FieldEnsemble(f.values[1:2], g)
+    every = FieldEnsemble(np.repeat(one.values, noise.n_paths, axis=0), g)
+    out, ref = (decompose_pipeline(co, x, g, noise, kernel_check=True) for x in (one, every))
+    for name in PipelineOutput.__dataclass_fields__:
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name

@@ -274,8 +274,8 @@ def test_a_wall_node_forcing_value_never_reaches_the_solution():
 
 def stepper_case(dim, paths=4, stack=3):
     """A stepper, a stack of random states laid out (*space, stack, paths),
-    one step's noise, and drift and noise forcing with a stack axis of one,
-    which the model's noise integrands carry."""
+    one step's noise, drift forcing with a stack axis of one, and the noise
+    terms G_k dw^k of a state, whose noise forcing has a stack axis of one."""
     if dim == 1:
         grid = wallgrid()
         co = ModelCoefficients.make(1, np.array([[1.4]]), np.array([[0.6]]), kappa=0.5)
@@ -293,25 +293,36 @@ def stepper_case(dim, paths=4, stack=3):
     f = rng.normal(size=unknown)
     g = rng.normal(size=(co.n_modes,) + unknown)
     dw = noise_for(grid, paths, co.n_modes).increments[:, 1]
-    return step, u, dw, f, lambda v: _integrand(co.sigma, v, grid, g)
+
+    def terms(v):
+        return [t * dw[:, k] for k, t in enumerate(_integrand(co.sigma, v, grid, g))]
+
+    return step, u, dw, f, terms
+
+
+def stepped(step, u, *args):
+    """The unknown rows of a copy of u after one step in place."""
+    v = u.copy()
+    step(v, *args)
+    return v[step.unknown]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_stack_steps_like_separate_states(dim):
     # one call on a stack of states equals one call per state, bit for bit
     step, u, dw, f, noise = stepper_case(dim)
-    stacked = step(u, dw, 1, f, noise(u))
+    stacked = stepped(step, u, 1, f, noise(u))
     assert stacked.shape == u[step.unknown].shape
     for i in range(u.shape[-2]):
         one = u[..., i : i + 1, :]
-        assert np.array_equal(stacked[..., i : i + 1, :], step(one, dw, 1, f, noise(one)))
+        assert np.array_equal(stacked[..., i : i + 1, :], stepped(step, one, 1, f, noise(one)))
 
 
 def test_a_blowup_in_a_stack_names_the_path():
     step, u, dw, f, noise = stepper_case(1)
     u[3, 1, 2] = np.inf  # x1 node 3 of stack entry 1, path 2
     with pytest.raises(BlowUpError) as err:
-        step(u, dw, 4, f, noise(u))
+        step(u, 4, f, noise(u))
     assert (err.value.path, err.value.step) == (2, 5)
 
 
@@ -336,7 +347,7 @@ def test_one_check_after_the_solve_names_the_first_bad_path_and_step():
     bad = f.copy()
     bad[2, 3, 0, 4] = np.inf
     with pytest.raises(BlowUpError) as err:
-        step(u, dw, 2, bad, noise(u))
+        step(u, 2, bad, noise(u))
     assert (err.value.path, err.value.step) == (4, 3)
     # paths 2 and 5 poisoned at different nodes: the first path is named,
     # although path 5's node comes first in the space-first array
@@ -344,7 +355,7 @@ def test_one_check_after_the_solve_names_the_first_bad_path_and_step():
     bad[0, 0, 0, 5] = np.nan
     bad[3, 5, 0, 2] = -np.inf
     with pytest.raises(BlowUpError) as err:
-        step(u, dw, 2, bad, noise(u))
+        step(u, 2, bad, noise(u))
     assert (err.value.path, err.value.step) == (2, 3)
     # the stack axis comes before the path axis: stack entry 0 path 5
     # is named ahead of stack entry 1 path 1
@@ -352,7 +363,7 @@ def test_one_check_after_the_solve_names_the_first_bad_path_and_step():
     bad[1, 0, 1, 1] = np.inf
     bad[2, 2, 0, 5] = np.inf
     with pytest.raises(BlowUpError) as err:
-        step(bad, dw, 6, f, noise(u))
+        step(bad, 6, f, noise(u))
     assert (err.value.path, err.value.step) == (5, 7)
 
 
@@ -445,10 +456,30 @@ def test_dirichlet_line_matches_solve_banded_bitwise(n, r, columns):
     expected = solve_banded((1, 1), ab, rhs)
     line = _DirichletLine(n, r)
     # the solver hands over a transposed (Fortran-ordered) view
-    for cols in (rhs, np.ascontiguousarray(rhs.T).T):
+    for cols in (rhs.copy(), np.ascontiguousarray(rhs.T).T):
         got = line.solve(cols)
         assert got.shape == (n, columns)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_a_dirichlet_line_solves_a_fortran_buffer_in_place(n):
+    # the pipeline's line step: no copy in or out, the copying solve's bits
+    line = _DirichletLine(n, 0.7)
+    rhs = np.random.default_rng(n).normal(size=(n, 6)) * 1e3
+    expected = line.solve(rhs.copy())
+    buf = np.asfortranarray(rhs)
+    assert line.solve(buf) is buf
+    assert np.array_equal(buf.view(np.int64), expected.view(np.int64))
+
+
+def test_a_finite_step_whose_sum_overflows_raises_no_blowup():
+    # the one sum that screens the solve output reads inf, and the column
+    # scan it sets off finds every value finite
+    step, u, _, _, _ = stepper_case(1)
+    with np.errstate(over="ignore"):  # the sum's overflow is the point
+        out = stepped(step, np.full_like(u, 1e308), 1)
+        assert np.isinf(np.sum(out)) and np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize("cells", [2, 3])
@@ -463,15 +494,15 @@ def test_solvers_run_on_the_smallest_wall_grids(cells):
     # the pipeline's wall-profile step on the same line
     r = g.dt / g.dx1**2
     line = _DirichletLine(g.n_x1 - 2, r)
-    w = np.zeros((g.n_x1, 2))  # x1 first, two paths
+    w = np.zeros((line.n, 2), order="F")  # the interior rows, two paths
     for j in range(g.steps):
         wall = np.full(2, g.times[j + 1] ** 2)
         prev = w.copy()
         _line_step(line, r, w, wall)
-        assert np.all(w[0] == wall) and np.all(w[-1] == 0.0)
+        assert np.all(np.isfinite(w)) and np.all(w != prev)
         if cells == 2:
             # a single unknown: each backward-Euler step is one division
-            assert np.array_equal(w[1], (prev[1] + r * wall) / (1.0 + 2.0 * r))
+            assert np.array_equal(w[0], (prev[0] + r * wall) / (1.0 + 2.0 * r))
 
 
 # -- oracles ----------------------------------------------------------
