@@ -1,15 +1,14 @@
 """Command-line front end.
 
     lab <experiment> --config cfg.json [--seed N --salt N --out DIR
-                                        --levels K --paths N --workers W
-                                        --plot]
+                                        --levels K --paths N --workers W]
     lab kernel --s S --y Y [--rel-tol R]
     lab validate --config cfg.json
 
-Experiments write their canonical CSV (plus sidecar JSON, and a
-plot-ready CSV under --plot) into --out, the SPDELAB_OUT environment
-variable, or the current directory, in that order of preference.  The
-process exit code is the number of failed verdicts, so 0 means pass.
+Experiments write their canonical CSV (plus sidecar JSON) into --out,
+the SPDELAB_OUT environment variable, or the current directory, in that
+order of preference.  The process exit code is the number of failed
+verdicts, so 0 means pass.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ def _study_parser(sub, name, runner):
     p.add_argument(
         "--workers", type=_worker_count, default=1, help="kernel-solve worker threads (>= 1)"
     )
-    p.add_argument("--plot", action="store_true", help="also write the long-format plot CSV")
     return p
 
 
@@ -106,10 +104,7 @@ def main(argv=None) -> int:
             return 1
         print(f"ok: {config.experiment} configuration is admissible")
         for key, rep in checks.items():
-            if hasattr(rep, "lower_margin"):
-                print(
-                    f"  {key}: parabolicity margins {rep.lower_margin:.3e} / {rep.upper_margin:.3e}"
-                )
+            print(f"  {key}: parabolicity margins {rep.lower_margin:.3e} / {rep.upper_margin:.3e}")
         return 0
 
     try:
@@ -137,10 +132,9 @@ def main(argv=None) -> int:
         "levels": args.levels,
         "paths": args.paths,
         "workers": args.workers,
-        "plot": args.plot,
     }
     out_dir = args.out or os.environ.get(_OUT_ENV) or "."
-    paths = report.write(out_dir, plot=args.plot)
+    paths = report.write(out_dir)
 
     for v in report.verdicts:
         mark = "pass" if v.passed else "FAIL"

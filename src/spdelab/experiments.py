@@ -14,9 +14,7 @@ Canonical CSV schema, shared by every study:
 
 with floats serialized by repr (shortest round-trip form).  A study
 defines which records it emits; verdicts appear as records named
-``verdict_*`` with value 1.0 or 0.0.  ``--plot`` additionally writes a
-long-format file (level,param,value) restricted to the profile-like
-records for external plotting.
+``verdict_*`` with value 1.0 or 0.0.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -67,16 +65,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("study", "record", "level", "param", "index", "value")
-
-# records worth plotting, keyed by study
-_PLOT_RECORDS = {
-    "halfline_lemma": ("heat_residual", "boundary_error", "lemma_ratio"),
-    "stability": ("ratio",),
-    "compatibility": ("profile",),
-    "schauder_ratio": ("ratio",),
-    "pipeline": ("wall_residual",),
-    "continuity": ("diff", "ratio"),
-}
 
 
 def _fmt(x) -> str:
@@ -130,15 +118,6 @@ class StudyReport:
             lines.append(f"{self.study},verdict_{v.name},,,,{_fmt(1.0 if v.passed else 0.0)}")
         return "\n".join(lines) + "\n"
 
-    def plot_csv(self) -> str:
-        keep = _PLOT_RECORDS.get(self.study, ())
-        lines = ["level,param,value"]
-        for row in self.rows:
-            if row["record"] in keep:
-                param = row["param"] or row["index"]
-                lines.append(",".join((_fmt(row["level"]), _fmt(param), _fmt(row["value"]))))
-        return "\n".join(lines) + "\n"
-
     def norms_csv(self) -> str | None:
         if not self.norm_rows:
             return None
@@ -149,14 +128,12 @@ class StudyReport:
             lines.append(",".join(_fmt(c).replace(",", ";") for c in cells))
         return "\n".join(lines) + "\n"
 
-    def write(self, out_dir, plot=False):
-        """Write canonical CSV (+ norms CSV, sidecar JSON, optional plot CSV)."""
+    def write(self, out_dir):
+        """Write canonical CSV (+ norms CSV) and sidecar JSON."""
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
         base = os.path.join(out_dir, self.study)
         texts = {"csv": self.canonical_csv(), "norms": self.norms_csv()}
-        if plot:
-            texts["plot"] = self.plot_csv()
         for kind, text in texts.items():
             if text is not None:
                 paths[kind] = base + (".csv" if kind == "csv" else f"_{kind}.csv")
@@ -238,7 +215,8 @@ class _Study:
     least level count, each sigma key with its tangency rule (True,
     False or None: either), whether the body uses the coefficients (a
     block given anyway is still gated), each data key with its default
-    and parser(name, value, levels), and the least x1_cells it takes."""
+    and parser(name, value, levels), the least x1_cells it takes, and
+    whether a level refines x' as well as x1 and t."""
 
     dim: int | None
     levels: int
@@ -246,6 +224,7 @@ class _Study:
     data: dict
     coefficients: bool = True
     x1_cells: int = 2
+    refine_xp: bool = True
 
 
 _WAVE = {"f_amplitude": (1.0, _number), "f_tangential_wave": (0.5, _number)}
@@ -268,7 +247,8 @@ _STUDIES = {
         x1_cells=3,
     ),
     "pipeline": _Study(
-        None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)}, x1_cells=3
+        None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)}, x1_cells=3,
+        refine_xp=False,
     ),
     "continuity": _Study(
         1, 1, {"sigma": None},
@@ -290,9 +270,9 @@ class ExperimentConfig:
     """A study configuration: JSON with blocks experiment, grid,
     coefficients, data, ensemble and levels.  validate() parses them
     against the study's table once and stores what the bodies read:
-    grid, grids (it and its refinements, one per level), seed, n_paths,
-    n_levels, coeffs (keyed by sigma key), data (every data key, defaults
-    filled in) and specs (the NormSpecs)."""
+    grid, grids (it and the study's refinements, one per level), seed,
+    n_paths, n_levels, coeffs (keyed by sigma key), data (every data
+    key, defaults filled in) and specs (the NormSpecs)."""
 
     experiment: str
     raw: dict
@@ -367,8 +347,8 @@ class ExperimentConfig:
 
     def validate(self):
         """Admissibility gate, run before any compute: refuses unknown keys
-        and parses every block.  Returns the grid and the parabolicity
-        report of each coefficient set."""
+        and parses every block.  Returns the parabolicity report of each
+        coefficient set, keyed by sigma key."""
         study = _STUDIES[self.experiment]
         for name, keys in (*_KEYS.items(), ("data", tuple(study.data))):
             block = self.raw if name == "configuration" else self.block(name)
@@ -391,7 +371,7 @@ class ExperimentConfig:
         if grid.x1_cells < study.x1_cells:
             least, cells = study.x1_cells, grid.x1_cells
             raise ConfigError(f"the {self.experiment} study needs x1_cells >= {least}, got {cells}")
-        out = {"grid": grid}
+        out = {}
         self.coeffs = {}
         if study.coefficients or "coefficients" in self.raw:
             for key, tangential in study.sigma.items():
@@ -431,7 +411,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad data block: {exc}") from exc
         self.grids = [grid]
         for _ in range(self.n_levels - 1):
-            self.grids.append(self.grids[-1].refine())
+            self.grids.append(self.grids[-1].refine(xp=study.refine_xp))
         # the largest lattice a study evaluates is the space-time one of its finest level
         if self.data.get("pair_policy") == "exhaustive":
             nodes = (self.grids[-1].steps + 1) * math.prod(self.grids[-1].space_shape)
@@ -742,11 +722,7 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
     refinement and cannot decay.
     """
     coeffs, check_level = config.coeffs["sigma"], config.data["kernel_check_level"]
-    n_levels, base = config.n_levels, config.grid
-    grids = [
-        replace(base, x1_cells=base.x1_cells * 2**j, steps=base.steps * 4**j)
-        for j in range(n_levels)
-    ]
+    n_levels, grids = config.n_levels, config.grids
 
     fine = wiener_increments(
         config.seed, config.n_paths, grids[-1].steps, coeffs.n_modes, dt=grids[-1].dt

@@ -104,11 +104,11 @@ class SpaceTimeGrid:
             raise GridMismatch("periodic_x1 grid has no wall")
         return 0
 
-    def refine(self) -> "SpaceTimeGrid":
-        """The next level: half the spacing and a quarter of the time step."""
-        return replace(
-            self, x1_cells=2 * self.x1_cells, xp_cells=2 * self.xp_cells, steps=4 * self.steps
-        )
+    def refine(self, xp=True) -> "SpaceTimeGrid":
+        """The next level: half the x1 spacing (and the x' spacing if xp)
+        and a quarter of the time step."""
+        xp_cells = 2 * self.xp_cells if xp else self.xp_cells
+        return replace(self, x1_cells=2 * self.x1_cells, xp_cells=xp_cells, steps=4 * self.steps)
 
 
 @dataclass

@@ -429,7 +429,7 @@ def test_norms_csv_writes_one_row_of_ten_columns_per_norm():
 def test_report_write_produces_files(tmp_path):
     rep = run_study(tiny_config())
     rep.flags = {"workers": 1}
-    paths = rep.write(tmp_path, plot=True)
+    paths = rep.write(tmp_path)
     csv = (tmp_path / "stability.csv").read_text()
     assert csv == rep.canonical_csv()
     sidecar = json.loads((tmp_path / "stability_run.json").read_text())
@@ -441,9 +441,7 @@ def test_report_write_produces_files(tmp_path):
     assert sidecar["version"] == spdelab.__version__
     assert len(sidecar["verdicts"]) == 2
     assert all(v["passed"] for v in sidecar["verdicts"])
-    plot = (tmp_path / "stability_plot.csv").read_text()
-    assert plot.splitlines()[0] == "level,param,value"
-    assert set(paths) == {"csv", "sidecar", "plot"}
+    assert set(paths) == {"csv", "sidecar"}
 
 
 # -- command line -----------------------------------------------------
@@ -651,6 +649,28 @@ def test_kernel_check_runs_at_the_named_level_only(level):
     rep = run_study(ExperimentConfig.from_dict(raw))
     gaps = [row["level"] for row in rep.rows if row["record"] == "kernel_gap"]
     assert gaps == ([] if level is None else [level])
+
+
+def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
+    # pipeline holds x' fixed and schauder_ratio refines it; the pipeline
+    # decomposes on exactly the grids that validate() checked
+    raw = json.loads((CONFIGS / "pipeline.json").read_text())
+    raw["grid"].update(t_max=0.0125, steps=32)
+    config, seen = ExperimentConfig.from_dict(raw), []
+    decompose = experiments.decompose_pipeline
+
+    def recording(coeffs, f, grid, noise, **kwargs):
+        seen.append(grid)
+        return decompose(coeffs, f, grid, noise, **kwargs)
+
+    monkeypatch.setattr(experiments, "decompose_pipeline", recording)
+    run_study(config)
+    assert seen == config.grids
+    cells = [(g.x1_cells, g.xp_cells, g.steps) for g in seen]
+    assert cells == [(32, 8, 32), (64, 8, 128), (128, 8, 512)]
+    schauder = ExperimentConfig.from_dict(_checked_in("schauder_ratio"))
+    schauder.validate()
+    assert [g.xp_cells for g in schauder.grids] == [6, 12, 24]
 
 
 @pytest.mark.parametrize(

@@ -482,6 +482,21 @@ def test_a_finite_step_whose_sum_overflows_raises_no_blowup():
         assert np.isinf(np.sum(out)) and np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("n", [8, 17, 136])
+def test_path_sum_adds_the_paths_left_to_right(n):
+    # the continuity, compatibility and pipeline pins rest on this order;
+    # numpy adds 8 or more values pairwise, which rounds otherwise here
+    rng = np.random.default_rng(n)
+    shape = (5, 3, n)
+    values = np.ldexp(rng.standard_normal(shape), rng.integers(-30, 31, shape))
+    expected = values[..., 0].copy()
+    for k in range(1, n):
+        expected = expected + values[..., k]
+    got = solver._path_sum(values)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert not np.array_equal(got, np.add.reduce(values, axis=-1))
+
+
 @pytest.mark.parametrize("cells", [2, 3])
 def test_solvers_run_on_the_smallest_wall_grids(cells):
     # one or two interior unknowns, where a bare dgttrf call is refused
@@ -519,6 +534,37 @@ def test_periodic_mode_moment_matches_closed_form():
     u_end = solve_periodic_line(co, Forcing(), g, noise, u0=u0)
     mode = np.abs(np.fft.rfft(u_end, axis=1)[:, 1] / g.n_x1) ** 2
     assert float(mode.mean()) == pytest.approx(MODE_MOMENT, rel=0.05)
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (3, 1), (2, 3)])
+def test_a_wall_mode_follows_its_pathwise_recursion(k, m):
+    # with a12 = 0 the mode S(x1) (A cos + B sin)(x'), S = sin(k pi x1 / L), is
+    # closed under the scheme: S is an eigenvector of the Dirichlet second
+    # difference, cos and sin of the periodic one, and the centred periodic
+    # first difference maps (cos, sin) to mu (-sin, cos).  f = S cos drives A,
+    # the tangential noise sigma D2 u dw rotates (A, B), both explicit at t_j.
+    L, P, sig = 2.0, 1.0, 0.6
+    g = SpaceTimeGrid(dim=2, x1_max=L, x1_cells=16, t_max=0.0625, steps=64, xp_max=P, xp_cells=8)
+    co = ModelCoefficients.make(2, np.diag([1.2, 1.0]), [[0.0], [sig]], kappa=0.5, bound=4.0)
+    noise = noise_for(g, paths=6)
+    s = np.sin(k * np.pi * g.x1_nodes[1:-1] / L)[:, None]
+    theta = 2 * np.pi * m * g.xp_nodes / P
+    cos, sin = s * np.cos(theta), s * np.sin(theta)
+    f = np.zeros((1, g.steps + 1) + g.space_shape)
+    f[:, :, 1:-1] = cos
+    u = solve_model_halfspace(co, Forcing(f=FieldEnsemble(f, g)), g, noise).values
+    assert not u[:, :, [0, -1]].any()
+    h1, h2, dt = g.dx1, g.dxp, g.dt
+    mu = np.sin(2 * np.pi * m * h2 / P) / h2
+    x1_wave, xp_wave = np.sin(k * np.pi * h1 / (2 * L)), np.sin(np.pi * m * h2 / P)
+    lam = 1.2 * (4 / h1**2) * x1_wave**2 + 1.0 * (4 / h2**2) * xp_wave**2
+    a, b = np.zeros((2, noise.n_paths, 1, 1))
+    for j in range(g.steps):
+        dw = sig * mu * noise.increments[:, j, 0, None, None]
+        a, b = (a + dt + dw * b) / (1 + dt * lam), (b - dw * a) / (1 + dt * lam)
+        mode = a * cos + b * sin
+        # rounding accumulated over j steps: within 128 ulps of the step's largest value
+        assert np.max(np.abs(u[:, j + 1, 1:-1] - mode)) <= 128 * np.spacing(np.max(np.abs(mode)))
 
 
 def test_coupled_noise_strong_convergence():
