@@ -5,8 +5,8 @@ the seed, times the run and owns the `StudyReport`.  Each study body
 only computes and appends its rows and verdicts to that report.  A study
 is a pure function of (config dict, seed): reruns reproduce the
 canonical CSV byte for byte, regardless of worker count.  Volatile facts
-(wall clock, flag echo, package version) go to a JSON sidecar next to
-the CSV, never into the canonical file.
+(wall clock, flag echo, package, numpy and scipy versions, peak resident
+memory) go to a JSON sidecar next to the CSV, never into the canonical file.
 
 Canonical CSV schema, shared by every study:
 
@@ -22,15 +22,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .fields import FieldEnsemble, SpaceTimeGrid, finite_diff
+from .fields import FieldEnsemble, SpaceTimeGrid, _ordered_path_sum, finite_diff
 from .halfline import BoundaryData, dt_v, solve_halfline, stability_gap
 from .norms import (
     EXHAUSTIVE_LIMIT,
@@ -47,7 +49,6 @@ from .solver import (
     _cfl_check,
     _check_inputs,
     _integrand,
-    _path_sum,
     _Stepper,
     check_compatibility,
     check_parabolicity,
@@ -147,6 +148,11 @@ class StudyReport:
             "flags": self.flags,
             "wall_clock_seconds": self.wall_clock,
             "version": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            # the process's peak so far; ru_maxrss is in KiB on Linux, bytes on macOS
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            / (2**20 if sys.platform == "darwin" else 2**10),
             "verdicts": [
                 {"name": v.name, "passed": v.passed, "detail": v.detail} for v in self.verdicts
             ],
@@ -619,7 +625,7 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
         step(u, j, f_vals[j], g)
         lo, mid, hi = u[near]
         d11 = (lo - 2.0 * mid + hi) / (grid.dx1 * grid.dx1)
-        np.maximum(peak, _path_sum(d11 * d11), out=peak)
+        np.maximum(peak, _ordered_path_sum(d11 * d11), out=peak)
     tan, bad = np.sqrt(np.max(peak, axis=1).T / config.n_paths)  # max commutes with / n_paths
     for label, profile in (("tangential", tan), ("violating", bad)):
         for idx, value in zip(deltas_idx, profile):

@@ -21,6 +21,50 @@ __all__ = [
 ]
 
 
+# values per block of the blocked loops here and in norms: 2^19 bytes of float64
+_BLOCK = 2**16
+
+
+def _ordered_path_sum(values):
+    """Sum over the trailing paths axis in path order, ((x0 + x1) + x2) + ...: the
+    ``np.add.reduce(x, axis=0)`` of ``np.mean(axis=0)`` over the path-major x of
+    more than one node, bit for bit (numpy sums a trailing axis pairwise).  One
+    accumulate call below 256 rows, n - 1 strided adds from there: measured, the
+    adds win from 16 to 512 rows as n goes from 2 to 64 paths."""
+    n = values.shape[-1]
+    if values.size < 256 * n:
+        return np.add.accumulate(values, axis=-1)[..., -1]
+    s = values[..., 0].copy()
+    for k in range(1, n):
+        s += values[..., k]
+    return s
+
+
+def _pairwise_path_sum(d):
+    """``np.add.reduce(d, axis=-1)`` of a float64 array, bit for bit: the sum
+    ``np.mean(axis=-1)`` takes over a trailing paths axis.
+
+    numpy sums each row pairwise: fewer than 8 values in turn; 8 to 128
+    values into eight strided accumulators r0..r7, joined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    turn.  Below 16 paths the same adds over whole arrays skip numpy's
+    per-row call, which costs more than the row; from 16 on numpy's own
+    loop is faster, so it sums those.
+    """
+    n = d.shape[-1]
+    if n >= 16:
+        return np.add.reduce(d, axis=-1)
+    if n < 8:  # one value is its own sum, returned as a view of d
+        s, rest = (d[..., 0] if n == 1 else d[..., 0].copy()), range(1, n)
+    else:
+        r = d[..., 0:8:2] + d[..., 1:8:2]
+        r = r[..., 0::2] + r[..., 1::2]
+        s, rest = r[..., 0] + r[..., 1], range(8, n)
+    for i in rest:
+        s += d[..., i]
+    return s
+
+
 class GridMismatch(ValueError):
     """Two objects live on incompatible grids."""
 
@@ -138,14 +182,6 @@ class FieldEnsemble:
         return self.values.shape[0]
 
 
-def _axis_spacing(grid: SpaceTimeGrid, axis_dim: int) -> float:
-    return grid.dx1 if axis_dim == 0 else grid.dxp
-
-
-def _axis_periodic(grid: SpaceTimeGrid, axis_dim: int) -> bool:
-    return grid.periodic_x1 if axis_dim == 0 else True
-
-
 def _along(axis, i):
     """Index tuple that takes i on axis and every node of the axes before it."""
     return (slice(None),) * axis + (i,)
@@ -162,12 +198,16 @@ def _closure(rows, order, h):
     return (2 * rows[0] - 5 * rows[1] + 4 * rows[2] - rows[3]) / (h * h)
 
 
-def _centred(values, h, axis, order):
-    """Centred difference of the given order at every node but the two ends of axis."""
+def _centred(values, h, axis, order, out=None):
+    """Centred difference of the given order at every node but the two ends of
+    axis, into out if given: (nxt - prev) / (2 h) or (nxt - 2 mid + prev) / h^2."""
     nxt, prev = values[_along(axis, slice(2, None))], values[_along(axis, slice(0, -2))]
     if order == 1:
-        return (nxt - prev) / (2 * h)
-    return (nxt - 2 * values[_along(axis, slice(1, -1))] + prev) / (h * h)
+        d = np.subtract(nxt, prev, out=out)
+    else:  # one array, allocated here if out is None, takes every step
+        d = np.multiply(values[_along(axis, slice(1, -1))], 2, out=out)
+        np.add(np.subtract(nxt, d, out=d), prev, out=d)
+    return np.divide(d, 2 * h if order == 1 else h * h, out=d)
 
 
 def _diff(values, h, axis, periodic, order):
@@ -181,7 +221,7 @@ def _diff(values, h, axis, periodic, order):
         raise GridMismatch(f"derivative of order {order} needs >= {order + 2} nodes along the axis")
     rows = np.moveaxis(values, axis, 0)
     out = np.empty_like(values)
-    out[_along(axis, slice(1, -1))] = _centred(values, h, axis, order)
+    _centred(values, h, axis, order, out[_along(axis, slice(1, -1))])
     out[_along(axis, 0)] = _closure(rows, order, h)
     if order == 1:
         out[_along(axis, -1)] = (3 * rows[-1] - 4 * rows[-2] + rows[-3]) / (2 * h)
@@ -190,7 +230,7 @@ def _diff(values, h, axis, periodic, order):
     return out
 
 
-def finite_diff(f: FieldEnsemble, beta) -> FieldEnsemble:
+def finite_diff(f: FieldEnsemble, beta, out=None) -> FieldEnsemble:
     """Spatial derivative D^beta of a field, second-order stencils.
 
     beta is a multi-index over the space axes, |beta| <= 2.  Interior
@@ -199,18 +239,26 @@ def finite_diff(f: FieldEnsemble, beta) -> FieldEnsemble:
     half-space; the tangential direction wraps periodically.  Mixed
     derivatives compose the one-dimensional operators (normal first,
     then tangential, matching centered-tangential-of-one-sided-normal
-    at near-wall nodes).  Time-constant data (a zero time stride) is
-    differenced on one time level and stays a broadcast view.
+    at near-wall nodes), a block of time levels at a time.  Time-constant
+    data (a zero time stride) is differenced on one time level and stays
+    a broadcast view.  out, if given, takes the values of that one level
+    or of every level, and may be a strided view.
     """
     beta = tuple(int(k) for k in beta)
     if len(beta) != f.grid.dim:
         raise ValueError(f"beta {beta} has wrong length for dim {f.grid.dim}")
     if any(k < 0 for k in beta) or sum(beta) > 2:
         raise ValueError(f"multi-index {beta} outside |beta| <= 2")
-    out = _one_level(f.values)
-    for d, order in enumerate(beta):
-        if order:
-            out = _diff(out, _axis_spacing(f.grid, d), 2 + d, _axis_periodic(f.grid, d), order)
+    values, g = _one_level(f.values), f.grid
+    out = np.empty(values.shape) if out is None else out
+    rows = max(1, _BLOCK // values[:, :1].size)
+    for lo in range(0, values.shape[1], rows):
+        v = values[:, lo : lo + rows]
+        for d, k in enumerate(beta):  # x1 is axis 2 of the values, x' axis 3
+            if k:
+                h, per = (g.dx1, g.periodic_x1) if d == 0 else (g.dxp, True)
+                v = _diff(v, h, 2 + d, per, k)
+        out[:, lo : lo + rows] = v  # one copy: ufuncs writing a strided out ran slower
     if out.shape != f.values.shape:  # one level of time-constant data
         out = np.broadcast_to(out, f.values.shape)
     return FieldEnsemble(out, f.grid, f.n_modes)

@@ -22,15 +22,15 @@ on periodic axes, so the n/2 offset of an even periodic axis meets each
 pair in both orientations and counts both in ``pairs``; all pairs of one
 offset are one difference of two slices of the field.  Denominators
 |x - y|^alpha + |t - s|^{alpha/2} (periodic distance on periodic axes)
-are looked up by |offset|.  The field is copied once, paths after the
-grid axes, wrap-padded only if an axis wraps; differences land in one
-reused buffer, paths contiguous, so paths are summed in the order a
-gathered pair list would sum them, bit for bit.  A block holds leading
-rows of about 2^19 bytes, at least one row of every batch entry, and the
-buffer the largest block of the call; for gamma = 2 without modes a
-block is squared in place and summed over paths in numpy's pairwise
-order, the arithmetic of ``np.mean``, written out as strided adds over
-the whole block below 16 paths.
+are looked up by |offset|.  Each derivative D^beta is formed once
+(``finite_diff``, a block of time levels at a time) into one buffer
+reused for every beta: levels, grid axes wrap-padded where the stencil
+wraps, paths, modes, in C-order.  The sup reads it a block of levels at
+a time and sums paths in path order, as ``np.mean(axis=0)`` sums the
+path-major field; the quotients difference two slices of it into one
+reused block buffer and sum paths pairwise, as ``np.mean(axis=-1)``
+sums a gathered pair list; both bit for bit.  A block holds leading
+rows of about 2^19 bytes, at least one row of every batch entry.
 
 Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldEnsemble, _one_level, finite_diff
+from .fields import (
+    _BLOCK, FieldEnsemble, _along, _one_level, _ordered_path_sum, _pairwise_path_sum, finite_diff
+)
 
 __all__ = [
     "NormSpec",
@@ -101,54 +103,30 @@ def _multi_indices(dim, order):
     return [(order - k, k) for k in range(order + 1)]
 
 
-# values per block of the difference buffer: 2^19 bytes of float64
-_BLOCK = 2**16
 # most grid nodes the exhaustive policy enumerates; a larger lattice is refused
 EXHAUSTIVE_LIMIT = 20000
 
 
-def _moment(x, gamma, has_modes, axis=0):
-    """L^gamma over the paths axis of the (mode-ell2) magnitude; modes are last."""
+def _moment(x, gamma, has_modes, path_sum):
+    """L^gamma over the paths axis of the (mode-ell2) magnitude, paths summed by
+    path_sum; the paths axis is last, or last but the modes."""
     a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else x
-    if gamma == 2.0:  # x * x is |x| * |x| bit for bit, so no magnitude pass
-        return np.sqrt(np.mean(a * a, axis=axis))
-    return np.mean((a if has_modes else np.abs(a)) ** gamma, axis=axis) ** (1.0 / gamma)
+    # x * x is |x| * |x| bit for bit, so gamma = 2 takes no magnitude pass
+    s = path_sum(a * a if gamma == 2.0 else (a if has_modes else np.abs(a)) ** gamma)
+    s /= a.shape[-1]  # np.mean's division
+    return np.sqrt(s, out=s) if gamma == 2.0 else s ** (1.0 / gamma)
 
 
 def _difference_moment(a, b, buf, gamma, has_modes):
-    """``_moment(a - b, gamma, has_modes, axis=-1)`` bit for bit, a - b in buf."""
+    """``_moment(a - b, gamma, has_modes, _pairwise_path_sum)`` bit for bit, a - b in buf."""
     shape = np.broadcast_shapes(a.shape, b.shape)
     d = np.subtract(a, b, out=buf[: math.prod(shape)].reshape(shape))
     if gamma != 2.0 or has_modes:
-        return _moment(d, gamma, has_modes, axis=-1)
-    q = _path_sum(np.multiply(d, d, out=d))
+        return _moment(d, gamma, has_modes, _pairwise_path_sum)
+    q = _pairwise_path_sum(np.multiply(d, d, out=d))
     if shape[-1] > 1:  # one path's square is its own mean
         q /= shape[-1]
     return np.sqrt(q, out=q)
-
-
-def _path_sum(d):
-    """``np.add.reduce(d, axis=-1)`` of a float64 array, bit for bit.
-
-    numpy sums each row pairwise: fewer than 8 values in turn; 8 to 128
-    values into eight strided accumulators r0..r7, joined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-    turn.  Below 16 paths the same adds over whole arrays skip numpy's
-    per-row call, which costs more than the row; from 16 on numpy's own
-    loop is faster, so it sums those.
-    """
-    n = d.shape[-1]
-    if n >= 16:
-        return np.add.reduce(d, axis=-1)
-    if n < 8:  # one value is its own sum, returned as a view of d
-        s, rest = (d[..., 0] if n == 1 else d[..., 0].copy()), range(1, n)
-    else:
-        r = d[..., 0:8:2] + d[..., 1:8:2]
-        r = r[..., 0::2] + r[..., 1::2]
-        s, rest = r[..., 0] + r[..., 1], range(8, n)
-    for i in rest:
-        s += d[..., i]
-    return s
 
 
 # -- offset stencil ---------------------------------------------------
@@ -222,6 +200,8 @@ class _Stencil:
 def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
     """The stencil of one grid and policy; shared between calls, never modified."""
     ndim, n = len(shape), math.prod(shape)
+    if policy == "exhaustive" and n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{n} nodes exceed the exhaustive budget {EXHAUSTIVE_LIMIT}")
     if policy == "exhaustive":
         tail = np.indices(shape[1:]).reshape(ndim - 1, n // shape[0])
         didx = np.ravel_multi_index(tuple(abs(tail[:, :, None] - tail[:, None, :])), shape[1:])
@@ -246,16 +226,15 @@ def _stencil(shape, periodic, time_axis, policy) -> _Stencil:
     return _Stencil(shape, periodic, pad, offs, pairs, base, start, slices)
 
 
-def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
+def _stencil_max(x, n_modes, shape, spacings, periodic, time_axis, spec):
     """Largest pair quotient of a field over a batch of copies of the grid.
 
-    values: (paths, batch, *shape[, modes]).  Returns the stencil, the
-    largest quotient, the first batch entry attaining it and its pair, ()
-    if every quotient vanishes.
+    x: the engine's layout, (batch, *shape wrap-padded by the stencil's pad,
+    paths[, modes]), C-contiguous but for broadcast leading axes.  Returns
+    the stencil, the largest quotient, the first batch entry attaining it
+    and its pair, () if every quotient vanishes.
     """
     n_pts, policy = math.prod(shape), spec.pair_policy
-    if policy == "exhaustive" and n_pts > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"{n_pts} nodes exceed the exhaustive budget {EXHAUSTIVE_LIMIT}")
     st = _stencil(shape, periodic, time_axis, policy)
 
     d = np.abs(st.offsets)
@@ -268,11 +247,7 @@ def _stencil_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
             space_sq = space_sq + (da * h) ** 2
     denom = np.sqrt(space_sq) ** spec.alpha + dt_term
 
-    # the one copy: C-contiguous, paths after the grid axes, wrap-padded if an axis wraps
-    x = np.moveaxis(values, 0, 1 + len(shape))
-    if any(map(any, st.pad)):
-        x = np.pad(x, [(0, 0)] + st.pad + [(0, 0)] * (x.ndim - 1 - len(shape)), mode="wrap")
-    x, nb, one_row = np.ascontiguousarray(x), len(x), policy == "exhaustive" and len(shape) == 1
+    nb, one_row = len(x), policy == "exhaustive" and len(shape) == 1
     if policy == "dyadic":
         ends = [(x[sa], x[sb]) for sa, sb in st.slices]
     elif one_row:  # the one row of a one-axis lattice, its base nodes p leading
@@ -334,24 +309,28 @@ def _keep(best, beta, v, argmax):
         best.value, best.beta, best.argmax = v, beta, argmax
 
 
-def _sup_update(best, beta, g, spec):
-    prof = _moment(_one_level(g.values), spec.gamma, g.n_modes > 0)
+def _sup_update(best, beta, x, f, spec, geometry):
+    # x: (levels, *space, paths[, modes]), read a block of levels at a time
+    prof, has_modes = np.empty(x.shape[: x.ndim - 1 - (f.n_modes > 0)]), f.n_modes > 0
+    rows = max(1, _BLOCK // math.prod(x.shape[1:]))
+    for lo in range(0, len(x), rows):
+        prof[lo : lo + rows] = _moment(x[lo : lo + rows], spec.gamma, has_modes, _ordered_path_sum)
     k = int(np.argmax(prof))
     _keep(best, beta, float(prof.ravel()[k]), np.unravel_index(k, prof.shape))
 
 
-def _space_update(best, beta, g, spec):
-    shape, spacings, periodic = _grid_geometry(g.grid, with_time=False)
-    values = _one_level(g.values)
-    st, v, j, arg = _stencil_max(values, g.n_modes, shape, spacings, periodic, None, spec)
+def _space_update(best, beta, x, f, spec, geometry):
+    st, v, j, arg = _stencil_max(x, f.n_modes, *geometry, None, spec)
     best.kind = f"space_seminorm[{spec.pair_policy}]"
-    best.pairs = st.pairs * (g.grid.steps + 1)
+    best.pairs = st.pairs * (f.grid.steps + 1)
     _keep(best, beta, v, (j,) + arg)
 
 
-def _parabolic_update(best, beta, g, spec):
-    shape, spacings, periodic = _grid_geometry(g.grid, with_time=True)
-    st, v, _, arg = _stencil_max(g.values[:, None], g.n_modes, shape, spacings, periodic, 0, spec)
+def _parabolic_update(best, beta, x, f, spec, geometry):
+    time = (f.grid.steps + 1, f.grid.dt, False)
+    shape, spacings, periodic = ((t,) + axes for t, axes in zip(time, geometry))
+    x = np.broadcast_to(x, shape[:1] + x.shape[1:])[None]  # time-constant data: its one level
+    st, v, _, arg = _stencil_max(x, f.n_modes, shape, spacings, periodic, 0, spec)
     best.kind = f"parabolic_seminorm[{spec.pair_policy}]"
     best.pairs = st.pairs
     _keep(best, beta, v, arg)
@@ -364,16 +343,40 @@ _UPDATES = {
 }
 
 
-def _norms(f, spec, m, *kinds):
+def _wrap(x, pad):
+    """Fill the pads of x's space axes from the far side, as ``np.pad(mode="wrap")``."""
+    for axis, (lo, hi) in enumerate(pad, 1):
+        n = x.shape[axis] - lo - hi
+        x[_along(axis, slice(0, lo))] = x[_along(axis, slice(n, n + lo))]
+        x[_along(axis, slice(lo + n, None))] = x[_along(axis, slice(lo, lo + hi))]
+
+
+def _norms(f, spec, m, *kinds, wall=False):
     """NormResults of the given kinds from one pass that forms each
-    derivative of f once: "sup" takes |beta| <= m, the seminorms |beta| = m."""
+    derivative of f once, into one buffer in the engine's layout: "sup"
+    takes |beta| <= m, the seminorms |beta| = m.  wall: of f's wall trace,
+    on the lattice of time and the tangential axis (m = 0)."""
     out = {k: NormResult(k, -1.0 if k == "sup" else 0.0, m, spec.alpha, spec.gamma) for k in kinds}
+    values, geometry = _one_level(f.values), _grid_geometry(f.grid, False)
+    if wall:  # the trace drops the x1 axis
+        values, geometry = values[:, :, f.grid.wall_index], tuple(a[1:] for a in geometry)
+    space, _, periodic = geometry
+    # the seminorms read the pads; a parabolic stencil pads space as the space stencil does
+    semi = kinds != ("sup",) and len(space) > 0
+    pad = _stencil(space, periodic, None, spec.pair_policy).pad if semi else [(0, 0)] * len(space)
+    # x: (levels, *space padded, paths[, modes]); dst: its unpadded nodes, paths first
+    padded = tuple(n + lo + hi for n, (lo, hi) in zip(space, pad))
+    x = np.empty(values.shape[1:2] + padded + values.shape[:1] + values.shape[2 + len(space) :])
+    inner = x[(slice(None),) + tuple(slice(lo, lo + n) for n, (lo, _) in zip(space, pad))]
+    dst = np.moveaxis(inner, 1 + len(space), 0)
     for order in range(0 if "sup" in kinds else m, m + 1):
         for beta in _multi_indices(f.grid.dim, order):
-            g = finite_diff(f, beta) if order else f
+            finite_diff(f, beta, dst) if order else np.copyto(dst, values)
+            if order == m:  # the seminorms read the pads
+                _wrap(x, pad)
             for k, best in out.items():
                 if order == m or k == "sup":
-                    _UPDATES[k](best, beta, g, spec)
+                    _UPDATES[k](best, beta, inner if k == "sup" else x, f, spec, geometry)
     return list(out.values())
 
 
@@ -402,14 +405,9 @@ def trace_parabolic_norm(f: FieldEnsemble, spec: NormSpec) -> tuple:
     On a dim-1 grid the trace lives on a single spatial point and the
     seminorm reduces to the pure time quotient.
     """
-    g = f.grid
-    trace = f.values[:, :, g.wall_index, ...]
-    sup = float(np.max(_moment(trace, spec.gamma, f.n_modes > 0)))
-    geometry = (g.steps + 1, g.n_xp)[: g.dim], (g.dt, g.dxp)[: g.dim], (False, True)[: g.dim]
-    st, v, _, arg = _stencil_max(trace[:, None], f.n_modes, *geometry, 0, spec)
-    semi = NormResult(f"trace_parabolic[{spec.pair_policy}]", v, 0, spec.alpha, spec.gamma)
-    semi.argmax, semi.pairs = arg, st.pairs
-    return sup, semi
+    sup, semi = _norms(f, spec, 0, "sup", "parabolic_seminorm", wall=True)
+    semi.kind, semi.beta = f"trace_parabolic[{spec.pair_policy}]", ()
+    return sup.value, semi
 
 
 @dataclass

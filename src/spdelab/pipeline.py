@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEnsemble, SpaceTimeGrid, _closure, _diff
+from .fields import FieldEnsemble, SpaceTimeGrid, _closure, _diff, _ordered_path_sum
 from .halfline import BoundaryData, solve_halfline
 from .solver import (
     Forcing,
@@ -53,7 +53,6 @@ from .solver import (
     _check_inputs,
     _DirichletLine,
     _integrand,
-    _path_sum,
     _Stepper,
     check_compatibility,
 )
@@ -218,7 +217,7 @@ def decompose_pipeline(
     b, c, cap_h = (np.moveaxis(x, -1, 0) for x in (b, c, cap_h))  # paths first again
     # the slope of H at zero is b(0) - c, which is zero by construction
     h_slope_defect = float(np.max(np.abs(b[:, 0, ...] - c)))
-    moment = _path_sum(wall_f * wall_f) / paths  # E|F|^2, shape (nt[, n_xp])
+    moment = _ordered_path_sum(wall_f * wall_f) / paths  # E|F|^2, shape (nt[, n_xp])
     residual_profile = np.max(moment, axis=tuple(range(1, moment.ndim)))
     window = times >= SPINUP_FRACTION * grid.t_max - 1e-15
     return PipelineOutput(

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
-from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, _centred, _diff
+from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, _centred, _diff, _ordered_path_sum
 from .rng import WienerBatch
 
 __all__ = [
@@ -241,11 +241,6 @@ def _cfl_check(coeffs, grid):
         )
 
 
-def _path_sum(values):
-    """Sum over the trailing paths axis in path order (numpy sums it pairwise)."""
-    return np.add.accumulate(values, axis=-1)[..., -1]
-
-
 class _Stepper:
     """One step u_j -> u_{j+1} for the operator a; I - dt a:D^2 is factored once.
 
@@ -437,5 +432,5 @@ def continuity_iterates(
         g = [((sig0[k] * dv[:, 1:]) + g[k] if sig0[k] else g[k]) * dw[:, k] for k in range(len(g))]
         step(u[:, 1:], j, f, g)
         gap = u[1:-1, 2:] - u[1:-1, 1:-1]
-        np.maximum(peak, _path_sum(gap * gap), out=peak)
+        np.maximum(peak, _ordered_path_sum(gap * gap), out=peak)
     return np.max(peak, axis=0) / paths, np.moveaxis(u[:, 1:], 0, -1)

@@ -6,12 +6,14 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import pkgutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -429,6 +431,9 @@ def test_norms_csv_writes_one_row_of_ten_columns_per_norm():
 def test_report_write_produces_files(tmp_path):
     rep = run_study(tiny_config())
     rep.flags = {"workers": 1}
+    page, statm = os.sysconf("SC_PAGE_SIZE") / 2**20, Path("/proc/self/statm")
+    # resident pages (Linux), read before the sidecar takes the peak
+    held = int(statm.read_text().split()[1]) * page if statm.exists() else 1.0
     paths = rep.write(tmp_path)
     csv = (tmp_path / "stability.csv").read_text()
     assert csv == rep.canonical_csv()
@@ -439,6 +444,10 @@ def test_report_write_produces_files(tmp_path):
     assert sidecar["flags"] == {"workers": 1}
     assert sidecar["wall_clock_seconds"] > 0.0
     assert sidecar["version"] == spdelab.__version__
+    assert (sidecar["numpy"], sidecar["scipy"]) == (np.__version__, scipy.__version__)
+    # this process's peak so far in MB, not KiB or bytes: at least what it held before,
+    # less a few MB of the kernel's batched page counts, and at most the machine's memory
+    assert held - 4.0 <= sidecar["peak_rss_mb"] <= os.sysconf("SC_PHYS_PAGES") * page
     assert len(sidecar["verdicts"]) == 2
     assert all(v["passed"] for v in sidecar["verdicts"])
     assert set(paths) == {"csv", "sidecar"}

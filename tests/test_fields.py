@@ -15,7 +15,8 @@ from spdelab import (
     SpaceTimeGrid,
     finite_diff,
 )
-from spdelab.fields import _diff
+from spdelab import fields
+from spdelab.fields import _along, _centred, _diff
 
 
 def grid1(cells=8, steps=4, x1_max=2.0, t_max=1.0):
@@ -237,3 +238,63 @@ def test_periodic_stencils_match_the_rolled_reference_to_the_bit(data):
     values = rng.standard_normal(shape)
     for order in (1, 2):
         assert np.array_equal(_diff(values, h, axis, True, order), rolled(values, h, axis, order))
+
+
+def bits(a):
+    """The float64 bit patterns of a: equal bits, not merely equal values."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def paths_last(shape, pad=2):
+    """A NaN-filled (levels, x1[, x'], paths) buffer, its last grid axis padded
+    at both ends, and the path-major view of its unpadded nodes."""
+    paths, levels, *space = shape
+    buf = np.full((levels, *space[:-1], space[-1] + 2 * pad, paths), np.nan)
+    return buf, np.moveaxis(buf[..., pad : pad + space[-1], :], -1, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_differences_into_a_strided_out_match_the_allocating_form_to_the_bit(dim, order, periodic):
+    # values over forty binades; out is a strided view that leaves its pads alone
+    rng = np.random.default_rng(4 * dim + order)
+    shape = (3, 4, 7) if dim == 1 else (3, 4, 7, 6)
+    values = np.ldexp(rng.standard_normal(shape), rng.integers(-20, 21, shape))
+    h = 0.3
+    for axis in range(2, len(shape)):
+        n = values.shape[axis]
+        nxt, mid, prev = (values[_along(axis, slice(a, n - 2 + a))] for a in (2, 1, 0))
+        # the centred stencils as the whole-array expressions they replace
+        ref = (nxt - prev) / (2 * h) if order == 1 else (nxt - 2 * mid + prev) / (h * h)
+        buf, out = paths_last(ref.shape)
+        assert not out.flags.c_contiguous
+        assert _centred(values, h, axis, order, out) is out
+        assert np.array_equal(bits(out), bits(ref))
+        assert np.isnan(buf[..., :2, :]).all() and np.isnan(buf[..., -2:, :]).all()
+        assert np.array_equal(bits(_centred(values, h, axis, order)), bits(ref))
+        full = _diff(values, h, axis, periodic, order)
+        if periodic:
+            assert np.array_equal(bits(full), bits(rolled(values, h, axis, order)))
+        else:  # the centred nodes are written in place, the two ends by the closures
+            assert np.array_equal(bits(full[_along(axis, slice(1, -1))]), bits(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("constant", [False, True])
+def test_finite_diff_into_out_matches_the_allocating_form_to_the_bit(monkeypatch, dim, constant):
+    # 60 values a block: several blocks of time levels, the last one partial
+    monkeypatch.setattr(fields, "_BLOCK", 60)
+    g = grid1(cells=6, steps=6) if dim == 1 else grid2(cells=4, steps=6)
+    rng = np.random.default_rng(dim)
+    shape = (2, g.steps + 1) + g.space_shape
+    values = np.ldexp(rng.standard_normal(shape), rng.integers(-20, 21, shape))
+    if constant:  # time-constant data: out takes its one level
+        values = np.broadcast_to(values[:, :1], shape)
+    f = FieldEnsemble(values, g)
+    for beta in (b for b in itertools.product(range(3), repeat=dim) if sum(b) <= 2):
+        buf, out = paths_last((2, 1 if constant else g.steps + 1) + g.space_shape)
+        got = finite_diff(f, beta, out)
+        assert np.shares_memory(got.values, buf) and got.values.shape == shape
+        assert np.array_equal(bits(got.values), bits(finite_diff(f, beta).values))
+        assert np.isnan(buf[..., :2, :]).all() and np.isnan(buf[..., -2:, :]).all()

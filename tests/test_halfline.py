@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -645,6 +646,25 @@ def test_stability_gap_deterministic_pair():
     assert rep.lhs <= 1.05 * rep.rhs
     assert rep.passed
     assert rep.ratio == rep.lhs / rep.rhs
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_stability_gap_forms_its_moment_in_place(gamma):
+    # 200 paths: each dt_v field is 0.9 MB; the gap is formed in the first
+    g = SpaceTimeGrid(dim=1, x1_max=2.0, x1_cells=16, t_max=1.0, steps=32)
+    xi = np.random.default_rng(3).normal(size=200)
+    d1 = BoundaryData.from_power(2, g.times, scales=xi)
+    d2 = BoundaryData.from_power(2, g.times, scales=0.9 * xi)
+    tracemalloc.start()
+    try:
+        rep = stability_gap(d1, d2, g, gamma=gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = 200 * (g.steps + 1) * g.n_x1 * 8
+    assert peak < 2.5 * field  # the two dt_v fields; no difference, abs or power beside them
+    moment = np.mean(np.abs(dt_v(d1, g).values - dt_v(d2, g).values) ** gamma, axis=0)
+    assert rep.lhs == float(np.max(moment))  # the bits of the whole-array form
 
 
 def test_stability_gap_validates_inputs():

@@ -22,7 +22,7 @@ from spdelab import (
     trace_parabolic_norm,
 )
 from spdelab import norms
-from spdelab.fields import finite_diff
+from spdelab.fields import _ordered_path_sum, _pairwise_path_sum, finite_diff
 from spdelab.norms import _dyadic_offsets, _grid_geometry, _moment, _multi_indices
 
 SPEC = NormSpec(alpha=0.5)
@@ -257,9 +257,9 @@ def test_schauder_ratio_forms_each_derivative_once(values, monkeypatch):
     ]
     calls = []
 
-    def spy(field, beta):
+    def spy(field, beta, out=None):
         calls.append(beta)
-        return finite_diff(field, beta)
+        return finite_diff(field, beta, out)
 
     monkeypatch.setattr(norms, "finite_diff", spy)
     rep = schauder_ratio(u, f, gg, SPEC)
@@ -281,7 +281,7 @@ def test_time_constant_data_is_evaluated_on_one_level(policy, values, monkeypatc
     ]
     batches, stencil_max = [], norms._stencil_max
     monkeypatch.setattr(
-        norms, "_stencil_max", lambda v, *args: batches.append(v.shape[1]) or stencil_max(v, *args)
+        norms, "_stencil_max", lambda v, *args: batches.append(v.shape[0]) or stencil_max(v, *args)
     )
     for g in grids:
         rng = np.random.default_rng(g.dim)
@@ -294,7 +294,7 @@ def test_time_constant_data_is_evaluated_on_one_level(policy, values, monkeypatc
             later[:, -1] += 1.0  # a field whose last level differs
             fields = [FieldEnsemble(v, g, n_modes) for v in (const, const.copy(), later)]
             for m in (0, 1):
-                for norm in (sup_norm, space_seminorm):
+                for norm in (sup_norm, space_seminorm, parabolic_seminorm):
                     seen = []
                     for f in fields:
                         batches.clear()
@@ -344,7 +344,9 @@ def _oracle_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     denom = np.sqrt(space_sq) ** spec.alpha + dt_term
     modes = (n_modes,) if n_modes else ()
     flat = values.reshape((values.shape[0], int(np.prod(shape))) + modes)
-    q = _moment(flat[:, qa] - flat[:, qb], spec.gamma, n_modes > 0) / denom
+    # a gathered pair list, paths after the pairs, summed as np.mean(axis=-1) sums
+    d = np.moveaxis(flat[:, qa] - flat[:, qb], 0, 1)
+    q = _moment(d, spec.gamma, n_modes > 0, _pairwise_path_sum) / denom
     k = int(np.argmax(q))
     if q[k] == 0.0:
         return 0.0, (), qa.size
@@ -426,7 +428,7 @@ def test_stencil_engine_matches_pair_list_oracle(case):
     _assert_matches_oracle(*case)
 
 
-# path counts on each side of every branch of norms._path_sum
+# path counts on each side of every branch of _pairwise_path_sum
 PATH_COUNTS = (1, 7, 8, 11, 17, 136)
 
 
@@ -443,7 +445,7 @@ def test_path_sum_is_numpys_pairwise_sum(n, lead, exponent, seed):
     # adds rounds differently somewhere (the sqrt of the moment hides most of it)
     d = np.ldexp(rng.random(shape), exponent + rng.integers(-4, 5, shape))
     d[rng.random(shape) < 0.2] = 0.0
-    assert np.array_equal(norms._path_sum(d), np.add.reduce(d, axis=-1))
+    assert np.array_equal(_pairwise_path_sum(d), np.add.reduce(d, axis=-1))
 
 
 @pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
@@ -513,6 +515,61 @@ def test_a_one_axis_exhaustive_norm_holds_no_pair_table():
         tracemalloc.stop()
     assert semi.pairs == 2049 * 2048 // 2 and semi.value > 0.0
     assert peak < 4 * 10**6
+
+
+@pytest.mark.parametrize("paths", [1, 7, 8, 9, 16])
+@pytest.mark.parametrize("n_modes", [0, 2])
+def test_the_sup_sums_paths_in_path_order_from_the_paths_last_buffer(monkeypatch, paths, n_modes):
+    # the sup reads the padded engine buffer a block of levels at a time; its
+    # blocks' moments, joined, are np.mean(axis=0) of the path-major field
+    monkeypatch.setattr(norms, "_BLOCK", 64)
+    blocks, moment = [], norms._moment
+
+    def spy(x, gamma, has_modes, path_sum):
+        q = moment(x, gamma, has_modes, path_sum)
+        if path_sum is _ordered_path_sum:  # the sup's, not the quotients'
+            blocks.append(q)
+        return q
+
+    monkeypatch.setattr(norms, "_moment", spy)
+    g = SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=4, t_max=0.5, steps=8, xp_max=1.0, xp_cells=6)
+    rng = np.random.default_rng(paths)
+    shape = (paths, g.steps + 1) + g.space_shape + ((n_modes,) if n_modes else ())
+    x = np.ldexp(rng.standard_normal(shape), rng.integers(-20, 21, shape))
+    spec = NormSpec(alpha=0.5, pair_policy="dyadic")  # wraps x', so the buffer is padded
+    sup, _ = norms._norms(FieldEnsemble(x, g, n_modes), spec, 0, "sup", "space_seminorm")
+    a = np.sqrt(np.sum(x * x, axis=-1)) if n_modes else x
+    expected = np.sqrt(np.mean(a * a, axis=0))
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks).view(np.int64), expected.view(np.int64))
+    assert sup.value == expected.max()
+    if paths >= 8:  # numpy's pairwise sum over contiguous paths rounds otherwise here
+        pairwise = np.mean(np.ascontiguousarray(np.moveaxis(a * a, 0, -1)), axis=-1)
+        assert not np.array_equal(np.sqrt(pairwise), expected)
+
+
+def test_a_level_one_schauder_ratio_holds_one_padded_derivative():
+    # the checked-in schauder_ratio grid refined once, 8 paths: u is 2.5 MB.  The
+    # norms hold one derivative buffer, x' padded from 12 to 19 nodes
+    g = SpaceTimeGrid(
+        dim=2, x1_max=2.5, x1_cells=12, t_max=0.0625, steps=32, xp_max=1.0, xp_cells=6
+    ).refine()
+    rng = np.random.default_rng(0)
+    u = FieldEnsemble(rng.normal(size=(8, g.steps + 1) + g.space_shape), g)
+    level = rng.normal(size=(1, 1) + g.space_shape)
+    f = FieldEnsemble(np.broadcast_to(level, (1, g.steps + 1) + g.space_shape), g)
+    gg = FieldEnsemble(np.broadcast_to(level[..., None], f.values.shape + (1,)), g, n_modes=1)
+    tracemalloc.start()
+    try:
+        rep = schauder_ratio(u, f, gg, NormSpec(alpha=0.5, pair_policy="dyadic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = u.values.nbytes * (g.n_xp + 7) // g.n_xp
+    assert math.isfinite(rep.ratio) and rep.ratio > 0.0
+    # and a few blocks of 2^19 bytes (D1u, its ghost copy and D12u of one block of
+    # time levels), with no room for another field-sized array
+    assert peak < buffer + 4 * 2**19
 
 
 @st.composite

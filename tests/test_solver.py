@@ -27,7 +27,7 @@ from spdelab import (
     wiener_increments,
 )
 from spdelab import solver
-from spdelab.fields import _centred
+from spdelab.fields import _centred, _ordered_path_sum
 from spdelab.pipeline import _line_step
 from spdelab.solver import (
     _DirichletLine,
@@ -487,14 +487,17 @@ def test_path_sum_adds_the_paths_left_to_right(n):
     # the continuity, compatibility and pipeline pins rest on this order;
     # numpy adds 8 or more values pairwise, which rounds otherwise here
     rng = np.random.default_rng(n)
-    shape = (5, 3, n)
-    values = np.ldexp(rng.standard_normal(shape), rng.integers(-30, 31, shape))
-    expected = values[..., 0].copy()
-    for k in range(1, n):
-        expected = expected + values[..., k]
-    got = solver._path_sum(values)
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    assert not np.array_equal(got, np.add.reduce(values, axis=-1))
+    for shape in ((5, 3, n), (400, 3, n)):  # either side of the switch at 256 rows
+        values = np.ldexp(rng.standard_normal(shape), rng.integers(-30, 31, shape))
+        expected = values[..., 0].copy()
+        for k in range(1, n):
+            expected = expected + values[..., k]
+        got = _ordered_path_sum(values)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # the sum np.mean(axis=0) takes over the path-major array
+        path_major = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+        assert np.array_equal(got.view(np.int64), np.add.reduce(path_major, axis=0).view(np.int64))
+        assert not np.array_equal(got, np.add.reduce(values, axis=-1))
 
 
 @pytest.mark.parametrize("cells", [2, 3])
