@@ -31,8 +31,8 @@ def _worker_count(text):
     return count
 
 
-def _study_parser(sub, name, runner):
-    p = sub.add_parser(name, help=runner.__doc__.splitlines()[0].lower())
+def _study_parser(sub, name, body):
+    p = sub.add_parser(name, help=body.__doc__.splitlines()[0].lower())
     p.add_argument("--config", required=True, help="path to the JSON study configuration")
     p.add_argument("--seed", type=int, default=None, help="override ensemble.master_seed")
     p.add_argument("--salt", type=int, default=None, help="override ensemble.stream_salt")
@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="studies of stochastic parabolic Dirichlet problems on the half-space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in EXPERIMENTS.items():
-        _study_parser(sub, name, runner)
+    for name, study in EXPERIMENTS.items():
+        _study_parser(sub, name, study.body)
 
     pk = sub.add_parser("kernel", help="evaluate the wall kernel and its mass")
     pk.add_argument("--s", type=float, required=True, help="time argument s > 0")

@@ -25,6 +25,7 @@ import os
 import resource
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -189,10 +190,10 @@ def _number(name, value, levels=None) -> float:
     return float(value)
 
 
-def _matrix(name, value):
-    """Nested lists of finite JSON numbers, as an array; make() checks the shape."""
+def _matrix(name, value, levels=None):
+    """Nested lists of finite JSON numbers; make() checks the shape."""
     if isinstance(value, list):
-        return np.asarray([_matrix(name, v) for v in value])
+        return [_matrix(name, v) for v in value]
     return _number(name, value)
 
 
@@ -203,8 +204,9 @@ def _numbers(name, value, levels) -> list:
     return [_number(name, v) for v in value]
 
 
-def _policy(name, value, levels):
-    """A pair policy; NormSpec checks that it is a known one."""
+def _given(name, value, levels=None):
+    """A value a later check reads: a block, parsed against its own table,
+    or a pair policy, which NormSpec checks is a known one."""
     return value
 
 
@@ -215,70 +217,62 @@ def _level(name, value, levels) -> int:
     return value
 
 
+def _build(name, make, *args, **kwargs):
+    """make(*args, **kwargs) of parsed values; its ValueError (ModelError
+    included) is the named block's ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from exc
+
+
+# Each block is a table {key: (default, parser)}; parser(name, value,
+# levels) parses a given value and a key left out takes its default.
+_REQUIRED = object()  # the default of a key the block must give
+_NONNEG = partial(_count, least=0)
+_BLOCKS = {
+    "configuration": {"experiment": (None, _given), "grid": ({}, _given),
+                      "coefficients": ({}, _given), "data": ({}, _given),
+                      "ensemble": ({}, _given), "levels": (1, _count)},
+    "grid": {"dim": (_REQUIRED, _count), "x1_max": (_REQUIRED, _number),
+             "x1_cells": (_REQUIRED, _count), "t_max": (_REQUIRED, _number),
+             "steps": (_REQUIRED, _count), "xp_max": (0.0, _number), "xp_cells": (0, _NONNEG)},
+    # and each of the study's sigma keys, required
+    "coefficients": {"a": (_REQUIRED, _matrix), "n_modes": (1, _count),
+                     "kappa": (1.0, _number), "bound": (4.0, _number)},
+    "ensemble": {"paths": (1, _count), "master_seed": (0, _NONNEG), "stream_salt": (0, _NONNEG)},
+}
+
+
 @dataclass(frozen=True)
 class _Study:
-    """What a study's configuration means: its grid dim (None: either),
-    least level count, each sigma key with its tangency rule (True,
-    False or None: either), whether the body uses the coefficients (a
-    block given anyway is still gated), each data key with its default
-    and parser(name, value, levels), the least x1_cells it takes, and
-    whether a level refines x' as well as x1 and t."""
+    """One study: its body(config, report, workers), grid dim (None:
+    either), least level count, each sigma key with its tangency rule
+    (True, False or None: either), its data block's table, whether the
+    body uses the coefficients (a block given anyway is still gated),
+    the least x1_cells it takes and the number x1_cells must be a
+    multiple of, and whether a level refines x' as well as x1 and t."""
 
+    body: Callable
     dim: int | None
     levels: int
     sigma: dict
     data: dict
     coefficients: bool = True
     x1_cells: int = 2
+    x1_multiple: int = 1
     refine_xp: bool = True
-
-
-_WAVE = {"f_amplitude": (1.0, _number), "f_tangential_wave": (0.5, _number)}
-_STUDIES = {
-    "halfline_lemma": _Study(
-        1, 2, {"sigma": None},
-        {"alpha": ([0.25, 0.5, 0.75], _numbers), "gamma": (2.0, _number),
-         "pair_policy": ("exhaustive", _policy)},
-        coefficients=False, x1_cells=3,
-    ),
-    "stability": _Study(1, 1, {"sigma": None}, {"gamma": (2.0, _number)}, coefficients=False),
-    "compatibility": _Study(
-        2, 1, {"sigma_tangential": True, "sigma_violating": False},
-        {**_WAVE, "g_violating_amplitude": (0.0, _number)},
-    ),
-    "schauder_ratio": _Study(
-        2, 1, {"sigma": True},
-        {"alpha": (0.5, _number), "gamma": (2.0, _number), "draws": (5, _count),
-         "pair_policy": ("dyadic", _policy)},
-        x1_cells=3,
-    ),
-    "pipeline": _Study(
-        None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)}, x1_cells=3,
-        refine_xp=False,
-    ),
-    "continuity": _Study(
-        1, 1, {"sigma": None},
-        {"s": (1.0, _number), "s0": (0.9, _number), "iterations": (7, partial(_count, least=3)),
-         "f_amplitude": (1.0, _number)},
-    ),
-}
-# the keys of the other blocks; coefficients also takes the study's sigma keys
-_KEYS = {
-    "configuration": ("experiment", "grid", "coefficients", "data", "ensemble", "levels"),
-    "grid": ("dim", "x1_max", "x1_cells", "t_max", "steps", "xp_max", "xp_cells"),
-    "coefficients": ("a", "n_modes", "kappa", "bound"),
-    "ensemble": ("paths", "master_seed", "stream_salt"),
-}
 
 
 @dataclass
 class ExperimentConfig:
     """A study configuration: JSON with blocks experiment, grid,
     coefficients, data, ensemble and levels.  validate() parses them
-    against the study's table once and stores what the bodies read:
-    grid, grids (it and the study's refinements, one per level), seed,
-    n_paths, n_levels, coeffs (keyed by sigma key), data (every data
-    key, defaults filled in) and specs (the NormSpecs)."""
+    against the tables of `_BLOCKS` and of the study's `EXPERIMENTS`
+    entry once and stores what the bodies read: grid, grids (it and the
+    study's refinements, one per level), seed, n_paths, n_levels, coeffs
+    (keyed by sigma key), data (every data key, defaults filled in) and
+    specs (the NormSpecs)."""
 
     experiment: str
     raw: dict
@@ -293,7 +287,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"a configuration is a JSON object, got {type(raw).__name__}")
         kind = raw.get("experiment")
-        if kind not in EXPERIMENTS:
+        if not isinstance(kind, str) or kind not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {kind!r}; expected one of {sorted(EXPERIMENTS)}"
             )
@@ -305,116 +299,81 @@ class ExperimentConfig:
             raise ConfigError(f"the {name} block must be an object, got {type(value).__name__}")
         return value
 
-    def base_grid(self) -> SpaceTimeGrid:
-        g = self.block("grid")
-        try:
-            return SpaceTimeGrid(
-                dim=_count("grid.dim", g["dim"]),
-                x1_max=_number("grid.x1_max", g["x1_max"]),
-                x1_cells=_count("grid.x1_cells", g["x1_cells"]),
-                t_max=_number("grid.t_max", g["t_max"]),
-                steps=_count("grid.steps", g["steps"]),
-                xp_max=_number("grid.xp_max", g.get("xp_max", 0.0)),
-                xp_cells=_count("grid.xp_cells", g.get("xp_cells", 0), least=0),
+    def _parse(self, name, table, levels=None) -> dict:
+        """The named block parsed against its table: an unknown key is
+        refused, every missing required key is named, and each other key
+        is parsed or takes its default."""
+        block = self.raw if name == "configuration" else self.block(name)
+        unknown = sorted(set(block) - set(table))
+        if unknown:
+            raise ConfigError(
+                f"unknown {name} key(s) {unknown}; the {self.experiment} study "
+                f"takes {sorted(table)}"
             )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad grid block: {exc}") from exc
-
-    def coefficients(self, sigma_key="sigma") -> ModelCoefficients:
-        c = self.block("coefficients")
-        dim = _count("grid.dim", self.block("grid")["dim"])
-        try:
-            return ModelCoefficients.make(
-                dim,
-                _matrix("coefficients.a", c["a"]),
-                _matrix(f"coefficients.{sigma_key}", c[sigma_key]),
-                n_modes=_count("coefficients.n_modes", c.get("n_modes", 1)),
-                kappa=_number("coefficients.kappa", c.get("kappa", 1.0)),
-                bound=_number("coefficients.bound", c.get("bound", 4.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"coefficients block is missing {exc}") from exc
-        except ValueError as exc:  # ModelError included
-            raise ConfigError(f"bad coefficients block: {exc}") from exc
-
-    def seed_spec(self) -> SeedSpec:
-        e = self.block("ensemble")
-        keys = ("master_seed", "stream_salt")
-        try:
-            return SeedSpec(*(_count(f"ensemble.{k}", e.get(k, 0), least=0) for k in keys))
-        except ValueError as exc:
-            raise ConfigError(f"bad ensemble seed: {exc}") from exc
-
-    def paths(self) -> int:
-        return _count("ensemble.paths", self.block("ensemble").get("paths", 1))
-
-    def levels(self) -> int:
-        return _count("levels", self.raw.get("levels", 1))
+        missing = [k for k, (dflt, _) in table.items() if dflt is _REQUIRED and k not in block]
+        if missing:
+            raise ConfigError(f"missing {name} key(s) {missing}")
+        prefix = "" if name == "configuration" else f"{name}."
+        return {
+            key: parse(prefix + key, block[key], levels) if key in block else default
+            for key, (default, parse) in table.items()
+        }
 
     def validate(self):
-        """Admissibility gate, run before any compute: refuses unknown keys
-        and parses every block.  Returns the parabolicity report of each
-        coefficient set, keyed by sigma key."""
-        study = _STUDIES[self.experiment]
-        for name, keys in (*_KEYS.items(), ("data", tuple(study.data))):
-            block = self.raw if name == "configuration" else self.block(name)
-            if name == "coefficients":
-                keys += tuple(study.sigma)
-            unknown = sorted(set(block) - set(keys))
-            if unknown:
-                raise ConfigError(
-                    f"unknown {name} key(s) {unknown}; the {self.experiment} study "
-                    f"takes {sorted(keys)}"
-                )
-        grid = self.grid = self.base_grid()
-        self.seed, self.n_paths = self.seed_spec(), self.paths()
+        """Admissibility gate, run before any compute: parses every block
+        and checks the study's rules.  Returns the parabolicity report of
+        each coefficient set, keyed by sigma key."""
+        study = EXPERIMENTS[self.experiment]
+        self.n_levels = self._parse("configuration", _BLOCKS["configuration"])["levels"]
+        grid = self.grid = _build("grid", SpaceTimeGrid, **self._parse("grid", _BLOCKS["grid"]))
+        ensemble = self._parse("ensemble", _BLOCKS["ensemble"])
+        self.seed = _build("ensemble", SeedSpec, ensemble["master_seed"], ensemble["stream_salt"])
+        self.n_paths = ensemble["paths"]
+        # the sigma keys gated: every one, unless the body takes no coefficients and none are given
+        sigma = study.sigma if study.coefficients or "coefficients" in self.raw else {}
+        if sigma:
+            required = dict.fromkeys(sigma, (_REQUIRED, _matrix))
+            c = self._parse("coefficients", {**_BLOCKS["coefficients"], **required})
+        self.data = self._parse("data", study.data, self.n_levels)
         if study.dim not in (None, grid.dim):
             raise ConfigError(
                 f"the {self.experiment} study needs a dim-{study.dim} grid, got dim {grid.dim}"
             )
-        if self.experiment == "compatibility" and grid.x1_cells % 128 != 0:
-            raise ConfigError("profile nodes need x1_cells divisible by 128")
-        if grid.x1_cells < study.x1_cells:
-            least, cells = study.x1_cells, grid.x1_cells
-            raise ConfigError(f"the {self.experiment} study needs x1_cells >= {least}, got {cells}")
+        cells, least, multiple = grid.x1_cells, study.x1_cells, study.x1_multiple
+        if cells % multiple or cells < least:
+            rule = f"divisible by {multiple}" if cells % multiple else f">= {least}"
+            raise ConfigError(f"the {self.experiment} study needs x1_cells {rule}, got {cells}")
         out = {}
         self.coeffs = {}
-        if study.coefficients or "coefficients" in self.raw:
-            for key, tangential in study.sigma.items():
-                co = self.coeffs[key] = self.coefficients(sigma_key=key)
-                rep = check_parabolicity(co, grid.times[:: max(1, grid.steps // 8)])
-                if not rep.passed:
-                    raise ConfigError(
-                        f"coefficients ({key}) fail parabolicity: margins "
-                        f"{rep.lower_margin:.3e}, {rep.upper_margin:.3e}"
-                    )
-                out[key] = rep
-                comp = check_compatibility(co)
-                if tangential is not None and comp.passed != tangential:
-                    raise ConfigError(
-                        f"coefficients ({key}): normal noise component "
-                        f"{comp.max_normal_component:.3e}"
-                        + (" violates the tangency hypothesis of this study" if tangential else
-                           " is zero; the variants must be one tangential and one violating")
-                    )
-        self.n_levels = self.levels()
+        for key, tangential in sigma.items():
+            co = self.coeffs[key] = _build(
+                "coefficients", ModelCoefficients.make, grid.dim, c["a"], c[key],
+                n_modes=c["n_modes"], kappa=c["kappa"], bound=c["bound"],
+            )
+            rep = check_parabolicity(co, grid.times[:: max(1, grid.steps // 8)])
+            if not rep.passed:
+                raise ConfigError(
+                    f"coefficients ({key}) fail parabolicity: margins "
+                    f"{rep.lower_margin:.3e}, {rep.upper_margin:.3e}"
+                )
+            out[key] = rep
+            comp = check_compatibility(co)
+            if tangential is not None and comp.passed != tangential:
+                raise ConfigError(
+                    f"coefficients ({key}): normal noise component "
+                    f"{comp.max_normal_component:.3e}"
+                    + (" violates the tangency hypothesis of this study" if tangential else
+                       " is zero; the variants must be one tangential and one violating")
+                )
         if self.n_levels < study.levels:
             raise ConfigError(f"the {self.experiment} study needs levels >= {study.levels}")
-        block = self.block("data")
-        self.data = {
-            key: parse(f"data.{key}", block[key], self.n_levels) if key in block else default
-            for key, (default, parse) in study.data.items()
-        }
         # NormSpec's own checks give alpha, gamma and pair_policy their ranges;
-        # stability takes no alpha, so its gamma is checked beside alpha = 1/2
+        # a study with a gamma but no alpha has its gamma checked beside alpha = 1/2
         norm = {key: self.data[key] for key in ("gamma", "pair_policy") if key in self.data}
         alphas = np.ravel(self.data.get("alpha", [])).tolist()
-        try:
-            self.specs = [NormSpec(alpha, **norm) for alpha in alphas]
-            if norm and not alphas:
-                NormSpec(0.5, **norm)
-        except ValueError as exc:
-            raise ConfigError(f"bad data block: {exc}") from exc
+        self.specs = [_build("data", NormSpec, alpha, **norm) for alpha in alphas]
+        if norm and not alphas:
+            _build("data", NormSpec, 0.5, **norm)
         self.grids = [grid]
         for _ in range(self.n_levels - 1):
             self.grids.append(self.grids[-1].refine(xp=study.refine_xp))
@@ -805,13 +764,38 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     report.verdict("ratio_constancy", spread <= 1.25, f"ratio max/min {spread:.4f}")
 
 
+_WAVE = {"f_amplitude": (1.0, _number), "f_tangential_wave": (0.5, _number)}
+# the registry: each study's body and the table its configuration is parsed against
 EXPERIMENTS = {
-    "halfline_lemma": _halfline_lemma,
-    "stability": _stability,
-    "compatibility": _compatibility,
-    "schauder_ratio": _schauder_ratio,
-    "pipeline": _pipeline,
-    "continuity": _continuity,
+    "halfline_lemma": _Study(
+        _halfline_lemma, 1, 2, {"sigma": None},
+        {"alpha": ([0.25, 0.5, 0.75], _numbers), "gamma": (2.0, _number),
+         "pair_policy": ("exhaustive", _given)},
+        coefficients=False, x1_cells=3,
+    ),
+    "stability": _Study(
+        _stability, 1, 1, {"sigma": None}, {"gamma": (2.0, _number)}, coefficients=False
+    ),
+    # the profile nodes x1_max / 8 ... x1_max / 128 fall on grid nodes
+    "compatibility": _Study(
+        _compatibility, 2, 1, {"sigma_tangential": True, "sigma_violating": False},
+        {**_WAVE, "g_violating_amplitude": (0.0, _number)}, x1_multiple=128,
+    ),
+    "schauder_ratio": _Study(
+        _schauder_ratio, 2, 1, {"sigma": True},
+        {"alpha": (0.5, _number), "gamma": (2.0, _number), "draws": (5, _count),
+         "pair_policy": ("dyadic", _given)},
+        x1_cells=3,
+    ),
+    "pipeline": _Study(
+        _pipeline, None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)},
+        x1_cells=3, refine_xp=False,
+    ),
+    "continuity": _Study(
+        _continuity, 1, 1, {"sigma": None},
+        {"s": (1.0, _number), "s0": (0.9, _number), "iterations": (7, partial(_count, least=3)),
+         "f_amplitude": (1.0, _number)},
+    ),
 }
 
 
@@ -826,6 +810,6 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     config.validate()
     seed = config.seed
     report = StudyReport(config.experiment, config.raw, seed.master_seed, seed.stream_salt)
-    EXPERIMENTS[config.experiment](config, report, workers)
+    EXPERIMENTS[config.experiment].body(config, report, workers)
     report.wall_clock = time.perf_counter() - t0
     return report

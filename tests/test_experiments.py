@@ -8,7 +8,9 @@ import json
 import math
 import os
 import pkgutil
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +79,14 @@ def test_bad_grid_block_is_rejected():
     cfg = tiny_config()
     cfg.raw["grid"] = {"dim": 1, "x1_max": 1.0}
     with pytest.raises(ConfigError, match="grid"):
-        cfg.base_grid()
+        cfg.validate()
 
 
 def test_missing_coefficient_key_is_rejected():
     cfg = tiny_config()
     cfg.raw["coefficients"] = {"a": [[1.0]]}
     with pytest.raises(ConfigError, match="missing"):
-        cfg.coefficients()
+        cfg.validate()
 
 
 @pytest.mark.parametrize(
@@ -95,7 +97,7 @@ def test_misshapen_coefficients_are_a_config_error(a, expected):
     cfg = tiny_config()
     cfg.raw["coefficients"] = {"a": a, "sigma": [[0.5]]}
     with pytest.raises(ConfigError, match=expected):
-        cfg.coefficients()
+        cfg.validate()
 
 
 def test_validate_runs_parabolicity_gate():
@@ -265,14 +267,14 @@ def test_continuity_bound_is_that_of_the_frozen_operator():
 def test_config_accessors_and_overrides():
     # the CLI applies --seed/--paths/--levels to the raw blocks
     cfg = tiny_config()
-    assert cfg.paths() == 8 and cfg.levels() == 1
-    spec = cfg.seed_spec()
-    assert (spec.master_seed, spec.stream_salt) == (99, 1)
+    cfg.validate()
+    assert cfg.n_paths == 8 and cfg.n_levels == 1
+    assert (cfg.seed.master_seed, cfg.seed.stream_salt) == (99, 1)
     cfg.raw["ensemble"].update(master_seed=7, paths=3)
     cfg.raw["levels"] = 5
-    spec2 = cfg.seed_spec()
-    assert (spec2.master_seed, spec2.stream_salt) == (7, 1)
-    assert cfg.paths() == 3 and cfg.levels() == 5
+    cfg.validate()
+    assert (cfg.seed.master_seed, cfg.seed.stream_salt) == (7, 1)
+    assert cfg.n_paths == 3 and cfg.n_levels == 5
 
 
 # -- report and determinism -------------------------------------------
@@ -294,9 +296,9 @@ def test_stability_gap_holds_at_interior_nodes():
     # on their own (ratio about 0.75 and 0.87, both at node (64, 1))
     config = Path(__file__).resolve().parent.parent / "configs" / "stability.json"
     cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
-    grid = cfg.base_grid()
-    gamma = float(cfg.block("data")["gamma"])
-    for name, (d1, d2) in _stability_pairs(grid, cfg.seed_spec(), cfg.paths()).items():
+    cfg.validate()
+    grid, gamma = cfg.grid, cfg.data["gamma"]
+    for name, (d1, d2) in _stability_pairs(grid, cfg.seed, cfg.n_paths).items():
         rep = stability_gap(d1, d2, grid, gamma=gamma)
         gap = dt_v(d1, grid).values - dt_v(d2, grid).values
         interior = np.mean(np.abs(gap[:, :, 1:]) ** gamma, axis=0)
@@ -523,12 +525,29 @@ def test_cli_rejects_a_config_that_is_not_an_object(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "experiment", [["stability"], {"name": "stability"}], ids=["list", "object"]
+)
+@pytest.mark.parametrize("command", ["validate", "stability"])
+def test_cli_refuses_an_experiment_that_is_not_a_name(command, experiment, tmp_path, capsys):
+    # neither can key the registry; each is refused as an unknown name, not a traceback
+    raw = dict(TINY_STABILITY, experiment=experiment)
+    argv = [command, "--config", write_config(tmp_path, raw)]
+    if command == "stability":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    prefix = "invalid:" if command == "validate" else "configuration error:"
+    assert err.startswith(f"{prefix} unknown experiment {experiment!r}")
+    assert not (tmp_path / "stability.csv").exists()
+
+
+@pytest.mark.parametrize(
     "ensemble, levels, message",
     [
         ({"paths": "abc"}, 1, "ensemble.paths must be an integer"),
         ({"paths": 0}, 1, "ensemble.paths must be at least 1"),
         ({"master_seed": -1}, 1, "master_seed"),
-        ({"stream_salt": "x"}, 1, "bad ensemble seed"),
+        ({"stream_salt": "x"}, 1, "ensemble.stream_salt must be an integer, got 'x'"),
         ({}, "two", "levels must be an integer"),
     ],
     ids=["paths-text", "paths-zero", "seed-negative", "salt-text", "levels-text"],
@@ -564,7 +583,7 @@ def test_refinement_studies_need_two_levels(study, tmp_path, capsys, monkeypatch
         """Stand-in body; the parser takes its help text from here."""
         raise AssertionError("the study body ran")
 
-    monkeypatch.setitem(EXPERIMENTS, study, unreachable)
+    monkeypatch.setitem(EXPERIMENTS, study, replace(EXPERIMENTS[study], body=unreachable))
     raw = json.loads((CONFIGS / f"{study}.json").read_text())
     raw["levels"] = 1
     cfg = write_config(tmp_path, raw)
@@ -635,7 +654,7 @@ def test_kernel_check_level_must_index_a_level(level, tmp_path, capsys, monkeypa
         """Stand-in body; the parser takes its help text from here."""
         raise AssertionError("the study body ran")
 
-    monkeypatch.setitem(EXPERIMENTS, "pipeline", unreachable)
+    monkeypatch.setitem(EXPERIMENTS, "pipeline", replace(EXPERIMENTS["pipeline"], body=unreachable))
     raw = json.loads((CONFIGS / "pipeline.json").read_text())
     raw["data"]["kernel_check_level"] = level
     cfg = write_config(tmp_path, raw)
@@ -738,6 +757,16 @@ def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
             "compatibility", {"coefficients": {"sigma_violating": [[0.7], [None]]}},
             "coefficients.sigma_violating must be a number, got None",
         ),
+        # a None drops the key; every missing required key is named
+        (
+            "stability", {"grid": {"t_max": None, "steps": None}},
+            "missing grid key(s) ['t_max', 'steps']",
+        ),
+        ("continuity", {"coefficients": {"a": None}}, "missing coefficients key(s) ['a']"),
+        (
+            "compatibility", {"coefficients": {"sigma_violating": None}},
+            "missing coefficients key(s) ['sigma_violating']",
+        ),
     ],
     ids=[
         "unknown-top-level", "unknown-grid", "unknown-coefficients", "unknown-ensemble",
@@ -746,7 +775,7 @@ def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
         "paths-1.5", "draws-true", "x1-cells-32.9", "steps-true", "dim-1.7", "x1-max-nan",
         "t-max-inf", "master-seed-1.5", "n-modes-1.5", "bound-inf", "amplitude-text",
         "s0-bool", "x1-max-text", "kappa-text", "alpha-text", "a-text", "sigma-bool",
-        "sigma-null",
+        "sigma-null", "grid-missing-t-max-steps", "a-missing", "sigma-violating-missing",
     ],
 )
 def test_the_schema_refuses_a_config_no_verdict_can_read(
@@ -757,11 +786,11 @@ def test_the_schema_refuses_a_config_no_verdict_can_read(
         """Stand-in body; the parser takes its help text from here."""
         raise AssertionError("the study body ran")
 
-    monkeypatch.setitem(EXPERIMENTS, study, unreachable)
+    monkeypatch.setitem(EXPERIMENTS, study, replace(EXPERIMENTS[study], body=unreachable))
     raw = json.loads((CONFIGS / f"{study}.json").read_text())
     for key, value in edit.items():
         if isinstance(value, dict):
-            raw.setdefault(key, {}).update(value)
+            raw[key] = {k: v for k, v in {**raw.get(key, {}), **value}.items() if v is not None}
         else:
             raw[key] = value
     cfg = write_config(tmp_path, raw)
@@ -828,6 +857,21 @@ def test_an_omitted_data_block_takes_every_default(study, defaults):
     assert [(s.alpha, s.gamma, s.pair_policy) for s in cfg.specs] == [
         (a, 2.0, defaults["pair_policy"]) for a in np.ravel(alphas)
     ]
+
+
+def test_the_readme_data_table_matches_the_registry():
+    # README's data keys table, row `study` | `key` default, ...: each study
+    # lists exactly its registry entry's data keys, with the same defaults
+    rows = re.findall(r"^\| `(\w+)` +\| (.+?) +\|$", (ROOT / "README.md").read_text(), re.M)
+    listed = {
+        study: {key: json.loads(text.replace("none", "null"))
+                for key, text in re.findall(r"`(\w+)` (.+?)(?=, `|$)", cells)}
+        for study, cells in rows
+    }
+    assert listed == {
+        name: {key: default for key, (default, _) in study.data.items()}
+        for name, study in EXPERIMENTS.items()
+    }
 
 
 def test_cli_kernel_subcommand(capsys):

@@ -16,6 +16,7 @@ from spdelab import (
     ModelError,
     SeedSpec,
     SpaceTimeGrid,
+    WienerBatch,
     check_compatibility,
     check_parabolicity,
     coarsen,
@@ -539,35 +540,112 @@ def test_periodic_mode_moment_matches_closed_form():
     assert float(mode.mean()) == pytest.approx(MODE_MOMENT, rel=0.05)
 
 
-@pytest.mark.parametrize("k, m", [(1, 1), (3, 1), (2, 3)])
-def test_a_wall_mode_follows_its_pathwise_recursion(k, m):
+def _mode_steps(noise, dt, lam, rate, forced, start):
+    """(A_j, B_j), j = 1..steps, of a Fourier mode A cos + B sin under the
+    scheme: forced * cos drives A, the noise rotates (A, B) by rate * dW_j,
+    both explicit at t_j, and the implicit solve divides by 1 + dt lam."""
+    a, b = start, np.zeros_like(start)
+    for j in range(noise.n_steps):
+        dw = rate * noise.increments[:, j, 0].reshape(start.shape)
+        a, b = (a + forced * dt + dw * b) / (1 + dt * lam), (b - dw * a) / (1 + dt * lam)
+        yield a, b
+
+
+def _wall_mode(g, k, m, a11=1.2, a22=1.0):
+    """S cos and S sin on the unknown nodes, S = sin(k pi x1 / L) and the
+    angle 2 pi m x' / P (cos = S, sin = 0 in dim 1), with the scheme's
+    lambda and the factor mu of the centred periodic first difference."""
+    L, h1 = g.x1_max, g.dx1
+    s = np.sin(k * np.pi * g.x1_nodes[1:-1] / L)
+    lam = a11 * (4 / h1**2) * np.sin(k * np.pi * h1 / (2 * L)) ** 2
+    if g.dim == 1:
+        return s, np.zeros_like(s), lam, 0.0
+    P, h2 = g.xp_max, g.dxp
+    theta = 2 * np.pi * m * g.xp_nodes / P
+    lam += a22 * (4 / h2**2) * np.sin(np.pi * m * h2 / P) ** 2
+    mu = np.sin(2 * np.pi * m * h2 / P) / h2
+    return s[:, None] * np.cos(theta), s[:, None] * np.sin(theta), lam, mu
+
+
+def _wall_grid(dim):
+    xp = {"xp_max": 1.0, "xp_cells": 8} if dim == 2 else {}
+    return SpaceTimeGrid(dim=dim, x1_max=2.0, x1_cells=16, t_max=0.0625, steps=64, **xp)
+
+
+@pytest.mark.parametrize(
+    "dim, k, m", [(2, 1, 1), (2, 3, 1), (2, 2, 3), (1, 1, 0), (1, 5, 0)],
+    ids=["1-1", "3-1", "2-3", "dim1-1", "dim1-5"],
+)
+def test_a_wall_mode_follows_its_pathwise_recursion(dim, k, m):
     # with a12 = 0 the mode S(x1) (A cos + B sin)(x'), S = sin(k pi x1 / L), is
     # closed under the scheme: S is an eigenvector of the Dirichlet second
     # difference, cos and sin of the periodic one, and the centred periodic
     # first difference maps (cos, sin) to mu (-sin, cos).  f = S cos drives A,
     # the tangential noise sigma D2 u dw rotates (A, B), both explicit at t_j.
-    L, P, sig = 2.0, 1.0, 0.6
-    g = SpaceTimeGrid(dim=2, x1_max=L, x1_cells=16, t_max=0.0625, steps=64, xp_max=P, xp_cells=8)
-    co = ModelCoefficients.make(2, np.diag([1.2, 1.0]), [[0.0], [sig]], kappa=0.5, bound=4.0)
+    # In dim 1 there is no x' and sigma = 0: the mode is A S.
+    g, sig = _wall_grid(dim), 0.6 if dim == 2 else 0.0
+    a, sigma = np.diag([1.2, 1.0][:dim]), [[0.0], [sig]][:dim]
+    co = ModelCoefficients.make(dim, a, sigma, kappa=0.5, bound=4.0)
     noise = noise_for(g, paths=6)
-    s = np.sin(k * np.pi * g.x1_nodes[1:-1] / L)[:, None]
-    theta = 2 * np.pi * m * g.xp_nodes / P
-    cos, sin = s * np.cos(theta), s * np.sin(theta)
+    cos, sin, lam, mu = _wall_mode(g, k, m)
     f = np.zeros((1, g.steps + 1) + g.space_shape)
     f[:, :, 1:-1] = cos
     u = solve_model_halfspace(co, Forcing(f=FieldEnsemble(f, g)), g, noise).values
     assert not u[:, :, [0, -1]].any()
-    h1, h2, dt = g.dx1, g.dxp, g.dt
-    mu = np.sin(2 * np.pi * m * h2 / P) / h2
-    x1_wave, xp_wave = np.sin(k * np.pi * h1 / (2 * L)), np.sin(np.pi * m * h2 / P)
-    lam = 1.2 * (4 / h1**2) * x1_wave**2 + 1.0 * (4 / h2**2) * xp_wave**2
-    a, b = np.zeros((2, noise.n_paths, 1, 1))
-    for j in range(g.steps):
-        dw = sig * mu * noise.increments[:, j, 0, None, None]
-        a, b = (a + dt + dw * b) / (1 + dt * lam), (b - dw * a) / (1 + dt * lam)
+    start = np.zeros((noise.n_paths,) + (1,) * dim)
+    for j, (a, b) in enumerate(_mode_steps(noise, g.dt, lam, sig * mu, 1.0, start)):
         mode = a * cos + b * sin
         # rounding accumulated over j steps: within 128 ulps of the step's largest value
         assert np.max(np.abs(u[:, j + 1, 1:-1] - mode)) <= 128 * np.spacing(np.max(np.abs(mode)))
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3)])
+def test_a_stacked_wall_mode_follows_its_pathwise_recursion(k, m):
+    # compatibility's layout: two states share a, f and the noise on one
+    # (*space, 2, paths) stack and one _Stepper steps both; each has its own
+    # tangential sigma, so each follows the recursion at its own rate (within
+    # 128 ulps of each step's largest value; 34 at most, as one state alone)
+    g, sigmas = _wall_grid(2), (0.6, 0.3)
+    noise = noise_for(g, paths=6)
+    cos, sin, lam, mu = _wall_mode(g, k, m)
+    step = _Stepper(np.diag([1.2, 1.0]), g)
+    u = np.zeros(g.space_shape + (2, noise.n_paths))
+    modes = [_mode_steps(noise, g.dt, lam, sig * mu, 1.0, np.zeros((6, 1, 1))) for sig in sigmas]
+    for j in range(g.steps):
+        each = [_integrand(np.array([[0.0], [s]]), u[..., i, :], g) for i, s in enumerate(sigmas)]
+        dw = noise.increments[:, j]
+        terms = [np.stack(t, -2) * dw[:, q] for q, t in enumerate(zip(*each))]  # per mode
+        step(u, j, cos[..., None, None], terms)
+        for i, (a, b) in enumerate(next(steps) for steps in modes):
+            mode = a * cos + b * sin
+            got = np.moveaxis(u[1:-1, :, i], -1, 0)
+            assert np.max(np.abs(got - mode)) <= 128 * np.spacing(np.max(np.abs(mode)))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_periodic_mode_follows_its_pathwise_recursion(m):
+    # on the periodic line cos and sin(2 pi m x / P) are eigenvectors of D^2
+    # and the centred D1 maps (cos, sin) to mu (-sin, cos), so sigma D1 u dw
+    # rotates (A, B); u0 = cos starts the mode at (1, 0).  The line returns
+    # its last state only, so it is stepped one noise increment at a time.
+    # Rounding left in the constant mode does not decay as this mode does;
+    # 32 steps keep it within 128 ulps of each step's largest value (52 at most)
+    P, n, dt = 1.0, 16, 2.0**-12
+    co = ModelCoefficients.make(1, [[1.0]], [[0.6]], kappa=1.0, bound=4.0)
+    g = SpaceTimeGrid(dim=1, x1_max=P, x1_cells=n, t_max=32 * dt, steps=32, periodic_x1=True)
+    one = SpaceTimeGrid(dim=1, x1_max=P, x1_cells=n, t_max=dt, steps=1, periodic_x1=True)
+    noise = noise_for(g, paths=6)
+    h, theta = g.dx1, 2 * np.pi * m * g.x1_nodes / P
+    lam = (4 / h**2) * np.sin(np.pi * m * h / P) ** 2
+    mu = np.sin(2 * np.pi * m * h / P) / h
+    u0 = u = np.broadcast_to(np.cos(theta), (noise.n_paths, n)).copy()
+    for j, (a, b) in enumerate(_mode_steps(noise, dt, lam, 0.6 * mu, 0.0, np.ones((6, 1)))):
+        dw = WienerBatch(noise.increments[:, j : j + 1], dt)
+        u = solve_periodic_line(co, Forcing(), one, dw, u0=u)
+        mode = a * np.cos(theta) + b * np.sin(theta)
+        assert np.max(np.abs(u - mode)) <= 128 * np.spacing(np.max(np.abs(mode)))
+    # one step at a time is the whole run's arithmetic
+    assert np.array_equal(u, solve_periodic_line(co, Forcing(), g, noise, u0=u0))
 
 
 def test_coupled_noise_strong_convergence():
