@@ -48,9 +48,7 @@ from .solver import (
     Forcing,
     ModelCoefficients,
     _cfl_check,
-    _check_inputs,
-    _integrand,
-    _Stepper,
+    _steps,
     check_compatibility,
     check_parabolicity,
     continuity_iterates,
@@ -350,7 +348,7 @@ class ExperimentConfig:
                 "coefficients", ModelCoefficients.make, grid.dim, c["a"], c[key],
                 n_modes=c["n_modes"], kappa=c["kappa"], bound=c["bound"],
             )
-            rep = check_parabolicity(co, grid.times[:: max(1, grid.steps // 8)])
+            rep = check_parabolicity(co, times=(0.0,))  # constant: t_0 alone, by name for the tracer
             if not rep.passed:
                 raise ConfigError(
                     f"coefficients ({key}) fail parabolicity: margins "
@@ -531,16 +529,10 @@ def _stability(config: ExperimentConfig, report: StudyReport, workers: int) -> N
 
 def _tangential_wave_field(grid, data):
     """f(x) = f_amplitude + f_tangential_wave * cos(2 pi x2 / xp_max), frozen in time."""
-    amplitude, wave = data["f_amplitude"], data["f_tangential_wave"]
+    prof = data["f_amplitude"]
     if grid.dim == 2:
-        prof = amplitude + wave * np.cos(2.0 * np.pi * grid.xp_nodes / grid.xp_max)
-        shaped = np.broadcast_to(
-            prof[None, None, None, :],
-            (1, grid.steps + 1, grid.n_x1, grid.n_xp),
-        )
-    else:
-        shaped = np.full((1, grid.steps + 1, grid.n_x1), amplitude)
-    return FieldEnsemble(shaped, grid)
+        prof = prof + data["f_tangential_wave"] * np.cos(2.0 * np.pi * grid.xp_nodes / grid.xp_max)
+    return FieldEnsemble(np.broadcast_to(prof, (1, grid.steps + 1) + grid.space_shape), grid)
 
 
 def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) -> None:
@@ -560,32 +552,24 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     f = _tangential_wave_field(grid, config.data)
     co_tan, co_bad = config.coeffs["sigma_tangential"], config.coeffs["sigma_violating"]
     noise = wiener_increments(config.seed, config.n_paths, grid.steps, co_tan.n_modes, dt=grid.dt)
-    variants = ((co_tan, None), (co_bad, [g_amp] * co_bad.n_modes if g_amp != 0.0 else None))
-    for co, _ in variants:
-        _check_inputs(co, Forcing(f=f), grid, noise)
+    g = None
+    if g_amp != 0.0:
+        shape = (1, grid.steps + 1) + grid.space_shape + (co_bad.n_modes,)
+        g = FieldEnsemble(np.broadcast_to(g_amp, shape), grid, n_modes=co_bad.n_modes)
 
     deltas_idx = [grid.x1_cells >> k for k in range(3, 8)]
     near = np.add.outer([-1, 0, 1], deltas_idx)  # the D11 stencil rows at each delta
-    # both variants share a and the noise, so they step as one (*space, 2, paths) stack
-    step = _Stepper(co_tan.a, grid)
-    u = np.zeros(grid.space_shape + (2, config.n_paths))
-    shape = u[1:-1, ..., 0, :].shape  # the unknown nodes of one variant
-    peak = np.zeros((len(deltas_idx), grid.n_xp, 2))  # max over time of the path sums of D11 u^2
-    f_vals = np.moveaxis(f.values[:, :, 1:-1], 0, -1)[..., None, :]  # (steps+1, *space, 1, paths)
-    for j in range(grid.steps):
-        each = (_integrand(co.sigma, u[..., i, :], grid, gv) for i, (co, gv) in enumerate(variants))
-        dw = noise.increments[:, j]
-        # a mode silent in one variant adds an exact zero times dw to that variant
-        g = [
-            np.stack([np.broadcast_to(0.0 if t is None else t, shape) for t in mode], -2) * dw[:, k]
-            for k, mode in enumerate(zip(*each))
-            if any(t is not None for t in mode)
-        ]
-        step(u, j, f_vals[j], g)
-        lo, mid, hi = u[near]
-        d11 = (lo - 2.0 * mid + hi) / (grid.dx1 * grid.dx1)
-        np.maximum(peak, _ordered_path_sum(d11 * d11), out=peak)
-    tan, bad = np.sqrt(np.max(peak, axis=1).T / config.n_paths)  # max commutes with / n_paths
+    # both variants share a, f and the noise; each steps its own state, in lockstep
+    u = [np.zeros(grid.space_shape + (config.n_paths,)) for _ in range(2)]
+    tan_run = _steps(co_tan, Forcing(f), grid, noise, u[0])
+    bad_run = _steps(co_bad, Forcing(f, g), grid, noise, u[1])
+    peak = np.zeros((2, len(deltas_idx), grid.n_xp))  # max over time of the path sums of D11 u^2
+    for _ in zip(tan_run, bad_run):
+        for v, p in zip(u, peak):
+            lo, mid, hi = v[near]
+            d11 = (lo - 2.0 * mid + hi) / (grid.dx1 * grid.dx1)
+            np.maximum(p, _ordered_path_sum(d11 * d11), out=p)
+    tan, bad = np.sqrt(np.max(peak, axis=2) / config.n_paths)  # max commutes with / n_paths
     for label, profile in (("tangential", tan), ("violating", bad)):
         for idx, value in zip(deltas_idx, profile):
             report.row("profile", param=idx * grid.dx1, index=label, value=float(value))

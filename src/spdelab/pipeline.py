@@ -208,8 +208,7 @@ def decompose_pipeline(
             ref[j, 1:-1] = w0[:, col, path] if grid.dim == 2 else w0[:, path]
         if j == grid.steps:
             break
-        dw, g = noise.increments[:, j], _integrand(sig, u, grid)
-        g = [term * dw[:, k] for k, term in enumerate(g) if term is not None]
+        g = _integrand(sig, u, grid, noise.increments[:, j])
         if heat is not None:
             heat(big, j, None, g)
         step(u, j, f_vals[j, 1:-1], g)

@@ -13,8 +13,11 @@ Euler-Maruyama noise evaluated at the left time point.  All paths
 advance through identical linear algebra, so results are independent of
 how paths are blocked across workers.  The step is written once, in
 `_Stepper`, for the unknown nodes of a stack of states; it knows only
-the operator a, and each caller (the time loop, the continuation, the
-wall decomposition, the compatibility study) forms the noise terms.
+the operator a, and its caller forms the noise terms, with `_integrand`
+where they are the model's.  `_steps` is the one time loop of a model
+state: the solves below and the compatibility study's two variants run
+through it, while the continuation and the wall decomposition step
+their own states.
 Stepped states are stored space first and paths last, (*space, *stack,
 paths), so x1 slices are contiguous blocks; the public fields keep their
 path-major shapes, and the loops transpose at that boundary.
@@ -166,13 +169,6 @@ class Forcing:
 # -- discrete operators ----------------------------------------------
 
 
-def _sp_periodic_d2(n, h):
-    # the diagonals at offsets -(n-1) and n-1 are the two wrap corners
-    one = np.ones(n - 1)
-    m = sp.diags([[1.0], one, np.full(n, -2.0), one, [1.0]], [1 - n, -1, 0, 1, n - 1])
-    return (m / h**2).tocsr()
-
-
 class _DirichletLine:
     """I - r D^2 on n interior nodes of a Dirichlet line, factored once.
 
@@ -204,16 +200,15 @@ class _DirichletLine:
 def _implicit_matrix(a, grid):
     """I - dt * a:D^2 over the unknown nodes, factored for repeated solves."""
     dt = grid.dt
-    if grid.dim == 1:
-        if grid.periodic_x1:
-            n = grid.n_x1
-            m = sp.identity(n, format="csr") - dt * a[0, 0] * _sp_periodic_d2(n, grid.dx1)
-            return splu(m.tocsc())
+    if grid.dim == 1 and not grid.periodic_x1:
         return _DirichletLine(grid.n_x1 - 2, dt * a[0, 0] / grid.dx1**2)
     # the 5- or 9-point stencil at each unknown node (i1, i2), x1 major, in the
     # arithmetic of the Kronecker sum of Dirichlet x1 and periodic x' stencils;
     # the matrix is symmetric, so a column lists its rows as a row its columns
-    n1, n2, h1, h2 = grid.n_x1 - 2, grid.n_xp, grid.dx1, grid.dxp
+    if grid.dim == 1:  # the periodic line: one x1 row of x'-type nodes, no x1 term
+        n1, n2, h1, h2, a = 1, grid.n_x1, 1.0, grid.dx1, np.diag([0.0, a[0, 0]])
+    else:
+        n1, n2, h1, h2 = grid.n_x1 - 2, grid.n_xp, grid.dx1, grid.dxp
     side1, side2 = -(dt * (a[0, 0] * (1.0 / h1**2))), -(dt * (a[1, 1] * (1.0 / h2**2)))
     stencil = {(0, 0): 1.0 - dt * (a[0, 0] * (-2.0 / h1**2) + a[1, 1] * (-2.0 / h2**2)),
                (-1, 0): side1, (1, 0): side1, (0, -1): side2, (0, 1): side2}
@@ -275,9 +270,10 @@ class _Stepper:
         core[...] = out.reshape(core.shape)
 
 
-def _integrand(sigma, u, grid, g=None):
-    """sigma^{ik} D_i u + g^k on the unknown nodes for each mode k (None if
-    both vanish); a direction is differenced only if its sigma row is nonzero."""
+def _integrand(sigma, u, grid, dw, g=None):
+    """The noise terms (sigma^{ik} D_i u + g^k) dw^k on the unknown nodes, for
+    each mode k in which either part is nonzero; dw holds one step's increments
+    (paths, modes).  A direction is differenced only if its sigma row is nonzero."""
     noisy = np.any(sigma, axis=1).tolist()  # directions with a sigma row
     if noisy[0]:
         du1 = _diff(u, grid.dx1, 0, True, 1) if grid.periodic_x1 else _centred(u, grid.dx1, 0, 1)
@@ -292,32 +288,31 @@ def _integrand(sigma, u, grid, g=None):
             term = sigma[1, k] * du2 if term is None else term + sigma[1, k] * du2
         if g is not None:
             term = g[k] if term is None else term + g[k]
-        terms.append(term)
+        if term is not None:
+            terms.append(term * dw[:, k])
     return terms
 
 
-def _step_loop(coeffs, forcing, grid, noise, u0, full):
-    """Preconditions, then one stepper call per time step; the whole
-    history as a FieldEnsemble when full, else the final state."""
+def _steps(coeffs, forcing, grid, noise, u):
+    """Step the state u, shape (*space, paths), in place through every time
+    step, yielding j after the step j -> j + 1.  The preconditions run at
+    the call, before the operator is factored or anything is stepped."""
     _check_inputs(coeffs, forcing, grid, noise)
-    paths = noise.n_paths
-    if u0 is not None and u0.shape != (paths,) + grid.space_shape:
+    if u.shape != grid.space_shape + (noise.n_paths,):
         raise ModelError("u0 has the wrong shape")
-    u = np.zeros(grid.space_shape + (paths,)) if u0 is None else np.moveaxis(u0, 0, -1).copy()
-    out = np.zeros((paths, grid.steps + 1) + grid.space_shape) if full else None
     # the forcing as ([modes,] steps+1, *space, paths) views
     f_vals = None if forcing.f is None else np.moveaxis(forcing.f.values, 0, -1)
     g_vals = None if forcing.g is None else np.moveaxis(forcing.g.values, (0, -1), (-1, 0))
     step = _Stepper(coeffs.a, grid)
-    for j in range(grid.steps):
-        f = None if f_vals is None else f_vals[j, step.unknown]
-        g = None if g_vals is None else g_vals[:, j, step.unknown]
-        g = enumerate(_integrand(coeffs.sigma, u, grid, g))
-        g = [term * noise.increments[:, j, k] for k, term in g if term is not None]
-        step(u, j, f, g)  # with the integrands freed
-        if out is not None:
-            out[:, j + 1] = np.moveaxis(u, -1, 0)
-    return np.moveaxis(u, -1, 0) if out is None else FieldEnsemble(out, grid)
+
+    def loop():
+        for j in range(grid.steps):
+            f = None if f_vals is None else f_vals[j, step.unknown]
+            g = None if g_vals is None else g_vals[:, j, step.unknown]
+            step(u, j, f, _integrand(coeffs.sigma, u, grid, noise.increments[:, j], g))
+            yield j
+
+    return loop()
 
 
 def _check_inputs(coeffs, forcing, grid, noise):
@@ -348,7 +343,12 @@ def solve_model_halfspace(
     return the whole history."""
     if grid.periodic_x1:
         raise ModelError("use solve_periodic_line for the surrogate grid")
-    return _step_loop(coeffs, forcing, grid, noise, None, True)
+    u = np.zeros(grid.space_shape + (noise.n_paths,))
+    steps = _steps(coeffs, forcing, grid, noise, u)
+    out = np.zeros((noise.n_paths, grid.steps + 1) + grid.space_shape)
+    for j in steps:
+        out[:, j + 1] = np.moveaxis(u, -1, 0)
+    return FieldEnsemble(out, grid)
 
 
 def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None):
@@ -359,7 +359,11 @@ def solve_periodic_line(coeffs, forcing, grid, noise, *, u0=None):
     """
     if not (grid.periodic_x1 and grid.dim == 1):
         raise ModelError("solve_periodic_line needs a periodic dim-1 grid")
-    return _step_loop(coeffs, forcing, grid, noise, u0, False)
+    shape = grid.space_shape + (noise.n_paths,)
+    u = np.zeros(shape) if u0 is None else np.moveaxis(u0, 0, -1).copy()
+    for _ in _steps(coeffs, forcing, grid, noise, u):
+        pass
+    return np.moveaxis(u, -1, 0)
 
 
 def interpolate_coefficients(coeffs: ModelCoefficients, s: float) -> ModelCoefficients:

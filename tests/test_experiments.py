@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
 import pkgutil
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -123,6 +125,19 @@ def test_validate_runs_tangency_gate_for_wall_studies():
     }
     with pytest.raises(ConfigError, match="tangency"):
         ExperimentConfig.from_dict(raw).validate()
+
+
+def test_validate_builds_no_time_axis():
+    # the constant coefficients are checked at t_0 alone: a time axis of
+    # 2^22 + 1 nodes takes 32 MiB, and one of 2^36 + 1 nodes 512 GiB
+    cfg = ExperimentConfig.from_dict(_checked_in("continuity", steps=2**22))
+    tracemalloc.start()
+    try:
+        cfg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_compatibility_study_needs_aligned_profile_nodes():
@@ -831,6 +846,23 @@ def test_every_public_name_resolves(module):
     # perfbench's tracer looks up each __all__ entry, so a stale one breaks every traced run
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize(
+    "function, names",
+    [
+        ("solver.check_parabolicity", "times"),
+        ("solver.solve_model_halfspace", "grid noise"),
+        ("halfline.solve_halfline", "data grid"),
+        ("halfline.dt_v", "data grid"),
+    ],
+)
+def test_the_parameters_the_tracer_binds_by_name_exist(function, names):
+    # perfbench's tracer counts work from these arguments, bound by name, so a
+    # dropped or renamed one makes every traced run raise KeyError
+    module, _, name = function.partition(".")
+    fn = getattr(importlib.import_module(f"spdelab.{module}"), name)
+    assert set(names.split()) <= set(inspect.signature(fn).parameters)
 
 
 @pytest.mark.parametrize(

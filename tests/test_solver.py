@@ -33,7 +33,7 @@ from spdelab.pipeline import _line_step
 from spdelab.solver import (
     _DirichletLine,
     _integrand,
-    _sp_periodic_d2,
+    _steps,
     _Stepper,
 )
 
@@ -296,7 +296,7 @@ def stepper_case(dim, paths=4, stack=3):
     dw = noise_for(grid, paths, co.n_modes).increments[:, 1]
 
     def terms(v):
-        return [t * dw[:, k] for k, t in enumerate(_integrand(co.sigma, v, grid, g))]
+        return _integrand(co.sigma, v, grid, dw, g)
 
     return step, u, dw, f, terms
 
@@ -385,12 +385,6 @@ def lil_periodic(n, h, order):
     return (m / (h**2 if order == 2 else 2.0 * h)).tocsr()
 
 
-@pytest.mark.parametrize("n", range(3, 10))
-def test_periodic_stencils_match_the_row_by_row_construction(n):
-    h = 0.3 / n
-    assert np.array_equal(_sp_periodic_d2(n, h).toarray(), lil_periodic(n, h, 2).toarray())
-
-
 def kron_implicit_matrix(a, grid):
     """Reference: I - dt a:D^2 as a sum of Kronecker products of 1-D stencils,
     Dirichlet along x1 and periodic along x'."""
@@ -402,10 +396,23 @@ def kron_implicit_matrix(a, grid):
     d1_xp = (sp.diags([[1.0], -one2, one2, [-1.0]], [1 - n2, -1, 1, n2 - 1]) / (2.0 * h2)).tocsr()
     eye1, eye2 = sp.identity(n1, format="csr"), sp.identity(n2, format="csr")
     op = a[0, 0] * sp.kron(d2_x1, eye2)
-    op = op + a[1, 1] * sp.kron(eye1, _sp_periodic_d2(n2, h2))
+    op = op + a[1, 1] * sp.kron(eye1, lil_periodic(n2, h2, 2))
     if a[0, 1] != 0.0:
         op = op + 2.0 * a[0, 1] * sp.kron(d1_x1, d1_xp)
     return (sp.identity(n1 * n2, format="csr") - grid.dt * op).tocsc()
+
+
+def assert_factored_as(monkeypatch, a, grid, ref):
+    """_implicit_matrix hands SuperLU the CSC arrays of ref, bit for bit."""
+    seen = []
+    monkeypatch.setattr(solver, "splu", lambda m: seen.append(m) or splu(m))
+    lu = solver._implicit_matrix(a, grid)
+    (m,) = seen
+    assert m.format == "csc" and m.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(m, part), getattr(ref, part)), part
+    rhs = np.random.default_rng(ref.shape[0]).normal(size=(ref.shape[0], 3))
+    assert np.array_equal(lu.solve(rhs), splu(ref).solve(rhs))
 
 
 @pytest.mark.parametrize("a12", [0.1, 0.0])
@@ -420,16 +427,19 @@ def test_implicit_matrix_matches_the_kronecker_sum(monkeypatch, a12, x1_cells, x
     grid = SpaceTimeGrid(dim=2, x1_max=2.0, x1_cells=x1_cells, t_max=0.05, steps=steps,
                          xp_max=1.0, xp_cells=xp_cells)
     a = np.array([[1.2, a12], [a12, 1.0]])
-    seen = []
-    monkeypatch.setattr(solver, "splu", lambda m: seen.append(m) or splu(m))
-    lu = solver._implicit_matrix(a, grid)
-    ref = kron_implicit_matrix(a, grid)
-    (m,) = seen
-    assert m.format == "csc" and m.shape == ref.shape
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(m, part), getattr(ref, part)), part
-    rhs = np.random.default_rng(x1_cells).normal(size=(ref.shape[0], 3))
-    assert np.array_equal(lu.solve(rhs), splu(ref).solve(rhs))
+    assert_factored_as(monkeypatch, a, grid, kron_implicit_matrix(a, grid))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_periodic_stencils_match_the_row_by_row_construction(monkeypatch, n):
+    # the periodic line is one x1 row of x'-type nodes in the stencil assembly:
+    # I - dt (a D^2) with the wrap-indexed D^2 filled row by row, bit for bit.
+    # a = 1 (criterion 6's line) rounds alike in any order of dt a / h^2; 0.9
+    # and 1.37 pin the order, which the assembly shares with the 2-D grids
+    grid = SpaceTimeGrid(dim=1, x1_max=0.3, x1_cells=n, t_max=0.05, steps=16, periodic_x1=True)
+    for a in (0.9, 1.37):
+        ref = sp.identity(n, format="csr") - grid.dt * (a * lil_periodic(n, grid.dx1, 2))
+        assert_factored_as(monkeypatch, np.array([[a]]), grid, ref.tocsc())
 
 
 # -- the factored Dirichlet line ----------------------------------------
@@ -601,25 +611,27 @@ def test_a_wall_mode_follows_its_pathwise_recursion(dim, k, m):
 
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 3)])
 def test_a_stacked_wall_mode_follows_its_pathwise_recursion(k, m):
-    # compatibility's layout: two states share a, f and the noise on one
-    # (*space, 2, paths) stack and one _Stepper steps both; each has its own
-    # tangential sigma, so each follows the recursion at its own rate (within
-    # 128 ulps of each step's largest value; 34 at most, as one state alone)
+    # compatibility's layout: two states share a, f and the noise, and two
+    # _steps runs step them in lockstep; each has its own tangential sigma, so
+    # each follows the recursion at its own rate (within 128 ulps of each
+    # step's largest value; 34 at most, as one state alone)
     g, sigmas = _wall_grid(2), (0.6, 0.3)
     noise = noise_for(g, paths=6)
     cos, sin, lam, mu = _wall_mode(g, k, m)
-    step = _Stepper(np.diag([1.2, 1.0]), g)
-    u = np.zeros(g.space_shape + (2, noise.n_paths))
+    f = np.zeros((1, g.steps + 1) + g.space_shape)
+    f[:, :, 1:-1] = cos
+    u = [np.zeros(g.space_shape + (noise.n_paths,)) for _ in sigmas]
+    runs = []
+    for v, sig in zip(u, sigmas):
+        co = ModelCoefficients.make(2, np.diag([1.2, 1.0]), [[0.0], [sig]], kappa=0.5, bound=4.0)
+        runs.append(_steps(co, Forcing(f=FieldEnsemble(f, g)), g, noise, v))
     modes = [_mode_steps(noise, g.dt, lam, sig * mu, 1.0, np.zeros((6, 1, 1))) for sig in sigmas]
-    for j in range(g.steps):
-        each = [_integrand(np.array([[0.0], [s]]), u[..., i, :], g) for i, s in enumerate(sigmas)]
-        dw = noise.increments[:, j]
-        terms = [np.stack(t, -2) * dw[:, q] for q, t in enumerate(zip(*each))]  # per mode
-        step(u, j, cos[..., None, None], terms)
-        for i, (a, b) in enumerate(next(steps) for steps in modes):
+    for j in zip(*runs):
+        for v, (a, b) in zip(u, (next(steps) for steps in modes)):
             mode = a * cos + b * sin
-            got = np.moveaxis(u[1:-1, :, i], -1, 0)
+            got = np.moveaxis(v[1:-1], -1, 0)
             assert np.max(np.abs(got - mode)) <= 128 * np.spacing(np.max(np.abs(mode)))
+    assert j == (g.steps - 1,) * 2  # both ran every step
 
 
 @pytest.mark.parametrize("m", [1, 3])
