@@ -254,7 +254,8 @@ def _ierfc(orders, z) -> np.ndarray:
     Orders 0..3 come from the recurrence, the others from the parabolic
     cylinder function (DLMF 7.18 and 12.7),
     i^{2 nu}erfc(z) = (2/sqrt(pi)) 2^{-nu - 1/2} exp(-z^2/2) D_{-2 nu - 1}(sqrt(2) z),
-    evaluated only below _Z_UNDERFLOW.
+    evaluated only below _Z_UNDERFLOW, once per distinct z: on a uniform grid
+    z = y / (2 sqrt(s)) is bit-equal at nodes (i, m) and (2i, 4m).
     """
     out = np.zeros((len(orders),) + z.shape)
     even = None
@@ -264,8 +265,9 @@ def _ierfc(orders, z) -> np.ndarray:
             out[m] = even[int(nu)]
         else:
             live = z < _Z_UNDERFLOW
-            d, _ = pbdv(-2.0 * nu - 1.0, math.sqrt(2.0) * z[live])
-            out[m][live] = _TWO_OVER_SQRTPI * 2.0 ** (-nu - 0.5) * np.exp(-0.5 * z[live] ** 2) * d
+            u, back = np.unique(z[live], return_inverse=True)
+            d, _ = pbdv(-2.0 * nu - 1.0, math.sqrt(2.0) * u)
+            out[m][live] = (_TWO_OVER_SQRTPI * 2.0 ** (-nu - 0.5) * np.exp(-0.5 * u**2) * d)[back]
     return out
 
 

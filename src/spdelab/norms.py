@@ -4,8 +4,11 @@ All norms use the expectation-first convention: the magnitude of a field
 value (or of a difference) is its L^gamma norm over paths, with an ell^2
 reduction over noise modes taken before the absolute value; quotients by
 powers of the node distance are formed afterwards, and grid suprema are
-taken last.  Grid suprema are lower bounds of the continuum norms; the
-refinement studies track their stability instead of claiming exactness.
+taken last.  One path without modes at gamma = 2 takes the magnitude
+itself, |x| or |a - b|: the root of the square has its bits wherever the
+square neither overflows nor underflows.  Grid suprema are lower bounds
+of the continuum norms; the refinement studies track their stability
+instead of claiming exactness.
 
 Difference quotients run over a stencil of lattice offsets set by the
 pair policy the ``NormSpec`` names; the caller chooses it, nothing here
@@ -110,6 +113,8 @@ EXHAUSTIVE_LIMIT = 20000
 def _moment(x, gamma, has_modes, path_sum):
     """L^gamma over the paths axis of the (mode-ell2) magnitude, paths summed by
     path_sum; the paths axis is last, or last but the modes."""
+    if gamma == 2.0 and not has_modes and x.shape[-1] == 1:  # one path: its magnitude
+        return np.abs(x[..., 0])
     a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else x
     # x * x is |x| * |x| bit for bit, so gamma = 2 takes no magnitude pass
     s = path_sum(a * a if gamma == 2.0 else (a if has_modes else np.abs(a)) ** gamma)
@@ -118,14 +123,16 @@ def _moment(x, gamma, has_modes, path_sum):
 
 
 def _difference_moment(a, b, buf, gamma, has_modes):
-    """``_moment(a - b, gamma, has_modes, _pairwise_path_sum)`` bit for bit, a - b in buf."""
+    """``_moment(a - b, gamma, has_modes, _pairwise_path_sum)`` bit for bit, a - b in
+    buf; one path at gamma = 2 takes |a - b| there."""
     shape = np.broadcast_shapes(a.shape, b.shape)
     d = np.subtract(a, b, out=buf[: math.prod(shape)].reshape(shape))
     if gamma != 2.0 or has_modes:
         return _moment(d, gamma, has_modes, _pairwise_path_sum)
+    if shape[-1] == 1:
+        return np.abs(d[..., 0], out=d[..., 0])
     q = _pairwise_path_sum(np.multiply(d, d, out=d))
-    if shape[-1] > 1:  # one path's square is its own mean
-        q /= shape[-1]
+    q /= shape[-1]
     return np.sqrt(q, out=q)
 
 

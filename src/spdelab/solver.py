@@ -326,7 +326,7 @@ def _check_inputs(coeffs, forcing, grid, noise):
         raise ModelError("noise batch does not match grid steps / mode count")
     if abs(noise.dt - grid.dt) > 1e-12 * grid.dt:
         raise ModelError("noise increment variance does not match the grid step")
-    rep = check_parabolicity(coeffs, grid.times)
+    rep = check_parabolicity(coeffs, times=(0.0,))  # constant: t_0 alone, by name for the tracer
     if not rep.passed:
         raise ModelError(
             f"coefficients are not admissible: margins {rep.lower_margin:.3e}, "

@@ -447,6 +447,32 @@ def test_the_kernel_is_evaluated_once_per_block(monkeypatch):
     assert len(calls) == g.steps
 
 
+def test_fractional_orders_evaluate_pbdv_once_per_distinct_argument(monkeypatch):
+    # on a uniform grid z = y / (2 sqrt(s)) is bit-equal at nodes (i, m) and
+    # (2i, 4m): y_2i = 2 y_i and sqrt(4m dt) = 2 sqrt(m dt), both exact
+    g = SpaceTimeGrid(dim=1, x1_max=64.0, x1_cells=32, t_max=1.0, steps=64)
+    s, y = g.times[1:], g.x1_nodes[1:]
+    z = y / (2.0 * np.sqrt(s))[:, None]  # z[m - 1, i - 1]
+    assert z[8 - 1, 3 - 1] == z[32 - 1, 6 - 1] and z[16 - 1, 1 - 1] == z[64 - 1, 2 - 1]
+    live = z < halfline._Z_UNDERFLOW
+    assert 0 < live.sum() < z.size  # the cut at z = 30 falls inside the grid
+    sizes = []
+
+    def counted(v, x):
+        sizes.append(x.size)
+        return pbdv(v, x)
+
+    monkeypatch.setattr(halfline, "pbdv", counted)
+    out = halfline._ierfc([1.125, 2.0, 2.5], z)  # order 2 takes the recurrence
+    assert sizes == [len(np.unique(z[live]))] * 2 and sizes[0] < live.sum()
+    for m, nu in ((0, 1.125), (2, 2.5)):
+        # the fractional route evaluated on every entry, repeats included
+        d, _ = pbdv(-2.0 * nu - 1.0, math.sqrt(2.0) * z[live])
+        ref = np.zeros_like(z)
+        ref[live] = halfline._TWO_OVER_SQRTPI * 2.0 ** (-nu - 0.5) * np.exp(-0.5 * z[live] ** 2) * d
+        assert np.array_equal(out[m], ref)
+
+
 # -- power data: closed form against the graded quadrature ------------
 
 # exp(-u^2) beyond u0 + 8 contributes below erfc(8) ~ 1.1e-29 of scale

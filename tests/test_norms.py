@@ -613,6 +613,22 @@ def test_seminorms_are_homogeneous_under_powers_of_two(case):
             assert b.value == pytest.approx(abs(c) * a.value, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
+@pytest.mark.parametrize(
+    "c", [2.0**600, -(2.0**600), 2.0**-600, -(2.0**-600)], ids=["2^600", "-2^600", "2^-600", "-2^-600"]
+)
+def test_a_one_path_norm_is_homogeneous_past_the_range_of_squares(policy, c):
+    # one path's moment is its magnitude: the square of c f would overflow past
+    # 2^512 (sup inf, "field values must be finite") or vanish below 2^-511 (0.0)
+    g = grid1(cells=6, steps=4)
+    vals = np.random.default_rng(5).normal(size=(1, g.steps + 1, g.n_x1))
+    spec = NormSpec(alpha=0.5, pair_policy=policy)
+    for fn in (sup_norm, space_seminorm, parabolic_seminorm):
+        a, b = fn(FieldEnsemble(vals, g), spec), fn(FieldEnsemble(c * vals, g), spec)
+        assert (b.value, str(b.argmax)) == (abs(c) * a.value, str(a.argmax))
+        assert 0.0 < a.value < math.inf
+
+
 @given(
     homogeneity_cases(),
     st.floats(0.25, 4.0, allow_nan=False),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -225,6 +227,20 @@ def test_inadmissible_coefficients_are_refused():
     bad = ModelCoefficients.make(1, np.array([[0.6]]), np.array([[1.0]]), kappa=1.0)
     with pytest.raises(ModelError, match="admissible"):
         solve_model_halfspace(bad, Forcing(), g, noise_for(g))
+
+
+def test_input_checks_build_no_time_axis():
+    # the constant coefficients are checked at t_0 alone: a time axis of
+    # 2^22 + 1 nodes takes 32 MiB, and the zero-stride noise takes none
+    g = wallgrid(steps=2**22, t_max=1e-3)
+    noise = WienerBatch(np.broadcast_to(0.0, (2, g.steps, 1)), g.dt)
+    tracemalloc.start()
+    try:
+        solver._check_inputs(HEAT, Forcing(), g, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_forcing_validation():
