@@ -18,7 +18,6 @@ from .halfline import (
     QuadratureError,
     StabilityReport,
     dt_v,
-    kernel_dy,
     kernel_mass,
     poisson_kernel,
     solve_halfline,
@@ -58,7 +57,6 @@ __all__ = [
     "GridMismatch",
     "finite_diff",
     "poisson_kernel",
-    "kernel_dy",
     "kernel_mass",
     "QuadratureError",
     "BoundaryData",

@@ -2,7 +2,6 @@
 
     lab <experiment> --config cfg.json [--seed N --salt N --out DIR
                                         --levels K --paths N --workers W]
-    lab kernel --s S --y Y [--rel-tol R]
     lab validate --config cfg.json
 
 Experiments write their canonical CSV (plus sidecar JSON) into --out,
@@ -19,7 +18,6 @@ import os
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_study
-from .halfline import QuadratureError, kernel_dy, kernel_mass, poisson_kernel
 
 _OUT_ENV = "SPDELAB_OUT"
 
@@ -54,11 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, study in EXPERIMENTS.items():
         _study_parser(sub, name, study.body)
 
-    pk = sub.add_parser("kernel", help="evaluate the wall kernel and its mass")
-    pk.add_argument("--s", type=float, required=True, help="time argument s > 0")
-    pk.add_argument("--y", type=float, required=True, help="wall distance y >= 0")
-    pk.add_argument("--rel-tol", type=float, default=1e-10, help="mass quadrature tolerance")
-
     pv = sub.add_parser("validate", help="check a configuration without running it")
     pv.add_argument("--config", required=True, help="path to the JSON study configuration")
     return parser
@@ -77,23 +70,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "kernel":
-        try:
-            p = poisson_kernel(args.s, args.y)
-            dp = kernel_dy(args.s, args.y)
-            mass = kernel_mass(args.y, rel_tol=args.rel_tol) if args.y > 0 else None
-        except ValueError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
-        except QuadratureError as exc:
-            print(f"quadrature error: {exc}", file=sys.stderr)
-            return 1
-        print(f"P(s={args.s}, y={args.y}) = {p!r}")
-        print(f"dP/dy(s={args.s}, y={args.y}) = {dp!r}")
-        if mass is not None:
-            print(f"mass(y={args.y}) = {mass!r}  (defect {abs(mass - 1.0):.3e})")
-        return 0
 
     if args.command == "validate":
         try:

@@ -35,7 +35,6 @@ __all__ = [
     "QuadratureError",
     "BoundaryData",
     "poisson_kernel",
-    "kernel_dy",
     "kernel_mass",
     "solve_halfline",
     "dt_v",
@@ -49,8 +48,9 @@ _TWO_OVER_SQRTPI = 2.0 / math.sqrt(math.pi)
 _Z_UNDERFLOW = 30.0
 # kernel values per block of time rows; 2^16 raised the spline route's peak RSS
 _KERNEL_BLOCK = 2**14
-# subinterval budget of kernel_mass's adaptive quadrature
+# subinterval budget and relative tolerance of kernel_mass's adaptive quadrature
 _MASS_LIMIT = 200
+_MASS_REL_TOL = 1e-10
 STABILITY_MARGIN = 1.05
 
 
@@ -64,34 +64,18 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def _kernel_args(name, s, y):
+def poisson_kernel(s, y):
+    """P(s, y) for s > 0, y >= 0; the y = 0 limit is 0."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(s > 0):  # NaN fails this, unlike np.any(s <= 0)
-        raise ValueError(f"{name} requires s > 0")
+        raise ValueError("poisson_kernel requires s > 0")
     if not np.all(np.isfinite(y) & (y >= 0)):
-        raise ValueError(f"{name} is defined for finite y >= 0")
-    return s, y
-
-
-def poisson_kernel(s, y):
-    """P(s, y) for s > 0, y >= 0; the y = 0 limit is 0."""
-    s, y = _kernel_args("poisson_kernel", s, y)
+        raise ValueError("poisson_kernel is defined for finite y >= 0")
     return y / (2.0 * math.sqrt(math.pi) * s**1.5) * np.exp(-(y * y) / (4.0 * s))
 
 
-def kernel_dy(s, y):
-    """d/dy of the kernel; kernel_dy(1, 0) = 1 / (2 sqrt(pi))."""
-    s, y = _kernel_args("kernel_dy", s, y)
-    return (
-        1.0
-        / (2.0 * math.sqrt(math.pi) * s**1.5)
-        * np.exp(-(y * y) / (4.0 * s))
-        * (1.0 - (y * y) / (2.0 * s))
-    )
-
-
-def kernel_mass(y, rel_tol: float = 1e-10) -> float:
+def kernel_mass(y) -> float:
     """Total kernel mass integral_0^inf P(s, y) ds, equal to 1.
 
     Computed through the Gaussian substitution, which maps the mass onto
@@ -99,12 +83,10 @@ def kernel_mass(y, rel_tol: float = 1e-10) -> float:
     evaluates the kernel itself so the test exercises the real formula, at
     2^-k y in [1, 2): P(4^k s, 2^k y) = 4^-k P(s, y) holds exactly in floating
     point, so that is y's integrand bit for bit wherever y's is finite.
-    rel_tol, in (0, 1e-4], is the adaptive quadrature's epsrel; a miss
-    raises QuadratureError.  quad is imported on call, for this check only.
+    A miss of the adaptive quadrature's tolerance raises QuadratureError.
+    quad is imported on call, for this check only.
     """
     from scipy.integrate import quad
-    if not (0.0 < rel_tol <= 1e-4):
-        raise ValueError(f"rel_tol must be in (0, 1e-4], got {rel_tol}")
     if not (0.0 < y < math.inf):
         raise ValueError(f"kernel_mass requires a finite y > 0, got y = {y}")
     y = math.ldexp(math.frexp(y)[0], 1)
@@ -113,7 +95,7 @@ def kernel_mass(y, rel_tol: float = 1e-10) -> float:
         s = y * y / (4.0 * u * u)
         return float(poisson_kernel(s, y)) * y * y / (2.0 * u**3)
 
-    val, err, *info = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=rel_tol,
+    val, err, *info = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=_MASS_REL_TOL,
                            limit=_MASS_LIMIT, full_output=1)
     if len(info) > 1:
         msg = info[1].splitlines()[0]

@@ -23,7 +23,11 @@ powers of two along each axis, unit diagonals between space axes and
 parabolically balanced offsets (4^j steps against 2^j cells), wrapping
 on periodic axes, so the n/2 offset of an even periodic axis meets each
 pair in both orientations and counts both in ``pairs``; all pairs of one
-offset are one difference of two slices of the field.  Denominators
+offset are one difference of two slices of the field.  Chaining a pair
+through the binary digits of its distance brackets the two: dyadic <=
+exhaustive <= C dyadic, C = n_space C_alpha for the space seminorm and
+max(C_{alpha/2}, n_space C_alpha) for the parabolic one, with
+C_beta = 1 / (1 - 2^-beta).  Denominators
 |x - y|^alpha + |t - s|^{alpha/2} (periodic distance on periodic axes)
 are looked up by |offset|.  Each derivative D^beta is formed once
 (``finite_diff``, a block of time levels at a time) into one buffer

@@ -30,7 +30,7 @@ from spdelab import (
 )
 from spdelab.experiments import ExperimentConfig, run_study
 
-from conftest import record_criterion
+from conftest import assert_matches_golden, record_criterion
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -305,7 +305,8 @@ def test_criterion_12_norm_unit_suite():
 
 
 # Canonical-CSV SHA-256 of the checked-in studies; read from the session
-# fixtures above, so no study runs twice.
+# fixtures above, so no study runs twice.  tests/golden holds each pinned
+# text, so a moved pin names its rows; re-pinning edits digest and file together.
 @pytest.mark.parametrize(
     "fixture, digest",
     [
@@ -337,11 +338,14 @@ def test_criterion_12_norm_unit_suite():
 )
 def test_checked_in_study_bytes_are_pinned(request, fixture, digest):
     report, _ = request.getfixturevalue(fixture)
-    assert hashlib.sha256(report.canonical_csv().encode()).hexdigest() == digest
+    text = report.canonical_csv()
+    assert_matches_golden(text, f"{report.study}.csv", digest)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_checked_in_schauder_norm_rows_are_pinned(schauder_report):
     # every norm value, argmax pair and pair count of the full-size study
     report, _ = schauder_report
-    digest = hashlib.sha256(report.norms_csv().encode()).hexdigest()
-    assert digest == "c4a2da1271dc4037d4d4f46b696dcd77717ef2c0270406b96e49c944b6a6afa3"
+    text, digest = report.norms_csv(), "c4a2da1271dc4037d4d4f46b696dcd77717ef2c0270406b96e49c944b6a6afa3"
+    assert_matches_golden(text, "schauder_ratio_norms.csv", digest)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import inspect
@@ -33,7 +34,7 @@ from spdelab import (
     stability_gap,
     sup_norm,
 )
-from spdelab.cli import main
+from spdelab.cli import build_parser, main
 from spdelab.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -906,36 +907,14 @@ def test_the_readme_data_table_matches_the_registry():
     }
 
 
-def test_cli_kernel_subcommand(capsys):
-    assert main(["kernel", "--s", "1.0", "--y", "1.0"]) == 0
-    out = capsys.readouterr().out
-    assert "0.2196956" in out and "mass" in out
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--s", "1", "--y", "1", "--rel-tol", "0"], "rel_tol must be in (0, 1e-4]"),
-        (["--s", "0", "--y", "1"], "requires s > 0"),
-        (["--s", "1", "--y", "-1"], "y >= 0"),
-        (["--s", "nan", "--y", "1"], "requires s > 0"),
-        (["--s", "1", "--y", "nan"], "y >= 0"),
-        (["--s", "1", "--y", "inf"], "y >= 0"),
-    ],
-)
-def test_cli_kernel_rejects_bad_input(argv, message, capsys):
-    assert main(["kernel"] + argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("invalid: ") and message in captured.err
-    assert captured.out == ""
-
-
-def test_cli_kernel_reports_a_missed_quadrature_in_one_line(monkeypatch, capsys):
-    monkeypatch.setattr(halfline, "_MASS_LIMIT", 1)
-    assert main(["kernel", "--s", "1", "--y", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("quadrature error: kernel_mass")
-    assert captured.err.count("\n") == 1 and captured.out == ""
+def test_the_cli_offers_only_the_studies_and_validate(capsys):
+    # the kernel subcommand is gone: argparse refuses it as it refuses any unknown name
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--s", "1", "--y", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice" in err and "kernel" in err
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(EXPERIMENTS) | {"validate"}
 
 
 # -- the gate's contract --------------------------------------------------

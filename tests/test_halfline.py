@@ -32,7 +32,6 @@ from spdelab import (
     SpaceTimeGrid,
     dt_v,
     finite_diff,
-    kernel_dy,
     kernel_mass,
     poisson_kernel,
     solve_halfline,
@@ -40,9 +39,8 @@ from spdelab import (
 )
 from spdelab import halfline
 
-# P(1, 1) and the wall slope 1 / (2 sqrt(pi))
+# P(1, 1)
 P_1_1 = 0.2196956447338612
-DY_1_0 = 0.28209479177387814
 
 # convolution of h(t) = t^2, frozen at selected (t, y) nodes
 V_T2 = {
@@ -109,13 +107,10 @@ def test_kernel_rejects_bad_arguments():
         poisson_kernel(-1.0, 1.0)
     with pytest.raises(ValueError):
         poisson_kernel(1.0, -0.1)
-    with pytest.raises(ValueError):
-        kernel_dy(0.0, 1.0)
     # NaN fails every check, in either argument and inside an array
-    for fn in (poisson_kernel, kernel_dy):
-        for s, y in ((math.nan, 1.0), (1.0, math.nan), ([1.0, math.nan], 1.0)):
-            with pytest.raises(ValueError):
-                fn(s, y)
+    for s, y in ((math.nan, 1.0), (1.0, math.nan), ([1.0, math.nan], 1.0)):
+        with pytest.raises(ValueError):
+            poisson_kernel(s, y)
 
 
 def test_kernel_parabolic_scaling():
@@ -133,12 +128,6 @@ def test_kernel_gaussian_envelope():
     p = poisson_kernel(np.broadcast_to(s, (40, 50)), np.broadcast_to(y, (40, 50)))
     bound = np.exp(-(y * y) / (8.0 * s)) / s
     assert np.all(p <= bound * (1.0 + 1e-12))
-
-
-def test_kernel_dy_wall_value_and_root():
-    assert kernel_dy(1.0, 0.0) == pytest.approx(DY_1_0, rel=1e-14)
-    for s in (0.3, 1.0, 4.0):
-        assert kernel_dy(s, math.sqrt(2.0 * s)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kernel_mass_is_one():
@@ -172,14 +161,6 @@ def test_importing_the_cli_loads_no_quadrature_or_interpolation():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_quadrature_tolerance_window():
-    kernel_mass(1.0, rel_tol=1e-4)  # upper edge allowed
-    with pytest.raises(ValueError, match="rel_tol"):
-        kernel_mass(1.0, rel_tol=0.0)
-    with pytest.raises(ValueError, match="rel_tol"):
-        kernel_mass(1.0, rel_tol=2e-4)
 
 
 def test_kernel_mass_reports_a_missed_tolerance(monkeypatch):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -652,3 +652,71 @@ def test_seminorms_obey_the_parabolic_scaling_law(case, lam):
     for fn in (parabolic_seminorm, space_seminorm):
         a, b = fn(f, spec).value, fn(scaled, spec).value
         assert b == pytest.approx(a / lam**spec.alpha, rel=1e-12, abs=0.0)
+
+
+# -- the dyadic seminorm's two-sided bracket ----------------------------
+
+
+def _c(beta):
+    """C_beta = 1 / (1 - 2^-beta): sum_i 2^(k_i beta) <= C_beta (sum_i 2^k_i)^beta
+    over distinct k_i, since the largest term is at most the sum."""
+    return 1.0 / (1.0 - 2.0**-beta)
+
+
+@st.composite
+def bracket_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    grid = SpaceTimeGrid(
+        dim=dim,
+        x1_max=1.0,
+        x1_cells=draw(st.integers(2, 6)),
+        t_max=draw(st.sampled_from([0.25, 1.0])),
+        steps=draw(st.integers(1, 6)),
+        xp_max=1.0 if dim == 2 else 0.0,
+        xp_cells=draw(st.integers(4, 5)) if dim == 2 else 0,
+        periodic_x1=draw(st.booleans()),
+    )
+    n_modes = draw(st.sampled_from([0, 2]))
+    shape = (draw(st.integers(1, 4)), grid.steps + 1) + grid.space_shape
+    shape += (n_modes,) if n_modes else ()
+    if draw(st.booleans()):
+        vals = draw(arrays(np.float64, shape, elements=st.floats(-4.0, 4.0, width=32)))
+    else:  # a sawtooth along time or x1: every even offset along that axis sees no change
+        axis = draw(st.sampled_from([1, 2]))
+        scale = draw(arrays(np.float64, shape[:1], elements=st.floats(0.5, 2.0, width=32)))
+        sign = (-1.0) ** np.arange(shape[axis])
+        vals = np.broadcast_to(
+            scale.reshape((-1,) + (1,) * (len(shape) - 1))
+            * sign.reshape((shape[axis],) + (1,) * (len(shape) - 1 - axis)),
+            shape,
+        ).copy()
+    alpha = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    gamma = draw(st.sampled_from([2.0, 3.0]))
+    return FieldEnsemble(vals, grid, n_modes=n_modes), alpha, gamma
+
+
+@settings(max_examples=60)
+@given(bracket_cases())
+def test_the_dyadic_seminorm_brackets_the_exhaustive_one(case):
+    # Chain a pair one axis at a time through the binary digits of its distance
+    # d = sum_i 2^k_i, the short way round on a periodic axis, so d <= n - 1
+    # on a walled axis and d <= n // 2 on a periodic one.  Every step is a
+    # dyadic offset; the moment is a norm over paths (Minkowski), so each axis
+    # adds at most C_alpha dyadic |x - y|^alpha, and time at most
+    # C_{alpha/2} dyadic |t - s|^{alpha/2}.  Hence dyadic <= exhaustive <= C dyadic.
+    f, alpha, gamma = case
+    n_space = f.grid.dim
+    bounds = {
+        space_seminorm: n_space * _c(alpha),
+        parabolic_seminorm: max(_c(alpha / 2.0), n_space * _c(alpha)),
+    }
+    for fn, c in bounds.items():
+        dyadic = fn(f, NormSpec(alpha, gamma, "dyadic")).value
+        exhaustive = fn(f, NormSpec(alpha, gamma, "exhaustive")).value
+        assert dyadic <= exhaustive <= c * dyadic * (1.0 + 1e-12), (fn.__name__, dyadic, exhaustive)
+    # the chain's steps: every power of two up to the axis's largest distance
+    shape, _, periodic = _grid_geometry(f.grid, True)
+    for a, (n, per) in enumerate(zip(shape, periodic)):
+        cap = n // 2 if per else n - 1
+        axis_steps = [o[a] for o in _dyadic_offsets(shape, periodic, 0) if o[a] and o.count(0) == len(o) - 1]
+        assert sorted(axis_steps) == [2**k for k in range(cap.bit_length())]
