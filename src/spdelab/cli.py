@@ -1,25 +1,20 @@
 """Command-line front end.
 
-    lab <experiment> --config cfg.json [--seed N --salt N --out DIR
-                                        --levels K --paths N --workers W]
+    lab <experiment> --config cfg.json [--out DIR --workers W]
     lab validate --config cfg.json
 
 Experiments write their canonical CSV (plus sidecar JSON) into --out,
-the SPDELAB_OUT environment variable, or the current directory, in that
-order of preference.  The process exit code is the number of failed
-verdicts, so 0 means pass.
+the current directory by default.  The process exit code is the number
+of failed verdicts, so 0 means pass.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import os
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_study
-
-_OUT_ENV = "SPDELAB_OUT"
 
 
 def _worker_count(text):
@@ -32,11 +27,7 @@ def _worker_count(text):
 def _study_parser(sub, name, body):
     p = sub.add_parser(name, help=body.__doc__.splitlines()[0].lower())
     p.add_argument("--config", required=True, help="path to the JSON study configuration")
-    p.add_argument("--seed", type=int, default=None, help="override ensemble.master_seed")
-    p.add_argument("--salt", type=int, default=None, help="override ensemble.stream_salt")
-    p.add_argument("--out", default=None, help=f"output directory (default ${_OUT_ENV} or .)")
-    p.add_argument("--levels", type=int, default=None, help="override the refinement level count")
-    p.add_argument("--paths", type=int, default=None, help="override the ensemble path count")
+    p.add_argument("--out", default=".", help="output directory (default .)")
     p.add_argument(
         "--workers", type=_worker_count, default=1, help="kernel-solve worker threads (>= 1)"
     )
@@ -57,17 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    raw = copy.deepcopy(config.raw)
-    # block() refuses an ensemble block that is not an object, as validate() does
-    ens = raw["ensemble"] = config.block("ensemble").copy()
-    overrides = {"master_seed": args.seed, "stream_salt": args.salt, "paths": args.paths}
-    ens.update((key, value) for key, value in overrides.items() if value is not None)
-    if args.levels is not None:
-        raw["levels"] = args.levels
-    return ExperimentConfig.from_dict(raw)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -84,7 +64,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = _apply_overrides(ExperimentConfig.from_file(args.config), args)
+        config = ExperimentConfig.from_file(args.config)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -102,15 +82,10 @@ def main(argv=None) -> int:
         return 1
     report.flags = {
         "config": os.path.abspath(args.config),
-        "seed": args.seed,
-        "salt": args.salt,
         "out": args.out,
-        "levels": args.levels,
-        "paths": args.paths,
         "workers": args.workers,
     }
-    out_dir = args.out or os.environ.get(_OUT_ENV) or "."
-    paths = report.write(out_dir)
+    paths = report.write(args.out)
 
     for v in report.verdicts:
         mark = "pass" if v.passed else "FAIL"

@@ -170,7 +170,7 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed or inadmissible."""
 
 
-def _count(name, value, levels=None, least=1) -> int:
+def _count(name, value, least=1) -> int:
     """A JSON integer >= least."""
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -179,7 +179,7 @@ def _count(name, value, levels=None, least=1) -> int:
     return value
 
 
-def _number(name, value, levels=None) -> float:
+def _number(name, value) -> float:
     """A finite JSON number: an int or a float, not a bool or a string."""
     if type(value) not in (int, float):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -188,30 +188,23 @@ def _number(name, value, levels=None) -> float:
     return float(value)
 
 
-def _matrix(name, value, levels=None):
+def _matrix(name, value):
     """Nested lists of finite JSON numbers; make() checks the shape."""
     if isinstance(value, list):
         return [_matrix(name, v) for v in value]
     return _number(name, value)
 
 
-def _numbers(name, value, levels) -> list:
+def _numbers(name, value) -> list:
     """A non-empty list of real numbers."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
     return [_number(name, v) for v in value]
 
 
-def _given(name, value, levels=None):
+def _given(name, value):
     """A value a later check reads: a block, parsed against its own table,
     or a pair policy, which NormSpec checks is a known one."""
-    return value
-
-
-def _level(name, value, levels) -> int:
-    """A level index: a JSON integer in [0, levels)."""
-    if type(value) is not int or not 0 <= value < levels:
-        raise ConfigError(f"{name} must be an integer in [0, {levels}), got {value!r}")
     return value
 
 
@@ -224,8 +217,8 @@ def _build(name, make, *args, **kwargs):
         raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
-# Each block is a table {key: (default, parser)}; parser(name, value,
-# levels) parses a given value and a key left out takes its default.
+# Each block is a table {key: (default, parser)}; parser(name, value)
+# parses a given value and a key left out takes its default.
 _REQUIRED = object()  # the default of a key the block must give
 _NONNEG = partial(_count, least=0)
 _BLOCKS = {
@@ -297,7 +290,7 @@ class ExperimentConfig:
             raise ConfigError(f"the {name} block must be an object, got {type(value).__name__}")
         return value
 
-    def _parse(self, name, table, levels=None) -> dict:
+    def _parse(self, name, table) -> dict:
         """The named block parsed against its table: an unknown key is
         refused, every missing required key is named, and each other key
         is parsed or takes its default."""
@@ -313,7 +306,7 @@ class ExperimentConfig:
             raise ConfigError(f"missing {name} key(s) {missing}")
         prefix = "" if name == "configuration" else f"{name}."
         return {
-            key: parse(prefix + key, block[key], levels) if key in block else default
+            key: parse(prefix + key, block[key]) if key in block else default
             for key, (default, parse) in table.items()
         }
 
@@ -332,7 +325,7 @@ class ExperimentConfig:
         if sigma:
             required = dict.fromkeys(sigma, (_REQUIRED, _matrix))
             c = self._parse("coefficients", {**_BLOCKS["coefficients"], **required})
-        self.data = self._parse("data", study.data, self.n_levels)
+        self.data = self._parse("data", study.data)
         if study.dim not in (None, grid.dim):
             raise ConfigError(
                 f"the {self.experiment} study needs a dim-{study.dim} grid, got dim {grid.dim}"
@@ -668,10 +661,10 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
     initial slope; reconstruction of u from the parts is at solver
     tolerance.  The all-time residual max is reported too; it is pinned
     at the starting corner, which is self-similar under dt ~ dx^2
-    refinement and cannot decay.
+    refinement and cannot decay.  The coarsest level also cross-checks
+    W0 against the kernel solve (its kernel_gap row).
     """
-    coeffs, check_level = config.coeffs["sigma"], config.data["kernel_check_level"]
-    n_levels, grids = config.n_levels, config.grids
+    coeffs, n_levels, grids = config.coeffs["sigma"], config.n_levels, config.grids
 
     fine = wiener_increments(
         config.seed, config.n_paths, grids[-1].steps, coeffs.n_modes, dt=grids[-1].dt
@@ -684,7 +677,7 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
     residuals, recons, h_checks = [], [], []
     for j, g in enumerate(grids):
         f = _tangential_wave_field(g, config.data)
-        out = decompose_pipeline(coeffs, f, g, noises[j], kernel_check=(check_level == j))
+        out = decompose_pipeline(coeffs, f, g, noises[j], kernel_check=(j == 0))
         residuals.append(out.wall_residual)
         recons.append(out.reconstruction_error)
         h0 = float(np.max(np.abs(out.cap_h[:, 0, ...])))
@@ -772,8 +765,7 @@ EXPERIMENTS = {
         x1_cells=3,
     ),
     "pipeline": _Study(
-        _pipeline, None, 2, {"sigma": True}, {**_WAVE, "kernel_check_level": (None, _level)},
-        x1_cells=3, refine_xp=False,
+        _pipeline, None, 2, {"sigma": True}, _WAVE, x1_cells=3, refine_xp=False,
     ),
     "continuity": _Study(
         _continuity, 1, 1, {"sigma": None},

@@ -65,6 +65,13 @@ def _pairwise_path_sum(d):
     return s
 
 
+def _integer(name, value):
+    """value, if it is a Python or numpy integer; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class GridMismatch(ValueError):
     """Two objects live on incompatible grids."""
 
@@ -97,6 +104,8 @@ class SpaceTimeGrid:
         for name, x in lengths[: 2 + (self.dim == 2)]:
             if not 0 < x < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {x}")
+        for name in ("x1_cells", "steps", "xp_cells"):
+            _integer(name, getattr(self, name))
         if self.x1_cells < 2 or self.steps < 1:
             raise ValueError("need x1_cells >= 2 and steps >= 1")
         if self.dim == 2 and self.xp_cells < 4:

@@ -6,9 +6,13 @@ reduction over noise modes taken before the absolute value; quotients by
 powers of the node distance are formed afterwards, and grid suprema are
 taken last.  One path without modes at gamma = 2 takes the magnitude
 itself, |x| or |a - b|: the root of the square has its bits wherever the
-square neither overflows nor underflows.  Grid suprema are lower bounds
-of the continuum norms; the refinement studies track their stability
-instead of claiming exactness.
+square neither overflows nor underflows.  More paths square before they
+sum, so a derivative whose largest magnitude lies outside
+[2^-400, 2^400] is scaled by a power of two, which scales every moment
+exactly, and its norms are scaled back; ``finite_diff`` itself can still
+overflow on a field near the top of the float range.  Grid suprema are
+lower bounds of the continuum norms; the refinement studies track their
+stability instead of claiming exactness.
 
 Difference quotients run over a stencil of lattice offsets set by the
 pair policy the ``NormSpec`` names; the caller chooses it, nothing here
@@ -197,14 +201,15 @@ class _Stencil:
     didx: np.ndarray = None
 
     def pair(self, i, k):
-        """Node pair (a, b) of flat index k of term i."""
+        """Node pair (a, b) of flat index k of term i, in plain ints."""
         if self.rows:
             (n0, m), shape = self.rows, self.shape
             r, p, q = np.unravel_index(k, (n0 - i, m, m))
-            return np.unravel_index(r * m + p, shape), np.unravel_index((r + i) * m + q, shape)
-        ia = tuple(self.start[i] + np.unravel_index(k, tuple(self.base[i])))
-        ib = (a + o for a, o in zip(ia, self.offsets[i]))
-        return ia, tuple(b % n if w else b for b, n, w in zip(ib, self.shape, self.wrap))
+            ia, ib = np.unravel_index(r * m + p, shape), np.unravel_index((r + i) * m + q, shape)
+        else:
+            ia = self.start[i] + np.unravel_index(k, tuple(self.base[i]))
+            ib = (b % n if w else b for b, n, w in zip(ia + self.offsets[i], self.shape, self.wrap))
+        return tuple(map(int, ia)), tuple(map(int, ib))
 
 
 @functools.lru_cache(maxsize=16)
@@ -314,37 +319,31 @@ def _grid_geometry(grid, with_time):
     return tuple(zip(*axes))
 
 
-def _keep(best, beta, v, argmax):
-    """Fold one derivative's maximum into best; strict, so the earliest stays."""
-    if v > best.value:
-        best.value, best.beta, best.argmax = v, beta, argmax
-
-
-def _sup_update(best, beta, x, f, spec, geometry):
+def _sup_update(best, x, f, spec, geometry):
     # x: (levels, *space, paths[, modes]), read a block of levels at a time
     prof, has_modes = np.empty(x.shape[: x.ndim - 1 - (f.n_modes > 0)]), f.n_modes > 0
     rows = max(1, _BLOCK // math.prod(x.shape[1:]))
     for lo in range(0, len(x), rows):
         prof[lo : lo + rows] = _moment(x[lo : lo + rows], spec.gamma, has_modes, _ordered_path_sum)
     k = int(np.argmax(prof))
-    _keep(best, beta, float(prof.ravel()[k]), np.unravel_index(k, prof.shape))
+    return float(prof.ravel()[k]), tuple(map(int, np.unravel_index(k, prof.shape)))
 
 
-def _space_update(best, beta, x, f, spec, geometry):
+def _space_update(best, x, f, spec, geometry):
     st, v, j, arg = _stencil_max(x, f.n_modes, *geometry, None, spec)
     best.kind = f"space_seminorm[{spec.pair_policy}]"
     best.pairs = st.pairs * (f.grid.steps + 1)
-    _keep(best, beta, v, (j,) + arg)
+    return v, (j,) + arg
 
 
-def _parabolic_update(best, beta, x, f, spec, geometry):
+def _parabolic_update(best, x, f, spec, geometry):
     time = (f.grid.steps + 1, f.grid.dt, False)
     shape, spacings, periodic = ((t,) + axes for t, axes in zip(time, geometry))
     x = np.broadcast_to(x, shape[:1] + x.shape[1:])[None]  # time-constant data: its one level
     st, v, _, arg = _stencil_max(x, f.n_modes, shape, spacings, periodic, 0, spec)
     best.kind = f"parabolic_seminorm[{spec.pair_policy}]"
     best.pairs = st.pairs
-    _keep(best, beta, v, arg)
+    return v, arg
 
 
 _UPDATES = {
@@ -383,11 +382,19 @@ def _norms(f, spec, m, *kinds, wall=False):
     for order in range(0 if "sup" in kinds else m, m + 1):
         for beta in _multi_indices(f.grid.dim, order):
             finite_diff(f, beta, dst) if order else np.copyto(dst, values)
+            # a derivative far from 1 goes to [1/2, 1), its norms back after; nan and inf keep e = 0
+            mag = max(inner.max(), -inner.min())
+            e = 0 if 2.0**-400 <= mag <= 2.0**400 else math.frexp(mag)[1]
+            if e:
+                np.ldexp(inner, -e, out=inner)
             if order == m:  # the seminorms read the pads
                 _wrap(x, pad)
             for k, best in out.items():
                 if order == m or k == "sup":
-                    _UPDATES[k](best, beta, inner if k == "sup" else x, f, spec, geometry)
+                    v, arg = _UPDATES[k](best, inner if k == "sup" else x, f, spec, geometry)
+                    v = math.ldexp(v, e)
+                    if v > best.value:  # strict, so the earliest beta stays
+                        best.value, best.beta, best.argmax = v, beta, arg
     return list(out.values())
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .fields import _integer
+
 __all__ = [
     "SeedSpec",
     "WienerBatch",
@@ -45,7 +47,7 @@ def _absorb(state, word):
 
 
 def _check_u64(name, value):
-    iv = int(value)
+    iv = int(_integer(name, value))
     if iv < 0 or iv >= 2**64:
         raise ValueError(f"{name} must fit in an unsigned 64-bit word, got {value}")
     return iv

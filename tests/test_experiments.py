@@ -30,6 +30,7 @@ from spdelab import (
     dt_v,
     experiments,
     halfline,
+    schauder_ratio,
     space_seminorm,
     stability_gap,
     sup_norm,
@@ -281,7 +282,7 @@ def test_continuity_bound_is_that_of_the_frozen_operator():
 
 
 def test_config_accessors_and_overrides():
-    # the CLI applies --seed/--paths/--levels to the raw blocks
+    # validate() reads the raw blocks afresh, so an edit to them lands in the accessors
     cfg = tiny_config()
     cfg.validate()
     assert cfg.n_paths == 8 and cfg.n_levels == 1
@@ -356,7 +357,7 @@ def test_schauder_ratio_output_bytes_are_pinned():
     }
     assert digest == {
         "csv": "bcd011fc76c523ce7e578a05ab45fd873b84d5643e1459c78acf94af1d143c95",
-        "norms": "7322e684770b09568a9463dd0592a5b6481a44f72fa9f0d328224fb1788da40a",
+        "norms": "3598dfc2e9cff310b7171d31629f7cd0aee269c941c2878c4f3a0751aef9976b",
     }
 
 
@@ -446,6 +447,24 @@ def test_norms_csv_writes_one_row_of_ten_columns_per_norm():
     assert "," in str(semi.argmax) and all(line.count(",") == 9 for line in lines)
 
 
+@pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
+def test_argmax_pairs_hold_plain_ints(policy):
+    # numpy 2 prints an np.int64 index as np.int64(3) and numpy 1 as 3; plain
+    # ints give the same argmax_pair cells under every numpy the package admits
+    g = SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=3, t_max=1.0, steps=2, xp_max=1.0, xp_cells=4)
+    f = FieldEnsemble(np.random.default_rng(2).normal(size=(2, 3, 4, 4)), g)
+    results = schauder_ratio(f, f, f, NormSpec(alpha=0.5, pair_policy=policy)).results
+    rep = StudyReport("schauder_ratio", {}, 42, 0)
+    rep.norm_rows += [("f", "L0", r) for r in results]
+
+    def leaves(a):
+        return [x for b in a for x in leaves(b)] if isinstance(a, tuple) else [a]
+
+    indices = [i for r in results for i in leaves(r.argmax)]
+    assert len(indices) > 2 * len(results) and all(type(i) is int for i in indices)
+    assert "np." not in rep.norms_csv()
+
+
 def test_report_write_produces_files(tmp_path):
     rep = run_study(tiny_config())
     rep.flags = {"workers": 1}
@@ -487,21 +506,28 @@ def test_cli_runs_a_study_and_exits_zero(tmp_path):
     assert (tmp_path / "stability_run.json").exists()
 
 
-def test_cli_seed_override_lands_in_the_sidecar(tmp_path):
-    code = main(
-        [
-            "stability",
-            "--config",
-            write_config(tmp_path),
-            "--out",
-            str(tmp_path),
-            "--seed",
-            "12345",
-        ]
-    )
-    assert code == 0
-    sidecar = json.loads((tmp_path / "stability_run.json").read_text())
-    assert sidecar["seed"] == 12345
+@pytest.mark.parametrize("study", sorted(EXPERIMENTS))
+def test_a_study_takes_only_its_config_out_and_workers(study, tmp_path, capsys):
+    # the configuration file sets the seed, salt, paths and levels; no flag overrides them
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices[study]._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--out", "--workers"}
+    for flag in ("--seed", "--salt", "--paths", "--levels"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([study, "--config", write_config(tmp_path), "--out", str(tmp_path), flag, "3"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_a_run_without_out_writes_into_the_working_directory(tmp_path, monkeypatch):
+    # no environment variable chooses the output directory
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.setenv("SPDELAB_OUT", str(elsewhere))
+    monkeypatch.chdir(tmp_path)
+    assert main(["stability", "--config", write_config(tmp_path)]) == 0
+    assert (tmp_path / "stability.csv").exists() and (tmp_path / "stability_run.json").exists()
+    assert list(elsewhere.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -612,13 +638,10 @@ def test_refinement_studies_need_two_levels(study, tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("ensemble", [[1], "x"], ids=["list", "text"])
-@pytest.mark.parametrize("flag", [[], ["--seed", "3"], ["--salt", "2"], ["--paths", "4"]])
-def test_cli_refuses_an_ensemble_block_the_overrides_cannot_go_into(
-    ensemble, flag, tmp_path, capsys
-):
+def test_cli_refuses_an_ensemble_block_that_is_not_an_object(ensemble, tmp_path, capsys):
     raw = dict(TINY_STABILITY, ensemble=ensemble)
     cfg = write_config(tmp_path, raw)
-    assert main(["stability", "--config", cfg, "--out", str(tmp_path), *flag]) == 1
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: the ensemble block must be an object, got ")
     assert not (tmp_path / "stability.csv").exists()
@@ -661,38 +684,20 @@ def test_data_numbers_are_read_before_any_noise_is_drawn(study, key, tmp_path, c
     assert not (tmp_path / f"{study}.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "level", ["0", -1, 3, 1.0, True], ids=["text", "negative", "levels", "float", "bool"]
-)
-def test_kernel_check_level_must_index_a_level(level, tmp_path, capsys, monkeypatch):
-    # the checked-in pipeline has 3 levels; anything but 0, 1 or 2 is refused
-    def unreachable(*args):
-        """Stand-in body; the parser takes its help text from here."""
-        raise AssertionError("the study body ran")
-
-    monkeypatch.setitem(EXPERIMENTS, "pipeline", replace(EXPERIMENTS["pipeline"], body=unreachable))
+def test_the_pipeline_takes_no_kernel_check_level(tmp_path, capsys):
+    # the kernel cross-check always runs on the coarsest level; no key selects it
     raw = json.loads((CONFIGS / "pipeline.json").read_text())
-    raw["data"]["kernel_check_level"] = level
-    cfg = write_config(tmp_path, raw)
-    assert main(["validate", "--config", cfg]) == 1
-    assert "data.kernel_check_level must be an integer in [0, 3)" in capsys.readouterr().err
-    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "kernel_check_level" in err
-    assert not (tmp_path / "pipeline.csv").exists()
+    raw["data"]["kernel_check_level"] = 0
+    assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+    assert "unknown data key(s) ['kernel_check_level']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("level", [None, 0, 1])
-def test_kernel_check_runs_at_the_named_level_only(level):
+def test_kernel_check_runs_at_the_coarsest_level_only():
     raw = json.loads((CONFIGS / "pipeline.json").read_text())
     raw["grid"].update(t_max=0.0125, steps=32)
     raw["levels"] = 2
-    raw["data"].pop("kernel_check_level")
-    if level is not None:
-        raw["data"]["kernel_check_level"] = level
     rep = run_study(ExperimentConfig.from_dict(raw))
-    gaps = [row["level"] for row in rep.rows if row["record"] == "kernel_gap"]
-    assert gaps == ([] if level is None else [level])
+    assert [row["level"] for row in rep.rows if row["record"] == "kernel_gap"] == [0]
 
 
 def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
@@ -876,7 +881,7 @@ def test_the_parameters_the_tracer_binds_by_name_exist(function, names):
             {"f_amplitude": 1.0, "f_tangential_wave": 0.5, "g_violating_amplitude": 0.0},
         ),
         ("schauder_ratio", {"alpha": 0.5, "gamma": 2.0, "draws": 5, "pair_policy": "dyadic"}),
-        ("pipeline", {"f_amplitude": 1.0, "f_tangential_wave": 0.5, "kernel_check_level": None}),
+        ("pipeline", {"f_amplitude": 1.0, "f_tangential_wave": 0.5}),
         ("continuity", {"s": 1.0, "s0": 0.9, "iterations": 7, "f_amplitude": 1.0}),
     ],
 )
@@ -928,8 +933,7 @@ _DATA_DRAWS = {
                       "g_violating_amplitude": [0.0, 0.3]},
     "schauder_ratio": {"alpha": [0.25, 0.75], "gamma": [2.0, 3.0],
                        "pair_policy": ["exhaustive", "dyadic"]},
-    "pipeline": {"f_amplitude": [0.0, 1.0], "f_tangential_wave": [0.0, 0.5],
-                 "kernel_check_level": [0, 1]},
+    "pipeline": {"f_amplitude": [0.0, 1.0], "f_tangential_wave": [0.0, 0.5]},
     "continuity": {"s": [1.0, 0.95], "s0": [0.9, 0.5], "f_amplitude": [0.0, 1.0]},
 }
 

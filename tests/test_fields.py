@@ -86,6 +86,17 @@ def test_grid_refuses_a_length_that_is_not_positive_and_finite(name, value):
             SpaceTimeGrid(dim=1, x1_cells=4, steps=2, **dict(lengths, xp_max=0.0))
 
 
+@pytest.mark.parametrize("name", ["x1_cells", "steps", "xp_cells"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True])
+def test_grid_refuses_a_count_that_is_not_an_integer(name, value):
+    # x1_cells = 2.5 once gave space_shape (3.5,), and steps = 2.5 times past t_max
+    counts = {"x1_cells": 4, "steps": 2, "xp_cells": 4, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        SpaceTimeGrid(dim=2, x1_max=1.0, t_max=1.0, xp_max=1.0, **counts)
+    counts = {k: np.int64(v) for k, v in dict(counts, **{name: 4}).items()}  # numpy ints pass
+    assert SpaceTimeGrid(dim=2, x1_max=1.0, t_max=1.0, xp_max=1.0, **counts).space_shape == (5, 4)
+
+
 def test_periodic_grid_has_no_wall():
     g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=8, t_max=1.0, steps=2, periodic_x1=True)
     assert g.n_x1 == 8  # distinct nodes only

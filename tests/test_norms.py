@@ -350,7 +350,8 @@ def _oracle_max(values, n_modes, shape, spacings, periodic, time_axis, spec):
     k = int(np.argmax(q))
     if q[k] == 0.0:
         return 0.0, (), qa.size
-    return float(q[k]), (np.unravel_index(qa[k], shape), np.unravel_index(qb[k], shape)), qa.size
+    pair = tuple(tuple(map(int, np.unravel_index(i[k], shape))) for i in (qa, qb))
+    return float(q[k]), pair, qa.size
 
 
 def _oracle_parabolic(f, spec, m):
@@ -388,7 +389,7 @@ def _assert_matches_oracle(f, spec, m):
     def same(result, oracle):
         value, arg, pairs = oracle
         assert (result.value, result.argmax, result.pairs) == (value, arg, pairs)
-        assert str(result.argmax) == str(arg)  # numpy scalar types included
+        assert str(result.argmax) == str(arg)  # plain ints, as the oracle's
         assert result.kind.endswith(f"[{spec.pair_policy}]")
 
     same(parabolic_seminorm(f, spec, m), _oracle_parabolic(f, spec, m))
@@ -626,6 +627,32 @@ def test_a_one_path_norm_is_homogeneous_past_the_range_of_squares(policy, c):
     for fn in (sup_norm, space_seminorm, parabolic_seminorm):
         a, b = fn(FieldEnsemble(vals, g), spec), fn(FieldEnsemble(c * vals, g), spec)
         assert (b.value, str(b.argmax)) == (abs(c) * a.value, str(a.argmax))
+        assert 0.0 < a.value < math.inf
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+@pytest.mark.parametrize("n_modes", [0, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("policy", ["exhaustive", "dyadic"])
+@pytest.mark.parametrize(
+    "c", [2.0**600, -(2.0**600), 2.0**-600, -(2.0**-600)], ids=["2^600", "-2^600", "2^-600", "-2^-600"]
+)
+def test_a_many_path_norm_is_homogeneous_past_the_range_of_squares(policy, c, dim, n_modes, gamma):
+    # three paths square before they sum: unscaled, c f would overflow past 2^512
+    # (sup inf, "field values must be finite") or vanish below 2^-511 (0.0)
+    g = SpaceTimeGrid(dim=dim, x1_max=1.0, x1_cells=4, t_max=1.0, steps=4,
+                      xp_max=1.0 if dim == 2 else 0.0, xp_cells=4 if dim == 2 else 0)
+    shape = (3, g.steps + 1) + g.space_shape + ((n_modes,) if n_modes else ())
+    vals = np.random.default_rng(7).normal(size=shape)
+    spec = NormSpec(alpha=0.5, gamma=gamma, pair_policy=policy)
+    for fn in (sup_norm, space_seminorm, parabolic_seminorm):
+        a = fn(FieldEnsemble(vals, g, n_modes=n_modes), spec, 1)
+        b = fn(FieldEnsemble(c * vals, g, n_modes=n_modes), spec, 1)
+        assert (b.pairs, str(b.argmax)) == (a.pairs, str(a.argmax))
+        if gamma == 2.0:  # a power of two scales every square, sum, mean and sqrt exactly
+            assert b.value == abs(c) * a.value
+        else:  # the 1/gamma power is not exactly homogeneous
+            assert b.value == pytest.approx(abs(c) * a.value, rel=1e-15, abs=0.0)
         assert 0.0 < a.value < math.inf
 
 

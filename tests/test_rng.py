@@ -63,6 +63,15 @@ def test_seed_spec_rejects_out_of_range_values():
         standard_normals(123, np.arange(2), np.arange(2), np.arange(1))
 
 
+@pytest.mark.parametrize("field", ["master_seed", "stream_salt"])
+@pytest.mark.parametrize("value", [1.5, 1.0, True])
+def test_seed_spec_refuses_a_value_that_is_not_an_integer(field, value):
+    # SeedSpec(1.5) and SeedSpec(True) once drew exactly seed 1's normals
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        SeedSpec(**{"master_seed": 1, field: value})
+    assert SeedSpec(np.uint64(1), np.int64(1)) == SeedSpec(1, 1)
+
+
 def test_standard_normals_moments():
     z = standard_normals(SEED, np.arange(200), np.arange(500), np.arange(1)).ravel()
     n = z.size
