@@ -89,7 +89,6 @@ class StudyReport:
     study: str
     config: dict
     seed: int
-    salt: int
     rows: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
     norm_rows: list = field(default_factory=list)  # (field_id, grid_id, NormResult)
@@ -143,7 +142,6 @@ class StudyReport:
             "study": self.study,
             "config": self.config,
             "seed": self.seed,
-            "salt": self.salt,
             "flags": self.flags,
             "wall_clock_seconds": self.wall_clock,
             "version": __version__,
@@ -222,6 +220,7 @@ def _build(name, make, *args, **kwargs):
 _REQUIRED = object()  # the default of a key the block must give
 _NONNEG = partial(_count, least=0)
 _BLOCKS = {
+    # levels and coefficients in the studies that read them: validate() drops them elsewhere
     "configuration": {"experiment": (None, _given), "grid": ({}, _given),
                       "coefficients": ({}, _given), "data": ({}, _given),
                       "ensemble": ({}, _given), "levels": (1, _count)},
@@ -229,27 +228,25 @@ _BLOCKS = {
              "x1_cells": (_REQUIRED, _count), "t_max": (_REQUIRED, _number),
              "steps": (_REQUIRED, _count), "xp_max": (0.0, _number), "xp_cells": (0, _NONNEG)},
     # and each of the study's sigma keys, required
-    "coefficients": {"a": (_REQUIRED, _matrix), "n_modes": (1, _count),
-                     "kappa": (1.0, _number), "bound": (4.0, _number)},
-    "ensemble": {"paths": (1, _count), "master_seed": (0, _NONNEG), "stream_salt": (0, _NONNEG)},
+    "coefficients": {"a": (_REQUIRED, _matrix), "kappa": (1.0, _number), "bound": (4.0, _number)},
+    "ensemble": {"paths": (1, _count), "master_seed": (0, _NONNEG)},
 }
 
 
 @dataclass(frozen=True)
 class _Study:
     """One study: its body(config, report, workers), grid dim (None:
-    either), least level count, each sigma key with its tangency rule
-    (True, False or None: either), its data block's table, whether the
-    body uses the coefficients (a block given anyway is still gated),
-    the least x1_cells it takes and the number x1_cells must be a
-    multiple of, and whether a level refines x' as well as x1 and t."""
+    either), least level count (0: one grid, and no levels key), each
+    sigma key with its tangency rule (True, False or None: either; no
+    key: no coefficients block), its data block's table, the least
+    x1_cells it takes and the number x1_cells must be a multiple of,
+    and whether a level refines x' as well as x1 and t."""
 
     body: Callable
     dim: int | None
     levels: int
     sigma: dict
     data: dict
-    coefficients: bool = True
     x1_cells: int = 2
     x1_multiple: int = 1
     refine_xp: bool = True
@@ -257,13 +254,13 @@ class _Study:
 
 @dataclass
 class ExperimentConfig:
-    """A study configuration: JSON with blocks experiment, grid,
-    coefficients, data, ensemble and levels.  validate() parses them
-    against the tables of `_BLOCKS` and of the study's `EXPERIMENTS`
-    entry once and stores what the bodies read: grid, grids (it and the
-    study's refinements, one per level), seed, n_paths, n_levels, coeffs
-    (keyed by sigma key), data (every data key, defaults filled in) and
-    specs (the NormSpecs)."""
+    """A study configuration: JSON with blocks experiment, grid, data,
+    ensemble, and levels and coefficients where the study takes them.
+    validate() parses them against the tables of `_BLOCKS` and of the
+    study's `EXPERIMENTS` entry once and stores what the bodies read:
+    grid, grids (it and the study's refinements, one per level), seed,
+    n_paths, n_levels, coeffs (keyed by sigma key), data (every data
+    key, defaults filled in) and specs (the NormSpecs)."""
 
     experiment: str
     raw: dict
@@ -315,15 +312,15 @@ class ExperimentConfig:
         and checks the study's rules.  Returns the parabolicity report of
         each coefficient set, keyed by sigma key."""
         study = EXPERIMENTS[self.experiment]
-        self.n_levels = self._parse("configuration", _BLOCKS["configuration"])["levels"]
+        read = {"levels": study.levels, "coefficients": study.sigma}
+        top = {k: row for k, row in _BLOCKS["configuration"].items() if read.get(k, True)}
+        self.n_levels = self._parse("configuration", top).get("levels", 1)
         grid = self.grid = _build("grid", SpaceTimeGrid, **self._parse("grid", _BLOCKS["grid"]))
         ensemble = self._parse("ensemble", _BLOCKS["ensemble"])
-        self.seed = _build("ensemble", SeedSpec, ensemble["master_seed"], ensemble["stream_salt"])
+        self.seed = _build("ensemble", SeedSpec, ensemble["master_seed"])
         self.n_paths = ensemble["paths"]
-        # the sigma keys gated: every one, unless the body takes no coefficients and none are given
-        sigma = study.sigma if study.coefficients or "coefficients" in self.raw else {}
-        if sigma:
-            required = dict.fromkeys(sigma, (_REQUIRED, _matrix))
+        if study.sigma:
+            required = dict.fromkeys(study.sigma, (_REQUIRED, _matrix))
             c = self._parse("coefficients", {**_BLOCKS["coefficients"], **required})
         self.data = self._parse("data", study.data)
         if study.dim not in (None, grid.dim):
@@ -336,10 +333,10 @@ class ExperimentConfig:
             raise ConfigError(f"the {self.experiment} study needs x1_cells {rule}, got {cells}")
         out = {}
         self.coeffs = {}
-        for key, tangential in sigma.items():
+        for key, tangential in study.sigma.items():
             co = self.coeffs[key] = _build(
                 "coefficients", ModelCoefficients.make, grid.dim, c["a"], c[key],
-                n_modes=c["n_modes"], kappa=c["kappa"], bound=c["bound"],
+                kappa=c["kappa"], bound=c["bound"],
             )
             rep = check_parabolicity(co, times=(0.0,))  # constant: t_0 alone, by name for the tracer
             if not rep.passed:
@@ -356,6 +353,9 @@ class ExperimentConfig:
                     + (" violates the tangency hypothesis of this study" if tangential else
                        " is zero; the variants must be one tangential and one violating")
                 )
+        modes = {key: co.n_modes for key, co in self.coeffs.items()}
+        if len(set(modes.values())) > 1:  # compatibility drives both variants with one noise batch
+            raise ConfigError(f"the sigma keys need one column count, got {modes}")
         if self.n_levels < study.levels:
             raise ConfigError(f"the {self.experiment} study needs levels >= {study.levels}")
         # NormSpec's own checks give alpha, gamma and pair_policy their ranges;
@@ -378,7 +378,7 @@ class ExperimentConfig:
                 )
         # the noise bound of the operator each solve steps (L_s0 for the
         # continuation, L_1 = L elsewhere); the base grid binds every level
-        for key, co in self.coeffs.items() if study.coefficients else ():
+        for key, co in self.coeffs.items():
             try:
                 _cfl_check(interpolate_coefficients(co, self.data.get("s0", 1.0)), grid)
             except ValueError as exc:  # ModelError
@@ -603,7 +603,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
     verdicts.
     """
     coeffs, seed, (spec,), grids = config.coeffs["sigma"], config.seed, config.specs, config.grids
-    draw_seed = SeedSpec(seed.master_seed, seed.stream_salt + 101)
+    draw_seed = SeedSpec(seed.master_seed, 101)
 
     noises = [
         wiener_increments(seed, config.n_paths, g.steps, coeffs.n_modes, dt=g.dt) for g in grids
@@ -745,17 +745,15 @@ _WAVE = {"f_amplitude": (1.0, _number), "f_tangential_wave": (0.5, _number)}
 # the registry: each study's body and the table its configuration is parsed against
 EXPERIMENTS = {
     "halfline_lemma": _Study(
-        _halfline_lemma, 1, 2, {"sigma": None},
+        _halfline_lemma, 1, 2, {},
         {"alpha": ([0.25, 0.5, 0.75], _numbers), "gamma": (2.0, _number),
          "pair_policy": ("exhaustive", _given)},
-        coefficients=False, x1_cells=3,
+        x1_cells=3,
     ),
-    "stability": _Study(
-        _stability, 1, 1, {"sigma": None}, {"gamma": (2.0, _number)}, coefficients=False
-    ),
+    "stability": _Study(_stability, 1, 0, {}, {"gamma": (2.0, _number)}),
     # the profile nodes x1_max / 8 ... x1_max / 128 fall on grid nodes
     "compatibility": _Study(
-        _compatibility, 2, 1, {"sigma_tangential": True, "sigma_violating": False},
+        _compatibility, 2, 0, {"sigma_tangential": True, "sigma_violating": False},
         {**_WAVE, "g_violating_amplitude": (0.0, _number)}, x1_multiple=128,
     ),
     "schauder_ratio": _Study(
@@ -768,7 +766,7 @@ EXPERIMENTS = {
         _pipeline, None, 2, {"sigma": True}, _WAVE, x1_cells=3, refine_xp=False,
     ),
     "continuity": _Study(
-        _continuity, 1, 1, {"sigma": None},
+        _continuity, 1, 0, {"sigma": None},
         {"s": (1.0, _number), "s0": (0.9, _number), "iterations": (7, partial(_count, least=3)),
          "f_amplitude": (1.0, _number)},
     ),
@@ -784,8 +782,7 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyReport:
     """
     t0 = time.perf_counter()
     config.validate()
-    seed = config.seed
-    report = StudyReport(config.experiment, config.raw, seed.master_seed, seed.stream_salt)
+    report = StudyReport(config.experiment, config.raw, config.seed.master_seed)
     EXPERIMENTS[config.experiment].body(config, report, workers)
     report.wall_clock = time.perf_counter() - t0
     return report

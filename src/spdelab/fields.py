@@ -98,18 +98,20 @@ class SpaceTimeGrid:
     periodic_x1: bool = False
 
     def __post_init__(self):
+        for name in ("dim", "x1_cells", "steps", "xp_cells"):
+            _integer(name, getattr(self, name))
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         lengths = (("x1_max", self.x1_max), ("t_max", self.t_max), ("xp_max", self.xp_max))
         for name, x in lengths[: 2 + (self.dim == 2)]:
             if not 0 < x < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {x}")
-        for name in ("x1_cells", "steps", "xp_cells"):
-            _integer(name, getattr(self, name))
         if self.x1_cells < 2 or self.steps < 1:
             raise ValueError("need x1_cells >= 2 and steps >= 1")
         if self.dim == 2 and self.xp_cells < 4:
             raise ValueError("dim == 2 needs xp_cells >= 4")
+        if self.dim == 1 and (self.xp_max or self.xp_cells):  # refine() would double them
+            raise ValueError(f"dim == 1 takes no xp_max/xp_cells, got {self.xp_max, self.xp_cells}")
 
     # -- spacings -----------------------------------------------------
     @property

@@ -10,14 +10,13 @@ gradient noise:
 with constant coefficients a and sigma, stepped by backward-Euler
 diffusion (the implicit matrix is factored once per solve) and explicit
 Euler-Maruyama noise evaluated at the left time point.  All paths
-advance through identical linear algebra, so results are independent of
-how paths are blocked across workers.  The step is written once, in
-`_Stepper`, for the unknown nodes of a stack of states; it knows only
-the operator a, and its caller forms the noise terms, with `_integrand`
-where they are the model's.  `_steps` is the one time loop of a model
-state: the solves below and the compatibility study's two variants run
-through it, while the continuation and the wall decomposition step
-their own states.
+advance together through identical linear algebra, in one thread.  The
+step is written once, in `_Stepper`, for the unknown nodes of a stack of
+states; it knows only the operator a, and its caller forms the noise
+terms, with `_integrand` where they are the model's.  `_steps` is the
+one time loop of a model state: the solves below and the compatibility
+study's two variants run through it, while the continuation and the
+wall decomposition step their own states.
 Stepped states are stored space first and paths last, (*space, *stack,
 paths), so x1 slices are contiguous blocks; the public fields keep their
 path-major shapes, and the loops transpose at that boundary.
@@ -76,9 +75,9 @@ class BlowUpError(RuntimeError):
 class ModelCoefficients:
     """Constant model coefficients with admissibility bounds.
 
-    a: (dim, dim) symmetric diffusion; sigma: (dim, n_modes)
-    gradient-noise matrix.  The model problem has no lower-order terms.
-    kappa and bound are the recorded two-sided ellipticity constants.
+    a: (dim, dim) symmetric diffusion; sigma: (dim, n_modes) gradient
+    noise, one column per mode.  The model problem has no lower-order
+    terms.  kappa and bound are the recorded two-sided ellipticity constants.
     """
 
     dim: int
@@ -89,9 +88,10 @@ class ModelCoefficients:
     bound: float
 
     @classmethod
-    def make(cls, dim, a, sigma, *, n_modes=1, kappa=1.0, bound=4.0):
+    def make(cls, dim, a, sigma, *, kappa=1.0, bound=4.0):
         a = np.array(a, dtype=float)
         sigma = np.array(sigma, dtype=float)
+        n_modes = max(sigma.shape[1], 1) if sigma.ndim == 2 else 1
         for name, arr, shape in (("a", a, (dim, dim)), ("sigma", sigma, (dim, n_modes))):
             if arr.shape != shape:
                 raise ModelError(f"{name} must have shape {shape}, got {arr.shape}")

@@ -52,7 +52,7 @@ TINY_STABILITY = {
     "experiment": "stability",
     "grid": {"dim": 1, "x1_max": 1.0, "x1_cells": 6, "t_max": 1.0, "steps": 4},
     "data": {"gamma": 2.0},
-    "ensemble": {"paths": 8, "master_seed": 99, "stream_salt": 1},
+    "ensemble": {"paths": 8, "master_seed": 99},
 }
 
 
@@ -87,9 +87,9 @@ def test_bad_grid_block_is_rejected():
 
 
 def test_missing_coefficient_key_is_rejected():
-    cfg = tiny_config()
+    cfg = ExperimentConfig.from_dict(_checked_in("continuity"))
     cfg.raw["coefficients"] = {"a": [[1.0]]}
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ConfigError, match=re.escape("missing coefficients key(s) ['sigma']")):
         cfg.validate()
 
 
@@ -98,14 +98,14 @@ def test_missing_coefficient_key_is_rejected():
     [([[1.9, 0.0]], r"a must have shape \(1, 1\)"), ([[1.9], [0.0, 1.0]], "inhomogeneous")],
 )
 def test_misshapen_coefficients_are_a_config_error(a, expected):
-    cfg = tiny_config()
+    cfg = ExperimentConfig.from_dict(_checked_in("continuity"))
     cfg.raw["coefficients"] = {"a": a, "sigma": [[0.5]]}
     with pytest.raises(ConfigError, match=expected):
         cfg.validate()
 
 
 def test_validate_runs_parabolicity_gate():
-    cfg = tiny_config()
+    cfg = ExperimentConfig.from_dict(_checked_in("continuity"))
     cfg.raw["coefficients"] = {"a": [[0.4]], "sigma": [[1.0]], "kappa": 1.0}
     with pytest.raises(ConfigError, match="parabolicity"):
         cfg.validate()
@@ -285,13 +285,17 @@ def test_config_accessors_and_overrides():
     # validate() reads the raw blocks afresh, so an edit to them lands in the accessors
     cfg = tiny_config()
     cfg.validate()
-    assert cfg.n_paths == 8 and cfg.n_levels == 1
-    assert (cfg.seed.master_seed, cfg.seed.stream_salt) == (99, 1)
+    assert cfg.n_paths == 8 and cfg.n_levels == 1 and cfg.seed.master_seed == 99
     cfg.raw["ensemble"].update(master_seed=7, paths=3)
-    cfg.raw["levels"] = 5
+    cfg.raw["grid"]["steps"] = 8
     cfg.validate()
-    assert (cfg.seed.master_seed, cfg.seed.stream_salt) == (7, 1)
-    assert cfg.n_paths == 3 and cfg.n_levels == 5
+    assert cfg.seed.master_seed == 7 and cfg.n_paths == 3
+    assert cfg.n_levels == 1 and cfg.grids == [cfg.grid] and cfg.grid.steps == 8
+    # a study that scans levels reads them the same way
+    cfg = ExperimentConfig.from_dict(_checked_in("halfline_lemma"))
+    cfg.raw["levels"] = 2
+    cfg.validate()
+    assert cfg.n_levels == 2 and len(cfg.grids) == 2
 
 
 # -- report and determinism -------------------------------------------
@@ -396,7 +400,6 @@ def test_schauder_ratio_output_bytes_are_pinned():
             {
                 "ensemble": {"paths": 2},
                 "coefficients": {
-                    "n_modes": 2,
                     "sigma_tangential": [[0.0, 0.0], [0.7, 0.0]],
                     "sigma_violating": [[0.7, 0.0], [0.0, 0.0]],
                 },
@@ -431,7 +434,7 @@ def test_csv_layout_is_canonical():
 def test_norms_csv_writes_one_row_of_ten_columns_per_norm():
     g = SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=4, t_max=1.0, steps=2)
     f = FieldEnsemble(np.broadcast_to(g.x1_nodes**2, (1, 3, 5)).copy(), g)
-    rep = StudyReport("schauder_ratio", {}, 42, 0)
+    rep = StudyReport("schauder_ratio", {}, 42)
     assert rep.norms_csv() is None
     spec = NormSpec(alpha=0.5)
     sup, semi = sup_norm(f, spec), space_seminorm(f, spec, 1)
@@ -454,7 +457,7 @@ def test_argmax_pairs_hold_plain_ints(policy):
     g = SpaceTimeGrid(dim=2, x1_max=1.0, x1_cells=3, t_max=1.0, steps=2, xp_max=1.0, xp_cells=4)
     f = FieldEnsemble(np.random.default_rng(2).normal(size=(2, 3, 4, 4)), g)
     results = schauder_ratio(f, f, f, NormSpec(alpha=0.5, pair_policy=policy)).results
-    rep = StudyReport("schauder_ratio", {}, 42, 0)
+    rep = StudyReport("schauder_ratio", {}, 42)
     rep.norm_rows += [("f", "L0", r) for r in results]
 
     def leaves(a):
@@ -477,7 +480,7 @@ def test_report_write_produces_files(tmp_path):
     sidecar = json.loads((tmp_path / "stability_run.json").read_text())
     assert sidecar["study"] == "stability"
     assert sidecar["config"] == TINY_STABILITY
-    assert (sidecar["seed"], sidecar["salt"]) == (99, 1)
+    assert sidecar["seed"] == 99 and "salt" not in sidecar
     assert sidecar["flags"] == {"workers": 1}
     assert sidecar["wall_clock_seconds"] > 0.0
     assert sidecar["version"] == spdelab.__version__
@@ -508,7 +511,7 @@ def test_cli_runs_a_study_and_exits_zero(tmp_path):
 
 @pytest.mark.parametrize("study", sorted(EXPERIMENTS))
 def test_a_study_takes_only_its_config_out_and_workers(study, tmp_path, capsys):
-    # the configuration file sets the seed, salt, paths and levels; no flag overrides them
+    # the configuration file sets the seed, paths and levels; no flag overrides them
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {s for a in sub.choices[study]._actions for s in a.option_strings}
     assert options == {"-h", "--help", "--config", "--out", "--workers"}
@@ -584,20 +587,17 @@ def test_cli_refuses_an_experiment_that_is_not_a_name(command, experiment, tmp_p
 
 
 @pytest.mark.parametrize(
-    "ensemble, levels, message",
+    "ensemble, message",
     [
-        ({"paths": "abc"}, 1, "ensemble.paths must be an integer"),
-        ({"paths": 0}, 1, "ensemble.paths must be at least 1"),
-        ({"master_seed": -1}, 1, "master_seed"),
-        ({"stream_salt": "x"}, 1, "ensemble.stream_salt must be an integer, got 'x'"),
-        ({}, "two", "levels must be an integer"),
+        ({"paths": "abc"}, "ensemble.paths must be an integer"),
+        ({"paths": 0}, "ensemble.paths must be at least 1"),
+        ({"master_seed": -1}, "master_seed"),
     ],
-    ids=["paths-text", "paths-zero", "seed-negative", "salt-text", "levels-text"],
+    ids=["paths-text", "paths-zero", "seed-negative"],
 )
-def test_cli_reports_malformed_ensemble_values(ensemble, levels, message, tmp_path, capsys):
+def test_cli_reports_malformed_ensemble_values(ensemble, message, tmp_path, capsys):
     raw = json.loads(json.dumps(TINY_STABILITY))
     raw["ensemble"].update(ensemble)
-    raw["levels"] = levels
     code = main(["stability", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -755,10 +755,37 @@ def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
             "stability", {"ensemble": {"master_seed": 1.5}},
             "ensemble.master_seed must be an integer, got 1.5",
         ),
+        ("pipeline", {"levels": "two"}, "levels must be an integer, got 'two'"),
+        # a dim-1 grid has no x' for refine() to double
         (
-            "stability", {"coefficients": {"a": [[1.0]], "sigma": [[0.0]], "n_modes": 1.5}},
-            "coefficients.n_modes must be an integer, got 1.5",
+            "continuity", {"grid": {"xp_cells": 8}},
+            "bad grid block: dim == 1 takes no xp_max/xp_cells, got (0.0, 8)",
         ),
+        (
+            "stability", {"grid": {"xp_max": 1.0}},
+            "bad grid block: dim == 1 takes no xp_max/xp_cells, got (1.0, 0)",
+        ),
+        # no study reads these: a one-grid study's levels, a coefficients block
+        # beside no sigma key, sigma's column count, and a stream salt
+        *[
+            (study, {"levels": 1}, "unknown configuration key(s) ['levels']")
+            for study in ("stability", "compatibility", "continuity")
+        ],
+        *[
+            (
+                study, {"coefficients": {"a": [[1.0]], "sigma": [[0.0]]}},
+                "unknown configuration key(s) ['coefficients']",
+            )
+            for study in ("halfline_lemma", "stability")
+        ],
+        *[
+            (study, {"coefficients": {"n_modes": 1}}, "unknown coefficients key(s) ['n_modes']")
+            for study in ("compatibility", "schauder_ratio", "pipeline", "continuity")
+        ],
+        *[
+            (study, {"ensemble": {"stream_salt": 0}}, "unknown ensemble key(s) ['stream_salt']")
+            for study in sorted(EXPERIMENTS)
+        ],
         ("continuity", {"coefficients": {"bound": math.inf}}, "coefficients.bound must be finite"),
         # JSON numbers only: no string or bool reads as one
         ("continuity", {"data": {"f_amplitude": "3"}}, "data.f_amplitude must be a number"),
@@ -794,7 +821,11 @@ def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
         "unknown-data", "alpha-1.5", "alpha-empty", "policy-sparse", "policy-auto", "gamma-1",
         "draws-0", "iterations-2", "gamma-nan", "gamma-minus-inf", "amplitude-inf", "draws-2.7",
         "paths-1.5", "draws-true", "x1-cells-32.9", "steps-true", "dim-1.7", "x1-max-nan",
-        "t-max-inf", "master-seed-1.5", "n-modes-1.5", "bound-inf", "amplitude-text",
+        "t-max-inf", "master-seed-1.5", "levels-text", "xp-cells-dim1", "xp-max-dim1",
+        "stability-levels", "compatibility-levels", "continuity-levels",
+        "halfline-coefficients", "stability-coefficients",
+        "compatibility-n-modes", "schauder-n-modes", "pipeline-n-modes", "continuity-n-modes",
+        *[f"{study}-stream-salt" for study in sorted(EXPERIMENTS)], "bound-inf", "amplitude-text",
         "s0-bool", "x1-max-text", "kappa-text", "alpha-text", "a-text", "sigma-bool",
         "sigma-null", "grid-missing-t-max-steps", "a-missing", "sigma-violating-missing",
     ],
@@ -912,6 +943,26 @@ def test_the_readme_data_table_matches_the_registry():
     }
 
 
+def test_the_readme_configuration_example_validates():
+    # the example in README's Configuration section is a whole configuration the gate admits
+    text = (ROOT / "README.md").read_text().split("## Configuration", 1)[1]
+    example = re.search(r"^    \{\n.*?^    \}$", text, re.M | re.S).group(0)
+    ExperimentConfig.from_dict(json.loads(example)).validate()
+
+
+def test_compatibility_refuses_sigma_keys_of_different_column_counts(tmp_path, capsys):
+    # both variants step with one noise batch: the run would end in the solver's ModelError
+    raw = _checked_in("compatibility")
+    raw["coefficients"]["sigma_violating"] = [[0.7, 0.0], [0.0, 0.0]]
+    message = (
+        "the sigma keys need one column count, got {'sigma_tangential': 1, 'sigma_violating': 2}"
+    )
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(raw).validate()
+    assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_the_cli_offers_only_the_studies_and_validate(capsys):
     # the kernel subcommand is gone: argparse refuses it as it refuses any unknown name
     with pytest.raises(SystemExit) as exc:
@@ -940,7 +991,8 @@ _DATA_DRAWS = {
 
 @st.composite
 def near_checked_in(draw):
-    """A checked-in config on a small grid: 1-3 levels, 1-3 paths, data varied."""
+    """A checked-in config on a small grid: 1-3 levels where the study
+    takes them, 1-3 paths, data varied."""
     study = draw(st.sampled_from(sorted(_DATA_DRAWS)))
     raw = json.loads((CONFIGS / f"{study}.json").read_text())
     raw["grid"].update(
@@ -951,7 +1003,8 @@ def near_checked_in(draw):
     )
     if raw["grid"]["dim"] == 2:
         raw["grid"]["xp_cells"] = draw(st.sampled_from([4, raw["grid"]["xp_cells"]]))
-    raw["levels"] = draw(st.integers(1, 3))
+    if study in ("halfline_lemma", "schauder_ratio", "pipeline"):  # the one-grid studies take none
+        raw["levels"] = draw(st.integers(1, 3))
     raw.setdefault("ensemble", {})["paths"] = draw(st.integers(1, 3))
     # the two counts the run time grows with are always set, and small
     data = {}

@@ -74,6 +74,21 @@ def test_grid_validation():
         SpaceTimeGrid(dim=1, x1_max=0.0, x1_cells=4, t_max=1.0, steps=2)
 
 
+@pytest.mark.parametrize("dim", [True, 1.0, 2.0])
+def test_grid_refuses_a_dim_that_is_not_an_integer(dim):
+    # True and 1.0 once passed as dim 1 and stayed in the grid
+    with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
+        SpaceTimeGrid(dim=dim, x1_max=1.0, x1_cells=4, t_max=1.0, steps=2, xp_max=1.0, xp_cells=4)
+
+
+@pytest.mark.parametrize("xp", [{"xp_cells": 8}, {"xp_max": 1.0}, {"xp_max": np.nan}])
+def test_a_dim_1_grid_takes_no_tangential_values(xp):
+    # refine() once doubled a kept xp_cells, and the refined grid compared
+    # unequal to the same grid without it
+    with pytest.raises(ValueError, match="dim == 1 takes no xp_max/xp_cells"):
+        SpaceTimeGrid(dim=1, x1_max=1.0, x1_cells=4, t_max=1.0, steps=2, **xp)
+
+
 @pytest.mark.parametrize("name", ["x1_max", "t_max", "xp_max"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
 def test_grid_refuses_a_length_that_is_not_positive_and_finite(name, value):

@@ -307,7 +307,7 @@ def full_history_reference(co, f, g, noise):
     if g.dim == 2 and np.any(co.sigma):
         du = tangential(u.values, g.dxp, 1)
         gt = np.stack([co.sigma[1, k] * du for k in range(co.n_modes)], axis=-1)
-        heat = ModelCoefficients.make(2, np.eye(2), np.zeros_like(co.sigma), n_modes=co.n_modes)
+        heat = ModelCoefficients.make(2, np.eye(2), np.zeros_like(co.sigma))
         gt = FieldEnsemble(gt, g, n_modes=co.n_modes)
         big = solve_model_halfspace(heat, Forcing(g=gt), g, noise).values
     big_f, tilde = FieldEnsemble(big, g), FieldEnsemble(u.values - big, g)
@@ -364,7 +364,7 @@ def _streaming_cases():
     yield coeffs1(), f, g, wiener_increments(SEED, 3, g.steps, dt=g.dt)
     g = grid2()
     co = ModelCoefficients.make(
-        2, [[1.3, 0.2], [0.2, 1.1]], [[0.0, 0.0], [0.5, -0.3]], n_modes=2, kappa=0.5
+        2, [[1.3, 0.2], [0.2, 1.1]], [[0.0, 0.0], [0.5, -0.3]], kappa=0.5
     )
     f = FieldEnsemble(rng.standard_normal((3, g.steps + 1) + g.space_shape), g)
     yield co, f, g, wiener_increments(SEED, 3, g.steps, 2, dt=g.dt)

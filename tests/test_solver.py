@@ -138,6 +138,16 @@ def test_coefficient_shapes_are_exact(dim, a, sigma, expected):
         ModelCoefficients.make(dim, a, sigma)
 
 
+def test_the_mode_count_is_sigma_s_column_count():
+    # one noise mode per column of sigma; no keyword restates it
+    assert ModelCoefficients.make(2, np.eye(2), [[0.0, 0.0], [0.7, -0.4]]).n_modes == 2
+    assert ModelCoefficients.make(1, [[1.0]], [[0.5]]).n_modes == 1
+    with pytest.raises(TypeError, match="n_modes"):
+        ModelCoefficients.make(1, [[1.0]], [[0.5]], n_modes=1)
+    with pytest.raises(ModelError, match=r"sigma must have shape \(2, 1\), got \(2, 0\)"):
+        ModelCoefficients.make(2, np.eye(2), np.zeros((2, 0)))
+
+
 # -- scheme guards ----------------------------------------------------
 
 
@@ -302,7 +312,7 @@ def stepper_case(dim, paths=4, stack=3):
         )
         # tangential noise in two modes, and a mixed a12 term in the SuperLU factor
         a, sigma = [[1.2, 0.1], [0.1, 1.0]], [[0.0, 0.0], [0.7, -0.4]]
-        co = ModelCoefficients.make(2, a, sigma, n_modes=2, kappa=0.5)
+        co = ModelCoefficients.make(2, a, sigma, kappa=0.5)
     step = _Stepper(co.a, grid)
     rng = np.random.default_rng(5)
     u = rng.normal(size=grid.space_shape + (stack, paths))
