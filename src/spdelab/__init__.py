@@ -7,12 +7,9 @@ and the studies that probe wall regularity, noise compatibility and
 the operator continuation argument.
 """
 
-from .fields import (
-    FieldEnsemble,
-    GridMismatch,
-    SpaceTimeGrid,
-    finite_diff,
-)
+import importlib
+
+from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, finite_diff
 from .halfline import (
     BoundaryData,
     QuadratureError,
@@ -33,20 +30,7 @@ from .norms import (
     sup_norm,
     trace_parabolic_norm,
 )
-from .pipeline import PipelineOutput, decompose_pipeline
 from .rng import SeedSpec, WienerBatch, coarsen, standard_normals, wiener_increments
-from .solver import (
-    BlowUpError,
-    Forcing,
-    ModelCoefficients,
-    ModelError,
-    check_compatibility,
-    check_parabolicity,
-    continuity_iterates,
-    interpolate_coefficients,
-    solve_model_halfspace,
-    solve_periodic_line,
-)
 
 __version__ = "0.1.0"
 
@@ -90,3 +74,16 @@ __all__ = [
     "PipelineOutput",
     "decompose_pipeline",
 ]
+
+# the solver and pipeline load scipy.linalg and scipy.sparse: their names resolve when first read
+_LAZY = dict.fromkeys(
+    ("ModelCoefficients", "Forcing", "ModelError", "BlowUpError", "check_parabolicity",
+     "check_compatibility", "interpolate_coefficients", "solve_model_halfspace",
+     "solve_periodic_line", "continuity_iterates"), "solver",
+) | {"PipelineOutput": "pipeline", "decompose_pipeline": "pipeline"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

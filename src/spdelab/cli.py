@@ -5,7 +5,7 @@
 
 Experiments write their canonical CSV (plus sidecar JSON) into --out,
 the current directory by default.  The process exit code is the number
-of failed verdicts, so 0 means pass.
+of failed verdicts capped at 255 (the OS keeps a status mod 256); 0 is a pass.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
         mark = "pass" if v.passed else "FAIL"
         print(f"[{mark}] {report.study}:{v.name}  {v.detail}")
     print(f"wrote {paths['csv']}  ({report.wall_clock:.1f}s)")
-    return report.n_failed
+    return min(report.n_failed, 255)
 
 
 if __name__ == "__main__":

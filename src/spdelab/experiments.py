@@ -8,6 +8,11 @@ canonical CSV byte for byte, regardless of worker count.  Volatile facts
 (wall clock, flag echo, package, numpy and scipy versions, peak resident
 memory) go to a JSON sidecar next to the CSV, never into the canonical file.
 
+The kernel studies (`halfline_lemma`, `stability`) load numpy and
+scipy.special alone.  The solver and the pipeline (scipy.linalg and
+scipy.sparse) load at the gate, in `validate()` of a study with sigma
+keys, and the four model study bodies import from them locally.
+
 Canonical CSV schema, shared by every study:
 
     study,record,level,param,index,value
@@ -42,19 +47,7 @@ from .norms import (
     schauder_ratio,
     trace_parabolic_norm,
 )
-from .pipeline import decompose_pipeline
 from .rng import SeedSpec, coarsen, standard_normals, wiener_increments
-from .solver import (
-    Forcing,
-    ModelCoefficients,
-    _cfl_check,
-    _steps,
-    check_compatibility,
-    check_parabolicity,
-    continuity_iterates,
-    interpolate_coefficients,
-    solve_model_halfspace,
-)
 
 __all__ = [
     "Verdict",
@@ -319,7 +312,10 @@ class ExperimentConfig:
         ensemble = self._parse("ensemble", _BLOCKS["ensemble"])
         self.seed = _build("ensemble", SeedSpec, ensemble["master_seed"])
         self.n_paths = ensemble["paths"]
-        if study.sigma:
+        if study.sigma:  # a model study: the solver and pipeline load here, before any compute
+            from . import pipeline  # not read here: the pipeline body then imports nothing
+            from .solver import (ModelCoefficients, _cfl_check, check_compatibility,
+                                 check_parabolicity, interpolate_coefficients)
             required = dict.fromkeys(study.sigma, (_REQUIRED, _matrix))
             c = self._parse("coefficients", {**_BLOCKS["coefficients"], **required})
         self.data = self._parse("data", study.data)
@@ -540,6 +536,7 @@ def _compatibility(config: ExperimentConfig, report: StudyReport, workers: int) 
     max/min < 2 while the normal-noise variant must grow at every
     halving.
     """
+    from .solver import Forcing, _steps
     grid = config.grid
     g_amp = config.data["g_violating_amplitude"]
     f = _tangential_wave_field(grid, config.data)
@@ -602,6 +599,7 @@ def _schauder_ratio(config: ExperimentConfig, report: StudyReport, workers: int)
     A zero draw exercises the 0/0 sentinel and is excluded from the
     verdicts.
     """
+    from .solver import Forcing, solve_model_halfspace
     coeffs, seed, (spec,), grids = config.coeffs["sigma"], config.seed, config.specs, config.grids
     draw_seed = SeedSpec(seed.master_seed, 101)
 
@@ -664,6 +662,7 @@ def _pipeline(config: ExperimentConfig, report: StudyReport, workers: int) -> No
     refinement and cannot decay.  The coarsest level also cross-checks
     W0 against the kernel solve (its kernel_gap row).
     """
+    from .pipeline import decompose_pipeline
     coeffs, n_levels, grids = config.coeffs["sigma"], config.n_levels, config.grids
 
     fine = wiener_increments(
@@ -720,6 +719,7 @@ def _continuity(config: ExperimentConfig, report: StudyReport, workers: int) -> 
     successive-difference norms sup_node E|.|^2 must shrink geometrically
     with a roughly constant factor over iterations 2..6.
     """
+    from .solver import Forcing, continuity_iterates
     grid, coeffs, data = config.grid, config.coeffs["sigma"], config.data
     noise = wiener_increments(config.seed, config.n_paths, grid.steps, coeffs.n_modes, dt=grid.dt)
     f_vals = np.full((1, grid.steps + 1) + grid.space_shape, data["f_amplitude"])
@@ -778,10 +778,10 @@ def run_study(config: ExperimentConfig, workers: int = 1) -> StudyReport:
 
     The one harness of every study: validate the configuration before
     any compute, read the seed, hand the study body an empty report to
-    fill, and time the whole run.
+    fill, and time the study from the end of the gate on.
     """
-    t0 = time.perf_counter()
     config.validate()
+    t0 = time.perf_counter()
     report = StudyReport(config.experiment, config.raw, config.seed.master_seed)
     EXPERIMENTS[config.experiment].body(config, report, workers)
     report.wall_clock = time.perf_counter() - t0

@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgtsv
 from scipy.special import erfc, pbdv
 
 from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid
@@ -187,7 +186,9 @@ class BoundaryData:
         """Not-a-knot cubic spline of h (or h') through every path, as its
         (4, intervals, paths) coefficients c[m, k] of (tau - t_k)^{3 - m}, in
         scipy's arithmetic step for step (dgtsv as solve_banded calls it; dgesv
-        on 3 knots; the chord on 2), so c equals scipy's spline coefficients."""
+        on 3 knots; the chord on 2), so c equals scipy's spline coefficients.
+        Only sampled data is splined, so scipy.linalg loads on the first call."""
+        from scipy.linalg.lapack import dgesv, dgtsv
         y = (self.h_prime if derivative else self.h).T
         if not np.all(np.isfinite(y)):
             raise ValueError("spline samples must be finite")

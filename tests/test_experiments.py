@@ -11,6 +11,9 @@ import math
 import os
 import pkgutil
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -30,6 +33,7 @@ from spdelab import (
     dt_v,
     experiments,
     halfline,
+    pipeline,
     schauder_ratio,
     space_seminorm,
     stability_gap,
@@ -522,6 +526,32 @@ def test_a_study_takes_only_its_config_out_and_workers(study, tmp_path, capsys):
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
+def test_the_exit_status_of_a_study_is_capped_below_256(tmp_path, monkeypatch):
+    # the OS keeps a status mod 256: 256 failed verdicts must not exit 0
+    def all_failing(config, workers):
+        report = StudyReport("stability", config.raw, 0)
+        for d in range(256):
+            report.verdict(f"draw_{d}", False, "")
+        return report
+
+    monkeypatch.setattr("spdelab.cli.run_study", all_failing)
+    assert main(["stability", "--config", write_config(tmp_path), "--out", str(tmp_path)]) == 255
+
+
+def test_the_wall_clock_starts_after_the_gate(monkeypatch):
+    # the model studies import the solver in validate(); the sidecar's time holds no import
+    validate = ExperimentConfig.validate
+
+    def slow_validate(config):
+        time.sleep(0.3)
+        return validate(config)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", slow_validate)
+    start = time.perf_counter()
+    report = run_study(tiny_config())
+    assert report.wall_clock <= time.perf_counter() - start - 0.3
+
+
 def test_a_run_without_out_writes_into_the_working_directory(tmp_path, monkeypatch):
     # no environment variable chooses the output directory
     elsewhere = tmp_path / "elsewhere"
@@ -706,13 +736,13 @@ def test_the_pipeline_runs_the_ladder_the_gate_checked(monkeypatch):
     raw = json.loads((CONFIGS / "pipeline.json").read_text())
     raw["grid"].update(t_max=0.0125, steps=32)
     config, seen = ExperimentConfig.from_dict(raw), []
-    decompose = experiments.decompose_pipeline
+    decompose = pipeline.decompose_pipeline
 
     def recording(coeffs, f, grid, noise, **kwargs):
         seen.append(grid)
         return decompose(coeffs, f, grid, noise, **kwargs)
 
-    monkeypatch.setattr(experiments, "decompose_pipeline", recording)
+    monkeypatch.setattr(pipeline, "decompose_pipeline", recording)  # the name the body imports
     run_study(config)
     assert seen == config.grids
     cells = [(g.x1_cells, g.xp_cells, g.steps) for g in seen]
@@ -971,6 +1001,82 @@ def test_the_cli_offers_only_the_studies_and_validate(capsys):
     assert exc.value.code == 2 and "invalid choice" in err and "kernel" in err
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(EXPERIMENTS) | {"validate"}
+
+
+# -- the import split ---------------------------------------------------
+
+# a small configuration per study: (grid edits, top-level keys replaced)
+_SMALL = {
+    "halfline_lemma": ({}, {"levels": 2}),
+    "stability": ({"x1_cells": 6, "steps": 4}, {"ensemble": {"paths": 8}}),
+    "compatibility": (
+        {"x1_max": 1.0, "t_max": 0.000192, "steps": 64, "xp_cells": 4}, {"ensemble": {"paths": 2}},
+    ),
+    "schauder_ratio": ({}, {"levels": 2, "data": {"draws": 1}}),
+    "pipeline": ({"t_max": 0.0125, "steps": 32}, {}),
+    "continuity": ({"x1_cells": 9, "steps": 1512}, {}),
+}
+
+
+def _small(study):
+    grid, top = _SMALL[study]
+    return json.dumps({**_checked_in(study, **grid), **top})
+
+
+def _fresh(code, *args):
+    """stdout of code run in a new interpreter on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_kernel_studies_load_no_solver_and_no_sparse_or_linalg():
+    code = (
+        "import json, sys\n"
+        "from spdelab.cli import main\n"
+        "from spdelab.experiments import ExperimentConfig, run_study\n"
+        "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
+        "assert main(['validate', '--config', sys.argv[2]]) == 0\n"
+        "for raw in sys.argv[3:]:\n"
+        "    assert run_study(ExperimentConfig.from_dict(json.loads(raw))).n_failed == 0\n"
+        "heavy = ['spdelab.solver', 'spdelab.pipeline', 'scipy.sparse', 'scipy.linalg']\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+    )
+    configs = [str(CONFIGS / "halfline_lemma.json"), str(CONFIGS / "stability.json")]
+    out = _fresh(code, *configs, _small("halfline_lemma"), _small("stability"))
+    assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("study", sorted(_SMALL))
+def test_a_study_imports_nothing_after_the_gate(study):
+    # the gate loads what the body steps with, so no import lands in the study's time
+    code = (
+        "import json, sys\n"
+        "from spdelab.experiments import ExperimentConfig, run_study\n"
+        "config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))\n"
+        "config.validate()\n"
+        "before = set(sys.modules)\n"
+        "run_study(config)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    assert _fresh(code, _small(study)) == "[]\n"
+
+
+def test_every_package_name_resolves_in_a_fresh_process():
+    code = (
+        "import spdelab\n"
+        "names = {}\n"
+        "exec('from spdelab import *', names)\n"
+        "missing = [n for n in spdelab.__all__ if names.get(n) is not getattr(spdelab, n)]\n"
+        "assert not missing, missing\n"
+        "assert spdelab.Forcing is spdelab.solver.Forcing\n"
+        "assert spdelab.decompose_pipeline is spdelab.pipeline.decompose_pipeline\n"
+        "assert not hasattr(spdelab, 'no_such_name')\n"
+    )
+    _fresh(code)
 
 
 # -- the gate's contract --------------------------------------------------
