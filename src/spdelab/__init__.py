@@ -75,7 +75,7 @@ __all__ = [
     "decompose_pipeline",
 ]
 
-# the solver and pipeline load scipy.linalg and scipy.sparse: their names resolve when first read
+# the solver and pipeline load scipy.linalg, not SuperLU: their names resolve when first read
 _LAZY = dict.fromkeys(
     ("ModelCoefficients", "Forcing", "ModelError", "BlowUpError", "check_parabolicity",
      "check_compatibility", "interpolate_coefficients", "solve_model_halfspace",

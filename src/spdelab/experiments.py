@@ -9,9 +9,9 @@ canonical CSV byte for byte, regardless of worker count.  Volatile facts
 memory) go to a JSON sidecar next to the CSV, never into the canonical file.
 
 The kernel studies (`halfline_lemma`, `stability`) load numpy and
-scipy.special alone.  The solver and the pipeline (scipy.linalg and
-scipy.sparse) load at the gate, in `validate()` of a study with sigma
-keys, and the four model study bodies import from them locally.
+scipy.special alone.  The solver and the pipeline (scipy.linalg) load at
+the gate, in `validate()` of a study with sigma keys, and SuperLU
+(scipy.sparse) for one on a 2-D grid; the model study bodies import locally.
 
 Canonical CSV schema, shared by every study:
 
@@ -316,6 +316,8 @@ class ExperimentConfig:
             from . import pipeline  # not read here: the pipeline body then imports nothing
             from .solver import (ModelCoefficients, _cfl_check, check_compatibility,
                                  check_parabolicity, interpolate_coefficients)
+            if grid.dim == 2:  # SuperLU; loaded before the solver, it adds 0.9 MB to schauder's RSS
+                import scipy.sparse.linalg  # noqa: F401
             required = dict.fromkeys(study.sigma, (_REQUIRED, _matrix))
             c = self._parse("coefficients", {**_BLOCKS["coefficients"], **required})
         self.data = self._parse("data", study.data)

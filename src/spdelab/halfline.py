@@ -152,6 +152,8 @@ class BoundaryData:
             raise ValueError(f"from_power needs a finite nu >= 1, got {nu}")
         times = np.asarray(times, dtype=float)
         scales = np.ones(1) if scales is None else np.asarray(scales, dtype=float)
+        if scales.ndim != 1 or not scales.size:
+            raise ValueError(f"scales must be a non-empty 1-D array, got shape {scales.shape}")
         _require_finite(times=times, scales=scales)
         h = scales[:, None] * np.array([t**nu for t in times])[None, :]
         hp = scales[:, None] * np.array([nu * t ** (nu - 1.0) for t in times])[None, :]

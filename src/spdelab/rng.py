@@ -113,8 +113,9 @@ def wiener_increments(seed, n_paths, n_steps, n_modes=1, *, dt):
     """Generate a WienerBatch of iid N(0, dt) increments."""
     if not 0 < dt < np.inf:  # NaN fails too
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if n_steps < 1 or n_modes < 1:
-        raise ValueError("need at least one step and one mode")
+    for name, count in (("n_paths", n_paths), ("n_steps", n_steps), ("n_modes", n_modes)):
+        if _integer(name, count) < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     z = standard_normals(seed, np.arange(n_paths), np.arange(n_steps), np.arange(n_modes))
     return WienerBatch(increments=np.sqrt(dt) * z, dt=float(dt))
 

@@ -16,7 +16,8 @@ states; it knows only the operator a, and its caller forms the noise
 terms, with `_integrand` where they are the model's.  `_steps` is the
 one time loop of a model state: the solves below and the compatibility
 study's two variants run through it, while the continuation and the
-wall decomposition step their own states.
+wall decomposition step their own states.  SuperLU factors every
+operator but the Dirichlet line's (dgttrf) and loads at its first factor.
 Stepped states are stored space first and paths last, (*space, *stack,
 paths), so x1 slices are contiguous blocks; the public fields keep their
 path-major shapes, and the loops transpose at that boundary.
@@ -33,9 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import splu
 
 from .fields import FieldEnsemble, GridMismatch, SpaceTimeGrid, _centred, _diff, _ordered_path_sum
 from .rng import WienerBatch
@@ -202,6 +201,8 @@ def _implicit_matrix(a, grid):
     dt = grid.dt
     if grid.dim == 1 and not grid.periodic_x1:
         return _DirichletLine(grid.n_x1 - 2, dt * a[0, 0] / grid.dx1**2)
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
     # the 5- or 9-point stencil at each unknown node (i1, i2), x1 major, in the
     # arithmetic of the Kronecker sum of Dirichlet x1 and periodic x' stencils;
     # the matrix is symmetric, so a column lists its rows as a row its columns

@@ -1033,20 +1033,28 @@ def _fresh(code, *args):
     return proc.stdout
 
 
-def test_the_kernel_studies_load_no_solver_and_no_sparse_or_linalg():
+@pytest.mark.parametrize(
+    "studies, unloaded",
+    [
+        (("halfline_lemma", "stability"),
+         ("spdelab.solver", "spdelab.pipeline", "scipy.sparse", "scipy.linalg")),
+        # the 1-D continuation solves with dgttrs alone: SuperLU stays unloaded
+        (("continuity",), ("scipy.sparse",)),
+    ],
+    ids=["kernel_studies", "continuity"],
+)
+def test_lab_validate_and_a_run_leave_unloaded_what_the_study_never_calls(studies, unloaded):
     code = (
         "import json, sys\n"
         "from spdelab.cli import main\n"
         "from spdelab.experiments import ExperimentConfig, run_study\n"
-        "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
-        "assert main(['validate', '--config', sys.argv[2]]) == 0\n"
-        "for raw in sys.argv[3:]:\n"
+        "for path, raw in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+        "    assert main(['validate', '--config', path]) == 0\n"
         "    assert run_study(ExperimentConfig.from_dict(json.loads(raw))).n_failed == 0\n"
-        "heavy = ['spdelab.solver', 'spdelab.pipeline', 'scipy.sparse', 'scipy.linalg']\n"
-        "print([m for m in heavy if m in sys.modules])\n"
+        "print([m for m in sys.argv[1].split(',') if m in sys.modules])\n"
     )
-    configs = [str(CONFIGS / "halfline_lemma.json"), str(CONFIGS / "stability.json")]
-    out = _fresh(code, *configs, _small("halfline_lemma"), _small("stability"))
+    pairs = [(str(CONFIGS / f"{study}.json"), _small(study)) for study in studies]
+    out = _fresh(code, ",".join(unloaded), *(arg for pair in pairs for arg in pair))
     assert out.splitlines()[-1] == "[]"
 
 

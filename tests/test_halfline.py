@@ -263,6 +263,13 @@ def test_wall_data_refuses_non_finite_input():
         BoundaryData.from_power(math.inf, times)
 
 
+@pytest.mark.parametrize("scales", [2.0, [], [[1.0, 2.0]]])
+def test_from_power_refuses_scales_that_are_not_a_non_empty_line(scales):
+    # a scalar used to raise IndexError, and [] built a family of no paths
+    with pytest.raises(ValueError, match="scales must be a non-empty 1-D array"):
+        BoundaryData.from_power(2, np.linspace(0.0, 1.0, 5), scales=scales)
+
+
 def test_spline_refuses_a_nan_sample():
     # from_samples refuses NaN itself, so the data is built field by field
     times = np.linspace(0.0, 1.0, 6)

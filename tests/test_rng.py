@@ -150,6 +150,24 @@ def test_wiener_increments_refuse_a_dt_that_is_not_positive_and_finite(dt):
         wiener_increments(SEED, 2, 3, dt=dt)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((-3, 4, 1), "n_paths must be at least 1, got -3"),
+        ((0, 4, 1), "n_paths must be at least 1"),
+        ((2, 0, 1), "n_steps must be at least 1"),
+        ((2, 4, 0), "n_modes must be at least 1"),
+        ((2, 4.0, 1), "n_steps must be an integer, got 4.0"),
+        ((2.0, 4, 1), "n_paths must be an integer"),
+        ((2, 4, True), "n_modes must be an integer"),
+    ],
+)
+def test_wiener_increments_refuse_counts_that_are_not_positive_integers(counts, message):
+    # a negative path count used to give an empty (0, steps, modes) batch
+    with pytest.raises(ValueError, match=message):
+        wiener_increments(SEED, *counts, dt=0.1)
+
+
 def test_coarsen_rejects_nondivisor():
     batch = wiener_increments(SEED, 2, 10, dt=0.1)
     with pytest.raises(ValueError):

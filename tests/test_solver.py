@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
@@ -429,9 +430,10 @@ def kron_implicit_matrix(a, grid):
 
 
 def assert_factored_as(monkeypatch, a, grid, ref):
-    """_implicit_matrix hands SuperLU the CSC arrays of ref, bit for bit."""
+    """_implicit_matrix hands SuperLU the CSC arrays of ref, bit for bit.  It
+    imports splu when called, so the patch goes on scipy.sparse.linalg."""
     seen = []
-    monkeypatch.setattr(solver, "splu", lambda m: seen.append(m) or splu(m))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda m: seen.append(m) or splu(m))
     lu = solver._implicit_matrix(a, grid)
     (m,) = seen
     assert m.format == "csc" and m.shape == ref.shape
