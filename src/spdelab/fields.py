@@ -27,41 +27,16 @@ _BLOCK = 2**16
 
 def _ordered_path_sum(values):
     """Sum over the trailing paths axis in path order, ((x0 + x1) + x2) + ...: the
-    ``np.add.reduce(x, axis=0)`` of ``np.mean(axis=0)`` over the path-major x of
-    more than one node, bit for bit (numpy sums a trailing axis pairwise).  One
-    accumulate call below 256 rows, n - 1 strided adds from there: measured, the
-    adds win from 16 to 512 rows as n goes from 2 to 64 paths."""
+    path sum of every moment, the ``np.add.reduce(x, axis=0)`` of
+    ``np.mean(axis=0)`` over the path-major x of more than one node, bit for bit.
+    One accumulate call below 256 rows, n - 1 strided adds from there: measured,
+    the adds win from 16 to 512 rows as n goes from 2 to 64 paths."""
     n = values.shape[-1]
     if values.size < 256 * n:
         return np.add.accumulate(values, axis=-1)[..., -1]
-    s = values[..., 0].copy()
-    for k in range(1, n):
+    s = values[..., 0] + values[..., 1] if n > 1 else values[..., 0].copy()
+    for k in range(2, n):
         s += values[..., k]
-    return s
-
-
-def _pairwise_path_sum(d):
-    """``np.add.reduce(d, axis=-1)`` of a float64 array, bit for bit: the sum
-    ``np.mean(axis=-1)`` takes over a trailing paths axis.
-
-    numpy sums each row pairwise: fewer than 8 values in turn; 8 to 128
-    values into eight strided accumulators r0..r7, joined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-    turn.  Below 16 paths the same adds over whole arrays skip numpy's
-    per-row call, which costs more than the row; from 16 on numpy's own
-    loop is faster, so it sums those.
-    """
-    n = d.shape[-1]
-    if n >= 16:
-        return np.add.reduce(d, axis=-1)
-    if n < 8:  # one value is its own sum, returned as a view of d
-        s, rest = (d[..., 0] if n == 1 else d[..., 0].copy()), range(1, n)
-    else:
-        r = d[..., 0:8:2] + d[..., 1:8:2]
-        r = r[..., 0::2] + r[..., 1::2]
-        s, rest = r[..., 0] + r[..., 1], range(8, n)
-    for i in rest:
-        s += d[..., i]
     return s
 
 

@@ -37,11 +37,10 @@ are looked up by |offset|.  Each derivative D^beta is formed once
 (``finite_diff``, a block of time levels at a time) into one buffer
 reused for every beta: levels, grid axes wrap-padded where the stencil
 wraps, paths, modes, in C-order.  The sup reads it a block of levels at
-a time and sums paths in path order, as ``np.mean(axis=0)`` sums the
-path-major field; the quotients difference two slices of it into one
-reused block buffer and sum paths pairwise, as ``np.mean(axis=-1)``
-sums a gathered pair list; both bit for bit.  A block holds leading
-rows of about 2^19 bytes, at least one row of every batch entry.
+a time, and the quotients difference two slices of it into one reused
+block buffer; both sum paths in path order, as ``np.mean(axis=0)`` sums
+the path-major field, bit for bit.  A block holds leading rows of about
+2^19 bytes, at least one row of every batch entry.
 
 Ties are broken deterministically: dyadic keeps the earliest offset, then
 the earliest base node in C-order (strict ``>``); exhaustive keeps the
@@ -63,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
-    _BLOCK, FieldEnsemble, _along, _one_level, _ordered_path_sum, _pairwise_path_sum, finite_diff
+    _BLOCK, FieldEnsemble, _along, _integer, _one_level, _ordered_path_sum, finite_diff
 )
 
 __all__ = [
@@ -118,28 +117,28 @@ def _multi_indices(dim, order):
 EXHAUSTIVE_LIMIT = 20000
 
 
-def _moment(x, gamma, has_modes, path_sum):
-    """L^gamma over the paths axis of the (mode-ell2) magnitude, paths summed by
-    path_sum; the paths axis is last, or last but the modes."""
+def _moment(x, gamma, has_modes):
+    """L^gamma over the paths axis of the (mode-ell2) magnitude, paths summed in
+    path order; the paths axis is last, or last but the modes."""
     if gamma == 2.0 and not has_modes and x.shape[-1] == 1:  # one path: its magnitude
         return np.abs(x[..., 0])
     a = np.sqrt(np.sum(x * x, axis=-1)) if has_modes else x
     # x * x is |x| * |x| bit for bit, so gamma = 2 takes no magnitude pass
-    s = path_sum(a * a if gamma == 2.0 else (a if has_modes else np.abs(a)) ** gamma)
+    s = _ordered_path_sum(a * a if gamma == 2.0 else (a if has_modes else np.abs(a)) ** gamma)
     s /= a.shape[-1]  # np.mean's division
     return np.sqrt(s, out=s) if gamma == 2.0 else s ** (1.0 / gamma)
 
 
 def _difference_moment(a, b, buf, gamma, has_modes):
-    """``_moment(a - b, gamma, has_modes, _pairwise_path_sum)`` bit for bit, a - b in
-    buf; one path at gamma = 2 takes |a - b| there."""
+    """``_moment(a - b, gamma, has_modes)`` bit for bit, a - b in buf; at gamma = 2
+    one path takes |a - b| there, more paths square it there."""
     shape = np.broadcast_shapes(a.shape, b.shape)
     d = np.subtract(a, b, out=buf[: math.prod(shape)].reshape(shape))
     if gamma != 2.0 or has_modes:
-        return _moment(d, gamma, has_modes, _pairwise_path_sum)
+        return _moment(d, gamma, has_modes)
     if shape[-1] == 1:
         return np.abs(d[..., 0], out=d[..., 0])
-    q = _pairwise_path_sum(np.multiply(d, d, out=d))
+    q = _ordered_path_sum(np.multiply(d, d, out=d))
     q /= shape[-1]
     return np.sqrt(q, out=q)
 
@@ -324,7 +323,7 @@ def _sup_update(best, x, f, spec, geometry):
     prof, has_modes = np.empty(x.shape[: x.ndim - 1 - (f.n_modes > 0)]), f.n_modes > 0
     rows = max(1, _BLOCK // math.prod(x.shape[1:]))
     for lo in range(0, len(x), rows):
-        prof[lo : lo + rows] = _moment(x[lo : lo + rows], spec.gamma, has_modes, _ordered_path_sum)
+        prof[lo : lo + rows] = _moment(x[lo : lo + rows], spec.gamma, has_modes)
     k = int(np.argmax(prof))
     return float(prof.ravel()[k]), tuple(map(int, np.unravel_index(k, prof.shape)))
 
@@ -366,6 +365,8 @@ def _norms(f, spec, m, *kinds, wall=False):
     derivative of f once, into one buffer in the engine's layout: "sup"
     takes |beta| <= m, the seminorms |beta| = m.  wall: of f's wall trace,
     on the lattice of time and the tangential axis (m = 0)."""
+    if not 0 <= _integer("m", m) <= 2:
+        raise ValueError(f"m must be 0, 1 or 2, got {m}")
     out = {k: NormResult(k, -1.0 if k == "sup" else 0.0, m, spec.alpha, spec.gamma) for k in kinds}
     values, geometry = _one_level(f.values), _grid_geometry(f.grid, False)
     if wall:  # the trace drops the x1 axis

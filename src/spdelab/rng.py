@@ -85,6 +85,15 @@ class WienerBatch:
         return self.increments.shape[2]
 
 
+def _index(name, idx, shape):
+    """idx as uint64 words of the given shape; an entry that is not a non-negative
+    integer is refused, as a cast would give another tuple's draw."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu" or idx.min(initial=0) < 0:
+        raise ValueError(f"{name} must hold non-negative integers, got {idx!r}")
+    return idx.astype(np.uint64).reshape(shape)
+
+
 def standard_normals(seed, path_idx, step_idx, mode_idx):
     """Evaluate the normal lattice at an index grid.
 
@@ -95,9 +104,9 @@ def standard_normals(seed, path_idx, step_idx, mode_idx):
     """
     if not isinstance(seed, SeedSpec):
         raise TypeError("seed must be a SeedSpec")
-    p = np.asarray(path_idx, dtype=np.uint64).reshape(-1, 1, 1)
-    s = np.asarray(step_idx, dtype=np.uint64).reshape(1, -1, 1)
-    m = np.asarray(mode_idx, dtype=np.uint64).reshape(1, 1, -1)
+    p = _index("path_idx", path_idx, (-1, 1, 1))
+    s = _index("step_idx", step_idx, (1, -1, 1))
+    m = _index("mode_idx", mode_idx, (1, 1, -1))
     with np.errstate(over="ignore"):  # mod-2^64 wraparound is the point
         state = _finalize(_U64(seed.master_seed) ^ _U64(_GOLDEN))
         state = _absorb(state, _U64(seed.stream_salt))
@@ -127,7 +136,7 @@ def coarsen(batch: WienerBatch, factor: int) -> WienerBatch:
     returned batch drives a (factor * dt) discretization of the same
     underlying paths.
     """
-    if factor < 1 or batch.n_steps % factor != 0:
+    if _integer("factor", factor) < 1 or batch.n_steps % factor != 0:
         raise ValueError(f"factor {factor} must divide n_steps {batch.n_steps}")
     inc = batch.increments
     agg = inc.reshape(inc.shape[0], inc.shape[1] // factor, factor, inc.shape[2]).sum(axis=2)

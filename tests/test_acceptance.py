@@ -324,7 +324,7 @@ def test_criterion_12_norm_unit_suite():
         ),
         (
             "schauder_report",
-            "27a00a35cfc12b90620fd084202a5457b9cb335683082e32961393dd2cedff36",
+            "d9a8dc4c2bd1f134e845ca76a9b73363cc98df8d933cc485c32f6639ae5c4e35",
         ),
         (
             "compatibility_report",
@@ -346,6 +346,6 @@ def test_checked_in_study_bytes_are_pinned(request, fixture, digest):
 def test_checked_in_schauder_norm_rows_are_pinned(schauder_report):
     # every norm value, argmax pair and pair count of the full-size study
     report, _ = schauder_report
-    text, digest = report.norms_csv(), "693fe0477dbb6cb13c2f8ed79f73822ea8b581a91c7070ca19c359c7c87a36fd"
+    text, digest = report.norms_csv(), "70bfc506a0a1daa9dd926688df63654d32e9f62a32cdca33181cdd08303d9ac7"
     assert_matches_golden(text, "schauder_ratio_norms.csv", digest)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

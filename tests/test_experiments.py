@@ -364,8 +364,8 @@ def test_schauder_ratio_output_bytes_are_pinned():
         "norms": hashlib.sha256(rep.norms_csv().encode()).hexdigest(),
     }
     assert digest == {
-        "csv": "bcd011fc76c523ce7e578a05ab45fd873b84d5643e1459c78acf94af1d143c95",
-        "norms": "3598dfc2e9cff310b7171d31629f7cd0aee269c941c2878c4f3a0751aef9976b",
+        "csv": "6ccf22f329da0d7c3da60c8a02f3f34c2e97fb0aa8b67bcdf4b69b2afd0aa361",
+        "norms": "e7aa67f38ab4ef82503d3b35de4d8b438ab74a10803bbb6fb240e50178f84c58",
     }
 
 

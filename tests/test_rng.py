@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -172,6 +174,27 @@ def test_coarsen_rejects_nondivisor():
     batch = wiener_increments(SEED, 2, 10, dt=0.1)
     with pytest.raises(ValueError):
         coarsen(batch, 3)
+
+
+@pytest.mark.parametrize("arg", ["path_idx", "step_idx", "mode_idx"])
+@pytest.mark.parametrize(
+    "idx", [np.array([0.7]), np.array([-1]), np.array([True]), 1.0], ids=["0.7", "-1", "True", "1.0"]
+)
+def test_standard_normals_refuse_an_index_that_is_not_a_non_negative_integer(arg, idx):
+    # [0.7] once drew index 0's normal and [-1] index 2^64 - 1's
+    args = {"path_idx": np.arange(2), "step_idx": np.arange(3), "mode_idx": 0}
+    with pytest.raises(ValueError, match=f"^{arg} must hold non-negative integers"):
+        standard_normals(SEED, **{**args, arg: idx})
+    assert standard_normals(SEED, **args).shape == (2, 3, 1)
+
+
+@pytest.mark.parametrize("factor", [2.0, True, "2"])
+def test_coarsen_refuses_a_factor_that_is_not_an_integer(factor):
+    # 2.0 and True once failed inside numpy with a TypeError
+    batch = wiener_increments(SEED, 2, 10, dt=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"factor must be an integer, got {factor!r}")):
+        coarsen(batch, factor)
+    assert coarsen(batch, np.int64(2)).n_steps == 5
 
 
 def test_increment_values_come_from_the_lattice():
